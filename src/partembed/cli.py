@@ -32,9 +32,6 @@ from .synth import DEFAULT_TAG_PROB, NoiseConfig, generate_corpus
 from .training import (TrainConfig, finetune_segmentation, finetune_tags,
                        prepare_shapes, pretrain_autoencoder, pretrain_metric)
 
-_TUPLE_CFG_FIELDS = ("point_widths", "lift_widths", "decoder_widths", "ae_hidden")
-
-
 # ---------------------------------------------------------------------------
 # Small helpers
 # ---------------------------------------------------------------------------
@@ -54,23 +51,19 @@ def _parse_csv(text, cast=str):
     return tuple(cast(x) for x in text.split(",") if x)
 
 
-def _load_json(path):
+def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"config {path} must hold a JSON object")
+    return obj
 
 
 def _pen_config(path_or_none, **overrides) -> PenConfig:
     raw = _load_json(path_or_none) if path_or_none else {}
-    raw.update(overrides)
-    for key in _TUPLE_CFG_FIELDS:
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    try:
-        return PenConfig(**raw)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad architecture config: {exc}") from exc
+    return PenConfig.from_dict({**asdict(PenConfig()), **raw, **overrides})
 
 
 def _train_config(path_or_none, **overrides) -> TrainConfig:
@@ -78,7 +71,7 @@ def _train_config(path_or_none, **overrides) -> TrainConfig:
     raw.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return TrainConfig(**raw)
-    except TypeError as exc:
+    except (TypeError, InputError) as exc:
         raise ConfigurationError(f"bad training config: {exc}") from exc
 
 

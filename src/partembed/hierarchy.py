@@ -29,10 +29,6 @@ class Node:
     def is_leaf(self) -> bool:
         return self.geom is not None
 
-    @property
-    def kind(self) -> str:
-        return "leaf" if self.is_leaf else "group"
-
 
 @dataclass(frozen=True)
 class PartHierarchy:
@@ -142,35 +138,6 @@ def tree_distance(tree: PartHierarchy, a: NodeId, b: NodeId) -> int:
 def leaves(tree: PartHierarchy) -> list[NodeId]:
     """All leaf node ids, in index order."""
     return [n.id for n in tree.nodes if n.is_leaf]
-
-
-def parts_at_depth(tree: PartHierarchy, d: int) -> list[NodeId]:
-    """The frontier cut at depth ``d``: nodes at depth exactly ``d`` plus
-    leaves shallower than ``d``. Leaf-descendant sets of the result partition
-    the leaves of the tree."""
-    if d < 0:
-        raise InputError("depth must be non-negative")
-    out = []
-    for node in tree.nodes:
-        nd = tree._depth[node.id]
-        if nd == d or (node.is_leaf and nd < d):
-            out.append(node.id)
-    return out
-
-
-def leaf_descendants(tree: PartHierarchy, a: NodeId) -> list[NodeId]:
-    """Leaf ids under ``a`` (including ``a`` itself when it is a leaf)."""
-    tree._check(a)
-    out = []
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        node = tree.nodes[x]
-        if node.is_leaf:
-            out.append(x)
-        else:
-            stack.extend(node.children)
-    return sorted(out)
 
 
 def build_tree(parents: Sequence[Optional[int]], names: Sequence[str] | None = None,

@@ -19,7 +19,7 @@ import numpy as np
 from .collada import parse_collada_tree
 from .errors import InputError, ParseError, SchemaError
 from .geometry import PointCloud, TriangleMesh, sample_surface
-from .hierarchy import Node, PartHierarchy, leaves
+from .hierarchy import PartHierarchy, build_tree, leaves
 
 # Scene-graph boilerplate that must never become a tag. Positional words
 # (back, top, ...) stay out of this list: they are real part names.
@@ -78,15 +78,7 @@ def shape_from_collada(data: bytes, shape_id: str, category: str = "default") ->
                 visit(child, i)
 
     visit(raw_root, None)
-    children: list[list[int]] = [[] for _ in parents]
-    for i, p in enumerate(parents):
-        if p is not None:
-            children[p].append(i)
-    nodes = tuple(
-        Node(id=i, parent=parents[i], children=tuple(children[i]), name=names[i], geom=geoms[i])
-        for i in range(len(parents))
-    )
-    tree = PartHierarchy(nodes=nodes, root=0)
+    tree = build_tree(parents, names, geoms)
     mesh = TriangleMesh(
         vertices=np.vstack(vert_chunks) if vert_chunks else np.zeros((0, 3)),
         triangles=np.vstack(tri_chunks) if tri_chunks else np.zeros((0, 3), dtype=np.int64),
@@ -228,18 +220,8 @@ def parse_json_shape(source) -> ShapeRecord:
             raise SchemaError(f"semantic_labels must be integers: {exc}") from exc
         _expect(len(sem) == n_tri, f"semantic_labels has {len(sem)} entries for {n_tri} triangles")
 
-    child_lists: list[list[int]] = [[] for _ in range(n)]
-    for j in range(n):
-        if parents[j] is not None:
-            child_lists[parents[j]].append(j)
     try:
-        tree = PartHierarchy(nodes=tuple(
-            Node(id=i, parent=parents[i], children=tuple(child_lists[i]),
-                 name=names[i], geom=geoms[i])
-            for i in range(n)
-        ), root=next(i for i in range(n) if parents[i] is None))
-    except StopIteration:
-        raise SchemaError("no root node (parent null)") from None
+        tree = build_tree(parents, names, geoms)
     except InputError as exc:
         raise SchemaError(f"invalid hierarchy: {exc}") from exc
 

@@ -16,12 +16,12 @@ test suite, so keep forward and backward in lockstep when editing.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, OptimizerError, SchemaError
+from .errors import ConfigurationError, InputError, OptimizerError, SchemaError
 from .geometry import chamfer_with_grad
 
 DEFAULT_MARGIN = 0.2
@@ -49,8 +49,29 @@ class PenConfig:
     def __post_init__(self):
         if not self.point_widths or not self.lift_widths:
             raise InputError("point_widths and lift_widths must be nonempty")
-        if self.embed_dim <= 0 or self.head_hidden <= 0:
-            raise InputError("embed_dim and head_hidden must be positive")
+        sizes = (*self.point_widths, *self.lift_widths, *self.decoder_widths, *self.ae_hidden,
+                 self.embed_dim, self.head_hidden, self.ae_points)
+        if not all(_is_int(w) and w > 0 for w in sizes):
+            raise InputError("widths, embed_dim, head_hidden and ae_points must be positive integers")
+        if not all(_is_int(n) and n >= 0 for n in (self.n_tags, self.n_classes)):
+            raise InputError("n_tags and n_classes must be non-negative integers")
+
+    @classmethod
+    def from_dict(cls, raw) -> "PenConfig":
+        """Config from its JSON form, as ``asdict`` writes it (lists for the
+        width tuples). Every field must be present and valid; anything else
+        raises ConfigurationError."""
+        if not isinstance(raw, dict):
+            raise ConfigurationError("architecture config must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        if set(raw) != names:
+            raise ConfigurationError(
+                f"architecture config: unknown keys {sorted(set(raw) - names)}, "
+                f"missing keys {sorted(names - set(raw))}")
+        try:
+            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+        except (InputError, TypeError) as exc:
+            raise ConfigurationError(f"architecture config: {exc}") from exc
 
     @property
     def point_dim(self) -> int:
@@ -59,6 +80,10 @@ class PenConfig:
     @property
     def global_dim(self) -> int:
         return self.lift_widths[-1]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _trunk_layers(cfg: PenConfig) -> list[tuple[str, int, int, bool]]:
@@ -295,10 +320,6 @@ def ae_backward(params, cfg: PenConfig, trace: ForwardTrace,
 # Losses
 # ---------------------------------------------------------------------------
 
-def hinge_triplet(d_pos: np.ndarray, d_neg: np.ndarray, margin: float) -> np.ndarray:
-    return np.maximum(d_pos - d_neg + margin, 0.0)
-
-
 def triplet_loss_and_grad(embed: np.ndarray, batches: Sequence, margin: float = DEFAULT_MARGIN
                           ) -> tuple[float, np.ndarray]:
     """Hinge triplet loss over squared Euclidean embedding distances.
@@ -316,7 +337,7 @@ def triplet_loss_and_grad(embed: np.ndarray, batches: Sequence, margin: float = 
         ea, eb, ec = e[tb.anchor], e[tb.positive], e[tb.negative]
         d_pos = np.sum((ea - eb) ** 2, axis=1)
         d_neg = np.sum((ea - ec) ** 2, axis=1)
-        viol = hinge_triplet(d_pos, d_neg, margin)
+        viol = np.maximum(d_pos - d_neg + margin, 0.0)
         total += float(viol.mean())
         scale = (viol > 0).astype(np.float64)[:, None] / len(tb)
         np.add.at(g[s], tb.anchor, 2.0 * (ec - eb) * scale)
@@ -432,9 +453,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_TUPLE_FIELDS = ("point_widths", "lift_widths", "decoder_widths", "ae_hidden")
-
-
 def save_checkpoint(path, params: dict[str, np.ndarray], cfg: PenConfig,
                     meta: Optional[dict] = None) -> None:
     """Single .npz holding every tensor as float64 plus a JSON manifest
@@ -458,10 +476,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], PenConfig, dict]:
             raise SchemaError(f"{path}: not a checkpoint (missing manifest)")
         manifest = json.loads(bytes(z["__manifest__"].tolist()).decode())
         params = {k: z[k] for k in z.files if k != "__manifest__"}
-    raw_cfg = manifest["config"]
-    for key in _TUPLE_FIELDS:
-        raw_cfg[key] = tuple(raw_cfg[key])
-    cfg = PenConfig(**raw_cfg)
+    try:
+        cfg = PenConfig.from_dict(manifest.get("config"))
+    except ConfigurationError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     if sorted(params) != manifest["tensors"]:
         raise SchemaError(f"{path}: tensor listing disagrees with manifest")
     validate_params(cfg, params)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import TriangleMesh
-from .hierarchy import Node, PartHierarchy
+from .hierarchy import build_tree
 from .ingest import ShapeRecord, write_shape_json
 
 # Surface-name pools per part concept. The first entry is the canonical tag;
@@ -237,16 +237,7 @@ def generate_shape(category: str, shape_id: str, rng: np.random.Generator,
                 tagged = rng.random() < noise.tag_prob
                 add(parent, _leaf_name(concept, tagged, rng), (bucket, label))
 
-    children: list[list[int]] = [[] for _ in parents]
-    for i, p in enumerate(parents):
-        if p is not None:
-            children[p].append(i)
-    nodes = tuple(
-        Node(id=i, parent=parents[i], children=tuple(children[i]),
-             name=names[i], geom=geoms[i])
-        for i in range(len(parents))
-    )
-    tree = PartHierarchy(nodes=nodes, root=0)
+    tree = build_tree(parents, names, geoms)
 
     verts, tris, tri_leaf, tri_sem = [], [], [], []
     base = 0

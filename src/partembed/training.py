@@ -1,19 +1,23 @@
-"""Training loops: metric pretraining, tag and segmentation fine-tuning,
-and the reconstruction baseline.
+"""Training: triplet metric pretraining, the reconstruction baseline, and
+tag and segmentation fine-tuning, all run by one loop, ``fit``.
 
-All loops share the same skeleton: shuffle shapes, subsample a fixed number
-of points per shape each step, run the batch through the network in
-microbatch chunks (gradients are sums over shapes, so chunking is exact),
-take one Adam step per batch, and watch a validation loss for plateaus.
-Validation fixtures (point subsets, triplets) are frozen once per run so the
-validation loss is a pure function of the parameters.
+``fit`` shuffles the shapes each epoch, runs each batch through the network
+in microbatch chunks and takes one Adam step per batch. An objective
+supplies a ``draw`` (the point subsets or triplets a step sees of a shape)
+and a ``chunk_loss``, which returns the loss summed over the chunk's shapes.
+Adam thus always steps on the batch sum, so chunking is exact.
+``TrainReport.train_losses`` is the per-shape mean loss of each epoch for
+every objective. Validation draws are frozen once per run, so the
+validation loss is a pure function of the parameters. Fine-tuning steps
+pretrained tensors at ``trunk_lr_scale`` times the rate; 0 freezes them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from .triplets import (LeafIndex, TripletBatch, build_pair_distribution,
 
 @dataclass
 class TrainConfig:
-    """Knobs for every loop. Defaults follow the full-scale recipe: Adam at
+    """Knobs for every objective. Defaults follow the full-scale recipe: Adam at
     0.01 divided by 10 on validation plateau, 32-shape batches, 2500-point
     subsamples, a constant number of triplets per shape."""
 
@@ -50,8 +54,7 @@ class TrainConfig:
     seed: int = 0
     strategy: str = "hierarchy"
     microbatch: int = 8
-    trunk_lr_scale: float = 0.1
-    freeze_trunk: bool = False
+    trunk_lr_scale: float = 0.1    # 0 freezes pretrained tensors in fine-tuning
     head_epochs: int = 10          # stage one of staged fine-tuning
 
     def __post_init__(self):
@@ -61,6 +64,10 @@ class TrainConfig:
                 raise InputError(f"{name} must be positive")
         if self.decay_factor <= 1.0:
             raise InputError("decay_factor must exceed 1")
+        if not self.lr > 0:
+            raise InputError("lr must be positive")
+        if not self.trunk_lr_scale >= 0:
+            raise InputError("trunk_lr_scale must be non-negative")
 
 
 class PlateauScheduler:
@@ -200,120 +207,142 @@ def _accumulate(total: dict, part: dict) -> None:
             total[k] = v
 
 
-def _lr_mult(params: dict, head_prefixes: tuple[str, ...], trunk_scale: float,
-             frozen_prefixes: tuple[str, ...] = ()) -> dict[str, float]:
-    mult = {}
-    for name in params:
-        if name.startswith(frozen_prefixes):
-            mult[name] = 0.0
-        elif name.startswith(head_prefixes):
-            mult[name] = 1.0
-        else:
-            mult[name] = trunk_scale
-    return mult
-
-
-_TRUNK_PREFIXES = ("enc", "lift")
-_EMBED_PREFIXES = ("enc", "lift", "dec", "embed")
+def _lr_mult(params: dict, head_prefixes: tuple[str, ...], trunk_scale: float) -> dict[str, float]:
+    """Full rate for the head tensors, ``trunk_scale`` for every other one."""
+    return {name: 1.0 if name.startswith(head_prefixes) else trunk_scale for name in params}
 
 
 # ---------------------------------------------------------------------------
-# Metric pretraining
+# The training loop
 # ---------------------------------------------------------------------------
 
-def _triplet_forward_backward(params, cfg, pts, batches, margin, want_grads=True):
-    embed, trace = forward_embed(params, cfg, pts)
-    loss, g_embed = triplet_loss_and_grad(embed, batches, margin)
-    if not want_grads:
-        return loss, None
-    return loss, backward_embed(params, cfg, trace, g_embed)
+Draw = Callable[[list[TrainShape], np.random.Generator], list]
+ChunkLoss = Callable[[list[TrainShape], list, bool], tuple[float, Optional[dict]]]
 
 
-def _frozen_val_triplets(shapes, tc: TrainConfig, rng) -> list[tuple[np.ndarray, TripletBatch]]:
-    out = []
-    for shape in shapes:
-        sub_idx = _subsample(shape, tc.subsample_points, rng)
-        out.append((sub_idx, _shape_triplets(shape, sub_idx, tc.triplets_per_shape, rng, tc.strategy)))
-    return out
+def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.random.Generator,
+        draw: Draw, chunk_loss: ChunkLoss, epochs: int,
+        lr_mult: Optional[dict[str, float]] = None,
+        val: Optional[tuple[Sequence[TrainShape], np.random.Generator]] = None,
+        state: Optional[AdamState] = None, report: Optional[TrainReport] = None) -> TrainReport:
+    """Train ``params`` in place for up to ``epochs`` epochs of ``shapes``.
+
+    ``draw(chunk, rng)`` returns what one step sees of each shape of the
+    chunk; ``chunk_loss(chunk, draws, want_grads)`` returns the loss summed
+    over the chunk's shapes and its gradients (None unless asked). Adam
+    steps once per batch on the gradient summed over the batch's shapes.
+
+    ``val`` is (validation shapes, generator for their draws). With it the
+    validation loss is watched: the rate decays on plateaus, training stops
+    at the rate floor, and ``params`` end at the best epoch's values.
+    Without it the epoch count is fixed. Consecutive calls sharing
+    ``state`` and ``report`` continue one run.
+    """
+    val_shapes, rng_val = val if val is not None else ((), None)
+    if not shapes or (val is not None and not val_shapes):
+        raise InputError("need nonempty train and validation shape lists")
+    _check_same_size([*shapes, *val_shapes])
+    t0 = time.perf_counter()
+    state = AdamState() if state is None else state
+    report = TrainReport() if report is None else report
+    sched = PlateauScheduler(tc.lr, tc.decay_factor, tc.plateau_patience,
+                             tc.plateau_rel_threshold, tc.min_lr, tc.stop_decays_below)
+    # drawn one shape at a time, once per run: the validation loss is then a
+    # pure function of the parameters and independent of the chunking
+    fixtures = [d for s in val_shapes for d in draw([s], rng_val)]
+    report.stop_reason = "max_epochs" if val_shapes else "fixed_epochs"
+    best_params = None
+    n = len(shapes)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for lo in range(0, n, tc.batch_shapes):
+            batch = order[lo:lo + tc.batch_shapes]
+            grads: dict[str, np.ndarray] = {}
+            for mlo in range(0, len(batch), tc.microbatch):
+                chunk = [shapes[i] for i in batch[mlo:mlo + tc.microbatch]]
+                loss, g = chunk_loss(chunk, draw(chunk, rng), True)
+                epoch_loss += loss
+                _accumulate(grads, g)
+            adam_step(params, grads, state, sched.lr, lr_mult=lr_mult)
+        report.train_losses.append(epoch_loss / n)
+        report.lr_history.append(sched.lr)
+        report.epochs += 1
+        if not val_shapes:
+            continue
+        v = sum(chunk_loss(val_shapes[lo:lo + tc.microbatch], fixtures[lo:lo + tc.microbatch],
+                           False)[0]
+                for lo in range(0, len(val_shapes), tc.microbatch)) / len(val_shapes)
+        report.val_losses.append(v)
+        if v < report.best_val:
+            report.best_val = v
+            report.best_epoch = report.epochs - 1
+            best_params = {k: x.copy() for k, x in params.items()}
+        if sched.observe(v):
+            report.stop_reason = "lr_floor"
+            break
+    report.decays += sched.decays
+    if best_params is not None:
+        params.update(best_params)
+    report.seconds += time.perf_counter() - t0
+    return report
 
 
-def _val_triplet_loss(params, cfg, shapes, fixtures, tc: TrainConfig) -> float:
-    total = 0.0
-    for lo in range(0, len(shapes), tc.microbatch):
-        chunk = list(range(lo, min(lo + tc.microbatch, len(shapes))))
-        pts = np.stack([shapes[i].cloud.points[fixtures[i][0]] for i in chunk])
-        batches = [fixtures[i][1] for i in chunk]
-        loss, _ = _triplet_forward_backward(params, cfg, pts, batches, tc.margin, want_grads=False)
-        total += loss
-    return total / len(shapes)
+def _train_val_rngs(tc: TrainConfig, salt: int) -> list[np.random.Generator]:
+    return [np.random.default_rng(s) for s in np.random.SeedSequence((tc.seed, salt)).spawn(2)]
 
+
+def _point_draw(pick, n: int) -> Draw:
+    """A draw of ``n`` point indices per shape, chosen by ``pick``."""
+    return lambda chunk, rng: [pick(s, n, rng) for s in chunk]
+
+
+def _head_loss(params: dict, cfg: PenConfig, prefix: str, n_out: int, loss_and_grad,
+               labels_of) -> ChunkLoss:
+    """Chunk loss of a per-point classifier head on the embedding, trained
+    through the whole network."""
+    def chunk_loss(chunk, subs, want_grads):
+        pts = np.stack([s.cloud.points[sub] for s, sub in zip(chunk, subs)])
+        labels = np.stack([labels_of(s)[sub] for s, sub in zip(chunk, subs)])
+        embed, trace = forward_embed(params, cfg, pts)
+        logits, head_trace = head_forward(params, cfg, prefix, embed, n_out)
+        loss, g_logits = loss_and_grad(logits, labels)
+        if not want_grads:
+            return loss, None
+        grads, g_embed = head_backward(params, cfg, prefix, n_out, head_trace, g_logits)
+        _accumulate(grads, backward_embed(params, cfg, trace, g_embed))
+        return loss, grads
+    return chunk_loss
+
+
+# ---------------------------------------------------------------------------
+# Objectives
+# ---------------------------------------------------------------------------
 
 def pretrain_metric(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShape],
                     val_shapes: Sequence[TrainShape], tc: TrainConfig) -> TrainReport:
     """Triplet metric pretraining. Mutates ``params`` and leaves them at the
     best-validation epoch's values."""
-    if not train_shapes or not val_shapes:
-        raise InputError("need nonempty train and validation shape lists")
-    _check_same_size(list(train_shapes) + list(val_shapes))
-    t0 = time.perf_counter()
-    ss = np.random.SeedSequence((tc.seed, 0x7E1))
-    rng_train, rng_val = (np.random.default_rng(s) for s in ss.spawn(2))
-    fixtures = _frozen_val_triplets(val_shapes, tc, rng_val)
+    def draw(chunk, rng):
+        subs = [_subsample(s, tc.subsample_points, rng) for s in chunk]
+        return [(sub, _shape_triplets(s, sub, tc.triplets_per_shape, rng, tc.strategy))
+                for s, sub in zip(chunk, subs)]
 
-    sched = PlateauScheduler(tc.lr, tc.decay_factor, tc.plateau_patience,
-                             tc.plateau_rel_threshold, tc.min_lr, tc.stop_decays_below)
-    state = AdamState()
-    report = TrainReport()
-    best_params = None
-    n = len(train_shapes)
-    for epoch in range(tc.max_epochs):
-        order = rng_train.permutation(n)
-        epoch_loss = 0.0
-        for lo in range(0, n, tc.batch_shapes):
-            batch = order[lo:lo + tc.batch_shapes]
-            grads: dict[str, np.ndarray] = {}
-            batch_loss = 0.0
-            for mlo in range(0, len(batch), tc.microbatch):
-                chunk = batch[mlo:mlo + tc.microbatch]
-                subs = [_subsample(train_shapes[i], tc.subsample_points, rng_train) for i in chunk]
-                batches = [_shape_triplets(train_shapes[i], subs[j], tc.triplets_per_shape,
-                                           rng_train, tc.strategy)
-                           for j, i in enumerate(chunk)]
-                pts = np.stack([train_shapes[i].cloud.points[subs[j]] for j, i in enumerate(chunk)])
-                loss, g = _triplet_forward_backward(params, cfg, pts, batches, tc.margin)
-                batch_loss += loss
-                _accumulate(grads, g)
-            adam_step(params, grads, state, sched.lr)
-            epoch_loss += batch_loss
-        report.train_losses.append(epoch_loss / n)
-        val = _val_triplet_loss(params, cfg, val_shapes, fixtures, tc)
-        report.val_losses.append(val)
-        report.lr_history.append(sched.lr)
-        report.epochs = epoch + 1
-        if val < report.best_val:
-            report.best_val = val
-            report.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
-        if sched.observe(val):
-            report.stop_reason = "lr_floor"
-            break
-    else:
-        report.stop_reason = "max_epochs"
-    report.decays = sched.decays
-    if best_params is not None:
-        params.update(best_params)
-    report.seconds = time.perf_counter() - t0
-    return report
+    def chunk_loss(chunk, draws, want_grads):
+        pts = np.stack([s.cloud.points[sub] for s, (sub, _) in zip(chunk, draws)])
+        embed, trace = forward_embed(params, cfg, pts)
+        loss, g_embed = triplet_loss_and_grad(embed, [tb for _, tb in draws], tc.margin)
+        return loss, backward_embed(params, cfg, trace, g_embed) if want_grads else None
 
+    rng_train, rng_val = _train_val_rngs(tc, 0x7E1)
+    return fit(params, train_shapes, tc, rng_train, draw, chunk_loss, tc.max_epochs,
+               val=(val_shapes, rng_val))
 
-# ---------------------------------------------------------------------------
-# Tag fine-tuning
-# ---------------------------------------------------------------------------
 
 def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShape],
                   val_shapes: Sequence[TrainShape], tc: TrainConfig) -> TrainReport:
-    """Stage-wise tag fine-tuning: the tag head is trained at full rate, the
-    embedding trunk at ``trunk_lr_scale`` (or frozen). Loss is the summed
+    """Tag fine-tuning: the tag head is trained at full rate, the rest of
+    the network at ``trunk_lr_scale`` (0 freezes it). Loss is the summed
     one-vs-rest cross-entropy; validation is its per-shape mean."""
     if cfg.n_tags <= 0:
         raise InputError("config has no tag head")
@@ -324,159 +353,47 @@ def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShap
     if not ok:
         raise TrainingError(
             f"insufficient tags: mean tagged fraction {coverage:.4f} does not clear 0.01")
-    _check_same_size(list(train_shapes) + list(val_shapes))
-    t0 = time.perf_counter()
-    ss = np.random.SeedSequence((tc.seed, 0x7A6))
-    rng_train, rng_val = (np.random.default_rng(s) for s in ss.spawn(2))
-    val_subs = [_subsample(s, tc.subsample_points, rng_val) for s in val_shapes]
+    rng_train, rng_val = _train_val_rngs(tc, 0x7A6)
+    chunk_loss = _head_loss(params, cfg, "tag", cfg.n_tags, tag_loss_and_grad,
+                            lambda s: s.tag_ids)
+    return fit(params, train_shapes, tc, rng_train,
+               _point_draw(_subsample, tc.subsample_points), chunk_loss, tc.max_epochs,
+               lr_mult=_lr_mult(params, ("tag",), tc.trunk_lr_scale),
+               val=(val_shapes, rng_val))
 
-    mult = _lr_mult(params, head_prefixes=("tag",),
-                    trunk_scale=0.0 if tc.freeze_trunk else tc.trunk_lr_scale,
-                    frozen_prefixes=("seg", "ae"))
-
-    def batch_loss_grads(shapes, subs, want_grads=True):
-        pts = np.stack([s.cloud.points[subs[j]] for j, s in enumerate(shapes)])
-        tags = np.stack([s.tag_ids[subs[j]] for j, s in enumerate(shapes)])
-        embed, trace = forward_embed(params, cfg, pts)
-        logits, head_trace = head_forward(params, cfg, "tag", embed, cfg.n_tags)
-        loss, g_logits = tag_loss_and_grad(logits, tags)
-        if not want_grads:
-            return loss, None
-        grads, g_embed = head_backward(params, cfg, "tag", cfg.n_tags, head_trace, g_logits)
-        _accumulate(grads, backward_embed(params, cfg, trace, g_embed))
-        return loss, grads
-
-    sched = PlateauScheduler(tc.lr, tc.decay_factor, tc.plateau_patience,
-                             tc.plateau_rel_threshold, tc.min_lr, tc.stop_decays_below)
-    state = AdamState()
-    report = TrainReport()
-    best_params = None
-    n = len(train_shapes)
-    for epoch in range(tc.max_epochs):
-        order = rng_train.permutation(n)
-        epoch_loss = 0.0
-        for lo in range(0, n, tc.batch_shapes):
-            batch = order[lo:lo + tc.batch_shapes]
-            grads: dict[str, np.ndarray] = {}
-            for mlo in range(0, len(batch), tc.microbatch):
-                chunk = batch[mlo:mlo + tc.microbatch]
-                shapes = [train_shapes[i] for i in chunk]
-                subs = [_subsample(s, tc.subsample_points, rng_train) for s in shapes]
-                loss, g = batch_loss_grads(shapes, subs)
-                epoch_loss += loss
-                _accumulate(grads, g)
-            adam_step(params, grads, state, sched.lr, lr_mult=mult)
-        report.train_losses.append(epoch_loss / n)
-        val = 0.0
-        for lo in range(0, len(val_shapes), tc.microbatch):
-            chunk = list(range(lo, min(lo + tc.microbatch, len(val_shapes))))
-            loss, _ = batch_loss_grads([val_shapes[i] for i in chunk],
-                                       [val_subs[i] for i in chunk], want_grads=False)
-            val += loss
-        val /= len(val_shapes)
-        report.val_losses.append(val)
-        report.lr_history.append(sched.lr)
-        report.epochs = epoch + 1
-        if val < report.best_val:
-            report.best_val = val
-            report.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
-        if sched.observe(val):
-            report.stop_reason = "lr_floor"
-            break
-    else:
-        report.stop_reason = "max_epochs"
-    report.decays = sched.decays
-    if best_params is not None:
-        params.update(best_params)
-    report.seconds = time.perf_counter() - t0
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Reconstruction pretraining (baseline)
-# ---------------------------------------------------------------------------
 
 def pretrain_autoencoder(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShape],
                          val_shapes: Sequence[TrainShape], tc: TrainConfig) -> TrainReport:
-    """Chamfer reconstruction pretraining of the trunk. Only the trunk and
-    the reconstruction decoder receive gradients; the embedding decoder is
-    untouched and stays at its initialization."""
+    """Chamfer reconstruction pretraining of the trunk (the baseline). Only
+    the trunk and the reconstruction decoder receive gradients; the
+    embedding decoder is untouched and stays at its initialization."""
     if not cfg.with_ae:
         raise InputError("config has no reconstruction decoder")
-    _check_same_size(list(train_shapes) + list(val_shapes))
-    t0 = time.perf_counter()
-    ss = np.random.SeedSequence((tc.seed, 0xAE))
-    rng_train, rng_val = (np.random.default_rng(s) for s in ss.spawn(2))
-    val_subs = [_subsample(s, tc.subsample_points, rng_val) for s in val_shapes]
 
-    def chunk_loss_grads(shapes, subs, want_grads=True):
-        pts = np.stack([s.cloud.points[subs[j]] for j, s in enumerate(shapes)])
+    def chunk_loss(chunk, subs, want_grads):
+        pts = np.stack([s.cloud.points[sub] for s, sub in zip(chunk, subs)])
         trace = forward_trunk(params, cfg, pts)
         recon, ae_trace = ae_forward(params, cfg, trace.global_feat)
+        # chamfer_batch_and_grad averages over the chunk; scale back to the sum
         loss, g_recon = chamfer_batch_and_grad(recon, list(pts))
         if not want_grads:
-            return loss * len(shapes), None
-        grads, g_global = ae_backward(params, cfg, ae_trace, g_recon)
+            return loss * len(chunk), None
+        grads, g_global = ae_backward(params, cfg, ae_trace, g_recon * len(chunk))
         backward_trunk(params, cfg, trace, None, g_global, grads)
-        # chamfer_batch averages over the chunk; rescale to per-shape sums
-        for k in grads:
-            grads[k] *= len(shapes)
-        return loss * len(shapes), grads
+        return loss * len(chunk), grads
 
-    sched = PlateauScheduler(tc.lr, tc.decay_factor, tc.plateau_patience,
-                             tc.plateau_rel_threshold, tc.min_lr, tc.stop_decays_below)
-    state = AdamState()
-    report = TrainReport()
-    best_params = None
-    n = len(train_shapes)
-    for epoch in range(tc.max_epochs):
-        order = rng_train.permutation(n)
-        epoch_loss = 0.0
-        for lo in range(0, n, tc.batch_shapes):
-            batch = order[lo:lo + tc.batch_shapes]
-            grads: dict[str, np.ndarray] = {}
-            for mlo in range(0, len(batch), tc.microbatch):
-                chunk = batch[mlo:mlo + tc.microbatch]
-                shapes = [train_shapes[i] for i in chunk]
-                subs = [_subsample(s, tc.subsample_points, rng_train) for s in shapes]
-                loss, g = chunk_loss_grads(shapes, subs)
-                epoch_loss += loss
-                _accumulate(grads, g)
-            # loss/grads are per-shape sums; divide by the batch size for the mean
-            for k in grads:
-                grads[k] /= len(batch)
-            adam_step(params, grads, state, sched.lr)
-        report.train_losses.append(epoch_loss / n)
-        val = 0.0
-        for lo in range(0, len(val_shapes), tc.microbatch):
-            chunk = list(range(lo, min(lo + tc.microbatch, len(val_shapes))))
-            loss, _ = chunk_loss_grads([val_shapes[i] for i in chunk],
-                                       [val_subs[i] for i in chunk], want_grads=False)
-            val += loss
-        val /= len(val_shapes)
-        report.val_losses.append(val)
-        report.lr_history.append(sched.lr)
-        report.epochs = epoch + 1
-        if val < report.best_val:
-            report.best_val = val
-            report.best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
-        if sched.observe(val):
-            report.stop_reason = "lr_floor"
-            break
-    else:
-        report.stop_reason = "max_epochs"
-    report.decays = sched.decays
-    if best_params is not None:
-        params.update(best_params)
-    report.seconds = time.perf_counter() - t0
-    return report
+    rng_train, rng_val = _train_val_rngs(tc, 0xAE)
+    return fit(params, train_shapes, tc, rng_train,
+               _point_draw(_subsample, tc.subsample_points), chunk_loss, tc.max_epochs,
+               val=(val_shapes, rng_val))
 
 
-# ---------------------------------------------------------------------------
-# Segmentation fine-tuning
-# ---------------------------------------------------------------------------
+def _seg_loss_summed(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    # the mean over the chunk's labeled points, counted once per shape so
+    # that chunk losses add up like the per-shape sums of the other losses
+    loss, g = seg_loss_and_grad(logits, labels)
+    return loss * len(logits), g * len(logits)
+
 
 def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShape],
                           tc: TrainConfig, fresh_prefixes: tuple[str, ...] = ("seg",),
@@ -498,64 +415,16 @@ def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[T
         if top >= cfg.n_classes:
             raise InputError(
                 f"shape {s.record.shape_id}: label {top} outside the {cfg.n_classes}-class set")
-    _check_same_size(train_shapes)
-    t0 = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence((tc.seed, 0x5E6)))
-
-    def batch_loss_grads(shapes, subs, want_grads=True):
-        pts = np.stack([s.cloud.points[subs[j]] for j, s in enumerate(shapes)])
-        labels = np.stack([s.cloud.semantic_label[subs[j]] for j, s in enumerate(shapes)])
-        embed, trace = forward_embed(params, cfg, pts)
-        logits, head_trace = head_forward(params, cfg, "seg", embed, cfg.n_classes)
-        loss, g_logits = seg_loss_and_grad(logits, labels)
-        if not want_grads:
-            return loss, None
-        grads, g_embed = head_backward(params, cfg, "seg", cfg.n_classes, head_trace, g_logits)
-        _accumulate(grads, backward_embed(params, cfg, trace, g_embed))
-        return loss, grads
-
-    report = TrainReport()
-    state = AdamState()
-    n = len(train_shapes)
-
-    def run_stage(epochs: int, mult: Optional[dict[str, float]], lr: float):
-        for _ in range(epochs):
-            order = rng.permutation(n)
-            epoch_loss = 0.0
-            n_batches = 0
-            for lo in range(0, n, tc.batch_shapes):
-                batch = order[lo:lo + tc.batch_shapes]
-                grads: dict[str, np.ndarray] = {}
-                losses = []
-                for mlo in range(0, len(batch), tc.microbatch):
-                    chunk = batch[mlo:mlo + tc.microbatch]
-                    shapes = [train_shapes[i] for i in chunk]
-                    subs = [_subsample_labeled(s, tc.subsample_points, rng) for s in shapes]
-                    loss, g = batch_loss_grads(shapes, subs)
-                    # seg loss is a per-point mean inside the chunk; weight chunks
-                    w = len(chunk) / len(batch)
-                    losses.append(loss * w)
-                    for k in g:
-                        g[k] *= w
-                    _accumulate(grads, g)
-                adam_step(params, grads, state, lr, lr_mult=mult)
-                epoch_loss += sum(losses)
-                n_batches += 1
-            report.train_losses.append(epoch_loss / max(n_batches, 1))
-            report.lr_history.append(lr)
-            report.epochs += 1
-
-    if staged:
-        head_only = {name: (1.0 if name.startswith(fresh_prefixes) else 0.0) for name in params}
-        run_stage(tc.head_epochs, head_only, tc.lr)
-        full = {name: (1.0 if name.startswith(fresh_prefixes) else tc.trunk_lr_scale)
-                for name in params}
-        run_stage(tc.max_epochs, full, tc.lr)
-    else:
-        run_stage(tc.max_epochs, None, tc.lr)
-    report.stop_reason = "fixed_epochs"
-    report.seconds = time.perf_counter() - t0
-    return report
+    chunk_loss = _head_loss(params, cfg, "seg", cfg.n_classes, _seg_loss_summed,
+                            lambda s: s.cloud.semantic_label)
+    stage = partial(fit, params, train_shapes, tc, rng,
+                    _point_draw(_subsample_labeled, tc.subsample_points), chunk_loss,
+                    state=AdamState(), report=TrainReport())
+    if not staged:
+        return stage(tc.max_epochs)
+    stage(tc.head_epochs, lr_mult=_lr_mult(params, fresh_prefixes, 0.0))
+    return stage(tc.max_epochs, lr_mult=_lr_mult(params, fresh_prefixes, tc.trunk_lr_scale))
 
 
 def embed_shapes(params: dict, cfg: PenConfig, shapes: Sequence[TrainShape],

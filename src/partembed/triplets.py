@@ -181,11 +181,3 @@ def sample_shape_triplets(tree: PartHierarchy, cloud: PointCloud, k: int,
     dist = build_pair_distribution(tree, counts, strategy=strategy)
     index = LeafIndex.build(cloud, len(tree))
     return sample_triplets(dist, index, k, rng)
-
-
-def dump_triplets(path, batch: TripletBatch, cloud: PointCloud) -> None:
-    """CSV export: point indices plus the leaf ids they came from."""
-    with open(path, "w") as fh:
-        fh.write("anchor,positive,negative,anchor_leaf,negative_leaf\n")
-        for a, b, c in zip(batch.anchor, batch.positive, batch.negative):
-            fh.write(f"{a},{b},{c},{cloud.leaf_id[a]},{cloud.leaf_id[c]}\n")

@@ -2,14 +2,18 @@
 flow, benchmarking, and mining against the golden report."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import partembed
 from partembed.cli import main
 from partembed.geometry import read_ply
-from partembed.network import load_checkpoint
+from partembed.network import PenConfig, init_params, load_checkpoint, save_checkpoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,6 +63,49 @@ def test_runtime_error_exits_1(tmp_path, capsys):
                str(tmp_path / "ck.npz")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def _checkpoint_missing_lift_widths(tmp_path, corpus):
+    ck = tmp_path / "ck.npz"
+    cfg = PenConfig(point_widths=(4,), lift_widths=(6,), decoder_widths=(), embed_dim=3)
+    save_checkpoint(ck, init_params(cfg, np.random.default_rng(0)), cfg)
+    with np.load(ck) as z:
+        arrays = {k: z[k] for k in z.files}
+    manifest = json.loads(bytes(arrays["__manifest__"]).decode())
+    del manifest["config"]["lift_widths"]
+    arrays["__manifest__"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+    np.savez(ck, **arrays)
+    return ["export-embeddings", "--checkpoint", str(ck), "--data", str(corpus),
+            "--out", str(tmp_path / "e"), "--points", "60"]
+
+
+def _zero_width_arch(tmp_path, corpus):
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps({"point_widths": [0]}))
+    return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
+            "--points", "60", "--arch", str(arch)]
+
+
+def _negative_lr(tmp_path, corpus):
+    arch, train = tmp_path / "arch.json", tmp_path / "train.json"
+    arch.write_text(json.dumps(ARCH))
+    train.write_text(json.dumps({**TRAIN, "lr": -1}))
+    return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
+            "--points", "60", "--arch", str(arch), "--train", str(train)]
+
+
+@pytest.mark.parametrize("make_argv", [_checkpoint_missing_lift_widths, _zero_width_arch,
+                                       _negative_lr])
+def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
+    corpus = _synth(tmp_path, spec="table=3", seed="1")
+    src = str(Path(partembed.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "partembed.cli", *make_argv(tmp_path, corpus)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode in (1, 2)
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_manifest_contents(tmp_path):

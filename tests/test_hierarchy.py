@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from partembed.errors import InputError
-from partembed.hierarchy import (Node, PartHierarchy, build_tree, lca,
-                                 leaf_descendants, leaves, parts_at_depth,
+from partembed.hierarchy import (Node, PartHierarchy, build_tree, lca, leaves,
                                  tree_distance)
 
 from helpers import bfs_distance, random_parents
@@ -31,24 +30,9 @@ def test_distance_and_lca_basics():
     assert tree_distance(t, 2, 2) == 0
 
 
-def test_leaves_and_descendants():
+def test_leaves_in_index_order():
     t = chair_tree()
     assert leaves(t) == [1, 2, 4, 5]
-    assert leaf_descendants(t, 3) == [4, 5]
-    assert leaf_descendants(t, 0) == [1, 2, 4, 5]
-    assert leaf_descendants(t, 4) == [4]
-
-
-def test_parts_at_depth_partitions_leaves():
-    t = chair_tree()
-    assert parts_at_depth(t, 0) == [0]
-    assert parts_at_depth(t, 1) == [1, 2, 3]
-    # depth-2 cut keeps shallower leaves
-    assert parts_at_depth(t, 2) == [1, 2, 4, 5]
-    for d in range(t.height + 1):
-        cut = parts_at_depth(t, d)
-        covered = sorted(l for a in cut for l in leaf_descendants(t, a))
-        assert covered == leaves(t)
 
 
 def test_height_and_depth():

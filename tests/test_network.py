@@ -1,10 +1,13 @@
 """Network tests: shapes, analytic gradients against central differences,
 closed-form loss values, pooling symmetry, Adam, and checkpoint integrity."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from partembed.errors import InputError, OptimizerError, SchemaError
+from partembed.errors import ConfigurationError, InputError, OptimizerError, SchemaError
 from partembed.network import (
     DEFAULT_MARGIN,
     PROB_CLAMP,
@@ -88,6 +91,24 @@ def test_config_validation():
         PenConfig(point_widths=())
     with pytest.raises(InputError):
         PenConfig(embed_dim=0)
+    with pytest.raises(InputError):
+        PenConfig(point_widths=(0,))
+    with pytest.raises(InputError):
+        PenConfig(ae_points=0)
+
+
+def test_config_from_dict_round_trips_and_rejects():
+    cfg = PenConfig(point_widths=(4, 5), ae_hidden=(), n_tags=3, with_ae=True)
+    raw = json.loads(json.dumps(asdict(cfg)))
+    assert PenConfig.from_dict(raw) == cfg
+    for bad in ({k: v for k, v in raw.items() if k != "lift_widths"},
+                {**raw, "depth": 3},
+                {**raw, "point_widths": [8.5]},
+                {**raw, "embed_dim": "8"},
+                {**raw, "point_widths": [0]},
+                [1, 2]):
+        with pytest.raises(ConfigurationError):
+            PenConfig.from_dict(bad)
 
 
 def test_heads_absent_without_tasks():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from partembed import training
 from partembed.errors import InputError, TrainingError
 from partembed.ingest import extract_tags
 from partembed.network import PenConfig, init_params
@@ -17,6 +18,7 @@ from partembed.training import (
     embed_shapes,
     finetune_segmentation,
     finetune_tags,
+    fit,
     predict_segmentation,
     prepare_shapes,
     pretrain_autoencoder,
@@ -114,6 +116,47 @@ def test_train_config_validation():
         TrainConfig(batch_shapes=0)
     with pytest.raises(InputError):
         TrainConfig(decay_factor=1.0)
+    with pytest.raises(InputError):
+        TrainConfig(lr=0.0)
+    with pytest.raises(InputError):
+        TrainConfig(trunk_lr_scale=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# the training loop
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("microbatch", [1, 3, 4, 8])
+def test_fit_steps_on_the_batch_sum(chair_shapes, monkeypatch, microbatch):
+    # 6 shapes in batches of 4: every epoch ends on a partial batch of 2
+    index = {id(s): i for i, s in enumerate(chair_shapes)}
+    unit = np.eye(len(chair_shapes))
+    drawn, steps = [], []
+
+    def draw(chunk, rng):
+        drawn.extend(index[id(s)] for s in chunk)
+        return [None] * len(chunk)
+
+    def chunk_loss(chunk, draws, want_grads):
+        ids = [index[id(s)] for s in chunk]
+        # shape i has loss i + 1 and the i-th unit vector as its gradient
+        return float(sum(i + 1 for i in ids)), {"w": unit[ids].sum(axis=0)}
+
+    def capture(params, grads, state, lr, lr_mult=None):
+        steps.append((grads["w"].copy(), list(drawn)))
+        drawn.clear()
+
+    monkeypatch.setattr(training, "adam_step", capture)
+    report = fit({"w": np.zeros(len(chair_shapes))}, chair_shapes,
+                 replace(TC, batch_shapes=4, microbatch=microbatch),
+                 np.random.default_rng(0), draw, chunk_loss, epochs=2)
+    assert [len(batch) for _, batch in steps] == [4, 2, 4, 2]
+    for g, batch in steps:
+        assert np.array_equal(g, unit[batch].sum(axis=0))
+    for epoch in (steps[:2], steps[2:]):
+        assert sorted(i for _, batch in epoch for i in batch) == list(range(len(chair_shapes)))
+    assert report.train_losses == [3.5, 3.5]  # the per-shape mean
+    assert report.stop_reason == "fixed_epochs"
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +279,7 @@ def test_finetune_tags_respects_freezes(chair_shapes, chair_vocab):
     params = _fresh(cfg)
     before = {k: v.copy() for k, v in params.items()}
     finetune_tags(params, cfg, chair_shapes[:4], chair_shapes[4:],
-                  replace(TC, max_epochs=1, freeze_trunk=True))
+                  replace(TC, max_epochs=1, trunk_lr_scale=0.0))
     assert _changed(before, params, "tag")
     for prefix in ("enc", "lift", "dec", "embed", "seg"):
         assert not _changed(before, params, prefix), prefix
