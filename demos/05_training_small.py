@@ -14,7 +14,7 @@ from partembed.benchmark import miou
 from partembed.ingest import split_dataset
 from partembed.network import PenConfig, init_params
 from partembed.synth import generate_corpus
-from partembed.training import (TrainConfig, finetune_segmentation,
+from partembed.training import (PRETRAINED, TrainConfig, finetune_segmentation,
                                 predict_segmentation, prepare_shapes,
                                 pretrain_metric)
 
@@ -46,14 +46,14 @@ ft_tc = TrainConfig(lr=0.01, batch_shapes=3, subsample_points=300,
                     microbatch=3, trunk_lr_scale=0.1, seed=0)
 
 scores = {}
-for name, staged in (("pretrained", True), ("scratch", False)):
+for name, pretrained in (("pretrained", PRETRAINED), ("scratch", ())):
     seg_cfg = PenConfig(point_widths=(16, 16), lift_widths=(32,),
                         decoder_widths=(32,), embed_dim=16, head_hidden=32,
                         n_classes=n_classes)
     params = init_params(seg_cfg, np.random.default_rng(42))
-    if staged:
+    if pretrained:
         params.update({k: v.copy() for k, v in pre_params.items()})
-    finetune_segmentation(params, seg_cfg, labeled, ft_tc, staged=staged)
+    finetune_segmentation(params, seg_cfg, labeled, ft_tc, pretrained=pretrained)
     per_shape = []
     for s in test:
         pred = predict_segmentation(params, seg_cfg, s.cloud.points[None])[0]

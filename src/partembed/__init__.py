@@ -23,10 +23,9 @@ from .ingest import (DatasetSplit, FilterPolicy, MineReport, ShapeRecord,
 from .network import (PenConfig, forward_embed, init_params, load_checkpoint,
                       save_checkpoint, triplet_loss_and_grad)
 from .synth import NoiseConfig, generate_corpus, generate_shape
-from .training import (TrainConfig, TrainShape, embed_shapes,
-                       finetune_segmentation, finetune_tags, prepare_shapes,
-                       predict_segmentation, pretrain_autoencoder,
-                       pretrain_metric)
+from .training import (TrainConfig, TrainShape, finetune_segmentation,
+                       finetune_tags, prepare_shapes, predict_segmentation,
+                       pretrain_autoencoder, pretrain_metric)
 from .triplets import (TripletBatch, build_pair_distribution,
                        leaf_tree_distances, sample_triplets)
 

@@ -6,6 +6,10 @@ on the untouched test split. Two axes: the number of labeled shapes, and the
 number of labeled points on a fixed set of shapes. Every (category, value,
 repeat) cell uses the same labeled selection across variants, so variant
 comparisons are paired.
+
+Every variant but ``scratch`` starts from a checkpoint, shared by all
+categories or one per category. What a checkpoint lends is read from the
+checkpoint itself (``finetune_start``), never from the variant's name.
 """
 
 from __future__ import annotations
@@ -22,15 +26,10 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 from .ingest import DatasetSplit
 from .network import PenConfig, init_params, load_checkpoint
-from .training import (TrainConfig, TrainShape, finetune_segmentation,
+from .training import (PRETRAINED, TrainConfig, TrainShape, finetune_segmentation,
                        predict_segmentation)
 
 VARIANTS = ("scratch", "autoencoder", "leaf", "hierarchy", "tags", "hierarchy_tags")
-
-# variants whose checkpoint is shared across categories
-_GLOBAL_CKPT = ("autoencoder", "leaf", "hierarchy")
-# variants whose checkpoint is category-specific (tag supervision)
-_PER_CATEGORY_CKPT = ("tags", "hierarchy_tags")
 
 CSV_HEADER = ("category", "variant", "axis", "value", "repeat", "miou", "seconds")
 
@@ -68,27 +67,6 @@ class MetricsTable:
             w.writerow(CSV_HEADER)
             for row in self.rows:
                 w.writerow([row[k] for k in CSV_HEADER])
-
-    @staticmethod
-    def from_csv(path) -> "MetricsTable":
-        table = MetricsTable()
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if tuple(reader.fieldnames or ()) != CSV_HEADER:
-                raise InputError(f"{path}: unexpected CSV header {reader.fieldnames}")
-            for row in reader:
-                table.add(category=row["category"], variant=row["variant"], axis=row["axis"],
-                          value=int(row["value"]), repeat=int(row["repeat"]),
-                          miou=float(row["miou"]), seconds=float(row["seconds"]))
-        return table
-
-    def mean_miou(self, category: str, variant: str, axis: str, value: int) -> float:
-        vals = [r["miou"] for r in self.rows
-                if r["category"] == category and r["variant"] == variant
-                and r["axis"] == axis and r["value"] == value]
-        if not vals:
-            raise InputError(f"no rows for {category}/{variant}/{axis}={value}")
-        return float(np.mean(vals))
 
     def summary(self) -> dict:
         groups: dict[tuple, list[float]] = {}
@@ -155,30 +133,24 @@ def select_labeled_points(shapes: Sequence[TrainShape], y: int,
 
 def resolve_checkpoints(spec: BenchmarkSpec, checkpoints: dict) -> dict:
     """Load every checkpoint the requested variants need, before any training
-    runs. Global variants need one path; tag variants map category to path
-    and silently skip categories without one (tags exist only for some).
-    Missing or unreadable files raise naming everything missing at once."""
+    runs. A variant maps to one path, shared by every category, or to a
+    category -> path mapping; categories missing from a mapping are skipped
+    (tags exist only for some). Loaded checkpoints are keyed by variant or
+    by (variant, category). Missing or unreadable files raise naming
+    everything missing at once."""
     loaded: dict = {}
     problems = []
     for variant in spec.variants:
         if variant == "scratch":
             continue
-        if variant in _GLOBAL_CKPT:
-            path = checkpoints.get(variant)
+        given = checkpoints.get(variant)
+        paths = given.items() if isinstance(given, dict) else [(None, given)]
+        for cat, path in paths:
+            name = variant if cat is None else f"{variant}/{cat}"
             if path is None or not Path(path).exists():
-                problems.append(f"{variant}: missing checkpoint {path!r}")
-                continue
-            loaded[variant] = load_checkpoint(path)
-        else:
-            per_cat = checkpoints.get(variant) or {}
-            if not isinstance(per_cat, dict):
-                problems.append(f"{variant}: expected a category->path mapping")
-                continue
-            for cat, path in per_cat.items():
-                if not Path(path).exists():
-                    problems.append(f"{variant}/{cat}: missing checkpoint {path!r}")
-                    continue
-                loaded[(variant, cat)] = load_checkpoint(path)
+                problems.append(f"{name}: missing checkpoint {path!r}")
+            else:
+                loaded[variant if cat is None else (variant, cat)] = load_checkpoint(path)
     if problems:
         raise ConfigurationError("; ".join(problems))
     return loaded
@@ -193,40 +165,33 @@ def _category_classes(shapes: Sequence[TrainShape]) -> int:
     return top + 1
 
 
-def _assemble_params(variant: str, ckpt, cat_cfg: PenConfig, rng_init) -> dict:
-    """Fine-tuning parameter set: pretrained tensors where the variant has
-    them, fresh initialization elsewhere (always the segmentation head; also
-    the embedding decoder for the reconstruction baseline, which never
-    trained one)."""
-    fresh = init_params(cat_cfg, rng_init)
-    if ckpt is None:
-        return fresh
-    loaded_params, _, _ = ckpt
-    keep = ("enc", "lift") if variant == "autoencoder" else ("enc", "lift", "dec", "embed")
-    out = {}
-    for name, tensor in fresh.items():
-        src = loaded_params.get(name)
-        if src is not None and name.startswith(keep):
-            if src.shape != tensor.shape:
-                raise ConfigurationError(
-                    f"{variant}: checkpoint tensor '{name}' has shape {src.shape}, "
-                    f"fine-tuning config needs {tensor.shape}")
-            out[name] = src.copy()
-        else:
-            out[name] = tensor
-    return out
-
-
-def _fresh_prefixes(variant: str) -> tuple[str, ...]:
-    return ("seg", "dec", "embed") if variant == "autoencoder" else ("seg",)
+def finetune_start(ckpt, cfg: PenConfig, n_classes: int, rng: np.random.Generator
+                   ) -> tuple[dict, PenConfig, tuple[str, ...]]:
+    """Parameters, config and pretrained prefixes to fine-tune an
+    ``n_classes`` segmentation from a loaded checkpoint, or from scratch on
+    ``cfg`` when ``ckpt`` is None. A checkpoint sets the network sizes and
+    lends its trunk and embedding decoder, or only its trunk when it is a
+    reconstruction checkpoint (``with_ae``), whose embedding decoder never
+    trained. Heads always start fresh from ``rng``."""
+    pretrained: tuple[str, ...] = ()
+    if ckpt is not None:
+        loaded, cfg, _ = ckpt
+        pretrained = ("enc", "lift") if cfg.with_ae else PRETRAINED
+    cfg = replace(cfg, n_classes=n_classes, n_tags=0, with_ae=False)
+    params = init_params(cfg, rng)
+    for name in params:
+        if name.startswith(pretrained):
+            params[name] = loaded[name].copy()
+    return params, cfg, pretrained
 
 
 def run_benchmark(shapes: Sequence[TrainShape], split: DatasetSplit, spec: BenchmarkSpec,
                   tc: TrainConfig, base_cfg: PenConfig, checkpoints: dict,
                   out_csv=None, out_summary=None) -> MetricsTable:
     """Run the transfer matrix and return one row per (category, variant,
-    axis, value, repeat). ``checkpoints`` maps variant names to .npz paths
-    (tag variants: {category: path}); all are validated up front."""
+    axis, value, repeat). ``checkpoints`` maps each non-scratch variant to
+    an .npz path or to a {category: path} mapping; all are loaded up front
+    (see ``resolve_checkpoints``)."""
     loaded = resolve_checkpoints(spec, checkpoints)
     by_id = {s.record.shape_id: s for s in shapes}
     train_ids = [i for i in split.train if i in by_id]
@@ -238,7 +203,6 @@ def run_benchmark(shapes: Sequence[TrainShape], split: DatasetSplit, spec: Bench
         test = [by_id[i] for i in test_ids if by_id[i].category == cat]
         if not pool or not test:
             raise ConfigurationError(f"category {cat!r}: empty fine-tune pool or test set")
-        assert not {s.record.shape_id for s in pool} & {s.record.shape_id for s in test}
         n_classes = _category_classes(pool + test)
 
         eval_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xE7A1, ci)))
@@ -258,26 +222,18 @@ def run_benchmark(shapes: Sequence[TrainShape], split: DatasetSplit, spec: Bench
                     else:
                         fixed = select_labeled_shapes(pool, spec.point_axis_shapes, select_rng)
                         labeled = select_labeled_points(fixed, value, select_rng)
-                    assert not {s.record.shape_id for s in labeled} & \
-                        {s.record.shape_id for s in test}
 
                     for vi, variant in enumerate(spec.variants):
-                        ckpt = loaded.get(variant) if variant in _GLOBAL_CKPT \
-                            else loaded.get((variant, cat))
-                        if variant != "scratch" and ckpt is None:
-                            if variant in _PER_CATEGORY_CKPT:
-                                continue  # category without tags
-                            raise ConfigurationError(f"no checkpoint for variant {variant!r}")
+                        ckpt = loaded.get(variant, loaded.get((variant, cat)))
+                        if ckpt is None and variant != "scratch":
+                            continue  # a per-category mapping without this category
                         t0 = time.perf_counter()
-                        cfg_src = base_cfg if ckpt is None else ckpt[1]
-                        cat_cfg = replace(cfg_src, n_classes=n_classes, n_tags=0, with_ae=False)
                         rng_init = np.random.default_rng(
                             np.random.SeedSequence((spec.seed, 0x171, ci, vi, value, r)))
-                        params = _assemble_params(variant, ckpt, cat_cfg, rng_init)
+                        params, cat_cfg, pretrained = finetune_start(ckpt, base_cfg, n_classes,
+                                                                     rng_init)
                         ftc = replace(tc, seed=tc.seed + 1000 * r + value)
-                        finetune_segmentation(params, cat_cfg, labeled, ftc,
-                                              fresh_prefixes=_fresh_prefixes(variant),
-                                              staged=(variant != "scratch"))
+                        finetune_segmentation(params, cat_cfg, labeled, ftc, pretrained)
                         pred = predict_segmentation(params, cat_cfg, eval_pts,
                                                     microbatch=tc.microbatch)
                         scores = [miou(pred[i], eval_gt[i], n_classes) for i in range(len(test))]

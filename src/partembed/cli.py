@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import VARIANTS, BenchmarkSpec, run_benchmark
+from .benchmark import VARIANTS, BenchmarkSpec, finetune_start, run_benchmark
 from .errors import ConfigurationError, InputError, PartembedError
 from .geometry import icp_align, read_ply, sample_surface, write_ply
 from .ingest import (DEFAULT_STOP_PATTERNS, DatasetSplit, FilterPolicy,
@@ -55,9 +55,9 @@ def _load_json(path) -> dict:
     try:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise ConfigurationError(f"config {path} must hold a JSON object")
+        raise ConfigurationError(f"{path} must hold a JSON object")
     return obj
 
 
@@ -101,10 +101,8 @@ def _load_dataset(data_dir):
     records = load_corpus(data_dir)
     if not records:
         raise InputError(f"no shape JSON files under {data_dir}")
-    manifest = {}
     mpath = data_dir / "manifest.json"
-    if mpath.exists():
-        manifest = json.loads(mpath.read_text())
+    manifest = _load_json(mpath) if mpath.exists() else {}
     synonyms = manifest.get("synonyms", {})
     if "split" in manifest:
         split = DatasetSplit.from_json(manifest["split"])
@@ -168,7 +166,8 @@ def cmd_mine(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xC1)))
     if args.clouds or target is not None:
         cloud_dir = out / "clouds"
-        cloud_dir.mkdir(parents=True, exist_ok=True)
+        if args.clouds:
+            cloud_dir.mkdir(parents=True, exist_ok=True)
         from .ingest import label_points_with_tags, write_shape_json
         for rec in records:
             cloud = sample_surface(rec.mesh, n=args.points, rng=rng)
@@ -177,6 +176,8 @@ def cmd_mine(args) -> int:
                 cloud.points = result.transform.apply(cloud.points)
                 rec.mesh.vertices = result.transform.apply(rec.mesh.vertices)
                 write_shape_json(rec, out / rec.category / f"{rec.shape_id}.json")
+            if not args.clouds:
+                continue
             vocab = report.vocabularies.get(rec.category)
             if vocab is not None and vocab.tags:
                 cloud.tag_id = label_points_with_tags(cloud, rec, vocab)
@@ -272,17 +273,9 @@ def cmd_finetune(args) -> int:
             train = [train[i] for i in idx]
         n_classes = 1 + max(int(s.cloud.semantic_label.max()) for s in shapes)
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xF15E6)))
-        if args.checkpoint:
-            params0, cfg0, _ = load_checkpoint(args.checkpoint)
-            cfg = replace(cfg0, n_classes=n_classes, n_tags=0, with_ae=False)
-            fresh = init_params(cfg, rng)
-            params = {k: params0.get(k, v) for k, v in fresh.items()}
-            staged = True
-        else:
-            cfg = _pen_config(args.arch, n_classes=n_classes)
-            params = init_params(cfg, rng)
-            staged = False
-        report = finetune_segmentation(params, cfg, train, tc, staged=staged)
+        ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
+        params, cfg, pretrained = finetune_start(ckpt, _pen_config(args.arch), n_classes, rng)
+        report = finetune_segmentation(params, cfg, train, tc, pretrained)
         meta = {"stage": "finetune_segmentation", "category": args.category,
                 "seed": args.seed, "epochs": report.epochs, "n_classes": n_classes}
     save_checkpoint(out, params, cfg, meta)
@@ -459,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eval-points", type=int, default=2048, dest="eval_points")
     s.add_argument("--epochs", type=int, default=None)
     s.add_argument("--checkpoint", action="append", metavar="VARIANT=PATH",
-                   help="repeatable; tag variants use VARIANT=CATEGORY=PATH")
+                   help="repeatable; any variant takes VARIANT=PATH (shared) or "
+                        "VARIANT=CATEGORY=PATH (per category; others are skipped)")
     s.add_argument("--arch", help="architecture config JSON for scratch")
     s.add_argument("--train", help="training config JSON")
     s.set_defaults(func=cmd_benchmark)

@@ -178,17 +178,17 @@ def _walk(node_el, parent_world: np.ndarray) -> _RawNode:
     return raw
 
 
-def _prune_empty(raw: _RawNode, geometries: dict, keep_empty_leaves=False) -> _RawNode | None:
+def _prune_empty(raw: _RawNode, geometries: dict) -> _RawNode | None:
     """Drop leaves whose geometry has no triangles and groups left childless."""
     if raw.geom_ref is not None:
         if raw.geom_ref not in geometries:
             raise UndefinedReferenceError(f"instance_geometry references undefined geometry '#{raw.geom_ref}'")
-        if len(geometries[raw.geom_ref][1]) == 0 and not keep_empty_leaves:
+        if len(geometries[raw.geom_ref][1]) == 0:
             return None
         return raw
     kept = []
     for c in raw.children:
-        p = _prune_empty(c, geometries, keep_empty_leaves)
+        p = _prune_empty(c, geometries)
         if p is not None:
             kept.append(p)
     raw.children = kept

@@ -288,9 +288,6 @@ class TagVocabulary:
         if bad:
             raise InputError(f"synonyms map onto unknown tags {sorted(bad)}")
 
-    def surfaces(self, tag: str) -> list[str]:
-        return [tag] + sorted(r for r, c in self.synonyms.items() if c == tag)
-
 
 def _name_matches(name_lower: str, tag: str, synonyms: dict[str, str]) -> bool:
     if tag in name_lower:

@@ -7,15 +7,19 @@ concatenation to an embedding that is L2-normalized per point, so all
 embeddings live on the unit hypersphere and squared Euclidean distance is a
 bounded dissimilarity.
 
-Everything is float64 and dumb on purpose: dense layers, ReLU masks,
-argmax routing through the max-pool, and the exact Jacobian of the
-normalization. Gradients are checked against central differences in the
-test suite, so keep forward and backward in lockstep when editing.
+Every stack (trunk, embedding decoder, tag and segmentation heads,
+reconstruction decoder) is a slice of one layer table, ``all_layers``, run
+by one dense-layer engine, ``_forward`` and ``_backward``. Everything is
+float64 and dumb on purpose: dense layers, ReLU masks, argmax routing
+through the max-pool, and the exact Jacobian of the normalization.
+Gradients are checked against central differences in the test suite, so
+keep forward and backward in lockstep when editing.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -86,55 +90,40 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _trunk_layers(cfg: PenConfig) -> list[tuple[str, int, int, bool]]:
-    layers = []
-    d = 3
-    for i, w in enumerate(cfg.point_widths):
-        layers.append((f"enc{i}", d, w, True))
-        d = w
-    for i, w in enumerate(cfg.lift_widths):
-        # final lift layer stays linear so max-pool winners are not tied at 0
-        layers.append((f"lift{i}", d, w, i < len(cfg.lift_widths) - 1))
-        d = w
-    return layers
+Layer = tuple[str, int, int, bool]
 
 
-def _decoder_layers(cfg: PenConfig) -> list[tuple[str, int, int, bool]]:
-    layers = []
-    d = cfg.point_dim + cfg.global_dim
-    for i, w in enumerate(cfg.decoder_widths):
-        layers.append((f"dec{i}", d, w, True))
-        d = w
-    layers.append(("embed", d, cfg.embed_dim, False))
-    return layers
+def _mlp(d_in: int, names: Sequence[str], widths: Sequence[int]) -> list[Layer]:
+    """(name, fan_in, fan_out, relu) rows of a dense stack d_in -> *widths.
+    Every layer is ReLU except the last, which stays linear."""
+    dims = (d_in, *widths)
+    return [(name, dims[i], dims[i + 1], i < len(names) - 1) for i, name in enumerate(names)]
 
 
-def _head_layers(cfg: PenConfig, prefix: str, out_dim: int) -> list[tuple[str, int, int, bool]]:
-    return [(f"{prefix}0", cfg.embed_dim, cfg.head_hidden, True),
-            (f"{prefix}1", cfg.head_hidden, out_dim, False)]
-
-
-def _ae_layers(cfg: PenConfig) -> list[tuple[str, int, int, bool]]:
-    layers = []
-    d = cfg.global_dim
-    for i, w in enumerate(cfg.ae_hidden):
-        layers.append((f"ae{i}", d, w, True))
-        d = w
-    layers.append((f"ae{len(cfg.ae_hidden)}", d, cfg.ae_points * 3, False))
-    return layers
-
-
-def all_layers(cfg: PenConfig) -> list[tuple[str, int, int, bool]]:
+def all_layers(cfg: PenConfig) -> list[Layer]:
     """Every (name, fan_in, fan_out, relu) in a fixed order. The order pins
     both weight-init RNG consumption and checkpoint tensor naming."""
-    layers = _trunk_layers(cfg) + _decoder_layers(cfg)
-    if cfg.n_tags > 0:
-        layers += _head_layers(cfg, "tag", cfg.n_tags)
-    if cfg.n_classes > 0:
-        layers += _head_layers(cfg, "seg", cfg.n_classes)
+    def names(prefix, n):
+        return [f"{prefix}{i}" for i in range(n)]
+
+    # the trunk is one stack, so the final lift layer stays linear and the
+    # max-pool winners are not tied at 0
+    layers = _mlp(3, names("enc", len(cfg.point_widths)) + names("lift", len(cfg.lift_widths)),
+                  (*cfg.point_widths, *cfg.lift_widths))
+    layers += _mlp(cfg.point_dim + cfg.global_dim, names("dec", len(cfg.decoder_widths)) + ["embed"],
+                   (*cfg.decoder_widths, cfg.embed_dim))
+    for prefix, n_out in (("tag", cfg.n_tags), ("seg", cfg.n_classes)):
+        if n_out > 0:
+            layers += _mlp(cfg.embed_dim, names(prefix, 2), (cfg.head_hidden, n_out))
     if cfg.with_ae:
-        layers += _ae_layers(cfg)
+        layers += _mlp(cfg.global_dim, names("ae", len(cfg.ae_hidden) + 1),
+                       (*cfg.ae_hidden, cfg.ae_points * 3))
     return layers
+
+
+def _stack(cfg: PenConfig, *prefixes: str) -> list[Layer]:
+    """The layers of ``all_layers`` named by one of the prefixes, in order."""
+    return [layer for layer in all_layers(cfg) if layer[0].startswith(prefixes)]
 
 
 def params_spec(cfg: PenConfig) -> dict[str, tuple[int, ...]]:
@@ -187,28 +176,33 @@ class ForwardTrace:
     embed: Optional[np.ndarray] = None
 
 
-def _dense_forward(params, name: str, x: np.ndarray, relu: bool, trace: ForwardTrace) -> np.ndarray:
-    trace.ins[name] = x
-    y = x @ params[f"{name}.W"] + params[f"{name}.b"]
-    if relu:
-        mask = y > 0
-        trace.masks[name] = mask
-        y = y * mask
-    return y
+def _forward(params, layers: list[Layer], x: np.ndarray, trace: ForwardTrace) -> np.ndarray:
+    """Run ``x`` through the dense layers, recording what _backward needs."""
+    for name, _, _, relu in layers:
+        trace.ins[name] = x
+        x = x @ params[f"{name}.W"] + params[f"{name}.b"]
+        if relu:
+            trace.masks[name] = x > 0
+            x = x * trace.masks[name]
+    return x
 
 
-def _dense_backward(params, name: str, relu: bool, trace: ForwardTrace,
-                    g_out: np.ndarray, grads: dict) -> np.ndarray:
-    if relu:
-        g_out = g_out * trace.masks[name]
-    x = trace.ins[name]
-    if x.ndim == 3:
-        grads[f"{name}.W"] = np.einsum("bni,bnj->ij", x, g_out)
-        grads[f"{name}.b"] = g_out.sum(axis=(0, 1))
-    else:
-        grads[f"{name}.W"] = x.T @ g_out
-        grads[f"{name}.b"] = g_out.sum(axis=0)
-    return g_out @ params[f"{name}.W"].T
+def _backward(params, layers: list[Layer], trace: ForwardTrace, g: np.ndarray,
+              grads: dict) -> np.ndarray:
+    """Write the layers' tensor gradients into ``grads``, given the gradient
+    at the stack's output, and return the gradient at its input."""
+    for name, _, _, relu in reversed(layers):
+        if relu:
+            g = g * trace.masks[name]
+        x = trace.ins[name]
+        if x.ndim == 3:
+            grads[f"{name}.W"] = np.einsum("bni,bnj->ij", x, g)
+            grads[f"{name}.b"] = g.sum(axis=(0, 1))
+        else:
+            grads[f"{name}.W"] = x.T @ g
+            grads[f"{name}.b"] = g.sum(axis=0)
+        g = g @ params[f"{name}.W"].T
+    return g
 
 
 def forward_trunk(params, cfg: PenConfig, points: np.ndarray) -> ForwardTrace:
@@ -217,13 +211,8 @@ def forward_trunk(params, cfg: PenConfig, points: np.ndarray) -> ForwardTrace:
     if points.ndim != 3 or points.shape[2] != 3:
         raise InputError(f"points must be (batch, n, 3), got {points.shape}")
     trace = ForwardTrace(points=points)
-    x = points
-    n_enc = len(cfg.point_widths)
-    for i, (name, _, _, relu) in enumerate(_trunk_layers(cfg)):
-        x = _dense_forward(params, name, x, relu, trace)
-        if i == n_enc - 1:
-            trace.point_feat = x
-    trace.pre_pool = x
+    trace.point_feat = _forward(params, _stack(cfg, "enc"), points, trace)
+    x = trace.pre_pool = _forward(params, _stack(cfg, "lift"), trace.point_feat, trace)
     trace.argmax = x.argmax(axis=1)
     trace.global_feat = np.take_along_axis(x, trace.argmax[:, None, :], axis=1)[:, 0, :]
     return trace
@@ -235,13 +224,20 @@ def forward_embed(params, cfg: PenConfig, points: np.ndarray) -> tuple[np.ndarra
     b, n, _ = trace.points.shape
     broadcast = np.broadcast_to(trace.global_feat[:, None, :], (b, n, cfg.global_dim))
     x = np.concatenate([trace.point_feat, broadcast], axis=2)
-    for name, _, _, relu in _decoder_layers(cfg):
-        x = _dense_forward(params, name, x, relu, trace)
-    trace.prenorm = x
+    x = trace.prenorm = _forward(params, _stack(cfg, "dec", "embed"), x, trace)
     r = np.linalg.norm(x, axis=2, keepdims=True)
     trace.norm = np.maximum(r, NORM_FLOOR)
     trace.embed = x / trace.norm
     return trace.embed, trace
+
+
+def _unpool(trace: ForwardTrace, g_global: Optional[np.ndarray]) -> np.ndarray:
+    """Gradient at the pre-pool features: each pooled channel's gradient
+    goes to the point that won the max."""
+    g = np.zeros_like(trace.pre_pool)
+    if g_global is not None:
+        np.put_along_axis(g, trace.argmax[:, None, :], g_global[:, None, :], axis=1)
+    return g
 
 
 def backward_trunk(params, cfg: PenConfig, trace: ForwardTrace,
@@ -250,18 +246,12 @@ def backward_trunk(params, cfg: PenConfig, trace: ForwardTrace,
     """Accumulate trunk gradients from upstream gradients at the two taps
     (per-point features and the pooled global feature)."""
     grads = {} if grads is None else grads
-    b, n, _ = trace.points.shape
-    g = np.zeros_like(trace.pre_pool)
-    if g_global is not None:
-        np.put_along_axis(g, trace.argmax[:, None, :], g_global[:, None, :], axis=1)
-    layers = _trunk_layers(cfg)
-    n_enc = len(cfg.point_widths)
-    for i in range(len(layers) - 1, -1, -1):
-        name, _, _, relu = layers[i]
-        g = _dense_backward(params, name, relu, trace, g, grads)
-        if i == n_enc and g_point_feat is not None:
-            # crossing from lift back into the encoder: merge the concat tap
-            g = g + g_point_feat
+    # handed over with no other reference, so _backward frees this
+    # full-width gradient after the last lift layer
+    g = _backward(params, _stack(cfg, "lift"), trace, _unpool(trace, g_global), grads)
+    if g_point_feat is not None:
+        g = g + g_point_feat
+    _backward(params, _stack(cfg, "enc"), trace, g, grads)
     return grads
 
 
@@ -272,8 +262,7 @@ def backward_embed(params, cfg: PenConfig, trace: ForwardTrace,
     grads: dict[str, np.ndarray] = {}
     e = trace.embed
     g = (g_embed - e * np.sum(e * g_embed, axis=2, keepdims=True)) / trace.norm
-    for name, _, _, relu in reversed(_decoder_layers(cfg)):
-        g = _dense_backward(params, name, relu, trace, g, grads)
+    g = _backward(params, _stack(cfg, "dec", "embed"), trace, g, grads)
     g_point = g[:, :, :cfg.point_dim]
     g_global = g[:, :, cfg.point_dim:].sum(axis=1)
     return backward_trunk(params, cfg, trace, g_point, g_global, grads)
@@ -281,19 +270,16 @@ def backward_embed(params, cfg: PenConfig, trace: ForwardTrace,
 
 def head_forward(params, cfg: PenConfig, prefix: str, x: np.ndarray,
                  out_dim: int) -> tuple[np.ndarray, ForwardTrace]:
+    """Logits of the config's ``prefix`` head (``"tag"`` or ``"seg"``,
+    ``out_dim`` wide) for embeddings ``x``."""
     trace = ForwardTrace(points=x)
-    for name, _, _, relu in _head_layers(cfg, prefix, out_dim):
-        x = _dense_forward(params, name, x, relu, trace)
-    return x, trace
+    return _forward(params, _stack(cfg, prefix), x, trace), trace
 
 
 def head_backward(params, cfg: PenConfig, prefix: str, out_dim: int,
                   trace: ForwardTrace, g_logits: np.ndarray) -> tuple[dict, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
-    g = g_logits
-    for name, _, _, relu in reversed(_head_layers(cfg, prefix, out_dim)):
-        g = _dense_backward(params, name, relu, trace, g, grads)
-    return grads, g
+    return grads, _backward(params, _stack(cfg, prefix), trace, g_logits, grads)
 
 
 def ae_forward(params, cfg: PenConfig, global_feat: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
@@ -301,9 +287,7 @@ def ae_forward(params, cfg: PenConfig, global_feat: np.ndarray) -> tuple[np.ndar
     if not cfg.with_ae:
         raise InputError("config has no reconstruction decoder")
     trace = ForwardTrace(points=global_feat)
-    x = global_feat
-    for name, _, _, relu in _ae_layers(cfg):
-        x = _dense_forward(params, name, x, relu, trace)
+    x = _forward(params, _stack(cfg, "ae"), global_feat, trace)
     return x.reshape(len(global_feat), cfg.ae_points, 3), trace
 
 
@@ -311,9 +295,7 @@ def ae_backward(params, cfg: PenConfig, trace: ForwardTrace,
                 g_recon: np.ndarray) -> tuple[dict, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     g = g_recon.reshape(len(g_recon), cfg.ae_points * 3)
-    for name, _, _, relu in reversed(_ae_layers(cfg)):
-        g = _dense_backward(params, name, relu, trace, g, grads)
-    return grads, g
+    return grads, _backward(params, _stack(cfg, "ae"), trace, g, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +453,18 @@ def save_checkpoint(path, params: dict[str, np.ndarray], cfg: PenConfig,
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], PenConfig, dict]:
-    with np.load(path) as z:
-        if "__manifest__" not in z:
-            raise SchemaError(f"{path}: not a checkpoint (missing manifest)")
-        manifest = json.loads(bytes(z["__manifest__"].tolist()).decode())
-        params = {k: z[k] for k in z.files if k != "__manifest__"}
+    """Tensors, config and metadata of a checkpoint. A file save_checkpoint
+    did not write, or whose manifest does not parse, raises SchemaError."""
     try:
-        cfg = PenConfig.from_dict(manifest.get("config"))
-    except ConfigurationError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    if sorted(params) != manifest["tensors"]:
+        with np.load(path) as z:
+            manifest = json.loads(bytes(z["__manifest__"].tolist()).decode())
+            params = {k: z[k] for k in z.files if k != "__manifest__"}
+        cfg = PenConfig.from_dict(manifest["config"])
+        listed, meta = manifest["tensors"], manifest["meta"]
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile,
+            ConfigurationError) as exc:
+        raise SchemaError(f"{path}: not a readable checkpoint ({exc})") from exc
+    if sorted(params) != listed:
         raise SchemaError(f"{path}: tensor listing disagrees with manifest")
     validate_params(cfg, params)
-    return params, cfg, manifest["meta"]
+    return params, cfg, meta

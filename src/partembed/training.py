@@ -55,7 +55,7 @@ class TrainConfig:
     strategy: str = "hierarchy"
     microbatch: int = 8
     trunk_lr_scale: float = 0.1    # 0 freezes pretrained tensors in fine-tuning
-    head_epochs: int = 10          # stage one of staged fine-tuning
+    head_epochs: int = 10          # fresh tensors alone, before pretrained ones join
 
     def __post_init__(self):
         for name in ("batch_shapes", "subsample_points", "triplets_per_shape",
@@ -207,9 +207,13 @@ def _accumulate(total: dict, part: dict) -> None:
             total[k] = v
 
 
-def _lr_mult(params: dict, head_prefixes: tuple[str, ...], trunk_scale: float) -> dict[str, float]:
-    """Full rate for the head tensors, ``trunk_scale`` for every other one."""
-    return {name: 1.0 if name.startswith(head_prefixes) else trunk_scale for name in params}
+# the tensors a pretrained network lends to fine-tuning: trunk and decoder
+PRETRAINED = ("enc", "lift", "dec", "embed")
+
+
+def _lr_mult(params: dict, pretrained: tuple[str, ...], trunk_scale: float) -> dict[str, float]:
+    """``trunk_scale`` for the pretrained tensors, full rate for the rest."""
+    return {name: trunk_scale if name.startswith(pretrained) else 1.0 for name in params}
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +362,7 @@ def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShap
                             lambda s: s.tag_ids)
     return fit(params, train_shapes, tc, rng_train,
                _point_draw(_subsample, tc.subsample_points), chunk_loss, tc.max_epochs,
-               lr_mult=_lr_mult(params, ("tag",), tc.trunk_lr_scale),
+               lr_mult=_lr_mult(params, PRETRAINED, tc.trunk_lr_scale),
                val=(val_shapes, rng_val))
 
 
@@ -396,15 +400,16 @@ def _seg_loss_summed(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.
 
 
 def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShape],
-                          tc: TrainConfig, fresh_prefixes: tuple[str, ...] = ("seg",),
-                          staged: bool = True) -> TrainReport:
+                          tc: TrainConfig, pretrained: tuple[str, ...] = PRETRAINED
+                          ) -> TrainReport:
     """Few-shot segmentation fine-tuning on a handful of labeled shapes.
 
-    Staged mode trains the freshly initialized modules alone for
-    ``head_epochs`` epochs, then everything, with pretrained tensors stepped
-    at ``trunk_lr_scale``. Unstaged mode (training from scratch) runs a
-    single stage with every tensor at full rate. Epoch counts are fixed: the
-    labeled sets are too small to carve a validation split from.
+    ``pretrained`` names the prefixes of the tensors a checkpoint lent.
+    The other, fresh tensors train alone for ``head_epochs`` epochs, then
+    everything trains, with pretrained tensors stepped at
+    ``trunk_lr_scale``. An empty ``pretrained`` means training from
+    scratch: one stage with every tensor at full rate. Epoch counts are
+    fixed: the labeled sets are too small to carve a validation split from.
     """
     if cfg.n_classes <= 0:
         raise InputError("config has no segmentation head")
@@ -421,22 +426,10 @@ def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[T
     stage = partial(fit, params, train_shapes, tc, rng,
                     _point_draw(_subsample_labeled, tc.subsample_points), chunk_loss,
                     state=AdamState(), report=TrainReport())
-    if not staged:
+    if not pretrained:
         return stage(tc.max_epochs)
-    stage(tc.head_epochs, lr_mult=_lr_mult(params, fresh_prefixes, 0.0))
-    return stage(tc.max_epochs, lr_mult=_lr_mult(params, fresh_prefixes, tc.trunk_lr_scale))
-
-
-def embed_shapes(params: dict, cfg: PenConfig, shapes: Sequence[TrainShape],
-                 microbatch: int = 8) -> np.ndarray:
-    """Embeddings for whole prepared shapes, (S, N, embed_dim)."""
-    _check_same_size(shapes)
-    outs = []
-    for lo in range(0, len(shapes), microbatch):
-        pts = np.stack([s.cloud.points for s in shapes[lo:lo + microbatch]])
-        embed, _ = forward_embed(params, cfg, pts)
-        outs.append(embed)
-    return np.concatenate(outs, axis=0)
+    stage(tc.head_epochs, lr_mult=_lr_mult(params, pretrained, 0.0))
+    return stage(tc.max_epochs, lr_mult=_lr_mult(params, pretrained, tc.trunk_lr_scale))
 
 
 def predict_segmentation(params: dict, cfg: PenConfig, points: np.ndarray,

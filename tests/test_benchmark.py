@@ -1,16 +1,21 @@
 """Benchmark tests: mean-IoU oracles, the metrics table, labeled-set
-selection, checkpoint resolution, and a small end-to-end run."""
+selection, checkpoint resolution, the fine-tune start, and a small
+end-to-end run."""
 
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from partembed import benchmark
 from partembed.benchmark import (
     CSV_HEADER,
     VARIANTS,
     BenchmarkSpec,
     MetricsTable,
+    finetune_start,
     miou,
     resolve_checkpoints,
     run_benchmark,
@@ -21,7 +26,7 @@ from partembed.errors import ConfigurationError, InputError
 from partembed.ingest import split_dataset
 from partembed.network import PenConfig, init_params, save_checkpoint
 from partembed.synth import generate_corpus
-from partembed.training import TrainConfig, prepare_shapes
+from partembed.training import PRETRAINED, TrainConfig, prepare_shapes
 
 BASE = PenConfig(point_widths=(8, 8), lift_widths=(16,), decoder_widths=(24,),
                  embed_dim=6, head_hidden=6)
@@ -106,29 +111,8 @@ def _toy_table():
     return table
 
 
-def test_metrics_table_csv_round_trip(tmp_path):
-    table = _toy_table()
-    path = tmp_path / "rows.csv"
-    table.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert tuple(header.split(",")) == CSV_HEADER
-    back = MetricsTable.from_csv(path)
-    assert back.rows == table.rows
-
-
-def test_metrics_table_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(InputError, match="header"):
-        MetricsTable.from_csv(path)
-
-
 def test_metrics_table_means_and_summary():
     table = _toy_table()
-    assert table.mean_miou("table", "scratch", "shapes", 4) == pytest.approx(0.6)
-    assert table.mean_miou("table", "hierarchy", "shapes", 4) == pytest.approx(0.8)
-    with pytest.raises(InputError):
-        table.mean_miou("table", "scratch", "shapes", 99)
     cells = {(c["variant"]): c for c in table.summary()["cells"]}
     assert cells["scratch"]["mean_miou"] == pytest.approx(0.6)
     assert cells["scratch"]["repeats"] == 3
@@ -219,6 +203,35 @@ def test_resolve_checkpoints_skips_categories_without_tags(tmp_path):
     assert set(loaded) == {("tags", "chair")}
 
 
+# ---------------------------------------------------------------------------
+# fine-tune start
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ckpt_cfg, lent", [
+    (BASE, PRETRAINED),                                                  # metric
+    (replace(BASE, with_ae=True, ae_hidden=(5,), ae_points=4), ("enc", "lift")),
+    (replace(BASE, n_classes=4, n_tags=2), PRETRAINED),                  # seg + tags
+    (None, ()),                                                          # scratch
+])
+def test_finetune_start_lends_trunk_and_decoder_never_heads(ckpt_cfg, lent):
+    ckpt = None
+    if ckpt_cfg is not None:
+        ckpt = (init_params(ckpt_cfg, np.random.default_rng(3)), ckpt_cfg, {})
+    params, cfg, pretrained = finetune_start(ckpt, BASE, 3, np.random.default_rng(9))
+    assert pretrained == lent
+    assert cfg == replace(ckpt_cfg or BASE, n_classes=3, n_tags=0, with_ae=False)
+    fresh = init_params(cfg, np.random.default_rng(9))
+    # a fresh 3-class head; no tag or reconstruction tensors
+    assert set(params) == set(fresh)
+    assert params["seg1.W"].shape == (BASE.head_hidden, 3)
+    for name, tensor in params.items():
+        if name.startswith(lent):
+            assert np.array_equal(tensor, ckpt[0][name])
+            assert not np.shares_memory(tensor, ckpt[0][name])
+        else:
+            assert np.array_equal(tensor, fresh[name]), name
+
+
 def test_benchmark_spec_validation():
     with pytest.raises(InputError):
         BenchmarkSpec(categories=("table",), variants=("scratch", "mystery"))
@@ -246,7 +259,10 @@ def test_run_benchmark_small_grid(tmp_path, table_shapes, table_split):
         assert 0.0 <= row["miou"] <= 1.0
         assert row["variant"] in ("scratch", "hierarchy")
         assert row["seconds"] >= 0.0
-    assert MetricsTable.from_csv(out_csv).rows == table.rows
+    with open(out_csv, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == CSV_HEADER
+        assert list(reader) == [{k: str(row[k]) for k in CSV_HEADER} for row in table.rows]
     summary = json.loads(out_summary.read_text())
     assert {c["variant"] for c in summary["cells"]} == {"scratch", "hierarchy"}
     for cell in summary["cells"]:
@@ -270,6 +286,30 @@ def test_run_benchmark_skips_tagless_categories(table_shapes, table_split):
     assert {r["variant"] for r in table.rows} == {"scratch"}
 
 
+def test_run_benchmark_starts_each_row_with_one_init(table_shapes, table_split, tmp_path,
+                                                    monkeypatch):
+    # harnesses time a cell from its init_params call to the next one
+    events = []
+
+    def logged(name):
+        fn = getattr(benchmark, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("init_params", "predict_segmentation"):
+        monkeypatch.setattr(benchmark, name, logged(name))
+    spec = BenchmarkSpec(categories=("table",), variants=("scratch", "hierarchy", "tags"),
+                         shape_axis=(2,), point_axis=(15,), point_axis_shapes=2,
+                         repeats=1, eval_points=40, seed=0)
+    table = run_benchmark(table_shapes, table_split, spec, FAST_TC, BASE,
+                          {"hierarchy": _write_ckpt(tmp_path, "h"), "tags": {}})
+    assert len(table.rows) == 4
+    assert events == ["init_params", "predict_segmentation"] * len(table.rows)
+
+
 def test_run_benchmark_checks_checkpoints_before_training(table_shapes, table_split, tmp_path):
     spec = BenchmarkSpec(categories=("table",), variants=("scratch", "leaf"),
                          shape_axis=(2,), axes=("shapes",), repeats=1, seed=0)
@@ -285,8 +325,8 @@ def test_run_benchmark_rejects_mismatched_checkpoint(table_shapes, table_split, 
     spec = BenchmarkSpec(categories=("table",), variants=("autoencoder",),
                          shape_axis=(2,), axes=("shapes",), repeats=1,
                          eval_points=40, seed=0)
-    # the reconstruction baseline keeps only the trunk: its fine-tune config
-    # comes from the checkpoint, so sizes agree and the run must succeed
+    # the fine-tune config comes from the checkpoint, so sizes agree and
+    # the run must succeed whatever the base config says
     table = run_benchmark(table_shapes, table_split, spec, FAST_TC, BASE,
                           {"autoencoder": path})
     assert len(table.rows) == 1

@@ -3,6 +3,7 @@ flow, benchmarking, and mining against the golden report."""
 
 import json
 import os
+from dataclasses import asdict, replace
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import partembed
 from partembed.cli import main
-from partembed.geometry import read_ply
+from partembed.geometry import PointCloud, read_ply, write_ply
 from partembed.network import PenConfig, init_params, load_checkpoint, save_checkpoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -94,8 +95,21 @@ def _negative_lr(tmp_path, corpus):
             "--points", "60", "--arch", str(arch), "--train", str(train)]
 
 
+def _corrupt_checkpoint(tmp_path, corpus):
+    ck = tmp_path / "ck.npz"
+    ck.write_text("junk\n")
+    return ["export-embeddings", "--checkpoint", str(ck), "--data", str(corpus),
+            "--out", str(tmp_path / "e"), "--points", "60"]
+
+
+def _malformed_manifest(tmp_path, corpus):
+    (corpus / "manifest.json").write_text("{bad")
+    return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
+            "--points", "60"]
+
+
 @pytest.mark.parametrize("make_argv", [_checkpoint_missing_lift_widths, _zero_width_arch,
-                                       _negative_lr])
+                                       _negative_lr, _corrupt_checkpoint, _malformed_manifest])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])
@@ -170,6 +184,15 @@ def test_mine_without_clouds(tmp_path):
     assert rc == 0
     assert not (out / "clouds").exists()
 
+    target = tmp_path / "target.ply"
+    write_ply(target, PointCloud(points=np.random.default_rng(0).normal(size=(100, 3)),
+                                 leaf_id=np.zeros(100)))
+    aligned = tmp_path / "aligned"
+    rc = main(["mine", "--in", str(FIXTURES / "scenes"), "--out", str(aligned),
+               "--no-clouds", "--points", "100", "--align-to", str(target)])
+    assert rc == 0
+    assert not (aligned / "clouds").exists()
+
 
 # ---------------------------------------------------------------------------
 # training flow
@@ -223,6 +246,23 @@ def test_pretrain_autoencoder_checkpoint_has_ae(tmp_path, configs):
     params, cfg, meta = load_checkpoint(ck)
     assert cfg.with_ae and any(k.startswith("ae") for k in params)
     assert meta["strategy"] == "autoencoder"
+
+
+def test_finetune_segmentation_from_another_categorys_head(tmp_path, configs):
+    arch, train = configs
+    corpus = _synth(tmp_path, spec="table=5", seed="2")
+    # a chair segmentation checkpoint: four classes, where tables have two
+    chair = replace(PenConfig.from_dict({**asdict(PenConfig()), **ARCH}), n_classes=4)
+    ck = tmp_path / "chair_seg.npz"
+    save_checkpoint(ck, init_params(chair, np.random.default_rng(0)), chair)
+    out = tmp_path / "seg.npz"
+    rc = main(["finetune", "--data", str(corpus), "--out", str(out),
+               "--objective", "segmentation", "--category", "table",
+               "--checkpoint", str(ck), "--labeled-shapes", "2",
+               "--points", "80", "--epochs", "1", "--train", str(train)])
+    assert rc == 0
+    params, cfg, _ = load_checkpoint(out)
+    assert cfg.n_classes == 2 and params["seg1.W"].shape == (chair.head_hidden, 2)
 
 
 def test_finetune_tags_from_scratch(tmp_path, configs):
@@ -280,6 +320,26 @@ def test_benchmark_missing_checkpoint_exits_2(tmp_path, configs):
                "--repeats", "1", "--points", "60", "--arch", str(arch),
                "--train", str(train)])
     assert rc == 2
+
+
+def test_benchmark_takes_a_per_category_checkpoint_for_any_variant(tmp_path, configs):
+    arch, train = configs
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--counts", "chair=8", "table=8"]) == 0
+    cfg = PenConfig.from_dict({**asdict(PenConfig()), **ARCH})
+    ck = tmp_path / "h.npz"
+    save_checkpoint(ck, init_params(cfg, np.random.default_rng(0)), cfg)
+    out = tmp_path / "bench"
+    rc = main(["benchmark", "--data", str(corpus), "--out", str(out),
+               "--variants", "scratch,hierarchy", "--x", "2", "--axes", "shapes",
+               "--repeats", "1", "--points", "60", "--eval-points", "40", "--epochs", "1",
+               "--arch", str(arch), "--train", str(train),
+               "--checkpoint", f"hierarchy=chair={ck}"])
+    assert rc == 0
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    # tables are missing from the hierarchy mapping, so they get scratch only
+    assert sorted(r.split(",")[:2] for r in rows) == [
+        ["chair", "hierarchy"], ["chair", "scratch"], ["table", "scratch"]]
 
 
 def test_export_with_no_shapes_exits_2(tmp_path, configs):

@@ -7,7 +7,7 @@ import pytest
 from partembed.errors import InputError, SchemaError
 from partembed.geometry import PointCloud, sample_surface
 from partembed.hierarchy import leaves
-from partembed.ingest import (DEFAULT_STOP_PATTERNS, FilterPolicy,
+from partembed.ingest import (DEFAULT_STOP_PATTERNS, DatasetSplit, FilterPolicy,
                               TagVocabulary, dumps_shape, extract_tags,
                               filter_shape, label_points_with_tags,
                               load_corpus, mine_directory, parse_json_shape,
@@ -203,6 +203,13 @@ def test_split_dataset_properties():
         split_dataset(["a", "a", "b"])
     tiny = split_dataset(["a", "b", "c"], seed=0)
     assert len(tiny.train) == len(tiny.validation) == len(tiny.test) == 1
+
+
+def test_dataset_split_rejects_overlapping_groups():
+    with pytest.raises(InputError, match="overlap"):
+        DatasetSplit(("a", "b"), ("c",), ("b",))
+    with pytest.raises(InputError, match="overlap"):
+        DatasetSplit.from_json({"train": ["a"], "validation": ["a"], "test": ["b"]})
 
 
 def test_mine_directory_counts_and_outputs(tmp_path):

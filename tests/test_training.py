@@ -15,7 +15,6 @@ from partembed.training import (
     PlateauScheduler,
     TrainConfig,
     _subsample_labeled,
-    embed_shapes,
     finetune_segmentation,
     finetune_tags,
     fit,
@@ -359,7 +358,7 @@ def test_finetune_segmentation_unstaged_moves_everything(chair_shapes):
     params = _fresh(cfg)
     before = {k: v.copy() for k, v in params.items()}
     report = finetune_segmentation(params, cfg, chair_shapes[:3],
-                                   replace(TC, max_epochs=2), staged=False)
+                                   replace(TC, max_epochs=2), pretrained=())
     assert report.epochs == 2
     for prefix in ("enc", "lift", "dec", "embed", "seg"):
         assert _changed(before, params, prefix), prefix
@@ -404,15 +403,6 @@ def test_subsample_labeled_keeps_labels(chair_shapes):
 # ---------------------------------------------------------------------------
 # inference helpers
 # ---------------------------------------------------------------------------
-
-def test_embed_shapes_batches_consistently(chair_shapes):
-    params = _fresh(SMALL)
-    small = embed_shapes(params, SMALL, chair_shapes, microbatch=2)
-    big = embed_shapes(params, SMALL, chair_shapes, microbatch=8)
-    assert small.shape == (len(chair_shapes), 120, SMALL.embed_dim)
-    assert np.allclose(small, big, atol=1e-12)
-    assert np.abs(np.linalg.norm(small, axis=2) - 1.0).max() < 1e-6
-
 
 def test_predict_segmentation_labels_in_range(chair_shapes):
     cfg = _seg_cfg(chair_shapes)
