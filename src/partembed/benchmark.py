@@ -165,19 +165,20 @@ def _category_classes(shapes: Sequence[TrainShape]) -> int:
     return top + 1
 
 
-def finetune_start(ckpt, cfg: PenConfig, n_classes: int, rng: np.random.Generator
-                   ) -> tuple[dict, PenConfig, tuple[str, ...]]:
+def finetune_start(ckpt, cfg: PenConfig, rng: np.random.Generator, *, n_classes: int = 0,
+                   n_tags: int = 0) -> tuple[dict, PenConfig, tuple[str, ...]]:
     """Parameters, config and pretrained prefixes to fine-tune an
-    ``n_classes`` segmentation from a loaded checkpoint, or from scratch on
-    ``cfg`` when ``ckpt`` is None. A checkpoint sets the network sizes and
-    lends its trunk and embedding decoder, or only its trunk when it is a
-    reconstruction checkpoint (``with_ae``), whose embedding decoder never
-    trained. Heads always start fresh from ``rng``."""
+    ``n_classes`` segmentation head or an ``n_tags`` tag head from a loaded
+    checkpoint, or from scratch on ``cfg`` when ``ckpt`` is None. A
+    checkpoint sets the network sizes and lends its trunk and embedding
+    decoder, or only its trunk when it is a reconstruction checkpoint
+    (``with_ae``), whose embedding decoder never trained. Heads always start
+    fresh from ``rng``; the result has no reconstruction decoder."""
     pretrained: tuple[str, ...] = ()
     if ckpt is not None:
         loaded, cfg, _ = ckpt
         pretrained = ("enc", "lift") if cfg.with_ae else PRETRAINED
-    cfg = replace(cfg, n_classes=n_classes, n_tags=0, with_ae=False)
+    cfg = replace(cfg, n_classes=n_classes, n_tags=n_tags, with_ae=False)
     params = init_params(cfg, rng)
     for name in params:
         if name.startswith(pretrained):
@@ -230,8 +231,8 @@ def run_benchmark(shapes: Sequence[TrainShape], split: DatasetSplit, spec: Bench
                         t0 = time.perf_counter()
                         rng_init = np.random.default_rng(
                             np.random.SeedSequence((spec.seed, 0x171, ci, vi, value, r)))
-                        params, cat_cfg, pretrained = finetune_start(ckpt, base_cfg, n_classes,
-                                                                     rng_init)
+                        params, cat_cfg, pretrained = finetune_start(ckpt, base_cfg, rng_init,
+                                                                     n_classes=n_classes)
                         ftc = replace(tc, seed=tc.seed + 1000 * r + value)
                         finetune_segmentation(params, cat_cfg, labeled, ftc, pretrained)
                         pred = predict_segmentation(params, cat_cfg, eval_pts,

@@ -2,8 +2,9 @@
 export-embeddings.
 
 Every command is deterministic given its flags and seed, writes its outputs
-under the given path, and drops a run.json manifest next to them. Exit codes:
-0 success, 1 runtime failure, 2 usage or configuration error.
+under the given path and returns (directory, inputs, outputs), from which
+``main`` drops a run.json manifest next to them. Exit codes: 0 success,
+1 runtime failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -13,19 +14,20 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .benchmark import VARIANTS, BenchmarkSpec, finetune_start, run_benchmark
+from .benchmark import (VARIANTS, BenchmarkSpec, _category_classes, finetune_start,
+                        run_benchmark, select_labeled_shapes)
 from .errors import ConfigurationError, InputError, PartembedError
 from .geometry import icp_align, read_ply, sample_surface, write_ply
 from .ingest import (DEFAULT_STOP_PATTERNS, DatasetSplit, FilterPolicy,
-                     TagVocabulary, extract_tags, load_corpus, mine_directory,
-                     parse_json_shape, split_dataset)
+                     TagVocabulary, extract_tags, label_points_with_tags, load_corpus,
+                     mine_directory, parse_json_shape, split_dataset, write_corpus)
 from .network import (PenConfig, forward_embed, init_params, load_checkpoint,
                       save_checkpoint)
 from .synth import DEFAULT_TAG_PROB, NoiseConfig, generate_corpus
@@ -43,7 +45,10 @@ def _parse_kv(items, cast):
         if "=" not in item:
             raise ConfigurationError(f"expected key=value, got {item!r}")
         k, v = item.split("=", 1)
-        out[k] = cast(v)
+        try:
+            out[k] = cast(v)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad value in {item!r}: {exc}") from exc
     return out
 
 
@@ -104,17 +109,15 @@ def _load_dataset(data_dir):
     mpath = data_dir / "manifest.json"
     manifest = _load_json(mpath) if mpath.exists() else {}
     synonyms = manifest.get("synonyms", {})
-    if "split" in manifest:
-        split = DatasetSplit.from_json(manifest["split"])
-    else:
-        split = split_dataset([r.shape_id for r in records], seed=0)
-    vocabs = {}
-    if "vocabularies" in manifest:
-        for cat, v in manifest["vocabularies"].items():
-            vocabs[cat] = TagVocabulary(category=cat, tags=tuple(v["tags"]),
-                                        synonyms=v.get("synonyms", {}),
-                                        counts=v.get("counts", {}))
-    else:
+    try:
+        split = DatasetSplit.from_json(manifest["split"]) if "split" in manifest else \
+            split_dataset([r.shape_id for r in records], seed=0)
+        vocabs = {cat: TagVocabulary(category=cat, tags=tuple(v["tags"]),
+                                     synonyms=v.get("synonyms", {}), counts=v.get("counts", {}))
+                  for cat, v in manifest.get("vocabularies", {}).items()}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ConfigurationError(f"{mpath}: missing or malformed field {exc}") from exc
+    if "vocabularies" not in manifest:
         for cat in sorted({r.category for r in records}):
             vocabs[cat] = extract_tags(records, cat, synonyms=synonyms)
     return records, split, vocabs
@@ -132,8 +135,7 @@ def _split_shapes(shapes, split: DatasetSplit):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    started = time.time()
+def cmd_synth(args) -> tuple[Path, list, list]:
     cfg = _load_json(args.config) if args.config else {}
     counts = _parse_kv(args.counts, int) or cfg.get("counts")
     if not counts:
@@ -141,24 +143,22 @@ def cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     tag_prob = {**DEFAULT_TAG_PROB, **cfg.get("tag_prob", {}),
                 **_parse_kv(args.tag_prob, float)}
-    noise = None
-    if "noise" in cfg:
-        noise = NoiseConfig(**cfg["noise"])
+    try:
+        noise = NoiseConfig(**cfg["noise"]) if "noise" in cfg else None
+    except (TypeError, InputError) as exc:
+        raise ConfigurationError(f"bad noise config: {exc}") from exc
     out = Path(args.out)
     records = generate_corpus(counts, seed=seed, tag_prob=tag_prob, noise=noise, out_dir=out)
     print(f"wrote {len(records)} shapes in {len(counts)} categories to {out}")
-    _write_run_manifest(out, args, inputs=[args.config] if args.config else [],
-                        outputs=[out], started=started)
-    return 0
+    return out, [args.config] if args.config else [], [out]
 
 
-def cmd_mine(args) -> int:
-    started = time.time()
+def cmd_mine(args) -> tuple[Path, list, list]:
     out = Path(args.out)
     synonyms = _load_json(args.synonyms) if args.synonyms else None
     stop = _parse_csv(args.stop_patterns) if args.stop_patterns else DEFAULT_STOP_PATTERNS
     policy = FilterPolicy(min_leaves=args.min_leaves, max_leaves=args.max_leaves)
-    records, report = mine_directory(args.in_dir, out, synonyms=synonyms,
+    records, report = mine_directory(args.in_dir, None, synonyms=synonyms,
                                      stop_patterns=stop, policy=policy, seed=args.seed)
     target = None
     if args.align_to:
@@ -168,20 +168,19 @@ def cmd_mine(args) -> int:
         cloud_dir = out / "clouds"
         if args.clouds:
             cloud_dir.mkdir(parents=True, exist_ok=True)
-        from .ingest import label_points_with_tags, write_shape_json
         for rec in records:
             cloud = sample_surface(rec.mesh, n=args.points, rng=rng)
             if target is not None:
                 result = icp_align(cloud, target)
                 cloud.points = result.transform.apply(cloud.points)
                 rec.mesh.vertices = result.transform.apply(rec.mesh.vertices)
-                write_shape_json(rec, out / rec.category / f"{rec.shape_id}.json")
             if not args.clouds:
                 continue
             vocab = report.vocabularies.get(rec.category)
             if vocab is not None and vocab.tags:
                 cloud.tag_id = label_points_with_tags(cloud, rec, vocab)
             write_ply(cloud_dir / f"{rec.shape_id}.ply", cloud)
+    write_corpus(records, out, report.to_json())
 
     print(f"kept {report.kept} shapes")
     for reason, count in sorted(report.reject_counts.items()):
@@ -191,12 +190,10 @@ def cmd_mine(args) -> int:
         s = report.sufficiency[cat]
         verdict = "sufficient" if s["sufficient"] else "insufficient"
         print(f"{cat}: tags={list(v.tags)} coverage={s['coverage']:.4f} ({verdict})")
-    _write_run_manifest(out, args, inputs=[args.in_dir], outputs=[out], started=started)
-    return 0
+    return out, [args.in_dir], [out]
 
 
-def cmd_pretrain(args) -> int:
-    started = time.time()
+def cmd_pretrain(args) -> tuple[Path, list, list]:
     records, split, vocabs = _load_dataset(args.data)
     cfg = _pen_config(args.arch, with_ae=(args.strategy == "autoencoder"))
     tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs,
@@ -218,17 +215,16 @@ def cmd_pretrain(args) -> int:
     save_checkpoint(out, params, cfg, meta)
     print(f"pretrained ({args.strategy}) for {report.epochs} epochs, "
           f"best val {report.best_val:.6f} at epoch {report.best_epoch}; wrote {out}")
-    _write_run_manifest(out.parent, args, inputs=[args.data], outputs=[out], started=started)
-    return 0
+    return out.parent, [args.data], [out]
 
 
-def cmd_finetune(args) -> int:
-    started = time.time()
+def cmd_finetune(args) -> tuple[Path, list, list]:
     records, split, vocabs = _load_dataset(args.data)
     records = [r for r in records if r.category == args.category]
     if not records:
         raise ConfigurationError(f"no shapes of category {args.category!r} in {args.data}")
     tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
+    ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
@@ -246,43 +242,28 @@ def cmd_finetune(args) -> int:
             n_val = max(1, len(shapes) // 5)
             val, train = shapes[:n_val], shapes[n_val:]
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xF17A6)))
-        if args.checkpoint:
-            params, cfg, _ = load_checkpoint(args.checkpoint)
-            if cfg.n_tags != len(vocab.tags):
-                cfg = replace(cfg, n_tags=len(vocab.tags))
-                fresh = init_params(cfg, rng)
-                params = {k: params.get(k, v) for k, v in fresh.items()}
-        else:
-            cfg = _pen_config(args.arch, n_tags=len(vocab.tags))
-            params = init_params(cfg, rng)
-        report = finetune_tags(params, cfg, train, val, tc)
+        params, cfg, pretrained = finetune_start(ckpt, _pen_config(args.arch), rng,
+                                                 n_tags=len(vocab.tags))
+        report = finetune_tags(params, cfg, train, val, tc, pretrained)
         meta = {"stage": "finetune_tags", "category": args.category, "seed": args.seed,
                 "tags": list(vocab.tags), "epochs": report.epochs,
                 "best_val": report.best_val}
     else:
         shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
-        for s in shapes:
-            if s.cloud.semantic_label is None:
-                raise ConfigurationError(
-                    f"shape {s.record.shape_id} lacks semantic labels; cannot fine-tune")
+        n_classes = _category_classes(shapes)
         train, _, _ = _split_shapes(shapes, split)
         if args.labeled_shapes:
             rng_sel = np.random.default_rng(np.random.SeedSequence((args.seed, 0x5E1EC7)))
-            idx = rng_sel.choice(len(train), size=min(args.labeled_shapes, len(train)),
-                                 replace=False)
-            train = [train[i] for i in idx]
-        n_classes = 1 + max(int(s.cloud.semantic_label.max()) for s in shapes)
+            train = select_labeled_shapes(train, min(args.labeled_shapes, len(train)), rng_sel)
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xF15E6)))
-        ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
-        params, cfg, pretrained = finetune_start(ckpt, _pen_config(args.arch), n_classes, rng)
+        params, cfg, pretrained = finetune_start(ckpt, _pen_config(args.arch), rng,
+                                                 n_classes=n_classes)
         report = finetune_segmentation(params, cfg, train, tc, pretrained)
         meta = {"stage": "finetune_segmentation", "category": args.category,
                 "seed": args.seed, "epochs": report.epochs, "n_classes": n_classes}
     save_checkpoint(out, params, cfg, meta)
     print(f"fine-tuned ({args.objective}) on {args.category}: {report.epochs} epochs; wrote {out}")
-    _write_run_manifest(out.parent, args, inputs=[args.data, args.checkpoint or ""],
-                        outputs=[out], started=started)
-    return 0
+    return out.parent, [args.data, args.checkpoint or ""], [out]
 
 
 def _parse_checkpoint_flags(items) -> dict:
@@ -299,13 +280,9 @@ def _parse_checkpoint_flags(items) -> dict:
     return out
 
 
-def cmd_benchmark(args) -> int:
-    started = time.time()
+def cmd_benchmark(args) -> tuple[Path, list, list]:
     records, split, _ = _load_dataset(args.data)
     shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
-    for s in shapes:
-        if s.cloud.semantic_label is None:
-            raise ConfigurationError(f"shape {s.record.shape_id} lacks semantic labels")
     categories = _parse_csv(args.categories) if args.categories else \
         tuple(sorted({r.category for r in records}))
     spec = BenchmarkSpec(
@@ -330,9 +307,7 @@ def cmd_benchmark(args) -> int:
     for cell in table.summary()["cells"]:
         print(f"{cell['category']:>10} {cell['variant']:>15} {cell['axis']}={cell['value']:<4} "
               f"mIoU {cell['mean_miou']:.4f} ± {cell['std_miou']:.4f}")
-    _write_run_manifest(out, args, inputs=[args.data], outputs=[out / "metrics.csv"],
-                        started=started)
-    return 0
+    return out, [args.data], [out / "metrics.csv"]
 
 
 def _pca_rgb(embed: np.ndarray) -> np.ndarray:
@@ -351,8 +326,7 @@ def _pca_rgb(embed: np.ndarray) -> np.ndarray:
     return np.round((proj - lo) / span * 255).astype(np.int64)
 
 
-def cmd_export_embeddings(args) -> int:
-    started = time.time()
+def cmd_export_embeddings(args) -> tuple[Path, list, list]:
     params, cfg, _ = load_checkpoint(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -374,8 +348,7 @@ def cmd_export_embeddings(args) -> int:
         write_ply(path, s.cloud, embeddings=rows, rgb=_pca_rgb(rows))
         written.append(path)
     print(f"exported {len(written)} embedding clouds to {out}")
-    _write_run_manifest(out, args, inputs=[args.checkpoint], outputs=written, started=started)
-    return 0
+    return out, [args.checkpoint], written
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        out_dir, inputs, outputs = args.func(args)
+        _write_run_manifest(out_dir, args, inputs, outputs, started)
+        return 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

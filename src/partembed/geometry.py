@@ -311,7 +311,8 @@ def write_ply(path, cloud: PointCloud, embeddings: np.ndarray | None = None,
 
 def read_ply(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
     """Read an ascii PLY written by write_ply. Returns the cloud plus any
-    extra columns (embeddings, rgb) keyed by property name."""
+    extra columns (embeddings, rgb) keyed by property name. A file that is
+    not such a PLY raises ParseError naming it."""
     with open(path) as fh:
         line = fh.readline().strip()
         if line != "ply":
@@ -330,7 +331,10 @@ def read_ply(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
                 n = int(parts[2])
             elif parts[0] == "property":
                 names.append(parts[2])
-        data = np.loadtxt(fh, ndmin=2)
+        try:
+            data = np.loadtxt(fh, ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"{path}: vertex data is not numeric ({exc})") from exc
     if n is None or data.shape != (n, len(names)):
         raise ParseError(f"{path}: vertex data does not match header")
     col = {name: data[:, i] for i, name in enumerate(names)}
@@ -339,12 +343,15 @@ def read_ply(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
         v = col[name].astype(np.int64)
         return None if (v == -1).all() else v
 
-    cloud = PointCloud(
-        points=np.stack([col["x"], col["y"], col["z"]], axis=1),
-        leaf_id=col["leaf_id"].astype(np.int64),
-        tag_id=int_col("tag_id"),
-        semantic_label=int_col("label"),
-    )
+    try:
+        cloud = PointCloud(
+            points=np.stack([col["x"], col["y"], col["z"]], axis=1),
+            leaf_id=col["leaf_id"].astype(np.int64),
+            tag_id=int_col("tag_id"),
+            semantic_label=int_col("label"),
+        )
+    except KeyError as exc:
+        raise ParseError(f"{path}: no {exc} vertex property") from exc
     extra = {k: v for k, v in col.items()
              if k not in ("x", "y", "z", "leaf_id", "tag_id", "label")}
     return cloud, extra

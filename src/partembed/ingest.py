@@ -130,6 +130,17 @@ def write_shape_json(rec: ShapeRecord, path) -> None:
     Path(path).write_text(dumps_shape(rec))
 
 
+def write_corpus(records: Sequence[ShapeRecord], out_dir, manifest: dict) -> None:
+    """The on-disk corpus layout: ``<out_dir>/<category>/<shape_id>.json``
+    for every record, plus ``manifest`` as ``<out_dir>/manifest.json``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for rec in records:
+        (out_dir / rec.category).mkdir(exist_ok=True)
+        write_shape_json(rec, out_dir / rec.category / f"{rec.shape_id}.json")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 def _expect(cond: bool, msg: str):
     if not cond:
         raise SchemaError(msg)
@@ -527,24 +538,12 @@ def mine_directory(in_dir, out_dir=None, synonyms: dict[str, str] | None = None,
                         vocabularies=vocabularies, sufficiency=sufficiency, split=split)
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for rec in records:
-            cat_dir = out_dir / rec.category
-            cat_dir.mkdir(exist_ok=True)
-            write_shape_json(rec, cat_dir / f"{rec.shape_id}.json")
-        (out_dir / "manifest.json").write_text(
-            json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n")
+        write_corpus(records, out_dir, report.to_json())
     return records, report
 
 
 def load_corpus(shape_dir) -> list[ShapeRecord]:
     """Read every native JSON shape under a mined directory, sorted by id."""
-    shape_dir = Path(shape_dir)
-    records = []
-    for path in sorted(shape_dir.rglob("*.json")):
-        if path.name in ("manifest.json", "split.json", "run.json"):
-            continue
-        records.append(parse_json_shape(path.read_text()))
-    records.sort(key=lambda r: r.shape_id)
-    return records
+    records = [parse_json_shape(path.read_text())
+               for path, _ in discover_shape_files(shape_dir) if path.suffix == ".json"]
+    return sorted(records, key=lambda r: r.shape_id)

@@ -454,11 +454,14 @@ def save_checkpoint(path, params: dict[str, np.ndarray], cfg: PenConfig,
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], PenConfig, dict]:
     """Tensors, config and metadata of a checkpoint. A file save_checkpoint
-    did not write, or whose manifest does not parse, raises SchemaError."""
+    did not write, of another format, or whose manifest does not parse,
+    raises SchemaError."""
     try:
         with np.load(path) as z:
             manifest = json.loads(bytes(z["__manifest__"].tolist()).decode())
             params = {k: z[k] for k in z.files if k != "__manifest__"}
+        if manifest["format"] != 1:
+            raise SchemaError(f"format {manifest['format']!r}, expected 1")
         cfg = PenConfig.from_dict(manifest["config"])
         listed, meta = manifest["tensors"], manifest["meta"]
     except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile,

@@ -11,9 +11,7 @@ emulating the variability of crowd-modeled scene graphs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -21,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import TriangleMesh
 from .hierarchy import build_tree
-from .ingest import ShapeRecord, write_shape_json
+from .ingest import ShapeRecord, write_corpus
 
 # Surface-name pools per part concept. The first entry is the canonical tag;
 # the rest are raw synonyms mapped onto it by SYNTH_SYNONYMS.
@@ -281,13 +279,7 @@ def generate_corpus(counts: dict[str, int], seed: int = 0,
             records.append(generate_shape(category, f"{category}_{i:04d}", rng, noise=cfg))
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for rec in records:
-            cat_dir = out_dir / rec.category
-            cat_dir.mkdir(exist_ok=True)
-            write_shape_json(rec, cat_dir / f"{rec.shape_id}.json")
-        manifest = {
+        write_corpus(records, out_dir, {
             "seed": seed,
             "counts": dict(sorted(counts.items())),
             "tag_prob": {c: (tag_prob or {}).get(c, DEFAULT_TAG_PROB.get(c, 0.0))
@@ -296,6 +288,5 @@ def generate_corpus(counts: dict[str, int], seed: int = 0,
             "categories": sorted(counts),
             "shape_ids": [r.shape_id for r in records],
             "synonyms": SYNTH_SYNONYMS,
-        }
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        })
     return records

@@ -344,9 +344,11 @@ def pretrain_metric(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainSh
 
 
 def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShape],
-                  val_shapes: Sequence[TrainShape], tc: TrainConfig) -> TrainReport:
-    """Tag fine-tuning: the tag head is trained at full rate, the rest of
-    the network at ``trunk_lr_scale`` (0 freezes it). Loss is the summed
+                  val_shapes: Sequence[TrainShape], tc: TrainConfig,
+                  pretrained: tuple[str, ...] = PRETRAINED) -> TrainReport:
+    """Tag fine-tuning: the tensors named by the ``pretrained`` prefixes step
+    at ``trunk_lr_scale`` (0 freezes them), the rest at full rate; an empty
+    ``pretrained`` means training from scratch. Loss is the summed
     one-vs-rest cross-entropy; validation is its per-shape mean."""
     if cfg.n_tags <= 0:
         raise InputError("config has no tag head")
@@ -362,7 +364,7 @@ def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShap
                             lambda s: s.tag_ids)
     return fit(params, train_shapes, tc, rng_train,
                _point_draw(_subsample, tc.subsample_points), chunk_loss, tc.max_epochs,
-               lr_mult=_lr_mult(params, PRETRAINED, tc.trunk_lr_scale),
+               lr_mult=_lr_mult(params, pretrained, tc.trunk_lr_scale),
                val=(val_shapes, rng_val))
 
 

@@ -212,24 +212,28 @@ def test_resolve_checkpoints_skips_categories_without_tags(tmp_path):
     (replace(BASE, with_ae=True, ae_hidden=(5,), ae_points=4), ("enc", "lift")),
     (replace(BASE, n_classes=4, n_tags=2), PRETRAINED),                  # seg + tags
     (None, ()),                                                          # scratch
+    (replace(BASE, n_classes=3, n_tags=5), PRETRAINED),                  # same head sizes
 ])
 def test_finetune_start_lends_trunk_and_decoder_never_heads(ckpt_cfg, lent):
     ckpt = None
     if ckpt_cfg is not None:
         ckpt = (init_params(ckpt_cfg, np.random.default_rng(3)), ckpt_cfg, {})
-    params, cfg, pretrained = finetune_start(ckpt, BASE, 3, np.random.default_rng(9))
-    assert pretrained == lent
-    assert cfg == replace(ckpt_cfg or BASE, n_classes=3, n_tags=0, with_ae=False)
-    fresh = init_params(cfg, np.random.default_rng(9))
-    # a fresh 3-class head; no tag or reconstruction tensors
-    assert set(params) == set(fresh)
-    assert params["seg1.W"].shape == (BASE.head_hidden, 3)
-    for name, tensor in params.items():
-        if name.startswith(lent):
-            assert np.array_equal(tensor, ckpt[0][name])
-            assert not np.shares_memory(tensor, ckpt[0][name])
-        else:
-            assert np.array_equal(tensor, fresh[name]), name
+    for head, other, heads in (("seg", "tag", {"n_classes": 3}), ("tag", "seg", {"n_tags": 5})):
+        params, cfg, pretrained = finetune_start(ckpt, BASE, np.random.default_rng(9), **heads)
+        assert pretrained == lent
+        assert cfg == replace(ckpt_cfg or BASE, **{"n_classes": 0, "n_tags": 0, **heads},
+                              with_ae=False)
+        fresh = init_params(cfg, np.random.default_rng(9))
+        # one fresh head of the asked size; no other head, no reconstruction tensors
+        assert set(params) == set(fresh)
+        assert params[f"{head}1.W"].shape == (BASE.head_hidden, *heads.values())
+        assert not any(name.startswith(("ae", other)) for name in params)
+        for name, tensor in params.items():
+            if name.startswith(lent):
+                assert np.array_equal(tensor, ckpt[0][name])
+                assert not np.shares_memory(tensor, ckpt[0][name])
+            else:
+                assert np.array_equal(tensor, fresh[name]), name
 
 
 def test_benchmark_spec_validation():

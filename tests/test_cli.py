@@ -12,9 +12,13 @@ import numpy as np
 import pytest
 
 import partembed
+from partembed import cli
 from partembed.cli import main
 from partembed.geometry import PointCloud, read_ply, write_ply
+from partembed.ingest import extract_tags, load_corpus
 from partembed.network import PenConfig, init_params, load_checkpoint, save_checkpoint
+from partembed.synth import SYNTH_SYNONYMS
+from partembed.training import PRETRAINED
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -108,8 +112,67 @@ def _malformed_manifest(tmp_path, corpus):
             "--points", "60"]
 
 
-@pytest.mark.parametrize("make_argv", [_checkpoint_missing_lift_widths, _zero_width_arch,
-                                       _negative_lr, _corrupt_checkpoint, _malformed_manifest])
+def _edit_manifest(corpus, edit):
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    edit(manifest)
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    return ["pretrain", "--data", str(corpus), "--out", str(corpus / "ck.npz"),
+            "--points", "60"]
+
+
+def _split_without_validation(tmp_path, corpus):
+    ids = json.loads((corpus / "manifest.json").read_text())["shape_ids"]
+    return _edit_manifest(corpus, lambda m: m.update(split={"train": ids[:2], "test": ids[2:]}))
+
+
+def _vocabulary_without_tags(tmp_path, corpus):
+    return _edit_manifest(corpus, lambda m: m.update(vocabularies={"table": {"counts": {}}}))
+
+
+def _align_to(tmp_path, corpus, ply_text):
+    target = tmp_path / "target.ply"
+    target.write_text(ply_text)
+    return ["mine", "--in", str(corpus), "--out", str(tmp_path / "mined"), "--points", "60",
+            "--align-to", str(target)]
+
+
+def _ply_without_leaf_id(tmp_path, corpus):
+    return _align_to(tmp_path, corpus, "ply\nformat ascii 1.0\nelement vertex 2\n"
+                     "property float x\nproperty float y\nproperty float z\nend_header\n"
+                     "0 0 0\n1 1 1\n")
+
+
+def _ply_non_numeric(tmp_path, corpus):
+    props = "".join(f"property double {name}\n" for name in ("x", "y", "z"))
+    props += "".join(f"property int {name}\n" for name in ("leaf_id", "tag_id", "label"))
+    return _align_to(tmp_path, corpus, "ply\nformat ascii 1.0\nelement vertex 1\n"
+                     f"{props}end_header\na b c 0 -1 -1\n")
+
+
+def _synth_non_integer_count(tmp_path, corpus):
+    return ["synth", "--out", str(tmp_path / "s"), "--counts", "table=x"]
+
+
+def _synth_unknown_noise_key(tmp_path, corpus):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"counts": {"table": 3}, "noise": {"wobble": 1}}))
+    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+
+
+def _unlabeled_segmentation(tmp_path, corpus):
+    for path in corpus.glob("table/*.json"):
+        shape = json.loads(path.read_text())
+        del shape["semantic_labels"]
+        path.write_text(json.dumps(shape))
+    return ["finetune", "--data", str(corpus), "--out", str(tmp_path / "seg.npz"),
+            "--objective", "segmentation", "--category", "table", "--points", "60"]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _checkpoint_missing_lift_widths, _zero_width_arch, _negative_lr, _corrupt_checkpoint,
+    _malformed_manifest, _split_without_validation, _vocabulary_without_tags,
+    _ply_without_leaf_id, _ply_non_numeric, _synth_non_integer_count, _synth_unknown_noise_key,
+    _unlabeled_segmentation])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])
@@ -192,6 +255,12 @@ def test_mine_without_clouds(tmp_path):
                "--no-clouds", "--points", "100", "--align-to", str(target)])
     assert rc == 0
     assert not (aligned / "clouds").exists()
+    # the aligned corpus is written once, after alignment, and loads
+    plain, moved = load_corpus(out), load_corpus(aligned)
+    assert [r.shape_id for r in moved] == [r.shape_id for r in plain]
+    for a, b in zip(plain, moved):
+        assert a.mesh.vertices.shape == b.mesh.vertices.shape
+        assert not np.allclose(a.mesh.vertices, b.mesh.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +348,54 @@ def test_finetune_tags_from_scratch(tmp_path, configs):
     assert meta["stage"] == "finetune_tags"
     assert cfg.n_tags == len(meta["tags"]) > 0
     assert any(k.startswith("tag") for k in params)
+
+
+@pytest.mark.parametrize("kind", ["scratch", "metric", "autoencoder", "segmentation", "tags"])
+def test_finetune_tags_starts_like_segmentation(tmp_path, configs, monkeypatch, kind):
+    arch, train = configs
+    corpus = _synth(tmp_path, spec="chair=5", seed="3", extra=["--tag-prob", "chair=0.9"])
+    n_tags = len(extract_tags(load_corpus(corpus), "chair", synonyms=SYNTH_SYNONYMS).tags)
+    base = PenConfig.from_dict({**asdict(PenConfig()), **ARCH})
+    ckpt_cfg, lent = {
+        "scratch": (None, ()),
+        "metric": (base, PRETRAINED),
+        "autoencoder": (replace(base, with_ae=True, ae_hidden=(5,), ae_points=4),
+                        ("enc", "lift")),
+        "segmentation": (replace(base, n_classes=2), PRETRAINED),
+        "tags": (replace(base, n_tags=n_tags), PRETRAINED),   # another category's, say
+    }[kind]
+    out = tmp_path / "tags.npz"
+    argv = ["finetune", "--data", str(corpus), "--out", str(out), "--objective", "tags",
+            "--category", "chair", "--points", "80", "--epochs", "1",
+            "--arch", str(arch), "--train", str(train)]
+    ckpt = {}
+    if ckpt_cfg is not None:
+        ckpt = init_params(ckpt_cfg, np.random.default_rng(0))
+        save_checkpoint(tmp_path / "ck.npz", ckpt, ckpt_cfg)
+        argv += ["--checkpoint", str(tmp_path / "ck.npz")]
+    starts = []
+    real = cli.finetune_tags
+
+    def spy(*args):
+        # the pretrained prefixes in force, PRETRAINED when left to the default
+        starts.append(({k: v.copy() for k, v in args[0].items()},
+                       args[5] if len(args) > 5 else PRETRAINED))
+        return real(*args)
+
+    monkeypatch.setattr(cli, "finetune_tags", spy)
+    assert main(argv) == 0
+    [(start, pretrained)] = starts
+    # the lent tensors step at trunk_lr_scale; no other weight is lent
+    # (biases start at zero either way)
+    assert pretrained == lent
+    for name, tensor in start.items():
+        if not name.endswith(".W"):
+            continue
+        reused = name in ckpt and np.array_equal(tensor, ckpt[name])
+        assert reused == name.startswith(lent), name
+    params, cfg, _ = load_checkpoint(out)
+    assert not cfg.with_ae and cfg.n_classes == 0 and cfg.n_tags == n_tags
+    assert all(name.startswith(("enc", "lift", "dec", "embed", "tag")) for name in params)
 
 
 def test_finetune_rejects_unknown_category(tmp_path, configs):

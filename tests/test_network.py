@@ -456,6 +456,19 @@ def test_checkpoint_rejects_tensor_listing_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_rejects_other_formats(tmp_path):
+    path = tmp_path / "net.npz"
+    save_checkpoint(path, init_params(TINY, np.random.default_rng(2)), TINY)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    manifest = json.loads(bytes(arrays["__manifest__"]).decode())
+    manifest["format"] = 2
+    arrays["__manifest__"] = np.frombuffer(json.dumps(manifest).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(SchemaError, match="format 2"):
+        load_checkpoint(path)
+
+
 def test_validate_params_errors():
     params = init_params(TINY, np.random.default_rng(3))
     missing = dict(params)

@@ -293,6 +293,30 @@ def test_finetune_tags_respects_freezes(chair_shapes, chair_vocab):
     assert not _changed(before, params, "seg")
 
 
+def test_finetune_tags_pretrained_prefixes_set_the_rates(chair_shapes, chair_vocab,
+                                                         monkeypatch):
+    cfg = replace(SMALL, n_tags=len(chair_vocab.tags))
+    tc = replace(TC, max_epochs=1, trunk_lr_scale=0.1)
+    mults = []
+    real = training.adam_step
+
+    def capture(params, grads, state, lr, lr_mult=None):
+        mults.append(lr_mult)
+        real(params, grads, state, lr, lr_mult=lr_mult)
+
+    monkeypatch.setattr(training, "adam_step", capture)
+    # from scratch: every tensor steps at full rate
+    finetune_tags(_fresh(cfg), cfg, chair_shapes[:4], chair_shapes[4:], tc, pretrained=())
+    assert mults and all(set(m.values()) == {1.0} for m in mults)
+    # by default the trunk and decoder step at trunk_lr_scale, the tag head at full rate
+    mults.clear()
+    finetune_tags(_fresh(cfg), cfg, chair_shapes[:4], chair_shapes[4:], tc)
+    assert mults
+    for m in mults:
+        assert m == {name: 0.1 if name.startswith(training.PRETRAINED) else 1.0 for name in m}
+        assert m["tag0.W"] == 1.0 and m["enc0.W"] == 0.1
+
+
 def test_finetune_tags_refusals(chair_shapes, chair_vocab):
     cfg = replace(SMALL, n_tags=len(chair_vocab.tags))
     params = _fresh(cfg)
