@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .ingest import DatasetSplit
-from .network import PenConfig, init_params, load_checkpoint
+from .network import PenConfig, _is_int, init_params, load_checkpoint
 from .training import (PRETRAINED, TrainConfig, TrainShape, finetune_segmentation,
                        predict_segmentation)
 
@@ -52,6 +52,10 @@ class BenchmarkSpec:
             raise InputError(f"unknown variants {sorted(unknown)}")
         if set(self.axes) - {"shapes", "points"}:
             raise InputError("axes must be drawn from ('shapes', 'points')")
+        counts = (*self.shape_axis, *self.point_axis, self.point_axis_shapes, self.repeats,
+                  self.eval_points)
+        if not all(_is_int(n) and n >= 1 for n in counts):
+            raise InputError("axis values, point_axis_shapes, repeats, eval_points must be >= 1")
 
 
 @dataclass

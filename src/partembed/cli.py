@@ -52,8 +52,15 @@ def _parse_kv(items, cast):
     return out
 
 
-def _parse_csv(text, cast=str):
-    return tuple(cast(x) for x in text.split(",") if x)
+def _csv(cast=str):
+    """argparse type of a nonempty comma list: 'a,b' -> (cast('a'), cast('b'));
+    a bad item is a usage error (exit 2)."""
+    def comma_list(text):
+        items = tuple(cast(x) for x in text.split(",") if x)
+        if not items:
+            raise ValueError("empty list")
+        return items
+    return comma_list
 
 
 def _load_json(path) -> dict:
@@ -148,7 +155,10 @@ def cmd_synth(args) -> tuple[Path, list, list]:
     except (TypeError, InputError) as exc:
         raise ConfigurationError(f"bad noise config: {exc}") from exc
     out = Path(args.out)
-    records = generate_corpus(counts, seed=seed, tag_prob=tag_prob, noise=noise, out_dir=out)
+    try:
+        records = generate_corpus(counts, seed=seed, tag_prob=tag_prob, noise=noise, out_dir=out)
+    except InputError as exc:
+        raise ConfigurationError(f"bad corpus settings: {exc}") from exc
     print(f"wrote {len(records)} shapes in {len(counts)} categories to {out}")
     return out, [args.config] if args.config else [], [out]
 
@@ -156,7 +166,7 @@ def cmd_synth(args) -> tuple[Path, list, list]:
 def cmd_mine(args) -> tuple[Path, list, list]:
     out = Path(args.out)
     synonyms = _load_json(args.synonyms) if args.synonyms else None
-    stop = _parse_csv(args.stop_patterns) if args.stop_patterns else DEFAULT_STOP_PATTERNS
+    stop = args.stop_patterns or DEFAULT_STOP_PATTERNS
     policy = FilterPolicy(min_leaves=args.min_leaves, max_leaves=args.max_leaves)
     records, report = mine_directory(args.in_dir, None, synonyms=synonyms,
                                      stop_patterns=stop, policy=policy, seed=args.seed)
@@ -219,6 +229,8 @@ def cmd_pretrain(args) -> tuple[Path, list, list]:
 
 
 def cmd_finetune(args) -> tuple[Path, list, list]:
+    if args.labeled_shapes is not None and args.labeled_shapes < 1:
+        raise ConfigurationError("--labeled-shapes must be at least 1")
     records, split, vocabs = _load_dataset(args.data)
     records = [r for r in records if r.category == args.category]
     if not records:
@@ -252,7 +264,7 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
         shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
         n_classes = _category_classes(shapes)
         train, _, _ = _split_shapes(shapes, split)
-        if args.labeled_shapes:
+        if args.labeled_shapes is not None:
             rng_sel = np.random.default_rng(np.random.SeedSequence((args.seed, 0x5E1EC7)))
             train = select_labeled_shapes(train, min(args.labeled_shapes, len(train)), rng_sel)
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xF15E6)))
@@ -282,20 +294,14 @@ def _parse_checkpoint_flags(items) -> dict:
 
 def cmd_benchmark(args) -> tuple[Path, list, list]:
     records, split, _ = _load_dataset(args.data)
+    try:
+        spec = BenchmarkSpec(
+            categories=args.categories or tuple(sorted({r.category for r in records})),
+            variants=args.variants, shape_axis=args.x, point_axis=args.points_grid,
+            axes=args.axes, repeats=args.repeats, seed=args.seed, eval_points=args.eval_points)
+    except InputError as exc:
+        raise ConfigurationError(f"bad benchmark settings: {exc}") from exc
     shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
-    categories = _parse_csv(args.categories) if args.categories else \
-        tuple(sorted({r.category for r in records}))
-    spec = BenchmarkSpec(
-        categories=categories,
-        variants=_parse_csv(args.variants) if args.variants else VARIANTS,
-        shape_axis=_parse_csv(args.x, int) if args.x else BenchmarkSpec.shape_axis,
-        point_axis=_parse_csv(args.points_grid, int) if args.points_grid
-        else BenchmarkSpec.point_axis,
-        axes=_parse_csv(args.axes) if args.axes else ("shapes", "points"),
-        repeats=args.repeats,
-        seed=args.seed,
-        eval_points=args.eval_points,
-    )
     tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
     base_cfg = _pen_config(args.arch)
     out = Path(args.out)
@@ -335,7 +341,7 @@ def cmd_export_embeddings(args) -> tuple[Path, list, list]:
     else:
         records = load_corpus(args.data)
         if args.ids:
-            wanted = set(_parse_csv(args.ids))
+            wanted = set(args.ids)
             records = [r for r in records if r.shape_id in wanted]
     if not records:
         raise ConfigurationError("no shapes to export")
@@ -377,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--points", type=int, default=10000)
     s.add_argument("--synonyms", help="JSON file mapping raw names to canonical tags")
-    s.add_argument("--stop-patterns", help="comma-separated junk name tokens")
+    s.add_argument("--stop-patterns", type=_csv(), help="comma-separated junk name tokens")
     s.add_argument("--min-leaves", type=int, default=2)
     s.add_argument("--max-leaves", type=int, default=500)
     s.add_argument("--align-to", help="PLY target cloud for ICP canonical alignment")
@@ -414,11 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("benchmark", help="few-shot transfer benchmark")
     s.add_argument("--data", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--categories")
-    s.add_argument("--variants")
-    s.add_argument("--x", help="labeled-shape counts, e.g. 4,8")
-    s.add_argument("--points-grid", dest="points_grid")
-    s.add_argument("--axes", help="shapes,points")
+    s.add_argument("--categories", type=_csv())
+    s.add_argument("--variants", type=_csv(), default=VARIANTS)
+    s.add_argument("--x", type=_csv(int), default=BenchmarkSpec.shape_axis,
+                   help="labeled-shape counts, e.g. 4,8")
+    s.add_argument("--points-grid", dest="points_grid", type=_csv(int),
+                   default=BenchmarkSpec.point_axis)
+    s.add_argument("--axes", type=_csv(), default=BenchmarkSpec.axes, help="shapes,points")
     s.add_argument("--repeats", type=int, default=5)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--points", type=int, default=10000)
@@ -436,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--data", help="mined/synthetic shape directory")
     s.add_argument("--shape", nargs="*", help="explicit shape JSON files")
-    s.add_argument("--ids", help="comma-separated shape ids to keep")
+    s.add_argument("--ids", type=_csv(), help="comma-separated shape ids to keep")
     s.add_argument("--points", type=int, default=10000)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(func=cmd_export_embeddings)

@@ -10,7 +10,6 @@ the file is treated purely as a hierarchy+geometry carrier.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,74 +153,71 @@ def _node_transform(node_el) -> np.ndarray:
     return m
 
 
-@dataclass
-class _RawNode:
-    name: str
-    geom_ref: str | None = None          # set on geometry leaves
-    world: np.ndarray | None = None
-    children: list["_RawNode"] = field(default_factory=list)
-
-
-def _walk(node_el, parent_world: np.ndarray) -> _RawNode:
-    name = node_el.get("name") or node_el.get("id") or "node"
-    world = parent_world @ _node_transform(node_el)
-    raw = _RawNode(name=name)
-    geom_refs = [(ig.get("url") or "").lstrip("#") for ig in _children(node_el, "instance_geometry")]
-    child_nodes = [_walk(c, world) for c in _children(node_el, "node")]
-    if len(geom_refs) == 1 and not child_nodes:
-        raw.geom_ref = geom_refs[0]
-        raw.world = world
-        return raw
-    for ref in geom_refs:
-        raw.children.append(_RawNode(name=name, geom_ref=ref, world=world))
-    raw.children.extend(child_nodes)
-    return raw
-
-
-def _prune_empty(raw: _RawNode, geometries: dict) -> _RawNode | None:
-    """Drop leaves whose geometry has no triangles and groups left childless."""
-    if raw.geom_ref is not None:
-        if raw.geom_ref not in geometries:
-            raise UndefinedReferenceError(f"instance_geometry references undefined geometry '#{raw.geom_ref}'")
-        if len(geometries[raw.geom_ref][1]) == 0:
-            return None
-        return raw
-    kept = []
-    for c in raw.children:
-        p = _prune_empty(c, geometries)
-        if p is not None:
-            kept.append(p)
-    raw.children = kept
-    return raw if kept else None
+def _visit(el, parent, parent_world: np.ndarray, geometries: dict, out: tuple,
+           fallback: str = "node") -> None:
+    """Append the subtree of ``el`` in preorder to ``out`` = (nodes, vertices,
+    triangles, tri_leaf), a node being (parent, name, geometry ref). Each
+    instanced geometry is a leaf named after its node and baked with the
+    node's world transform; a node with one geometry and no child nodes is
+    that leaf itself. Leaves without triangles are skipped and a group left
+    without leaves is cut back off."""
+    nodes, verts, tris, tri_leaf = out
+    name = el.get("name") or el.get("id") or fallback
+    world = parent_world @ _node_transform(el)
+    refs = [(ig.get("url") or "").lstrip("#") for ig in _children(el, "instance_geometry")]
+    kids = _children(el, "node")
+    here = len(nodes)
+    group = len(refs) != 1 or bool(kids)
+    if group:
+        nodes.append((parent, name, None))
+        parent = here
+    for ref in refs:
+        if ref not in geometries:
+            raise UndefinedReferenceError(f"instance_geometry references undefined geometry '#{ref}'")
+        v, t = geometries[ref]
+        if len(t):
+            tris.append(t + sum(map(len, verts)))
+            verts.append(v @ world[:3, :3].T + world[:3, 3])
+            tri_leaf.append(np.full(len(t), len(nodes), dtype=np.int64))
+            nodes.append((parent, name, ref))
+    for kid in kids:
+        _visit(kid, parent, world, geometries, out)
+    if group and len(nodes) == here + 1:
+        del nodes[here:]
 
 
 def parse_collada_tree(data: bytes):
-    """Parse raw bytes into (root _RawNode, geometry dict). Internal."""
+    """Parse raw bytes in one walk of the scene graph into (parents, names,
+    geoms, vertices, triangles, tri_leaf): one entry per node in document
+    preorder, root first, and the world-space mesh with each triangle's leaf
+    id. Several top nodes get the visual scene as their root. A malformed
+    number raises ParseError, as the other faults checked here do."""
     try:
         root_el = ET.fromstring(data)
     except ET.ParseError as exc:
         line, col = exc.position
         raise ParseError(f"malformed XML at line {line}, column {col}: {exc.msg}") from exc
-
-    geometries = {}
-    for lib in root_el.iter():
-        if _local(lib.tag) != "library_geometries":
-            continue
-        for geom in _children(lib, "geometry"):
-            geometries[geom.get("id")] = _parse_geometry(geom)
-
-    scenes = [el for el in root_el.iter() if _local(el.tag) == "visual_scene"]
-    if not scenes:
-        raise ParseError("no <visual_scene> found")
-    scene = scenes[0]
-    top = [_walk(n, np.eye(4)) for n in _children(scene, "node")]
-    if not top:
-        raise ParseError("visual scene contains no nodes")
-    if len(top) == 1:
-        root = top[0]
-    else:
-        root = _RawNode(name=scene.get("name") or scene.get("id") or "scene", children=top)
-    root = _prune_empty(root, geometries)
-    if root is None:
+    out: tuple = ([], [], [], [])
+    try:
+        geometries = {geom.get("id"): _parse_geometry(geom) for lib in root_el.iter()
+                      if _local(lib.tag) == "library_geometries"
+                      for geom in _children(lib, "geometry")}
+        scenes = [el for el in root_el.iter() if _local(el.tag) == "visual_scene"]
+        if not scenes:
+            raise ParseError("no <visual_scene> found")
+        top = _children(scenes[0], "node")
+        if not top:
+            raise ParseError("visual scene contains no nodes")
+        if len(top) == 1:
+            _visit(top[0], None, np.eye(4), geometries, out)
+        else:
+            _visit(scenes[0], None, np.eye(4), geometries, out, fallback="scene")
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"malformed number: {exc}") from exc
+    nodes, verts, tris, tri_leaf = out
+    if not nodes:
         raise ParseError("scene contains no triangle geometry")
-    return root, geometries
+    parents, names, geoms = zip(*nodes)
+    return parents, names, geoms, np.vstack(verts), np.vstack(tris), np.concatenate(tri_leaf)

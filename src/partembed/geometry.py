@@ -233,20 +233,11 @@ def icp_align(source: PointCloud, target: PointCloud, cfg: IcpConfig | None = No
                      residual_history=history)
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-
-
 def _nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index into b of the nearest neighbor for each row of a, plus squared
-    distances. Brute force below a size cutoff, k-d tree above."""
-    if len(a) * len(b) <= 250_000:
-        d2 = _pairwise_sq(a, b)
-        idx = np.argmin(d2, axis=1)
-        return idx, d2[np.arange(len(a)), idx]
-    tree = cKDTree(b)
-    dist, idx = tree.query(a)
-    return idx, dist ** 2
+    """Index into b of the nearest neighbor of each row of a (k-d tree), plus
+    the squared distances, summed from the coordinates."""
+    idx = cKDTree(b).query(a)[1]
+    return idx, np.sum((a - b[idx]) ** 2, axis=1)
 
 
 def chamfer(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> float:

@@ -51,39 +51,9 @@ def shape_from_collada(data: bytes, shape_id: str, category: str = "default") ->
     """Parse COLLADA bytes into a record. Node transforms are baked into the
     instanced vertices; each instanced geometry becomes one leaf. Node ids
     follow document preorder, root first."""
-    raw_root, geometries = parse_collada_tree(data)
-    parents: list[Optional[int]] = []
-    names: list[str] = []
-    geoms: list[Optional[str]] = []
-    vert_chunks: list[np.ndarray] = []
-    tri_chunks: list[np.ndarray] = []
-    leaf_chunks: list[np.ndarray] = []
-    state = {"verts": 0}
-
-    def visit(raw, parent):
-        i = len(parents)
-        parents.append(parent)
-        names.append(raw.name)
-        if raw.geom_ref is not None:
-            v, t = geometries[raw.geom_ref]
-            w = raw.world
-            vert_chunks.append(v @ w[:3, :3].T + w[:3, 3])
-            tri_chunks.append(t + state["verts"])
-            leaf_chunks.append(np.full(len(t), i, dtype=np.int64))
-            state["verts"] += len(v)
-            geoms.append(raw.geom_ref)
-        else:
-            geoms.append(None)
-            for child in raw.children:
-                visit(child, i)
-
-    visit(raw_root, None)
+    parents, names, geoms, vertices, triangles, tri_leaf = parse_collada_tree(data)
     tree = build_tree(parents, names, geoms)
-    mesh = TriangleMesh(
-        vertices=np.vstack(vert_chunks) if vert_chunks else np.zeros((0, 3)),
-        triangles=np.vstack(tri_chunks) if tri_chunks else np.zeros((0, 3), dtype=np.int64),
-        tri_leaf=np.concatenate(leaf_chunks) if leaf_chunks else np.zeros(0, dtype=np.int64),
-    )
+    mesh = TriangleMesh(vertices=vertices, triangles=triangles, tri_leaf=tri_leaf)
     return ShapeRecord(shape_id=shape_id, category=category, mesh=mesh, hierarchy=tree)
 
 

@@ -268,16 +268,16 @@ def backward_embed(params, cfg: PenConfig, trace: ForwardTrace,
     return backward_trunk(params, cfg, trace, g_point, g_global, grads)
 
 
-def head_forward(params, cfg: PenConfig, prefix: str, x: np.ndarray,
-                 out_dim: int) -> tuple[np.ndarray, ForwardTrace]:
-    """Logits of the config's ``prefix`` head (``"tag"`` or ``"seg"``,
-    ``out_dim`` wide) for embeddings ``x``."""
+def head_forward(params, cfg: PenConfig, prefix: str,
+                 x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
+    """Logits of the config's ``prefix`` head (``"tag"`` or ``"seg"``) for
+    embeddings ``x``."""
     trace = ForwardTrace(points=x)
     return _forward(params, _stack(cfg, prefix), x, trace), trace
 
 
-def head_backward(params, cfg: PenConfig, prefix: str, out_dim: int,
-                  trace: ForwardTrace, g_logits: np.ndarray) -> tuple[dict, np.ndarray]:
+def head_backward(params, cfg: PenConfig, prefix: str, trace: ForwardTrace,
+                  g_logits: np.ndarray) -> tuple[dict, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     return grads, _backward(params, _stack(cfg, prefix), trace, g_logits, grads)
 

@@ -20,6 +20,7 @@ from .errors import InputError
 from .geometry import TriangleMesh
 from .hierarchy import build_tree
 from .ingest import ShapeRecord, write_corpus
+from .network import _is_int
 
 # Surface-name pools per part concept. The first entry is the canonical tag;
 # the rest are raw synonyms mapped onto it by SYNTH_SYNONYMS.
@@ -266,8 +267,8 @@ def generate_corpus(counts: dict[str, int], seed: int = 0,
     category to the number of shapes; ``tag_prob`` overrides the per-category
     leaf-tagging probability."""
     for cat, n in counts.items():
-        if n < 3:
-            raise InputError(f"category {cat!r}: need at least 3 shapes, asked for {n}")
+        if not (_is_int(n) and n >= 3):
+            raise InputError(f"category {cat!r}: need at least 3 shapes, asked for {n!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A17)))
     records = []
     for category in sorted(counts):

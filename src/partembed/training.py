@@ -26,12 +26,12 @@ from .geometry import PointCloud, normalize_cloud, sample_surface
 from .hierarchy import leaves
 from .ingest import (ShapeRecord, TagVocabulary, label_points_with_tags,
                      tag_sufficiency)
-from .network import (AdamState, PenConfig, adam_step, ae_backward, ae_forward,
-                      backward_embed, backward_trunk, chamfer_batch_and_grad,
+from .network import (AdamState, PenConfig, _is_int, adam_step, ae_backward,
+                      ae_forward, backward_embed, backward_trunk, chamfer_batch_and_grad,
                       forward_embed, forward_trunk, head_backward, head_forward,
                       seg_loss_and_grad, tag_loss_and_grad, triplet_loss_and_grad)
-from .triplets import (LeafIndex, TripletBatch, build_pair_distribution,
-                       leaf_tree_distances, sample_triplets)
+from .triplets import (STRATEGIES, TripletBatch, leaf_tree_distances,
+                       sample_shape_triplets)
 
 
 @dataclass
@@ -58,10 +58,13 @@ class TrainConfig:
     head_epochs: int = 10          # fresh tensors alone, before pretrained ones join
 
     def __post_init__(self):
-        for name in ("batch_shapes", "subsample_points", "triplets_per_shape",
-                     "max_epochs", "microbatch"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+        for name, least in (("batch_shapes", 1), ("subsample_points", 1),
+                            ("triplets_per_shape", 1), ("max_epochs", 1), ("microbatch", 1),
+                            ("head_epochs", 0)):
+            if not (_is_int(getattr(self, name)) and getattr(self, name) >= least):
+                raise InputError(f"{name} must be an integer of at least {least}")
+        if self.strategy not in STRATEGIES:
+            raise InputError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if self.decay_factor <= 1.0:
             raise InputError("decay_factor must exceed 1")
         if not self.lr > 0:
@@ -188,15 +191,11 @@ def _subsample_labeled(shape: TrainShape, n: int, rng: np.random.Generator) -> n
 
 def _shape_triplets(shape: TrainShape, sub_idx: np.ndarray, k: int,
                     rng: np.random.Generator, strategy: str) -> TripletBatch:
-    sub = shape.cloud.take(sub_idx)
-    counts = np.bincount(sub.leaf_id, minlength=len(shape.record.hierarchy))
     try:
-        dist = build_pair_distribution(shape.record.hierarchy, counts, strategy=strategy,
-                                       dist_matrix=shape.dist_matrix)
+        return sample_shape_triplets(shape.record.hierarchy, shape.cloud.take(sub_idx), k, rng,
+                                     strategy, shape.dist_matrix)
     except SamplingError as exc:
         raise TrainingError(f"shape {shape.record.shape_id}: no valid triplets ({exc})") from exc
-    index = LeafIndex.build(sub, len(shape.record.hierarchy))
-    return sample_triplets(dist, index, k, rng)
 
 
 def _accumulate(total: dict, part: dict) -> None:
@@ -301,7 +300,7 @@ def _point_draw(pick, n: int) -> Draw:
     return lambda chunk, rng: [pick(s, n, rng) for s in chunk]
 
 
-def _head_loss(params: dict, cfg: PenConfig, prefix: str, n_out: int, loss_and_grad,
+def _head_loss(params: dict, cfg: PenConfig, prefix: str, loss_and_grad,
                labels_of) -> ChunkLoss:
     """Chunk loss of a per-point classifier head on the embedding, trained
     through the whole network."""
@@ -309,11 +308,11 @@ def _head_loss(params: dict, cfg: PenConfig, prefix: str, n_out: int, loss_and_g
         pts = np.stack([s.cloud.points[sub] for s, sub in zip(chunk, subs)])
         labels = np.stack([labels_of(s)[sub] for s, sub in zip(chunk, subs)])
         embed, trace = forward_embed(params, cfg, pts)
-        logits, head_trace = head_forward(params, cfg, prefix, embed, n_out)
+        logits, head_trace = head_forward(params, cfg, prefix, embed)
         loss, g_logits = loss_and_grad(logits, labels)
         if not want_grads:
             return loss, None
-        grads, g_embed = head_backward(params, cfg, prefix, n_out, head_trace, g_logits)
+        grads, g_embed = head_backward(params, cfg, prefix, head_trace, g_logits)
         _accumulate(grads, backward_embed(params, cfg, trace, g_embed))
         return loss, grads
     return chunk_loss
@@ -360,7 +359,7 @@ def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShap
         raise TrainingError(
             f"insufficient tags: mean tagged fraction {coverage:.4f} does not clear 0.01")
     rng_train, rng_val = _train_val_rngs(tc, 0x7A6)
-    chunk_loss = _head_loss(params, cfg, "tag", cfg.n_tags, tag_loss_and_grad,
+    chunk_loss = _head_loss(params, cfg, "tag", tag_loss_and_grad,
                             lambda s: s.tag_ids)
     return fit(params, train_shapes, tc, rng_train,
                _point_draw(_subsample, tc.subsample_points), chunk_loss, tc.max_epochs,
@@ -423,7 +422,7 @@ def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[T
             raise InputError(
                 f"shape {s.record.shape_id}: label {top} outside the {cfg.n_classes}-class set")
     rng = np.random.default_rng(np.random.SeedSequence((tc.seed, 0x5E6)))
-    chunk_loss = _head_loss(params, cfg, "seg", cfg.n_classes, _seg_loss_summed,
+    chunk_loss = _head_loss(params, cfg, "seg", _seg_loss_summed,
                             lambda s: s.cloud.semantic_label)
     stage = partial(fit, params, train_shapes, tc, rng,
                     _point_draw(_subsample_labeled, tc.subsample_points), chunk_loss,
@@ -442,6 +441,6 @@ def predict_segmentation(params: dict, cfg: PenConfig, points: np.ndarray,
     outs = []
     for lo in range(0, len(points), microbatch):
         embed, _ = forward_embed(params, cfg, points[lo:lo + microbatch])
-        logits, _ = head_forward(params, cfg, "seg", embed, cfg.n_classes)
+        logits, _ = head_forward(params, cfg, "seg", embed)
         outs.append(logits.argmax(axis=2))
     return np.concatenate(outs, axis=0)

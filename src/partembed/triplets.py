@@ -97,7 +97,6 @@ class PairDistribution:
 
     pairs: np.ndarray      # (P, 2) leaf node ids, first < second
     weights: np.ndarray    # (P,) probabilities, sum 1
-    distances: np.ndarray  # (P,) tree distance per pair
 
     def __post_init__(self):
         if len(self.pairs) != len(self.weights):
@@ -114,9 +113,10 @@ def build_pair_distribution(tree: PartHierarchy, leaf_counts: np.ndarray,
 
     ``leaf_counts`` gives the number of sampled points per node id. The
     hierarchy strategy weights each admissible unordered pair by 1/delta;
-    the leaf strategy weights them uniformly. ``dist_matrix``, when given,
-    must be ``leaf_tree_distances`` over all leaves of the tree in leaf-list
-    order; it lets callers reuse one computation across resamplings.
+    the leaf strategy weights them uniformly. ``dist_matrix`` is
+    ``leaf_tree_distances`` over all leaves of the tree in leaf-list order;
+    it is computed when not given, and callers pass it to reuse one
+    computation across resamplings.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -127,10 +127,9 @@ def build_pair_distribution(tree: PartHierarchy, leaf_counts: np.ndarray,
     if len(populated) < 2:
         raise SamplingError(f"need at least 2 populated leaves, have {len(populated)}")
     if dist_matrix is None:
-        dist = leaf_tree_distances(tree, populated)
-    else:
-        sel = np.flatnonzero(pop_mask)
-        dist = dist_matrix[np.ix_(sel, sel)]
+        dist_matrix = leaf_tree_distances(tree, all_leaves)
+    sel = np.flatnonzero(pop_mask)
+    dist = dist_matrix[np.ix_(sel, sel)]
     iu, ju = np.triu_indices(len(populated), k=1)
     u, v = populated[iu], populated[ju]
     ok = (leaf_counts[u] >= 2) | (leaf_counts[v] >= 2)
@@ -140,7 +139,7 @@ def build_pair_distribution(tree: PartHierarchy, leaf_counts: np.ndarray,
     d = dist[iu[ok], ju[ok]].astype(np.float64)
     w = 1.0 / d if strategy == "hierarchy" else np.ones_like(d)
     w = w / w.sum()
-    return PairDistribution(pairs=np.stack([u, v], axis=1), weights=w, distances=d)
+    return PairDistribution(pairs=np.stack([u, v], axis=1), weights=w)
 
 
 def sample_triplets(dist: PairDistribution, index: LeafIndex, k: int,
@@ -175,9 +174,11 @@ def sample_triplets(dist: PairDistribution, index: LeafIndex, k: int,
 
 
 def sample_shape_triplets(tree: PartHierarchy, cloud: PointCloud, k: int,
-                          rng: np.random.Generator, strategy: str = "hierarchy") -> TripletBatch:
-    """One-call convenience: build the distribution and index, then sample."""
+                          rng: np.random.Generator, strategy: str = "hierarchy",
+                          dist_matrix: np.ndarray | None = None) -> TripletBatch:
+    """``k`` triplets of one shape's cloud: pair distribution, leaf index,
+    draw. ``dist_matrix`` is as for ``build_pair_distribution``."""
     counts = np.bincount(cloud.leaf_id, minlength=len(tree))
-    dist = build_pair_distribution(tree, counts, strategy=strategy)
+    dist = build_pair_distribution(tree, counts, strategy=strategy, dist_matrix=dist_matrix)
     index = LeafIndex.build(cloud, len(tree))
     return sample_triplets(dist, index, k, rng)

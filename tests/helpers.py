@@ -1,5 +1,5 @@
 """Shared test utilities: random trees, an independent BFS distance oracle,
-and finite-difference gradient checking."""
+a brute-force Chamfer oracle, and finite-difference gradient checking."""
 
 from collections import deque
 
@@ -39,6 +39,18 @@ def bfs_distance(parents, a: int, b: int) -> int:
                 seen[y] = seen[x] + 1
                 q.append(y)
     raise AssertionError("disconnected tree")
+
+
+def brute_chamfer_with_grad(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """Chamfer loss and its gradient for the points of ``a`` from the full
+    pairwise distance matrix, with no search structure."""
+    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+    near_b, near_a = d2.argmin(axis=1), d2.argmin(axis=0)
+    loss = d2[np.arange(len(a)), near_b].mean() + d2[near_a, np.arange(len(b))].mean()
+    # owner[k, l]: point k of a is the nearest to point l of b
+    owner = (near_a[None, :] == np.arange(len(a))[:, None]).astype(np.float64)
+    pull = (owner.sum(axis=1)[:, None] * a - owner @ b) / len(b)
+    return float(loss), 2.0 * (a - b[near_b]) / len(a) + 2.0 * pull
 
 
 def rel_err(analytic: float, numeric: float) -> float:

@@ -174,12 +174,12 @@ def _triplet_instance(seed):
     return f, params, grads
 
 
-def _head_instance(seed, head, n_out, loss_and_grad, labels_of):
+def _head_instance(seed, head, loss_and_grad, labels_of):
     rng = np.random.default_rng(seed)
     params = init_params(TINY, rng)
     pts = rng.standard_normal((2, 8, 3))
     embed, trace = forward_embed(params, TINY, pts)
-    logits, head_trace = head_forward(params, TINY, head, embed, n_out)
+    logits, head_trace = head_forward(params, TINY, head, embed)
     labels = labels_of(rng)
     head_layers = [l for l in all_layers(TINY) if l[0].startswith(head)]
     p = 1.0 / (1.0 + np.exp(-logits))
@@ -190,13 +190,13 @@ def _head_instance(seed, head, n_out, loss_and_grad, labels_of):
             or prenorm_floor(trace) < KINK_MARGIN):
         return None
     loss, g_logits = loss_and_grad(logits, labels)
-    head_grads, g_embed = head_backward(params, TINY, head, n_out, head_trace, g_logits)
+    head_grads, g_embed = head_backward(params, TINY, head, head_trace, g_logits)
     grads = backward_embed(params, TINY, trace, g_embed)
     grads.update(head_grads)
 
     def f():
         e, _ = forward_embed(params, TINY, pts)
-        lg, _ = head_forward(params, TINY, head, e, n_out)
+        lg, _ = head_forward(params, TINY, head, e)
         return loss_and_grad(lg, labels)[0]
 
     return f, params, grads
@@ -239,10 +239,10 @@ def test_gradient_suite():
     makers = {
         "triplet": _triplet_instance,
         "tag": lambda s: _head_instance(
-            s, "tag", TINY.n_tags, tag_loss_and_grad,
+            s, "tag", tag_loss_and_grad,
             lambda rng: rng.integers(-1, TINY.n_tags, size=(2, 8))),
         "segmentation": lambda s: _head_instance(
-            s, "seg", TINY.n_classes, seg_loss_and_grad,
+            s, "seg", seg_loss_and_grad,
             lambda rng: rng.integers(0, TINY.n_classes, size=(2, 8))),
         "chamfer": _chamfer_instance,
     }

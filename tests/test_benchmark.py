@@ -241,6 +241,11 @@ def test_benchmark_spec_validation():
         BenchmarkSpec(categories=("table",), variants=("scratch", "mystery"))
     with pytest.raises(InputError):
         BenchmarkSpec(categories=("table",), axes=("shapes", "lines"))
+    for bad in ({"shape_axis": (4, 0)}, {"shape_axis": (-1,)}, {"point_axis": (20, 0)},
+                {"point_axis_shapes": 0}, {"repeats": 0}, {"eval_points": 0},
+                {"repeats": 1.5}):
+        with pytest.raises(InputError):
+            BenchmarkSpec(categories=("table",), **bad)
     assert BenchmarkSpec(categories=("t",)).variants == VARIANTS
 
 

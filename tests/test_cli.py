@@ -3,6 +3,7 @@ flow, benchmarking, and mining against the golden report."""
 
 import json
 import os
+import shutil
 from dataclasses import asdict, replace
 import subprocess
 import sys
@@ -168,11 +169,75 @@ def _unlabeled_segmentation(tmp_path, corpus):
             "--objective", "segmentation", "--category", "table", "--points", "60"]
 
 
+def _synth_config_counts(tmp_path, counts):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"counts": counts}))
+    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+
+
+def _synth_string_count_in_config(tmp_path, corpus):
+    return _synth_config_counts(tmp_path, {"table": "x"})
+
+
+def _synth_float_count_in_config(tmp_path, corpus):
+    return _synth_config_counts(tmp_path, {"table": 3.5})
+
+
+def _benchmark(tmp_path, corpus, *flags):
+    return ["benchmark", "--data", str(corpus), "--out", str(tmp_path / "b"),
+            "--variants", "scratch", "--axes", "shapes", "--x", "1", "--repeats", "1",
+            "--points", "60", "--eval-points", "40", "--epochs", "1", *flags]
+
+
+def _benchmark_x_not_a_number(tmp_path, corpus):
+    return _benchmark(tmp_path, corpus, "--x", "a")
+
+
+def _benchmark_points_grid_not_a_number(tmp_path, corpus):
+    return _benchmark(tmp_path, corpus, "--axes", "points", "--points-grid", "1,x")
+
+
+def _benchmark_negative_x(tmp_path, corpus):
+    return _benchmark(tmp_path, corpus, "--x", "-1")
+
+
+def _benchmark_zero_eval_points(tmp_path, corpus):
+    return _benchmark(tmp_path, corpus, "--eval-points", "0")
+
+
+def _benchmark_zero_repeats(tmp_path, corpus):
+    return _benchmark(tmp_path, corpus, "--repeats", "0")
+
+
+def _finetune_labeled_shapes(tmp_path, corpus, n):
+    return ["finetune", "--data", str(corpus), "--out", str(tmp_path / "seg.npz"),
+            "--objective", "segmentation", "--category", "table", "--points", "60",
+            "--epochs", "1", "--labeled-shapes", n]
+
+
+def _finetune_negative_labeled_shapes(tmp_path, corpus):
+    return _finetune_labeled_shapes(tmp_path, corpus, "-1")
+
+
+def _finetune_zero_labeled_shapes(tmp_path, corpus):
+    return _finetune_labeled_shapes(tmp_path, corpus, "0")
+
+
+def _fractional_max_epochs(tmp_path, corpus):
+    train = tmp_path / "train.json"
+    train.write_text(json.dumps({**TRAIN, "max_epochs": 1.5}))
+    return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
+            "--points", "60", "--train", str(train)]
+
+
 @pytest.mark.parametrize("make_argv", [
     _checkpoint_missing_lift_widths, _zero_width_arch, _negative_lr, _corrupt_checkpoint,
     _malformed_manifest, _split_without_validation, _vocabulary_without_tags,
     _ply_without_leaf_id, _ply_non_numeric, _synth_non_integer_count, _synth_unknown_noise_key,
-    _unlabeled_segmentation])
+    _unlabeled_segmentation, _synth_string_count_in_config, _synth_float_count_in_config,
+    _benchmark_x_not_a_number, _benchmark_points_grid_not_a_number, _benchmark_negative_x,
+    _benchmark_zero_eval_points, _benchmark_zero_repeats, _finetune_negative_labeled_shapes,
+    _finetune_zero_labeled_shapes, _fractional_max_epochs])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])
@@ -238,6 +303,36 @@ def test_mine_reproduces_golden_report(tmp_path, capsys):
     cloud, extras = read_ply(out / "clouds" / "sedan.ply")
     assert len(cloud) == 500
     assert cloud.tag_id is not None and (cloud.tag_id >= 0).any()
+
+
+def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    shutil.copytree(FIXTURES / "scenes", scenes)
+    sedan = (scenes / "cars" / "sedan.dae").read_text()
+    (scenes / "cars" / "short_translate.dae").write_text(
+        sedan.replace("<translate>1.6 0 0.5</translate>", "<translate>1.6 0</translate>"))
+    chair = (scenes / "chairs" / "side_chair.dae").read_text()
+    (scenes / "chairs" / "word_in_floats.dae").write_text(
+        chair.replace(">0 0 0 1 0 0 1 1 0 0 1 0<", ">0 0 0 1 0 0 1 one 0 0 1 0<"))
+    out = tmp_path / "mined"
+    rc = main(["mine", "--in", str(scenes), "--out", str(out), "--seed", "0",
+               "--points", "500"])
+    assert rc == 0
+    assert "kept 3 shapes" in capsys.readouterr().out
+
+    golden = json.loads((FIXTURES / "golden" / "mine_report.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name in ("short_translate", "word_in_floats"):
+        assert manifest["rejected"][name].startswith("parse_error:malformed number: ")
+    classes = {k: v.split(":", 1)[0] for k, v in manifest["rejected"].items()}
+    assert classes == {**golden["rejected_classes"], "short_translate": "parse_error",
+                       "word_in_floats": "parse_error"}
+    assert manifest["reject_counts"] == {**golden["reject_counts"], "parse_error": 5}
+    for key in ("kept", "split", "sufficiency"):
+        assert manifest[key] == golden[key]
+    for cat, vocab in golden["vocabularies"].items():
+        assert manifest["vocabularies"][cat]["tags"] == vocab["tags"]
+        assert manifest["vocabularies"][cat]["counts"] == vocab["counts"]
 
 
 def test_mine_without_clouds(tmp_path):

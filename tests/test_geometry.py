@@ -7,6 +7,8 @@ from partembed.geometry import (IcpConfig, PointCloud, RigidTransform,
                                 icp_align, normalize_cloud, read_ply,
                                 sample_surface, write_ply)
 
+from helpers import brute_chamfer_with_grad
+
 
 def two_triangle_mesh():
     # right triangles with areas 0.5 and 4.5 (ratio 1:9)
@@ -134,6 +136,17 @@ def test_chamfer_gradient_matches_numeric():
         a[idx] = orig
         num = (up - down) / (2 * h)
         assert abs(grad[idx] - num) < 1e-5
+
+
+@pytest.mark.parametrize("n_a, n_b", [(64, 512), (1200, 900)])
+def test_chamfer_matches_brute_force(n_a, n_b):
+    # the few-shot autoencoder's size, and over a million point pairs
+    rng = np.random.default_rng(n_a)
+    a, b = rng.standard_normal((n_a, 3)), rng.standard_normal((n_b, 3))
+    loss, grad = chamfer_with_grad(a, b)
+    want_loss, want_grad = brute_chamfer_with_grad(a, b)
+    assert abs(loss - want_loss) < 1e-12
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-15)
 
 
 def test_ply_round_trip(tmp_path):

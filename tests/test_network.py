@@ -199,7 +199,7 @@ def test_tag_gradient_full_network():
     for seed in range(50):
         rng, params, pts = _instance(seed, b=2, n=8)
         embed, trace = forward_embed(params, TINY, pts)
-        logits, head_trace = head_forward(params, TINY, "tag", embed, TINY.n_tags)
+        logits, head_trace = head_forward(params, TINY, "tag", embed)
         tags = rng.integers(-1, TINY.n_tags, size=(2, 8))
         p = 1.0 / (1.0 + np.exp(-logits))
         clamp_gap = min(float(p.min() - PROB_CLAMP), float(1.0 - PROB_CLAMP - p.max()))
@@ -213,14 +213,13 @@ def test_tag_gradient_full_network():
         pytest.fail("no kink-free instance found")
 
     loss, g_logits = tag_loss_and_grad(logits, tags)
-    head_grads, g_embed = head_backward(params, TINY, "tag", TINY.n_tags,
-                                        head_trace, g_logits)
+    head_grads, g_embed = head_backward(params, TINY, "tag", head_trace, g_logits)
     grads = backward_embed(params, TINY, trace, g_embed)
     grads.update(head_grads)
 
     def f():
         e, _ = forward_embed(params, TINY, pts)
-        lg, _ = head_forward(params, TINY, "tag", e, TINY.n_tags)
+        lg, _ = head_forward(params, TINY, "tag", e)
         return tag_loss_and_grad(lg, tags)[0]
 
     assert f() == loss
@@ -231,7 +230,7 @@ def test_seg_gradient_full_network():
     for seed in range(50):
         rng, params, pts = _instance(seed, b=2, n=9)
         embed, trace = forward_embed(params, TINY, pts)
-        logits, head_trace = head_forward(params, TINY, "seg", embed, TINY.n_classes)
+        logits, head_trace = head_forward(params, TINY, "seg", embed)
         labels = rng.integers(0, TINY.n_classes, size=(2, 9))
         labels[0, 0] = -1  # unlabeled points must not contribute
         head_layers = [l for l in all_layers(TINY) if l[0].startswith("seg")]
@@ -244,14 +243,13 @@ def test_seg_gradient_full_network():
         pytest.fail("no kink-free instance found")
 
     loss, g_logits = seg_loss_and_grad(logits, labels)
-    head_grads, g_embed = head_backward(params, TINY, "seg", TINY.n_classes,
-                                        head_trace, g_logits)
+    head_grads, g_embed = head_backward(params, TINY, "seg", head_trace, g_logits)
     grads = backward_embed(params, TINY, trace, g_embed)
     grads.update(head_grads)
 
     def f():
         e, _ = forward_embed(params, TINY, pts)
-        lg, _ = head_forward(params, TINY, "seg", e, TINY.n_classes)
+        lg, _ = head_forward(params, TINY, "seg", e)
         return seg_loss_and_grad(lg, labels)[0]
 
     assert f() == loss

@@ -119,6 +119,14 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(InputError):
         TrainConfig(trunk_lr_scale=-0.1)
+    # a float or bool count would otherwise pass here and then crash, or train
+    # as batch size 1, once the data is loaded
+    for bad in ({"max_epochs": 1.5}, {"microbatch": 2.5}, {"subsample_points": 2.5},
+                {"batch_shapes": True}, {"head_epochs": -1}, {"head_epochs": 2.0},
+                {"strategy": "bogus"}):
+        with pytest.raises(InputError):
+            TrainConfig(**bad)
+    assert TrainConfig(head_epochs=0, strategy="leaf").head_epochs == 0
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,24 @@ def test_sampling_is_deterministic():
     np.testing.assert_array_equal(b1.negative, b2.negative)
 
 
+@pytest.mark.parametrize("strategy", ["hierarchy", "leaf"])
+def test_shape_triplets_same_with_and_without_distance_matrix(strategy):
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        parents = random_parents(rng, max_nodes=40)
+        t = build_tree(parents)
+        leaf_ids = leaves(t)
+        # some leaves get no points, so the populated subset is sliced
+        per_leaf = {l: int(rng.integers(0, 4)) for l in leaf_ids}
+        per_leaf[leaf_ids[0]], per_leaf[leaf_ids[-1]] = 3, 2
+        cloud = cloud_on_tree(t, per_leaf, rng)
+        full = leaf_tree_distances(t, np.array(leaf_ids))
+        a = sample_shape_triplets(t, cloud, 64, np.random.default_rng(1), strategy)
+        b = sample_shape_triplets(t, cloud, 64, np.random.default_rng(1), strategy, full)
+        for name in ("anchor", "positive", "negative"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_flat_tree_strategies_agree():
     # on a flat tree every pair has delta 2, so hierarchy == uniform
     t = build_tree([None, 0, 0, 0, 0])
