@@ -12,8 +12,8 @@ from .errors import (ConfigurationError, InputError, OptimizerError,
                      ParseError, PartembedError, SchemaError, TrainingError,
                      UndefinedReferenceError, UnsupportedPrimitiveError)
 from .geometry import (IcpResult, PointCloud, RigidTransform, TriangleMesh,
-                       chamfer, icp_align, normalize_cloud, read_ply,
-                       sample_surface, write_ply)
+                       icp_align, normalize_cloud, read_ply, sample_surface,
+                       write_ply)
 from .hierarchy import Node, PartHierarchy, build_tree, lca, leaves, tree_distance
 from .ingest import (DatasetSplit, FilterPolicy, MineReport, ShapeRecord,
                      TagVocabulary, extract_tags, filter_shape,

@@ -246,7 +246,7 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
             raise ConfigurationError(f"category {args.category!r} has no tag vocabulary")
         shapes = prepare_shapes(records, n_points=args.points, seed=args.seed,
                                 vocab_by_category={args.category: vocab})
-        shapes = [s for s in shapes if s.tag_ids is not None and (s.tag_ids >= 0).any()]
+        shapes = [s for s in shapes if (s.cloud.tag_id >= 0).any()]
         if len(shapes) < 3:
             raise ConfigurationError(f"category {args.category!r}: too few tagged shapes")
         train, val, _ = _split_shapes(shapes, split)

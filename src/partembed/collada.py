@@ -57,11 +57,13 @@ def _resolve_position_source(prim_el, mesh_el, sources) -> tuple[np.ndarray, int
     inputs = _children(prim_el, "input")
     if not inputs:
         raise ParseError("primitive has no <input> elements")
-    stride = 1 + max(int(i.get("offset", "0")) for i in inputs)
-    for inp in inputs:
+    offsets = [int(i.get("offset", "0")) for i in inputs]
+    if min(offsets) < 0:
+        raise ParseError(f"primitive <input> offset {min(offsets)} is negative")
+    stride = 1 + max(offsets)
+    for inp, off in zip(inputs, offsets):
         sem = inp.get("semantic", "")
         ref = (inp.get("source") or "").lstrip("#")
-        off = int(inp.get("offset", "0"))
         if sem == "VERTEX":
             for verts in _children(mesh_el, "vertices"):
                 if verts.get("id") == ref:

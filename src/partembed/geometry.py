@@ -11,6 +11,8 @@ from scipy.spatial import cKDTree
 from .errors import AlignmentError, GeometryError, InputError, ParseError
 
 ORTHO_TOL = 1e-9
+ICP_MAX_ITERS = 100
+ICP_TOL = 1e-8   # relative improvement of the mean-squared residual
 
 
 @dataclass
@@ -101,29 +103,11 @@ class RigidTransform:
         if np.linalg.det(self.rotation) <= 0:
             raise InputError("rotation must have positive determinant")
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points) @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self ∘ other)(x) = self(other(x)).
 
-        The composed rotation is re-orthonormalized via SVD so that chained
-        composition keeps RᵀR = I within 1e-9.
-        """
-        rot = self.rotation @ other.rotation
-        u, _, vt = np.linalg.svd(rot)
-        rot = u @ vt
-        if np.linalg.det(rot) < 0:
-            u[:, -1] *= -1.0
-            rot = u @ vt
-        return RigidTransform(rot, self.rotation @ other.translation + self.translation)
-
-
-def sample_surface(mesh: TriangleMesh, n: int = 10000, rng: np.random.Generator | None = None) -> PointCloud:
+def sample_surface(mesh: TriangleMesh, n: int, rng: np.random.Generator) -> PointCloud:
     """Uniform area-weighted surface sampling.
 
     Triangles are chosen with probability proportional to area; the position
@@ -131,8 +115,6 @@ def sample_surface(mesh: TriangleMesh, n: int = 10000, rng: np.random.Generator 
     inherit the triangle's leaf id and, when the mesh carries them, its
     per-triangle semantic label (see attribute ``tri_semantic``).
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if n <= 0:
         raise InputError("sample count must be positive")
     areas = mesh.triangle_areas()
@@ -187,12 +169,6 @@ def _best_rigid_fit(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
 
 
 @dataclass
-class IcpConfig:
-    max_iters: int = 100
-    tol: float = 1e-8  # relative improvement of mean-squared residual
-
-
-@dataclass
 class IcpResult:
     transform: RigidTransform
     residual: float
@@ -200,33 +176,30 @@ class IcpResult:
     residual_history: list[float] = field(default_factory=list)
 
 
-def icp_align(source: PointCloud, target: PointCloud, cfg: IcpConfig | None = None) -> IcpResult:
+def icp_align(source: PointCloud, target: PointCloud) -> IcpResult:
     """Point-to-point ICP: nearest-neighbor correspondences (k-d tree) and an
     SVD rigid fit per iteration, until the mean-squared residual stops
-    improving by more than ``cfg.tol`` (relative) or ``cfg.max_iters``.
+    improving by more than ``ICP_TOL`` (relative) or ``ICP_MAX_ITERS``.
 
-    Returns the transform mapping source toward target plus the final
-    residual. No outlier rejection; the intended use is coarse canonical
-    alignment of same-shape clouds.
+    Each iteration fits the source cloud itself to its current
+    correspondences, so the transform is one least-squares fit, never a
+    product of steps. Returns the transform mapping source toward target
+    plus the final residual. No outlier rejection; the intended use is
+    coarse canonical alignment of same-shape clouds.
     """
-    if cfg is None:
-        cfg = IcpConfig()
     if len(source) == 0 or len(target) == 0:
         raise InputError("ICP requires nonempty clouds")
     tree = cKDTree(target.points)
-    current = RigidTransform.identity()
-    moved = source.points.copy()
+    moved = source.points
     prev = None
     history: list[float] = []
-    iters = 0
-    for iters in range(1, cfg.max_iters + 1):
-        dist, idx = tree.query(moved)
-        step = _best_rigid_fit(moved, target.points[idx])
-        current = step.compose(current)
+    for iters in range(1, ICP_MAX_ITERS + 1):
+        _, idx = tree.query(moved)
+        current = _best_rigid_fit(source.points, target.points[idx])
         moved = current.apply(source.points)
         residual = float(np.mean(np.sum((moved - target.points[idx]) ** 2, axis=1)))
         history.append(residual)
-        if prev is not None and prev - residual <= cfg.tol * max(prev, 1e-30):
+        if prev is not None and prev - residual <= ICP_TOL * max(prev, 1e-30):
             break
         prev = residual
     return IcpResult(transform=current, residual=history[-1], iterations=iters,
@@ -240,21 +213,14 @@ def _nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.sum((a - b[idx]) ** 2, axis=1)
 
 
-def chamfer(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> float:
-    """Symmetric Chamfer distance: mean squared nearest distance from a to b
-    plus the same from b to a. Means (not sums) keep the value independent of
-    point counts."""
-    loss, _ = chamfer_with_grad(a, b)
-    return loss
-
-
-def chamfer_with_grad(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> tuple[float, np.ndarray]:
-    """Chamfer distance and its gradient with respect to the points of ``a``.
+def chamfer_with_grad(pa: np.ndarray, pb: np.ndarray) -> tuple[float, np.ndarray]:
+    """Symmetric Chamfer distance between point arrays ``pa`` and ``pb``,
+    and its gradient with respect to the points of ``pa``. The distance is
+    the mean squared nearest distance from pa to pb plus the same from pb
+    to pa; means (not sums) keep it independent of point counts.
 
     The gradient holds almost everywhere (away from nearest-neighbor ties).
     """
-    pa = a.points if isinstance(a, PointCloud) else np.asarray(a, dtype=np.float64)
-    pb = b.points if isinstance(b, PointCloud) else np.asarray(b, dtype=np.float64)
     if len(pa) == 0 or len(pb) == 0:
         raise InputError("chamfer requires nonempty clouds")
     idx_ab, d2_ab = _nearest(pa, pb)

@@ -29,6 +29,13 @@ DEFAULT_STOP_PATTERNS = (
     "empty", "transform", "component", "entity", "element", "item", "lod",
     "collision", "visual", "solid", "copy", "new", "null",
 )
+MIN_TOKEN_LEN = 2         # shortest name token that can become a tag
+MAX_TAGS = 10             # tags kept per category vocabulary
+MIN_HEIGHT = 1            # flatter hierarchies hold no part structure
+MIN_TAG_COVERAGE = 0.01   # mean tagged fraction a category must clear
+COVERAGE_POINTS = 2000    # points per shape when mining measures tag coverage
+VAL_FRAC = 0.15           # shares of a split held out for validation and test
+TEST_FRAC = 0.10
 
 
 @dataclass
@@ -61,9 +68,9 @@ def shape_from_collada(data: bytes, shape_id: str, category: str = "default") ->
 # Native JSON shape format
 # ---------------------------------------------------------------------------
 
-def shape_to_json(rec: ShapeRecord) -> dict:
-    """Plain-dict form of a record. Triangles are reordered so every leaf owns
-    one contiguous range; writing then re-reading is a fixpoint."""
+def dumps_shape(rec: ShapeRecord) -> str:
+    """Native JSON text of a record. Triangles are reordered so every leaf
+    owns one contiguous range; writing then re-reading is a fixpoint."""
     order = np.argsort(rec.mesh.tri_leaf, kind="stable")
     tris = rec.mesh.triangles[order]
     leaf_sorted = rec.mesh.tri_leaf[order]
@@ -89,15 +96,7 @@ def shape_to_json(rec: ShapeRecord) -> dict:
     }
     if sem is not None:
         obj["semantic_labels"] = [int(x) for x in sem]
-    return obj
-
-
-def dumps_shape(rec: ShapeRecord) -> str:
-    return json.dumps(shape_to_json(rec), sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def write_shape_json(rec: ShapeRecord, path) -> None:
-    Path(path).write_text(dumps_shape(rec))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def write_corpus(records: Sequence[ShapeRecord], out_dir, manifest: dict) -> None:
@@ -107,7 +106,7 @@ def write_corpus(records: Sequence[ShapeRecord], out_dir, manifest: dict) -> Non
     out_dir.mkdir(parents=True, exist_ok=True)
     for rec in records:
         (out_dir / rec.category).mkdir(exist_ok=True)
-        write_shape_json(rec, out_dir / rec.category / f"{rec.shape_id}.json")
+        (out_dir / rec.category / f"{rec.shape_id}.json").write_text(dumps_shape(rec))
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -117,14 +116,12 @@ def _expect(cond: bool, msg: str):
 
 
 def parse_json_shape(source) -> ShapeRecord:
-    """Parse the native JSON shape format (text, bytes, dict, or path)."""
+    """Parse the native JSON shape format (text, bytes or a decoded dict)."""
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    elif isinstance(source, Path):
-        return parse_json_shape(source.read_text())
     else:
         obj = source
     _expect(isinstance(obj, dict), "top level must be an object")
@@ -230,20 +227,24 @@ def parse_json_shape(source) -> ShapeRecord:
 class FilterPolicy:
     min_leaves: int = 2
     max_leaves: int = 500
-    min_height: int = 1
 
 
 def filter_shape(rec: ShapeRecord, policy: FilterPolicy | None = None) -> tuple[bool, str]:
-    """Keep shapes whose hierarchy is informative: neither a single blob nor
-    an implausibly fine-grained scene. Returns (keep, reason)."""
+    """Keep shapes whose hierarchy is informative, neither a single blob nor
+    an implausibly fine-grained scene, and whose surface can be sampled: a
+    total area that is not finite and positive has no surface to draw
+    points from. Returns (keep, reason)."""
     policy = policy or FilterPolicy()
     n = len(leaves(rec.hierarchy))
     if n < policy.min_leaves:
         return False, f"too_few_leaves:{n}"
     if n > policy.max_leaves:
         return False, f"too_many_leaves:{n}"
-    if rec.hierarchy.height < policy.min_height:
+    if rec.hierarchy.height < MIN_HEIGHT:
         return False, f"flat_hierarchy:{rec.hierarchy.height}"
+    area = float(rec.mesh.triangle_areas().sum())
+    if not (np.isfinite(area) and area > 0):
+        return False, f"degenerate_mesh:area {area:g}"
     return True, "ok"
 
 
@@ -278,15 +279,14 @@ def _name_matches(name_lower: str, tag: str, synonyms: dict[str, str]) -> bool:
 
 def extract_tags(records: Sequence[ShapeRecord], category: str,
                  synonyms: dict[str, str] | None = None,
-                 stop_patterns: Sequence[str] = DEFAULT_STOP_PATTERNS,
-                 max_tags: int = 10, min_token_len: int = 2) -> TagVocabulary:
+                 stop_patterns: Sequence[str] = DEFAULT_STOP_PATTERNS) -> TagVocabulary:
     """Mine a tag vocabulary from node names of one category's shapes.
 
-    Candidates are lowercase alphabetic tokens of node names, routed through
-    the synonym map and stripped of stop patterns. Each candidate is scored
-    by the number of shapes whose node names contain it (or any raw synonym
-    of it) as a substring; the ``max_tags`` most frequent survive, ties
-    broken lexicographically.
+    Candidates are lowercase alphabetic tokens of at least ``MIN_TOKEN_LEN``
+    letters of node names, routed through the synonym map and stripped of
+    stop patterns. Each candidate is scored by the number of shapes whose
+    node names contain it (or any raw synonym of it) as a substring; the
+    ``MAX_TAGS`` most frequent survive, ties broken lexicographically.
     """
     synonyms = {k.lower(): v.lower() for k, v in (synonyms or {}).items()}
     stop = set(stop_patterns)
@@ -300,7 +300,7 @@ def extract_tags(records: Sequence[ShapeRecord], category: str,
         for name in names:
             for tok in re.findall(r"[a-z]+", name):
                 tok = synonyms.get(tok, tok)
-                if len(tok) >= min_token_len and tok not in stop:
+                if len(tok) >= MIN_TOKEN_LEN and tok not in stop:
                     candidates.add(tok)
 
     counts = {}
@@ -311,7 +311,7 @@ def extract_tags(records: Sequence[ShapeRecord], category: str,
         )
         if hits:
             counts[tag] = hits
-    ranked = sorted(counts, key=lambda t: (-counts[t], t))[:max_tags]
+    ranked = sorted(counts, key=lambda t: (-counts[t], t))[:MAX_TAGS]
     kept = tuple(ranked)
     return TagVocabulary(
         category=category,
@@ -342,14 +342,15 @@ def label_points_with_tags(cloud: PointCloud, rec: ShapeRecord, vocab: TagVocabu
     return tag_of_node[cloud.leaf_id]
 
 
-def tag_sufficiency(tag_arrays: Sequence[np.ndarray], threshold: float = 0.01) -> tuple[bool, float]:
-    """Mean tagged fraction over shapes, and whether it strictly clears the
-    threshold. Categories failing this are skipped by tag supervision."""
+def tag_sufficiency(tag_arrays: Sequence[np.ndarray]) -> tuple[bool, float]:
+    """Mean tagged fraction over shapes, and whether it strictly clears
+    ``MIN_TAG_COVERAGE``. Categories failing this are skipped by tag
+    supervision."""
     if not len(tag_arrays):
         return False, 0.0
     fracs = [float(np.mean(np.asarray(a) >= 0)) for a in tag_arrays]
     coverage = float(np.mean(fracs))
-    return coverage > threshold, coverage
+    return coverage > MIN_TAG_COVERAGE, coverage
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +378,19 @@ class DatasetSplit:
         return DatasetSplit(tuple(obj["train"]), tuple(obj["validation"]), tuple(obj["test"]))
 
 
-def split_dataset(shape_ids: Sequence[str], seed: int = 0,
-                  val_frac: float = 0.15, test_frac: float = 0.10) -> DatasetSplit:
-    """Deterministic shuffle split. Validation and test sizes round to the
-    nearest integer (half away from zero); train takes the remainder. Every
-    group is nonempty, which needs at least three shapes."""
+def split_dataset(shape_ids: Sequence[str], seed: int = 0) -> DatasetSplit:
+    """Deterministic shuffle split. Validation and test sizes, ``VAL_FRAC``
+    and ``TEST_FRAC`` of the shapes, round to the nearest integer (half
+    away from zero); train takes the remainder. Every group is nonempty,
+    which needs at least three shapes."""
     ids = sorted(shape_ids)
     if len(set(ids)) != len(ids):
         raise InputError("duplicate shape ids")
     n = len(ids)
     if n < 3:
         raise InputError(f"need at least 3 shapes to split, got {n}")
-    n_val = max(1, int(np.floor(n * val_frac + 0.5)))
-    n_test = max(1, int(np.floor(n * test_frac + 0.5)))
+    n_val = max(1, int(np.floor(n * VAL_FRAC + 0.5)))
+    n_test = max(1, int(np.floor(n * TEST_FRAC + 0.5)))
     while n - n_val - n_test < 1:
         if n_val >= n_test and n_val > 1:
             n_val -= 1
@@ -448,8 +449,8 @@ def discover_shape_files(in_dir) -> list[tuple[Path, str]]:
 
 def mine_directory(in_dir, out_dir=None, synonyms: dict[str, str] | None = None,
                    stop_patterns: Sequence[str] = DEFAULT_STOP_PATTERNS,
-                   policy: FilterPolicy | None = None, seed: int = 0,
-                   coverage_points: int = 2000) -> tuple[list[ShapeRecord], MineReport]:
+                   policy: FilterPolicy | None = None,
+                   seed: int = 0) -> tuple[list[ShapeRecord], MineReport]:
     """Parse, filter and tag every shape file under ``in_dir``.
 
     Kept shapes are rewritten in native JSON under ``out_dir/<category>/``
@@ -497,7 +498,7 @@ def mine_directory(in_dir, out_dir=None, synonyms: dict[str, str] | None = None,
         vocabularies[cat] = vocab
         tag_arrays = []
         for rec in cat_recs:
-            cloud = sample_surface(rec.mesh, n=coverage_points, rng=rng)
+            cloud = sample_surface(rec.mesh, n=COVERAGE_POINTS, rng=rng)
             tag_arrays.append(label_points_with_tags(cloud, rec, vocab))
         ok, coverage = tag_sufficiency(tag_arrays)
         sufficiency[cat] = {"sufficient": bool(ok), "coverage": round(coverage, 6)}

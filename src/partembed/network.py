@@ -31,6 +31,9 @@ from .geometry import chamfer_with_grad
 DEFAULT_MARGIN = 0.2
 PROB_CLAMP = 1e-7
 NORM_FLOOR = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -51,10 +54,14 @@ class PenConfig:
     ae_points: int = 1024
 
     def __post_init__(self):
+        stacks = (self.point_widths, self.lift_widths, self.decoder_widths, self.ae_hidden)
+        if not all(isinstance(s, tuple) for s in stacks):
+            raise InputError("point_widths, lift_widths, decoder_widths and ae_hidden must be lists")
+        if not isinstance(self.with_ae, bool):
+            raise InputError("with_ae must be true or false")
         if not self.point_widths or not self.lift_widths:
             raise InputError("point_widths and lift_widths must be nonempty")
-        sizes = (*self.point_widths, *self.lift_widths, *self.decoder_widths, *self.ae_hidden,
-                 self.embed_dim, self.head_hidden, self.ae_points)
+        sizes = (*sum(stacks, ()), self.embed_dim, self.head_hidden, self.ae_points)
         if not all(_is_int(w) and w > 0 for w in sizes):
             raise InputError("widths, embed_dim, head_hidden and ae_points must be positive integers")
         if not all(_is_int(n) and n >= 0 for n in (self.n_tags, self.n_classes)):
@@ -171,7 +178,6 @@ class ForwardTrace:
     pre_pool: Optional[np.ndarray] = None
     argmax: Optional[np.ndarray] = None
     global_feat: Optional[np.ndarray] = None
-    prenorm: Optional[np.ndarray] = None
     norm: Optional[np.ndarray] = None
     embed: Optional[np.ndarray] = None
 
@@ -224,7 +230,7 @@ def forward_embed(params, cfg: PenConfig, points: np.ndarray) -> tuple[np.ndarra
     b, n, _ = trace.points.shape
     broadcast = np.broadcast_to(trace.global_feat[:, None, :], (b, n, cfg.global_dim))
     x = np.concatenate([trace.point_feat, broadcast], axis=2)
-    x = trace.prenorm = _forward(params, _stack(cfg, "dec", "embed"), x, trace)
+    x = _forward(params, _stack(cfg, "dec", "embed"), x, trace)
     r = np.linalg.norm(x, axis=2, keepdims=True)
     trace.norm = np.maximum(r, NORM_FLOOR)
     trace.embed = x / trace.norm
@@ -337,21 +343,20 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tag_loss_and_grad(logits: np.ndarray, tag_ids: np.ndarray,
-                      clamp: float = PROB_CLAMP) -> tuple[float, np.ndarray]:
+def tag_loss_and_grad(logits: np.ndarray, tag_ids: np.ndarray) -> tuple[float, np.ndarray]:
     """One-vs-rest binary cross-entropy, summed over points and tags.
 
     A point is positive for its own tag and negative for every other tag;
     untagged points (-1) are negatives everywhere. Probabilities are clamped
-    away from 0/1 before the logs; where the clamp is active the gradient is
-    exactly zero, matching the loss actually computed.
+    ``PROB_CLAMP`` away from 0/1 before the logs; where the clamp is active
+    the gradient is exactly zero, matching the loss actually computed.
     """
     n_tags = logits.shape[-1]
     y = (np.asarray(tag_ids)[..., None] == np.arange(n_tags)).astype(np.float64)
     p = _sigmoid(logits)
-    p_safe = np.clip(p, clamp, 1.0 - clamp)
+    p_safe = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = -float(np.sum(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
-    g = y * (p - 1.0) * (p >= clamp) + (1.0 - y) * p * (p <= 1.0 - clamp)
+    g = y * (p - 1.0) * (p >= PROB_CLAMP) + (1.0 - y) * p * (p <= 1.0 - PROB_CLAMP)
     return loss, g
 
 
@@ -373,7 +378,7 @@ def seg_loss_and_grad(logits: np.ndarray, labels: np.ndarray
 
 def chamfer_batch_and_grad(recon: np.ndarray, targets: Sequence[np.ndarray]
                            ) -> tuple[float, np.ndarray]:
-    """Mean symmetric Chamfer distance over a batch of reconstructions,
+    """Symmetric Chamfer distance summed over a batch of reconstructions,
     with the gradient taken with respect to the reconstructed points."""
     if len(recon) != len(targets):
         raise InputError("one target cloud per reconstruction required")
@@ -383,7 +388,7 @@ def chamfer_batch_and_grad(recon: np.ndarray, targets: Sequence[np.ndarray]
         loss, grad = chamfer_with_grad(recon[s], np.asarray(targets[s], dtype=np.float64))
         total += loss
         g[s] = grad
-    return total / len(recon), g / len(recon)
+    return total, g
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +406,9 @@ class AdamState:
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8, lr_mult: Optional[dict[str, float]] = None) -> None:
-    """One Adam update in place, with bias correction.
+              state: AdamState, lr: float, lr_mult: Optional[dict[str, float]] = None) -> None:
+    """One Adam update in place, with bias correction and the moment decays
+    and epsilon of Kingma & Ba (``ADAM_BETA1``, ``ADAM_BETA2``, ``ADAM_EPS``).
 
     ``lr_mult`` scales the step per tensor (0 freezes the tensor entirely:
     no update and no moment accumulation). Non-finite gradients raise
@@ -424,11 +429,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             state.t[name] = 0
         state.t[name] += 1
         t = state.t[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1 ** t)
-        v_hat = state.v[name] / (1.0 - beta2 ** t)
-        params[name] -= lr * factor * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2 ** t)
+        params[name] -= lr * factor * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

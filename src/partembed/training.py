@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError, SamplingError, TrainingError
 from .geometry import PointCloud, normalize_cloud, sample_surface
 from .hierarchy import leaves
-from .ingest import (ShapeRecord, TagVocabulary, label_points_with_tags,
+from .ingest import (MIN_TAG_COVERAGE, ShapeRecord, TagVocabulary, label_points_with_tags,
                      tag_sufficiency)
 from .network import (AdamState, PenConfig, _is_int, adam_step, ae_backward,
                       ae_forward, backward_embed, backward_trunk, chamfer_batch_and_grad,
@@ -76,54 +76,51 @@ class TrainConfig:
 class PlateauScheduler:
     """Divide the learning rate when the watched loss stops improving.
 
-    An epoch improves when its loss beats the best seen by more than the
-    relative threshold. ``patience`` non-improving epochs trigger one decay;
-    ``observe`` returns True once ``stop_decays_below`` decays have landed
-    below ``min_lr``.
+    The schedule is the training config's: an epoch improves when its loss
+    beats the best seen by more than ``plateau_rel_threshold`` (relative);
+    ``plateau_patience`` non-improving epochs trigger one division by
+    ``decay_factor``; ``observe`` returns True once ``stop_decays_below``
+    decays have landed below ``min_lr``.
     """
 
-    def __init__(self, lr: float, decay_factor: float = 10.0, patience: int = 5,
-                 rel_threshold: float = 1e-4, min_lr: float = 1e-5,
-                 stop_decays_below: int = 2):
-        self.lr = lr
-        self.decay_factor = decay_factor
-        self.patience = patience
-        self.rel_threshold = rel_threshold
-        self.min_lr = min_lr
-        self.stop_decays_below = stop_decays_below
+    def __init__(self, tc: TrainConfig):
+        self.tc = tc
+        self.lr = tc.lr
         self.best = np.inf
         self.bad_epochs = 0
         self.decays = 0
         self.decays_below = 0
 
     def observe(self, loss: float) -> bool:
+        tc = self.tc
         # against inf the relative margin is nan; any finite loss improves
-        bar = self.best - self.rel_threshold * abs(self.best) if np.isfinite(self.best) else self.best
+        bar = self.best - tc.plateau_rel_threshold * abs(self.best) \
+            if np.isfinite(self.best) else self.best
         if loss < bar:
             self.best = loss
             self.bad_epochs = 0
             return False
         self.bad_epochs += 1
-        if self.bad_epochs >= self.patience:
-            self.lr /= self.decay_factor
+        if self.bad_epochs >= tc.plateau_patience:
+            self.lr /= tc.decay_factor
             self.decays += 1
             self.bad_epochs = 0
-            if self.lr < self.min_lr:
+            if self.lr < tc.min_lr:
                 self.decays_below += 1
-                if self.decays_below >= self.stop_decays_below:
+                if self.decays_below >= tc.stop_decays_below:
                     return True
         return False
 
 
 @dataclass
 class TrainShape:
-    """A shape prepared for training: normalized cloud plus cached leaf
+    """A shape prepared for training: normalized cloud (with its points'
+    tag ids when the category has a vocabulary) plus cached leaf
     tree-distance matrix (rows/cols follow the tree's leaf list)."""
 
     record: ShapeRecord
     cloud: PointCloud
     dist_matrix: np.ndarray
-    tag_ids: Optional[np.ndarray] = None
 
     @property
     def category(self) -> str:
@@ -154,11 +151,10 @@ def prepare_shapes(records: Sequence[ShapeRecord], n_points: int = 10000,
     for rec in records:
         cloud = normalize_cloud(sample_surface(rec.mesh, n=n_points, rng=rng))
         vocab = (vocab_by_category or {}).get(rec.category)
-        tags = label_points_with_tags(cloud, rec, vocab) if vocab is not None else None
-        if tags is not None:
-            cloud.tag_id = tags
+        if vocab is not None:
+            cloud.tag_id = label_points_with_tags(cloud, rec, vocab)
         dist = leaf_tree_distances(rec.hierarchy, np.array(leaves(rec.hierarchy)))
-        out.append(TrainShape(record=rec, cloud=cloud, dist_matrix=dist, tag_ids=tags))
+        out.append(TrainShape(record=rec, cloud=cloud, dist_matrix=dist))
     return out
 
 
@@ -248,8 +244,7 @@ def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.ran
     t0 = time.perf_counter()
     state = AdamState() if state is None else state
     report = TrainReport() if report is None else report
-    sched = PlateauScheduler(tc.lr, tc.decay_factor, tc.plateau_patience,
-                             tc.plateau_rel_threshold, tc.min_lr, tc.stop_decays_below)
+    sched = PlateauScheduler(tc)
     # drawn one shape at a time, once per run: the validation loss is then a
     # pure function of the parameters and independent of the chunking
     fixtures = [d for s in val_shapes for d in draw([s], rng_val)]
@@ -352,15 +347,15 @@ def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShap
     if cfg.n_tags <= 0:
         raise InputError("config has no tag head")
     for s in list(train_shapes) + list(val_shapes):
-        if s.tag_ids is None:
+        if s.cloud.tag_id is None:
             raise TrainingError(f"shape {s.record.shape_id} has no tag labels")
-    ok, coverage = tag_sufficiency([s.tag_ids for s in train_shapes])
+    ok, coverage = tag_sufficiency([s.cloud.tag_id for s in train_shapes])
     if not ok:
-        raise TrainingError(
-            f"insufficient tags: mean tagged fraction {coverage:.4f} does not clear 0.01")
+        raise TrainingError(f"insufficient tags: mean tagged fraction {coverage:.4f} "
+                            f"does not clear {MIN_TAG_COVERAGE}")
     rng_train, rng_val = _train_val_rngs(tc, 0x7A6)
     chunk_loss = _head_loss(params, cfg, "tag", tag_loss_and_grad,
-                            lambda s: s.tag_ids)
+                            lambda s: s.cloud.tag_id)
     return fit(params, train_shapes, tc, rng_train,
                _point_draw(_subsample, tc.subsample_points), chunk_loss, tc.max_epochs,
                lr_mult=_lr_mult(params, pretrained, tc.trunk_lr_scale),
@@ -379,13 +374,12 @@ def pretrain_autoencoder(params: dict, cfg: PenConfig, train_shapes: Sequence[Tr
         pts = np.stack([s.cloud.points[sub] for s, sub in zip(chunk, subs)])
         trace = forward_trunk(params, cfg, pts)
         recon, ae_trace = ae_forward(params, cfg, trace.global_feat)
-        # chamfer_batch_and_grad averages over the chunk; scale back to the sum
         loss, g_recon = chamfer_batch_and_grad(recon, list(pts))
         if not want_grads:
-            return loss * len(chunk), None
-        grads, g_global = ae_backward(params, cfg, ae_trace, g_recon * len(chunk))
+            return loss, None
+        grads, g_global = ae_backward(params, cfg, ae_trace, g_recon)
         backward_trunk(params, cfg, trace, None, g_global, grads)
-        return loss * len(chunk), grads
+        return loss, grads
 
     rng_train, rng_val = _train_val_rngs(tc, 0xAE)
     return fit(params, train_shapes, tc, rng_train,

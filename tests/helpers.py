@@ -103,9 +103,10 @@ def pool_gap(trace) -> float:
 
 
 def prenorm_floor(trace) -> float:
-    """Smallest row norm before normalization; its max() against the floor
-    is one more kink to stay away from."""
-    return float(np.linalg.norm(trace.prenorm, axis=2).min())
+    """Smallest row norm before normalization, as the trace keeps it: raised
+    to NORM_FLOOR, which lies far below KINK_MARGIN. Its max() against the
+    floor is one more kink to stay away from."""
+    return float(trace.norm.min())
 
 
 def cloud_on_tree(tree: PartHierarchy, points_per_leaf, rng: np.random.Generator) -> PointCloud:

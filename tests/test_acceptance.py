@@ -404,6 +404,7 @@ FINETUNE_TC = TrainConfig(lr=0.01, batch_shapes=8, subsample_points=512,
                           microbatch=4, trunk_lr_scale=0.1, seed=0)
 
 
+@pytest.mark.slow
 def test_fewshot_transfer_ordering(tmp_path):
     t0 = time.time()
     records = generate_corpus({"chair": 200, "table": 200, "airplane": 200}, seed=11)

@@ -314,6 +314,8 @@ def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
     chair = (scenes / "chairs" / "side_chair.dae").read_text()
     (scenes / "chairs" / "word_in_floats.dae").write_text(
         chair.replace(">0 0 0 1 0 0 1 1 0 0 1 0<", ">0 0 0 1 0 0 1 one 0 0 1 0<"))
+    (scenes / "chairs" / "negative_offset.dae").write_text(
+        chair.replace('source="#g_panel_v" offset="0"', 'source="#g_panel_v" offset="-1"'))
     out = tmp_path / "mined"
     rc = main(["mine", "--in", str(scenes), "--out", str(out), "--seed", "0",
                "--points", "500"])
@@ -324,15 +326,47 @@ def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     for name in ("short_translate", "word_in_floats"):
         assert manifest["rejected"][name].startswith("parse_error:malformed number: ")
+    assert manifest["rejected"]["negative_offset"] == \
+        "parse_error:primitive <input> offset -1 is negative"
     classes = {k: v.split(":", 1)[0] for k, v in manifest["rejected"].items()}
     assert classes == {**golden["rejected_classes"], "short_translate": "parse_error",
-                       "word_in_floats": "parse_error"}
-    assert manifest["reject_counts"] == {**golden["reject_counts"], "parse_error": 5}
+                       "word_in_floats": "parse_error", "negative_offset": "parse_error"}
+    assert manifest["reject_counts"] == {**golden["reject_counts"], "parse_error": 6}
     for key in ("kept", "split", "sufficiency"):
         assert manifest[key] == golden[key]
     for cat, vocab in golden["vocabularies"].items():
         assert manifest["vocabularies"][cat]["tags"] == vocab["tags"]
         assert manifest["vocabularies"][cat]["counts"] == vocab["counts"]
+
+
+@pytest.mark.parametrize("clouds", ["--clouds", "--no-clouds"])
+def test_mine_rejects_degenerate_meshes_and_mines_the_rest(tmp_path, capsys, clouds):
+    scenes = tmp_path / "scenes"
+    shutil.copytree(FIXTURES / "scenes", scenes)
+    # two leaves, every vertex at one point: zero total area
+    (scenes / "chairs" / "collapsed.json").write_text(json.dumps({
+        "shape_id": "collapsed", "category": "chairs",
+        "vertices": [[0.5, 0.5, 0.5]] * 3, "triangles": [[0, 1, 2]] * 2,
+        "nodes": [{"id": 0, "parent": None, "name": "chair", "children": [1, 2]},
+                  {"id": 1, "parent": 0, "name": "seat", "tri_range": [0, 1]},
+                  {"id": 2, "parent": 0, "name": "back", "tri_range": [1, 2]}]}))
+    chair = (scenes / "chairs" / "side_chair.dae").read_text()
+    (scenes / "chairs" / "nan_in_floats.dae").write_text(
+        chair.replace(">0 0 0 1 0 0 1 1 0 0 1 0<", ">0 0 0 1 0 0 1 nan 0 0 1 0<"))
+    out = tmp_path / "mined"
+    rc = main(["mine", "--in", str(scenes), "--out", str(out), "--seed", "0",
+               "--points", "200", clouds])
+    assert rc == 0
+    assert "kept 3 shapes" in capsys.readouterr().out
+
+    golden = json.loads((FIXTURES / "golden" / "mine_report.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["rejected"]["collapsed"] == "degenerate_mesh:area 0"
+    assert manifest["rejected"]["nan_in_floats"] == "degenerate_mesh:area nan"
+    assert manifest["reject_counts"] == {**golden["reject_counts"], "degenerate_mesh": 2}
+    for key in ("kept", "split", "sufficiency"):
+        assert manifest[key] == golden[key]
+    assert sorted(p.stem for p in out.glob("*/*.json")) == ["club_chair", "sedan", "side_chair"]
 
 
 def test_mine_without_clouds(tmp_path):

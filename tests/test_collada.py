@@ -171,3 +171,25 @@ def test_multisource_offsets():
     nodes = '<node name="a"><instance_geometry url="#g0"/></node>'
     rec = shape_from_collada(doc(nodes, geoms), "x")
     np.testing.assert_array_equal(rec.mesh.triangles, [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("inputs", [
+    # the only input at -1: the index stride would be 0
+    '<input semantic="VERTEX" source="#v" offset="-1"/>',
+    # -2 beside an offset-0 input: the index would run off the stride
+    '<input semantic="VERTEX" source="#v" offset="-2"/>'
+    '<input semantic="NORMAL" source="#nrm" offset="0"/>',
+], ids=["alone_at_-1", "-2_beside_0"])
+def test_negative_input_offset_rejected(inputs):
+    geoms = f"""
+    <geometry id="g0"><mesh>
+      <source id="p"><float_array id="pa" count="9">0 0 0 1 0 0 0 1 0</float_array>
+      <technique_common><accessor source="#pa" count="3" stride="3"/></technique_common></source>
+      <source id="nrm"><float_array id="na" count="3">0 0 1</float_array>
+      <technique_common><accessor source="#na" count="1" stride="3"/></technique_common></source>
+      <vertices id="v"><input semantic="POSITION" source="#p"/></vertices>
+      <triangles count="1">{inputs}<p>0 1 2</p></triangles>
+    </mesh></geometry>"""
+    nodes = '<node name="a"><instance_geometry url="#g0"/></node>'
+    with pytest.raises(ParseError, match="offset -[12] is negative"):
+        shape_from_collada(doc(nodes, geoms), "x")

@@ -7,7 +7,7 @@ import pytest
 from partembed.errors import InputError, SchemaError
 from partembed.geometry import PointCloud, sample_surface
 from partembed.hierarchy import leaves
-from partembed.ingest import (DEFAULT_STOP_PATTERNS, DatasetSplit, FilterPolicy,
+from partembed.ingest import (DEFAULT_STOP_PATTERNS, MAX_TAGS, DatasetSplit, FilterPolicy,
                               TagVocabulary, dumps_shape, extract_tags,
                               filter_shape, label_points_with_tags,
                               load_corpus, mine_directory, parse_json_shape,
@@ -133,10 +133,31 @@ def test_extract_tags_with_synonyms_and_stops():
     assert "wheel" not in vocab.tags and "wheels" not in vocab.tags
 
 
+def named_parts(shape_id, names):
+    """One triangle per leaf, each leaf a child of a root named 'root'."""
+    return parse_json_shape({
+        "shape_id": shape_id, "category": "c",
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+        "triangles": [[0, 1, 2]] * len(names),
+        "nodes": [{"id": 0, "parent": None, "name": "root",
+                   "children": list(range(1, len(names) + 1))}] + [
+            {"id": i, "parent": 0, "name": name, "tri_range": [i - 1, i]}
+            for i, name in enumerate(names, start=1)],
+    })
+
+
 def test_extract_tags_ranking_and_cap():
-    recs = [sedan()]
-    vocab = extract_tags(recs, "cars", max_tags=3)
-    assert vocab.tags == ("body", "car", "front")  # all count 1, alphabetical
+    # 12 distinct tokens, none a substring of another; two also name parts
+    # of a second shape, so they count 2 and the other ten count 1
+    tokens = ["wheel", "shelf", "seat", "leg", "lamp", "knob",
+              "hinge", "foot", "door", "base", "back", "arm"]
+    recs = [named_parts("s0", tokens), named_parts("s1", ["wheel", "shelf"])]
+    vocab = extract_tags(recs, "c")
+    assert MAX_TAGS == 10
+    # count first, then alphabetical; the cap cuts the last two, leg and seat
+    assert vocab.tags == ("shelf", "wheel", "arm", "back", "base", "door",
+                          "foot", "hinge", "knob", "lamp")
+    assert vocab.counts == {t: 2 if t in ("shelf", "wheel") else 1 for t in vocab.tags}
 
 
 def test_vocabulary_rejects_unknown_synonym_target():

@@ -64,7 +64,7 @@ def _changed(before, after, prefix):
 # ---------------------------------------------------------------------------
 
 def test_scheduler_flat_run_decays_exactly_once():
-    sched = PlateauScheduler(0.01, decay_factor=10.0, patience=5)
+    sched = PlateauScheduler(TrainConfig(lr=0.01, decay_factor=10.0, plateau_patience=5))
     assert not sched.observe(1.0)  # first observation improves on +inf
     for i in range(5):
         assert sched.decays == 0
@@ -75,7 +75,7 @@ def test_scheduler_flat_run_decays_exactly_once():
 
 
 def test_scheduler_improvement_resets_patience():
-    sched = PlateauScheduler(0.01, patience=3)
+    sched = PlateauScheduler(TrainConfig(lr=0.01, plateau_patience=3))
     sched.observe(1.0)
     sched.observe(1.0)
     sched.observe(1.0)
@@ -88,7 +88,8 @@ def test_scheduler_improvement_resets_patience():
 
 
 def test_scheduler_threshold_is_relative():
-    sched = PlateauScheduler(0.01, patience=2, rel_threshold=1e-4)
+    sched = PlateauScheduler(TrainConfig(lr=0.01, plateau_patience=2,
+                                         plateau_rel_threshold=1e-4))
     sched.observe(1.0)
     assert sched.best == 1.0
     sched.observe(1.0 - 5e-5)  # inside the threshold: not an improvement
@@ -98,8 +99,8 @@ def test_scheduler_threshold_is_relative():
 
 
 def test_scheduler_stops_after_two_decays_below_floor():
-    sched = PlateauScheduler(0.01, decay_factor=10.0, patience=1,
-                             min_lr=1e-5, stop_decays_below=2)
+    sched = PlateauScheduler(TrainConfig(lr=0.01, decay_factor=10.0, plateau_patience=1,
+                                         min_lr=1e-5, stop_decays_below=2))
     sched.observe(1.0)
     stops = []
     for _ in range(5):
@@ -176,7 +177,7 @@ def test_prepare_shapes_is_deterministic(chair_records, chair_vocab):
     b = prepare_shapes(chair_records, n_points=120, seed=0, vocab_by_category=vb)
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.cloud.points, sb.cloud.points)
-        assert np.array_equal(sa.tag_ids, sb.tag_ids)
+        assert np.array_equal(sa.cloud.tag_id, sb.cloud.tag_id)
     c = prepare_shapes(chair_records, n_points=120, seed=1, vocab_by_category=vb)
     assert not np.array_equal(a[0].cloud.points, c[0].cloud.points)
 
@@ -184,7 +185,7 @@ def test_prepare_shapes_is_deterministic(chair_records, chair_vocab):
 def test_prepare_shapes_annotations(chair_shapes):
     for s in chair_shapes:
         assert len(s.cloud) == 120
-        assert s.tag_ids is not None and s.tag_ids.shape == (120,)
+        assert s.cloud.tag_id is not None and s.cloud.tag_id.shape == (120,)
         n_leaves = s.dist_matrix.shape[0]
         assert s.dist_matrix.shape == (n_leaves, n_leaves)
         assert np.array_equal(s.dist_matrix, s.dist_matrix.T)
@@ -341,10 +342,10 @@ def test_finetune_tags_refusals(chair_shapes, chair_vocab):
 
 
 def replace_tags(shape, tags):
-    import copy
-    out = copy.copy(shape)
-    out.tag_ids = tags if tags is None else np.asarray(tags, dtype=np.int64)
-    return out
+    # a copied cloud, so the shared fixture keeps its tags
+    cloud = shape.cloud.take(np.arange(len(shape.cloud)))
+    cloud.tag_id = tags if tags is None else np.asarray(tags, dtype=np.int64)
+    return replace(shape, cloud=cloud)
 
 
 # ---------------------------------------------------------------------------
