@@ -73,6 +73,14 @@ def _load_json(path) -> dict:
     return obj
 
 
+def _synonyms(obj, path) -> dict[str, str]:
+    """A synonym map read from ``path``: a JSON object from strings to strings."""
+    if not (isinstance(obj, dict)
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in obj.items())):
+        raise ConfigurationError(f"{path}: synonyms must map names to tag strings")
+    return obj
+
+
 def _pen_config(path_or_none, **overrides) -> PenConfig:
     raw = _load_json(path_or_none) if path_or_none else {}
     return PenConfig.from_dict({**asdict(PenConfig()), **raw, **overrides})
@@ -115,7 +123,7 @@ def _load_dataset(data_dir):
         raise InputError(f"no shape JSON files under {data_dir}")
     mpath = data_dir / "manifest.json"
     manifest = _load_json(mpath) if mpath.exists() else {}
-    synonyms = manifest.get("synonyms", {})
+    synonyms = _synonyms(manifest.get("synonyms", {}), mpath)
     try:
         split = DatasetSplit.from_json(manifest["split"]) if "split" in manifest else \
             split_dataset([r.shape_id for r in records], seed=0)
@@ -165,7 +173,7 @@ def cmd_synth(args) -> tuple[Path, list, list]:
 
 def cmd_mine(args) -> tuple[Path, list, list]:
     out = Path(args.out)
-    synonyms = _load_json(args.synonyms) if args.synonyms else None
+    synonyms = _synonyms(_load_json(args.synonyms), args.synonyms) if args.synonyms else None
     stop = args.stop_patterns or DEFAULT_STOP_PATTERNS
     policy = FilterPolicy(min_leaves=args.min_leaves, max_leaves=args.max_leaves)
     records, report = mine_directory(args.in_dir, None, synonyms=synonyms,

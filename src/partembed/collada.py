@@ -158,7 +158,7 @@ def _node_transform(node_el) -> np.ndarray:
 def _visit(el, parent, parent_world: np.ndarray, geometries: dict, out: tuple,
            fallback: str = "node") -> None:
     """Append the subtree of ``el`` in preorder to ``out`` = (nodes, vertices,
-    triangles, tri_leaf), a node being (parent, name, geometry ref). Each
+    triangles, tri_leaf), a node being (parent, name). Each
     instanced geometry is a leaf named after its node and baked with the
     node's world transform; a node with one geometry and no child nodes is
     that leaf itself. Leaves without triangles are skipped and a group left
@@ -171,7 +171,7 @@ def _visit(el, parent, parent_world: np.ndarray, geometries: dict, out: tuple,
     here = len(nodes)
     group = len(refs) != 1 or bool(kids)
     if group:
-        nodes.append((parent, name, None))
+        nodes.append((parent, name))
         parent = here
     for ref in refs:
         if ref not in geometries:
@@ -181,7 +181,7 @@ def _visit(el, parent, parent_world: np.ndarray, geometries: dict, out: tuple,
             tris.append(t + sum(map(len, verts)))
             verts.append(v @ world[:3, :3].T + world[:3, 3])
             tri_leaf.append(np.full(len(t), len(nodes), dtype=np.int64))
-            nodes.append((parent, name, ref))
+            nodes.append((parent, name))
     for kid in kids:
         _visit(kid, parent, world, geometries, out)
     if group and len(nodes) == here + 1:
@@ -190,7 +190,7 @@ def _visit(el, parent, parent_world: np.ndarray, geometries: dict, out: tuple,
 
 def parse_collada_tree(data: bytes):
     """Parse raw bytes in one walk of the scene graph into (parents, names,
-    geoms, vertices, triangles, tri_leaf): one entry per node in document
+    vertices, triangles, tri_leaf): one entry per node in document
     preorder, root first, and the world-space mesh with each triangle's leaf
     id. Several top nodes get the visual scene as their root. A malformed
     number raises ParseError, as the other faults checked here do."""
@@ -221,5 +221,5 @@ def parse_collada_tree(data: bytes):
     nodes, verts, tris, tri_leaf = out
     if not nodes:
         raise ParseError("scene contains no triangle geometry")
-    parents, names, geoms = zip(*nodes)
-    return parents, names, geoms, np.vstack(verts), np.vstack(tris), np.concatenate(tri_leaf)
+    parents, names = zip(*nodes)
+    return parents, names, np.vstack(verts), np.vstack(tris), np.concatenate(tri_leaf)

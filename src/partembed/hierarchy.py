@@ -17,33 +17,68 @@ NodeId = int
 
 @dataclass(frozen=True)
 class Node:
-    """One tree node. Leaves carry a geometry reference, groups never do."""
+    """One tree node. A leaf is a node without children."""
 
     id: NodeId
     parent: Optional[NodeId]
     children: tuple[NodeId, ...]
     name: str
-    geom: Optional[str] = None
 
     @property
     def is_leaf(self) -> bool:
-        return self.geom is not None
+        return not self.children
 
 
 @dataclass(frozen=True)
 class PartHierarchy:
-    """A validated rooted tree. Immutable after construction, safe to share.
+    """A validated rooted tree, stored as one parent pointer and one name per
+    node. Immutable after construction, safe to share.
 
-    Node ids are dense indices 0..len(nodes)-1. Exactly one root exists,
-    every leaf carries a geometry reference and no group does.
+    Node ids are dense indices 0..len(parents)-1. Exactly one node, the root,
+    has no parent, and every node is reachable from it. Children, depths and
+    the ``nodes`` view are derived from the parent pointers.
     """
 
-    nodes: tuple[Node, ...]
-    root: NodeId
-    _depth: tuple[int, ...] = field(repr=False, default=())
+    parents: tuple[Optional[NodeId], ...]
+    names: tuple[str, ...]
+    nodes: tuple[Node, ...] = field(init=False, repr=False, compare=False)
+    root: NodeId = field(init=False, repr=False, compare=False)
+    _depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_depth", _validate(self.nodes, self.root))
+        object.__setattr__(self, "parents", tuple(self.parents))
+        object.__setattr__(self, "names", tuple(self.names))
+        n = len(self.parents)
+        children: list[list[int]] = [[] for _ in range(n)]
+        root = None
+        for i, p in enumerate(self.parents):
+            if p is None:
+                if root is not None:
+                    raise InputError("more than one root")
+                root = i
+            elif not (0 <= p < n):
+                raise InputError(f"parent {p} of node {i} out of range")
+            else:
+                children[p].append(i)
+        if root is None:
+            raise InputError("no root")
+        # Every node has one parent, so a walk from the root meets each node
+        # at most once; a node it never meets sits on a cycle.
+        depth = [-1] * n
+        depth[root] = 0
+        stack = [root]
+        while stack:
+            a = stack.pop()
+            for c in children[a]:
+                depth[c] = depth[a] + 1
+                stack.append(c)
+        if -1 in depth:
+            raise InputError(f"node {depth.index(-1)} unreachable from root")
+        object.__setattr__(self, "nodes", tuple(
+            Node(id=i, parent=self.parents[i], children=tuple(children[i]), name=self.names[i])
+            for i in range(n)))
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "_depth", tuple(depth))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -66,47 +101,7 @@ class PartHierarchy:
 
     def parent_of(self, a: NodeId) -> Optional[NodeId]:
         self._check(a)
-        return self.nodes[a].parent
-
-
-def _validate(nodes: Sequence[Node], root: NodeId) -> tuple[int, ...]:
-    n = len(nodes)
-    if n == 0:
-        raise InputError("hierarchy has no nodes")
-    if not (0 <= root < n):
-        raise InputError(f"root id {root} out of range")
-    for i, node in enumerate(nodes):
-        if node.id != i:
-            raise InputError(f"node ids must be dense 0..{n - 1}; found {node.id} at index {i}")
-        if node.is_leaf != (len(node.children) == 0):
-            raise InputError(f"node {i}: leaves have no children and groups carry no geometry")
-        for c in node.children:
-            if not (0 <= c < n):
-                raise InputError(f"node {i}: child {c} out of range")
-            if nodes[c].parent != i:
-                raise InputError(f"node {c}: parent pointer disagrees with child list of {i}")
-    if nodes[root].parent is not None:
-        raise InputError("root must have no parent")
-    for i, node in enumerate(nodes):
-        if i != root and node.parent is None:
-            raise InputError(f"non-root node {i} has no parent")
-
-    # Depths via walk from the root; anything unreached means a second
-    # component or a cycle.
-    depth = [-1] * n
-    depth[root] = 0
-    stack = [root]
-    while stack:
-        a = stack.pop()
-        for c in nodes[a].children:
-            if depth[c] != -1:
-                raise InputError(f"node {c} reached twice; tree has a cycle or shared child")
-            depth[c] = depth[a] + 1
-            stack.append(c)
-    if any(d < 0 for d in depth):
-        orphan = depth.index(-1)
-        raise InputError(f"node {orphan} unreachable from root")
-    return tuple(depth)
+        return self.parents[a]
 
 
 def lca(tree: PartHierarchy, a: NodeId, b: NodeId) -> NodeId:
@@ -116,14 +111,14 @@ def lca(tree: PartHierarchy, a: NodeId, b: NodeId) -> NodeId:
     tree._check(b)
     da, db = tree._depth[a], tree._depth[b]
     while da > db:
-        a = tree.nodes[a].parent
+        a = tree.parents[a]
         da -= 1
     while db > da:
-        b = tree.nodes[b].parent
+        b = tree.parents[b]
         db -= 1
     while a != b:
-        a = tree.nodes[a].parent
-        b = tree.nodes[b].parent
+        a = tree.parents[a]
+        b = tree.parents[b]
     return a
 
 
@@ -140,33 +135,10 @@ def leaves(tree: PartHierarchy) -> list[NodeId]:
     return [n.id for n in tree.nodes if n.is_leaf]
 
 
-def build_tree(parents: Sequence[Optional[int]], names: Sequence[str] | None = None,
-               geoms: Sequence[Optional[str]] | None = None) -> PartHierarchy:
-    """Assemble a PartHierarchy from parallel parent/name/geom arrays.
-
-    ``geoms`` defaults to marking every childless node as a leaf with a
-    placeholder geometry reference.
-    """
-    n = len(parents)
-    children: list[list[int]] = [[] for _ in range(n)]
-    root = None
-    for i, p in enumerate(parents):
-        if p is None:
-            if root is not None:
-                raise InputError("more than one root")
-            root = i
-        else:
-            if not (0 <= p < n):
-                raise InputError(f"parent {p} of node {i} out of range")
-            children[p].append(i)
-    if root is None:
-        raise InputError("no root")
+def build_tree(parents: Sequence[Optional[int]],
+               names: Sequence[str] | None = None) -> PartHierarchy:
+    """A PartHierarchy from a parent array (``None`` marks the root) and
+    parallel node names, which default to ``n0``, ``n1``, ..."""
     if names is None:
-        names = [f"n{i}" for i in range(n)]
-    if geoms is None:
-        geoms = [f"geom{i}" if not children[i] else None for i in range(n)]
-    nodes = tuple(
-        Node(id=i, parent=parents[i], children=tuple(children[i]), name=names[i], geom=geoms[i])
-        for i in range(n)
-    )
-    return PartHierarchy(nodes=nodes, root=root)
+        names = [f"n{i}" for i in range(len(parents))]
+    return PartHierarchy(parents, names)

@@ -58,8 +58,8 @@ def shape_from_collada(data: bytes, shape_id: str, category: str = "default") ->
     """Parse COLLADA bytes into a record. Node transforms are baked into the
     instanced vertices; each instanced geometry becomes one leaf. Node ids
     follow document preorder, root first."""
-    parents, names, geoms, vertices, triangles, tri_leaf = parse_collada_tree(data)
-    tree = build_tree(parents, names, geoms)
+    parents, names, vertices, triangles, tri_leaf = parse_collada_tree(data)
+    tree = build_tree(parents, names)
     mesh = TriangleMesh(vertices=vertices, triangles=triangles, tri_leaf=tri_leaf)
     return ShapeRecord(shape_id=shape_id, category=category, mesh=mesh, hierarchy=tree)
 
@@ -159,7 +159,6 @@ def parse_json_shape(source) -> ShapeRecord:
 
     parents: list[Optional[int]] = [None] * n
     names: list[str] = [""] * n
-    geoms: list[Optional[str]] = [None] * n
     ranges: dict[int, tuple[int, int]] = {}
     for i in range(n):
         entry = seen[i]
@@ -178,7 +177,6 @@ def parse_json_shape(source) -> ShapeRecord:
             lo, hi = r
             _expect(0 <= lo <= hi <= n_tri, f"node {i}: tri_range {r} out of bounds for {n_tri} triangles")
             ranges[i] = (lo, hi)
-            geoms[i] = f"tri[{lo}:{hi})"
         else:
             c = entry["children"]
             _expect(isinstance(c, list) and all(isinstance(x, int) for x in c),
@@ -199,16 +197,20 @@ def parse_json_shape(source) -> ShapeRecord:
         _expect(len(sem) == n_tri, f"semantic_labels has {len(sem)} entries for {n_tri} triangles")
 
     try:
-        tree = build_tree(parents, names, geoms)
+        tree = build_tree(parents, names)
     except InputError as exc:
         raise SchemaError(f"invalid hierarchy: {exc}") from exc
 
-    # declared children lists must agree with the parent pointers
-    for i in range(n):
-        entry = seen[i]
-        if "children" in entry:
-            _expect(sorted(entry["children"]) == sorted(tree.node(i).children),
-                    f"node {i}: children list disagrees with parent pointers")
+    # a leaf owns a tri_range; a group declares the children its parent
+    # pointers give it, and has at least one
+    for node in tree.nodes:
+        declared = seen[node.id].get("children")
+        if declared is None:
+            _expect(node.is_leaf, f"node {node.id}: has children but carries a tri_range")
+        else:
+            _expect(not node.is_leaf, f"node {node.id}: group has no children")
+            _expect(sorted(declared) == sorted(node.children),
+                    f"node {node.id}: children list disagrees with parent pointers")
 
     try:
         mesh = TriangleMesh(vertices=vertices, triangles=triangles, tri_leaf=tri_leaf,

@@ -11,7 +11,7 @@ emulating the variability of crowd-modeled scene graphs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,15 +60,12 @@ class NoiseConfig:
     max_sub_leaves: int = 4
     group_leaves: bool = True
     max_group_levels: int = 3
-    tag_prob: float = 0.0
 
     def __post_init__(self):
         if not (1 <= self.max_sub_leaves):
             raise InputError("max_sub_leaves must be at least 1")
         if not (1 <= self.max_group_levels <= 3):
             raise InputError("max_group_levels must be in [1, 3]")
-        if not (0.0 <= self.tag_prob <= 1.0):
-            raise InputError("tag_prob must be a probability")
 
 
 @dataclass
@@ -183,25 +180,28 @@ def _split_into_leaves(boxes: list[_Box], n_sub: int, rng) -> list[list[_Box]]:
 
 
 def generate_shape(category: str, shape_id: str, rng: np.random.Generator,
-                   noise: Optional[NoiseConfig] = None) -> ShapeRecord:
-    """One synthetic shape. Geometry is always jittered; the hierarchy and
-    naming vary per ``noise``."""
+                   noise: Optional[NoiseConfig] = None,
+                   tag_prob: Optional[float] = None) -> ShapeRecord:
+    """One synthetic shape. Geometry is always jittered; the hierarchy varies
+    per ``noise``, and each leaf gets a part-concept name with probability
+    ``tag_prob`` (``DEFAULT_TAG_PROB[category]`` when not given)."""
     if category not in _PART_BUILDERS:
         raise InputError(f"unknown category {category!r}, expected one of {CATEGORIES}")
-    if noise is None:
-        noise = NoiseConfig(tag_prob=DEFAULT_TAG_PROB[category])
+    if tag_prob is None:
+        tag_prob = DEFAULT_TAG_PROB[category]
+    if not (0.0 <= tag_prob <= 1.0):
+        raise InputError(f"tag_prob must be a probability, got {tag_prob!r}")
+    noise = noise or NoiseConfig()
     parts = _PART_BUILDERS[category](rng)
 
     parents: list[Optional[int]] = [None]
     names: list[str] = [_junk_name(rng)]
-    geoms: list[Optional[str]] = [None]
     leaf_boxes: dict[int, tuple[list[_Box], int]] = {}
 
     def add(parent: int, name: str, boxes_label=None) -> int:
         i = len(parents)
         parents.append(parent)
         names.append(name)
-        geoms.append(f"part{i}" if boxes_label is not None else None)
         if boxes_label is not None:
             leaf_boxes[i] = boxes_label
         return i
@@ -229,14 +229,14 @@ def generate_shape(category: str, shape_id: str, rng: np.random.Generator,
             for group in (buckets[:half], buckets[half:]):
                 holder = add(parent, _junk_name(rng))
                 for bucket in group:
-                    tagged = rng.random() < noise.tag_prob
+                    tagged = rng.random() < tag_prob
                     add(holder, _leaf_name(concept, tagged, rng), (bucket, label))
         else:
             for bucket in buckets:
-                tagged = rng.random() < noise.tag_prob
+                tagged = rng.random() < tag_prob
                 add(parent, _leaf_name(concept, tagged, rng), (bucket, label))
 
-    tree = build_tree(parents, names, geoms)
+    tree = build_tree(parents, names)
 
     verts, tris, tri_leaf, tri_sem = [], [], [], []
     base = 0
@@ -273,11 +273,8 @@ def generate_corpus(counts: dict[str, int], seed: int = 0,
     records = []
     for category in sorted(counts):
         for i in range(counts[category]):
-            p = (tag_prob or {}).get(category, DEFAULT_TAG_PROB.get(category, 0.0))
-            # per-category tagging probability always wins; NoiseConfig carries
-            # the structural knobs
-            cfg = replace(noise, tag_prob=p) if noise is not None else NoiseConfig(tag_prob=p)
-            records.append(generate_shape(category, f"{category}_{i:04d}", rng, noise=cfg))
+            records.append(generate_shape(category, f"{category}_{i:04d}", rng, noise=noise,
+                                          tag_prob=(tag_prob or {}).get(category)))
 
     if out_dir is not None:
         write_corpus(records, out_dir, {

@@ -178,7 +178,6 @@ def sample_shape_triplets(tree: PartHierarchy, cloud: PointCloud, k: int,
                           dist_matrix: np.ndarray | None = None) -> TripletBatch:
     """``k`` triplets of one shape's cloud: pair distribution, leaf index,
     draw. ``dist_matrix`` is as for ``build_pair_distribution``."""
-    counts = np.bincount(cloud.leaf_id, minlength=len(tree))
-    dist = build_pair_distribution(tree, counts, strategy=strategy, dist_matrix=dist_matrix)
     index = LeafIndex.build(cloud, len(tree))
+    dist = build_pair_distribution(tree, index.count, strategy=strategy, dist_matrix=dist_matrix)
     return sample_triplets(dist, index, k, rng)

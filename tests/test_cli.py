@@ -130,6 +130,17 @@ def _vocabulary_without_tags(tmp_path, corpus):
     return _edit_manifest(corpus, lambda m: m.update(vocabularies={"table": {"counts": {}}}))
 
 
+def _manifest_synonyms_not_a_map(tmp_path, corpus):
+    return _edit_manifest(corpus, lambda m: m.update(synonyms=["x"]))
+
+
+def _mine_synonyms_not_strings(tmp_path, corpus):
+    synonyms = tmp_path / "synonyms.json"
+    synonyms.write_text(json.dumps({"wheels": 1}))
+    return ["mine", "--in", str(corpus), "--out", str(tmp_path / "mined"), "--points", "60",
+            "--synonyms", str(synonyms)]
+
+
 def _align_to(tmp_path, corpus, ply_text):
     target = tmp_path / "target.ply"
     target.write_text(ply_text)
@@ -157,6 +168,12 @@ def _synth_non_integer_count(tmp_path, corpus):
 def _synth_unknown_noise_key(tmp_path, corpus):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({"counts": {"table": 3}, "noise": {"wobble": 1}}))
+    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+
+
+def _synth_noise_tag_prob(tmp_path, corpus):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"counts": {"table": 3}, "noise": {"tag_prob": 1.0}}))
     return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
 
 
@@ -237,7 +254,8 @@ def _fractional_max_epochs(tmp_path, corpus):
     _unlabeled_segmentation, _synth_string_count_in_config, _synth_float_count_in_config,
     _benchmark_x_not_a_number, _benchmark_points_grid_not_a_number, _benchmark_negative_x,
     _benchmark_zero_eval_points, _benchmark_zero_repeats, _finetune_negative_labeled_shapes,
-    _finetune_zero_labeled_shapes, _fractional_max_epochs])
+    _finetune_zero_labeled_shapes, _fractional_max_epochs, _synth_noise_tag_prob,
+    _mine_synonyms_not_strings, _manifest_synonyms_not_a_map])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from partembed.errors import InputError
-from partembed.hierarchy import (Node, PartHierarchy, build_tree, lca, leaves,
-                                 tree_distance)
+from partembed.hierarchy import build_tree, lca, leaves, tree_distance
 
 from helpers import bfs_distance, random_parents
 
@@ -11,8 +10,7 @@ from helpers import bfs_distance, random_parents
 def chair_tree():
     # root(0) -> back(1), seat(2), base(3); base -> leg1(4), leg2(5)
     return build_tree([None, 0, 0, 0, 3, 3],
-                      names=["chair", "back", "seat", "base", "leg1", "leg2"],
-                      geoms=[None, "g1", "g2", None, "g4", "g5"])
+                      names=["chair", "back", "seat", "base", "leg1", "leg2"])
 
 
 def test_siblings_are_distance_two():
@@ -48,18 +46,10 @@ def test_validation_rejects_bad_trees():
         build_tree([])  # empty
     with pytest.raises(InputError):
         build_tree([0])  # no root (self-parent out of the None slot)
-    # leaf carrying children
-    nodes = (Node(0, None, (1,), "r", geom="g"), Node(1, 0, (), "c", geom="g"))
-    with pytest.raises(InputError):
-        PartHierarchy(nodes=nodes, root=0)
-    # group without geometry and without children
-    nodes = (Node(0, None, (1,), "r"), Node(1, 0, (), "c", geom=None))
-    with pytest.raises(InputError):
-        PartHierarchy(nodes=nodes, root=0)
-    # parent pointer disagrees with child list
-    nodes = (Node(0, None, (1,), "r"), Node(1, None, (), "c", geom="g"))
-    with pytest.raises(InputError):
-        PartHierarchy(nodes=nodes, root=0)
+    with pytest.raises(InputError, match="unreachable"):
+        build_tree([None, 2, 1])  # cycle off the root
+    with pytest.raises(InputError, match="out of range"):
+        build_tree([None, 5])  # parent out of range
 
 
 def test_node_id_checks():

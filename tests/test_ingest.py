@@ -96,6 +96,24 @@ def test_schema_errors():
     with pytest.raises(SchemaError, match="out of bounds"):
         parse_json_shape(obj)
 
+    obj = minimal_obj()
+    obj["nodes"][0]["children"] = [1]
+    obj["nodes"][2]["parent"] = 1  # a tri_range node named as a parent
+    with pytest.raises(SchemaError):
+        parse_json_shape(obj)
+
+    obj = minimal_obj()
+    obj["nodes"][0]["children"] = [1, 2, 3]
+    obj["nodes"].append({"id": 3, "parent": 0, "name": "g", "children": []})
+    with pytest.raises(SchemaError):
+        parse_json_shape(obj)
+
+    obj = minimal_obj()
+    obj["nodes"][0]["children"] = [1, 2, 3]
+    obj["nodes"].append({"id": 3, "parent": 0, "name": "e", "tri_range": [2, 2]})
+    rec = parse_json_shape(obj)  # an empty range still makes a leaf
+    assert leaves(rec.hierarchy) == [1, 2, 3]
+
 
 def test_filter_policy():
     rec = sedan()

@@ -65,18 +65,16 @@ def test_semantic_labels_stay_in_category_range():
 
 def test_tag_prob_drives_leaf_naming():
     rng = np.random.default_rng(2)
-    tagged = [generate_shape("table", f"t{i}", rng, NoiseConfig(tag_prob=1.0))
-              for i in range(4)]
+    tagged = [generate_shape("table", f"t{i}", rng, tag_prob=1.0) for i in range(4)]
     for rec in tagged:
         assert all(_name_is_tagged(n) for n in _leaf_names(rec))
-    untagged = [generate_shape("table", f"u{i}", rng, NoiseConfig(tag_prob=0.0))
-                for i in range(4)]
+    untagged = [generate_shape("table", f"u{i}", rng, tag_prob=0.0) for i in range(4)]
     for rec in untagged:
         assert not any(_name_is_tagged(n) for n in _leaf_names(rec))
 
     names = []
     for i in range(30):
-        names += _leaf_names(generate_shape("chair", f"h{i}", rng, NoiseConfig(tag_prob=0.5)))
+        names += _leaf_names(generate_shape("chair", f"h{i}", rng, tag_prob=0.5))
     frac = np.mean([_name_is_tagged(n) for n in names])
     assert 0.3 < frac < 0.7
 
@@ -94,15 +92,14 @@ def test_corpus_counts_and_tag_prob_validation():
         generate_corpus({"chair": 2})
     with pytest.raises(InputError):
         generate_shape("boat", "b", np.random.default_rng(0))
-    with pytest.raises(InputError):
-        NoiseConfig(tag_prob=1.5)
+    with pytest.raises(InputError, match="probability"):
+        generate_shape("table", "t", np.random.default_rng(0), tag_prob=1.5)
     with pytest.raises(InputError):
         NoiseConfig(max_group_levels=0)
 
 
 def test_tag_prob_argument_wins_over_noise_config():
-    recs = generate_corpus({"table": 3}, seed=4, tag_prob={"table": 1.0},
-                           noise=NoiseConfig(tag_prob=0.0))
+    recs = generate_corpus({"table": 3}, seed=4, tag_prob={"table": 1.0})
     for rec in recs:
         assert all(_name_is_tagged(n) for n in _leaf_names(rec))
     # and the default for an unlisted category is DEFAULT_TAG_PROB

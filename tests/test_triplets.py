@@ -13,8 +13,7 @@ from helpers import bfs_distance, cloud_on_tree, random_parents
 
 def nested_tree():
     # root(0) -> A(1), B(2); B -> B1(3), B2(4)
-    return build_tree([None, 0, 0, 2, 2], names=["r", "A", "B", "B1", "B2"],
-                      geoms=[None, "g", None, "g", "g"])
+    return build_tree([None, 0, 0, 2, 2], names=["r", "A", "B", "B1", "B2"])
 
 
 def test_leaf_tree_distances_match_pairwise_queries():
