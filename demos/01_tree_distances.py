@@ -10,7 +10,6 @@ from collections import deque
 import numpy as np
 
 from partembed.hierarchy import build_tree, leaves, tree_distance
-from partembed.triplets import leaf_tree_distances
 
 # A chair: the root groups a frame and a seat assembly; the frame holds
 # four legs, the seat assembly holds the seat plate and the backrest.
@@ -29,7 +28,7 @@ print("leaves:", [tree.node(l).name for l in leaves(tree)])
 print()
 
 leaf_ids = leaves(tree)
-dist = leaf_tree_distances(tree, np.array(leaf_ids))
+dist = tree.leaf_distances
 header = "".join(f"{tree.node(l).name:>8}" for l in leaf_ids)
 print("pairwise tree distances (edges via the lowest common ancestor):")
 print(" " * 8 + header)

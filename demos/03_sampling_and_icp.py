@@ -44,7 +44,8 @@ print(f"   rotation error    {np.arccos(cos_angle):.2e} rad")
 print(f"   translation error {np.linalg.norm(result.transform.translation - true.translation):.2e}")
 print()
 
-out = Path(tempfile.mkdtemp(prefix="partembed_icp_"))
-write_ply(out / "original.ply", cloud)
-write_ply(out / "moved.ply", moved)
-print(f"wrote original.ply and moved.ply to {out}")
+with tempfile.TemporaryDirectory(prefix="partembed_icp_") as tmp:
+    out = Path(tmp)
+    write_ply(out / "original.ply", cloud)
+    write_ply(out / "moved.ply", moved)
+    print(f"wrote original.ply and moved.ply to {out}")

@@ -11,8 +11,7 @@ import numpy as np
 
 from partembed.geometry import PointCloud
 from partembed.hierarchy import build_tree, leaves
-from partembed.triplets import (LeafIndex, build_pair_distribution,
-                                leaf_tree_distances, sample_triplets)
+from partembed.triplets import LeafIndex, build_pair_distribution, sample_triplets
 
 # same toy chair as demo 01: four legs under a frame, seat+back under
 # a seat assembly
@@ -28,7 +27,7 @@ cloud = PointCloud(points=pts, leaf_id=np.repeat(leaf_ids, 40))
 
 counts = np.bincount(cloud.leaf_id, minlength=len(tree))
 index = LeafIndex.build(cloud, len(tree))
-dist = leaf_tree_distances(tree, np.array(leaf_ids))
+dist = tree.leaf_distances
 
 n = 50_000
 freqs = {}

@@ -130,7 +130,7 @@ def select_labeled_points(shapes: Sequence[TrainShape], y: int,
         labels[keep] = s.cloud.semantic_label[keep]
         cloud = s.cloud.take(np.arange(n))
         cloud.semantic_label = labels
-        out.append(TrainShape(record=s.record, cloud=cloud, dist_matrix=s.dist_matrix))
+        out.append(TrainShape(record=s.record, cloud=cloud))
     return out
 
 

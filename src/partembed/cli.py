@@ -156,8 +156,11 @@ def cmd_synth(args) -> tuple[Path, list, list]:
     if not counts:
         raise ConfigurationError("no categories: pass --counts cat=N or a --config with counts")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    tag_prob = {**DEFAULT_TAG_PROB, **cfg.get("tag_prob", {}),
-                **_parse_kv(args.tag_prob, float)}
+    cfg_tag_prob = cfg.get("tag_prob", {})
+    if not (isinstance(cfg_tag_prob, dict) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg_tag_prob.values())):
+        raise ConfigurationError(f"{args.config}: tag_prob must map category names to numbers")
+    tag_prob = {**DEFAULT_TAG_PROB, **cfg_tag_prob, **_parse_kv(args.tag_prob, float)}
     try:
         noise = NoiseConfig(**cfg["noise"]) if "noise" in cfg else None
     except (TypeError, InputError) as exc:
@@ -176,7 +179,7 @@ def cmd_mine(args) -> tuple[Path, list, list]:
     synonyms = _synonyms(_load_json(args.synonyms), args.synonyms) if args.synonyms else None
     stop = args.stop_patterns or DEFAULT_STOP_PATTERNS
     policy = FilterPolicy(min_leaves=args.min_leaves, max_leaves=args.max_leaves)
-    records, report = mine_directory(args.in_dir, None, synonyms=synonyms,
+    records, report = mine_directory(args.in_dir, synonyms=synonyms,
                                      stop_patterns=stop, policy=policy, seed=args.seed)
     target = None
     if args.align_to:
@@ -450,8 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("export-embeddings", help="write per-point embeddings as PLY")
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--data", help="mined/synthetic shape directory")
-    s.add_argument("--shape", nargs="*", help="explicit shape JSON files")
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data", help="mined/synthetic shape directory")
+    source.add_argument("--shape", nargs="+", help="explicit shape JSON files")
     s.add_argument("--ids", type=_csv(), help="comma-separated shape ids to keep")
     s.add_argument("--points", type=int, default=10000)
     s.add_argument("--seed", type=int, default=0)

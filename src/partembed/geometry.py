@@ -284,10 +284,13 @@ def read_ply(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
             if line == "end_header":
                 break
             parts = line.split()
-            if parts[0] == "element" and parts[1] == "vertex":
-                n = int(parts[2])
-            elif parts[0] == "property":
-                names.append(parts[2])
+            try:
+                if parts[0] == "element" and parts[1] == "vertex":
+                    n = int(parts[2])
+                elif parts[0] == "property":
+                    names.append(parts[2])
+            except (IndexError, ValueError) as exc:
+                raise ParseError(f"{path}: bad header line {line!r}") from exc
         try:
             data = np.loadtxt(fh, ndmin=2)
         except ValueError as exc:

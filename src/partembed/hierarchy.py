@@ -2,13 +2,17 @@
 
 Trees come from designer metadata in scene-graph files (or from the synthetic
 generator) and stay small (at most a few hundred leaves), so every query here
-is a plain walk; there is no preprocessing beyond caching node depths.
+is a plain walk; a tree caches its node depths and, on first use, its leaf
+distance matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import InputError
 
@@ -87,10 +91,6 @@ class PartHierarchy:
         self._check(a)
         return self.nodes[a]
 
-    def depth(self, a: NodeId) -> int:
-        self._check(a)
-        return self._depth[a]
-
     @property
     def height(self) -> int:
         return max(self._depth)
@@ -102,6 +102,27 @@ class PartHierarchy:
     def parent_of(self, a: NodeId) -> Optional[NodeId]:
         self._check(a)
         return self.parents[a]
+
+    @cached_property
+    def leaf_distances(self) -> np.ndarray:
+        """Read-only (L, L) tree distances between leaves, rows and columns
+        in ``leaves()`` order. Computed on first access: a tree too large to
+        train on is rejected before anything asks for it."""
+        leaf_ids = np.array(leaves(self), dtype=np.int64)
+        parent = np.array([-1 if p is None else p for p in self.parents], dtype=np.int64)
+        depth = np.array(self._depth, dtype=np.int64)[leaf_ids]
+        # row i holds leaf i's ancestors indexed by depth, -1 below the leaf
+        anc = np.full((len(leaf_ids), self.height + 1), -1, dtype=np.int64)
+        rows, cur, d = np.arange(len(leaf_ids)), leaf_ids, depth
+        while len(cur):
+            anc[rows, d] = cur
+            up = parent[cur] >= 0
+            rows, cur, d = rows[up], parent[cur[up]], d[up] - 1
+        # root-down paths agree on a prefix, so the LCA depth is the prefix length - 1
+        eq = (anc[:, None, :] == anc[None, :, :]) & (anc[:, None, :] != -1)
+        dist = depth[:, None] + depth[None, :] - 2 * (eq.sum(axis=2) - 1)
+        dist.flags.writeable = False
+        return dist
 
 
 def lca(tree: PartHierarchy, a: NodeId, b: NodeId) -> NodeId:

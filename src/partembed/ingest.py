@@ -449,15 +449,15 @@ def discover_shape_files(in_dir) -> list[tuple[Path, str]]:
     return out
 
 
-def mine_directory(in_dir, out_dir=None, synonyms: dict[str, str] | None = None,
+def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
                    stop_patterns: Sequence[str] = DEFAULT_STOP_PATTERNS,
                    policy: FilterPolicy | None = None,
                    seed: int = 0) -> tuple[list[ShapeRecord], MineReport]:
     """Parse, filter and tag every shape file under ``in_dir``.
 
-    Kept shapes are rewritten in native JSON under ``out_dir/<category>/``
-    when an output directory is given, alongside a ``manifest.json`` holding
-    the counts, per-category vocabularies, sufficiency verdicts and the split.
+    Returns the kept shapes and the report: counts, per-category
+    vocabularies, sufficiency verdicts and the split. ``write_corpus`` puts
+    both on disk.
     """
     policy = policy or FilterPolicy()
     records: list[ShapeRecord] = []
@@ -509,9 +509,6 @@ def mine_directory(in_dir, out_dir=None, synonyms: dict[str, str] | None = None,
         else DatasetSplit(tuple(r.shape_id for r in records), (), ())
     report = MineReport(kept=len(records), rejected=rejected, reject_counts=reject_counts,
                         vocabularies=vocabularies, sufficiency=sufficiency, split=split)
-
-    if out_dir is not None:
-        write_corpus(records, out_dir, report.to_json())
     return records, report
 
 

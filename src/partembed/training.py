@@ -23,15 +23,13 @@ import numpy as np
 
 from .errors import InputError, SamplingError, TrainingError
 from .geometry import PointCloud, normalize_cloud, sample_surface
-from .hierarchy import leaves
 from .ingest import (MIN_TAG_COVERAGE, ShapeRecord, TagVocabulary, label_points_with_tags,
                      tag_sufficiency)
 from .network import (AdamState, PenConfig, _is_int, adam_step, ae_backward,
                       ae_forward, backward_embed, backward_trunk, chamfer_batch_and_grad,
                       forward_embed, forward_trunk, head_backward, head_forward,
                       seg_loss_and_grad, tag_loss_and_grad, triplet_loss_and_grad)
-from .triplets import (STRATEGIES, TripletBatch, leaf_tree_distances,
-                       sample_shape_triplets)
+from .triplets import STRATEGIES, TripletBatch, sample_shape_triplets
 
 
 @dataclass
@@ -114,13 +112,11 @@ class PlateauScheduler:
 
 @dataclass
 class TrainShape:
-    """A shape prepared for training: normalized cloud (with its points'
-    tag ids when the category has a vocabulary) plus cached leaf
-    tree-distance matrix (rows/cols follow the tree's leaf list)."""
+    """A shape prepared for training: its record and normalized cloud (with
+    its points' tag ids when the category has a vocabulary)."""
 
     record: ShapeRecord
     cloud: PointCloud
-    dist_matrix: np.ndarray
 
     @property
     def category(self) -> str:
@@ -153,8 +149,7 @@ def prepare_shapes(records: Sequence[ShapeRecord], n_points: int = 10000,
         vocab = (vocab_by_category or {}).get(rec.category)
         if vocab is not None:
             cloud.tag_id = label_points_with_tags(cloud, rec, vocab)
-        dist = leaf_tree_distances(rec.hierarchy, np.array(leaves(rec.hierarchy)))
-        out.append(TrainShape(record=rec, cloud=cloud, dist_matrix=dist))
+        out.append(TrainShape(record=rec, cloud=cloud))
     return out
 
 
@@ -189,7 +184,7 @@ def _shape_triplets(shape: TrainShape, sub_idx: np.ndarray, k: int,
                     rng: np.random.Generator, strategy: str) -> TripletBatch:
     try:
         return sample_shape_triplets(shape.record.hierarchy, shape.cloud.take(sub_idx), k, rng,
-                                     strategy, shape.dist_matrix)
+                                     strategy)
     except SamplingError as exc:
         raise TrainingError(f"shape {shape.record.shape_id}: no valid triplets ({exc})") from exc
 

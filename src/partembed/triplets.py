@@ -61,32 +61,6 @@ class LeafIndex:
         return LeafIndex(order=order, first=first, count=last - first)
 
 
-def _ancestor_table(tree: PartHierarchy, node_ids: np.ndarray) -> np.ndarray:
-    """(len(node_ids), height+1) ancestors by depth, -1 past each node's depth."""
-    h = tree.height
-    table = np.full((len(node_ids), h + 1), -1, dtype=np.int64)
-    for row, a in enumerate(node_ids):
-        chain = []
-        x: int | None = int(a)
-        while x is not None:
-            chain.append(x)
-            x = tree.parent_of(x)
-        chain.reverse()
-        table[row, :len(chain)] = chain
-    return table
-
-
-def leaf_tree_distances(tree: PartHierarchy, leaf_ids: np.ndarray) -> np.ndarray:
-    """Dense (L, L) matrix of tree distances between the given leaves."""
-    leaf_ids = np.asarray(leaf_ids, dtype=np.int64)
-    anc = _ancestor_table(tree, leaf_ids)
-    depth = np.array([tree.depth(int(a)) for a in leaf_ids])
-    # root-down paths agree on a prefix, so the LCA depth is the prefix length - 1
-    eq = (anc[:, None, :] == anc[None, :, :]) & (anc[:, None, :] != -1)
-    lca_depth = eq.sum(axis=2) - 1
-    return depth[:, None] + depth[None, :] - 2 * lca_depth
-
-
 @dataclass
 class PairDistribution:
     """Unordered leaf pairs and their sampling probabilities for one shape.
@@ -107,16 +81,13 @@ class PairDistribution:
 
 
 def build_pair_distribution(tree: PartHierarchy, leaf_counts: np.ndarray,
-                            strategy: str = "hierarchy",
-                            dist_matrix: np.ndarray | None = None) -> PairDistribution:
+                            strategy: str = "hierarchy") -> PairDistribution:
     """Leaf-pair distribution for triplet sampling.
 
     ``leaf_counts`` gives the number of sampled points per node id. The
-    hierarchy strategy weights each admissible unordered pair by 1/delta;
-    the leaf strategy weights them uniformly. ``dist_matrix`` is
-    ``leaf_tree_distances`` over all leaves of the tree in leaf-list order;
-    it is computed when not given, and callers pass it to reuse one
-    computation across resamplings.
+    hierarchy strategy weights each admissible unordered pair by 1/delta,
+    read from the tree's ``leaf_distances``; the leaf strategy weights them
+    uniformly.
     """
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
@@ -126,10 +97,8 @@ def build_pair_distribution(tree: PartHierarchy, leaf_counts: np.ndarray,
     populated = all_leaves[pop_mask]
     if len(populated) < 2:
         raise SamplingError(f"need at least 2 populated leaves, have {len(populated)}")
-    if dist_matrix is None:
-        dist_matrix = leaf_tree_distances(tree, all_leaves)
     sel = np.flatnonzero(pop_mask)
-    dist = dist_matrix[np.ix_(sel, sel)]
+    dist = tree.leaf_distances[np.ix_(sel, sel)]
     iu, ju = np.triu_indices(len(populated), k=1)
     u, v = populated[iu], populated[ju]
     ok = (leaf_counts[u] >= 2) | (leaf_counts[v] >= 2)
@@ -174,10 +143,9 @@ def sample_triplets(dist: PairDistribution, index: LeafIndex, k: int,
 
 
 def sample_shape_triplets(tree: PartHierarchy, cloud: PointCloud, k: int,
-                          rng: np.random.Generator, strategy: str = "hierarchy",
-                          dist_matrix: np.ndarray | None = None) -> TripletBatch:
+                          rng: np.random.Generator, strategy: str = "hierarchy") -> TripletBatch:
     """``k`` triplets of one shape's cloud: pair distribution, leaf index,
-    draw. ``dist_matrix`` is as for ``build_pair_distribution``."""
+    draw."""
     index = LeafIndex.build(cloud, len(tree))
-    dist = build_pair_distribution(tree, index.count, strategy=strategy, dist_matrix=dist_matrix)
+    dist = build_pair_distribution(tree, index.count, strategy=strategy)
     return sample_triplets(dist, index, k, rng)

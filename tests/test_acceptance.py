@@ -475,10 +475,9 @@ def test_fewshot_transfer_ordering(tmp_path):
 # 9. mining the shipped fixtures reproduces the golden report
 # ---------------------------------------------------------------------------
 
-def test_mining_golden_report(tmp_path):
+def test_mining_golden_report():
     golden = json.loads((FIXTURES / "golden" / "mine_report.json").read_text())
-    records, report = mine_directory(FIXTURES / "scenes", tmp_path / "mined",
-                                     policy=FilterPolicy(), seed=0)
+    records, report = mine_directory(FIXTURES / "scenes", policy=FilterPolicy(), seed=0)
     got = report.to_json()
     checks = {
         "kept": got["kept"] == golden["kept"],

@@ -161,6 +161,19 @@ def _ply_non_numeric(tmp_path, corpus):
                      f"{props}end_header\na b c 0 -1 -1\n")
 
 
+def _ply_vertex_count_not_a_number(tmp_path, corpus):
+    return _align_to(tmp_path, corpus, "ply\nformat ascii 1.0\nelement vertex abc\nend_header\n")
+
+
+def _ply_blank_header_line(tmp_path, corpus):
+    return _align_to(tmp_path, corpus, "ply\nformat ascii 1.0\n\nelement vertex 1\nend_header\n")
+
+
+def _ply_property_without_name(tmp_path, corpus):
+    return _align_to(tmp_path, corpus, "ply\nformat ascii 1.0\nelement vertex 1\n"
+                     "property double\nend_header\n")
+
+
 def _synth_non_integer_count(tmp_path, corpus):
     return ["synth", "--out", str(tmp_path / "s"), "--counts", "table=x"]
 
@@ -190,6 +203,20 @@ def _synth_config_counts(tmp_path, counts):
     config = tmp_path / "synth.json"
     config.write_text(json.dumps({"counts": counts}))
     return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+
+
+def _synth_config_tag_prob(tmp_path, tag_prob):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"counts": {"table": 3}, "tag_prob": tag_prob}))
+    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+
+
+def _synth_string_tag_prob_in_config(tmp_path, corpus):
+    return _synth_config_tag_prob(tmp_path, {"table": "x"})
+
+
+def _synth_tag_prob_list_in_config(tmp_path, corpus):
+    return _synth_config_tag_prob(tmp_path, [1])
 
 
 def _synth_string_count_in_config(tmp_path, corpus):
@@ -240,6 +267,14 @@ def _finetune_zero_labeled_shapes(tmp_path, corpus):
     return _finetune_labeled_shapes(tmp_path, corpus, "0")
 
 
+def _export_without_shapes(tmp_path, corpus):
+    ck = tmp_path / "ck.npz"
+    cfg = PenConfig(point_widths=(4,), lift_widths=(6,), decoder_widths=(), embed_dim=3)
+    save_checkpoint(ck, init_params(cfg, np.random.default_rng(0)), cfg)
+    return ["export-embeddings", "--checkpoint", str(ck), "--out", str(tmp_path / "e"),
+            "--points", "60"]
+
+
 def _fractional_max_epochs(tmp_path, corpus):
     train = tmp_path / "train.json"
     train.write_text(json.dumps({**TRAIN, "max_epochs": 1.5}))
@@ -255,7 +290,9 @@ def _fractional_max_epochs(tmp_path, corpus):
     _benchmark_x_not_a_number, _benchmark_points_grid_not_a_number, _benchmark_negative_x,
     _benchmark_zero_eval_points, _benchmark_zero_repeats, _finetune_negative_labeled_shapes,
     _finetune_zero_labeled_shapes, _fractional_max_epochs, _synth_noise_tag_prob,
-    _mine_synonyms_not_strings, _manifest_synonyms_not_a_map])
+    _mine_synonyms_not_strings, _manifest_synonyms_not_a_map, _ply_vertex_count_not_a_number,
+    _ply_blank_header_line, _ply_property_without_name, _synth_string_tag_prob_in_config,
+    _synth_tag_prob_list_in_config, _export_without_shapes])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script runs to completion against the library in src/ and
+leaves nothing in the temp directory."""
 
 import os
 import subprocess
@@ -13,10 +14,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = {**os.environ, "TMPDIR": str(tmp_path),
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = {**os.environ, "TMPDIR": str(scratch),
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                         os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not any(scratch.iterdir()), "demo left files in the temp directory"

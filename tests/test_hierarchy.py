@@ -36,7 +36,16 @@ def test_leaves_in_index_order():
 def test_height_and_depth():
     t = chair_tree()
     assert t.height == 2
-    assert t.depth(0) == 0 and t.depth(4) == 2
+
+
+def test_leaf_distances_are_lazy_and_read_only():
+    t = chair_tree()
+    assert "leaf_distances" not in vars(t)
+    d = t.leaf_distances
+    assert t.leaf_distances is d
+    assert d.tolist() == [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 2], [3, 3, 2, 0]]
+    with pytest.raises(ValueError):
+        d[0, 1] = 7
 
 
 def test_validation_rejects_bad_trees():
@@ -59,7 +68,7 @@ def test_node_id_checks():
     with pytest.raises(InputError):
         t.node(-1)
     with pytest.raises(InputError):
-        t.depth(True)  # booleans are not node ids
+        t.node(True)  # booleans are not node ids
 
 
 def test_distance_matches_bfs_on_random_trees():

@@ -12,7 +12,7 @@ from partembed.ingest import (DEFAULT_STOP_PATTERNS, MAX_TAGS, DatasetSplit, Fil
                               filter_shape, label_points_with_tags,
                               load_corpus, mine_directory, parse_json_shape,
                               shape_from_collada, split_dataset,
-                              tag_sufficiency)
+                              tag_sufficiency, write_corpus)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "scenes"
 
@@ -252,7 +252,8 @@ def test_dataset_split_rejects_overlapping_groups():
 
 
 def test_mine_directory_counts_and_outputs(tmp_path):
-    records, report = mine_directory(FIXTURES, out_dir=tmp_path / "out", seed=0)
+    records, report = mine_directory(FIXTURES, seed=0)
+    write_corpus(records, tmp_path / "out", report.to_json())
     assert report.kept == 3
     assert report.reject_counts == {"parse_error": 3, "too_few_leaves": 1}
     assert sorted(r.shape_id for r in records) == ["club_chair", "sedan", "side_chair"]
@@ -267,8 +268,10 @@ def test_mine_directory_counts_and_outputs(tmp_path):
 
 
 def test_mine_is_deterministic(tmp_path):
-    _, r1 = mine_directory(FIXTURES, out_dir=tmp_path / "a", seed=0)
-    _, r2 = mine_directory(FIXTURES, out_dir=tmp_path / "b", seed=0)
+    recs1, r1 = mine_directory(FIXTURES, seed=0)
+    recs2, r2 = mine_directory(FIXTURES, seed=0)
+    write_corpus(recs1, tmp_path / "a", r1.to_json())
+    write_corpus(recs2, tmp_path / "b", r2.to_json())
     assert r1.to_json() == r2.to_json()
     sa = (tmp_path / "a" / "cars" / "sedan.json").read_bytes()
     sb = (tmp_path / "b" / "cars" / "sedan.json").read_bytes()

@@ -186,9 +186,6 @@ def test_prepare_shapes_annotations(chair_shapes):
     for s in chair_shapes:
         assert len(s.cloud) == 120
         assert s.cloud.tag_id is not None and s.cloud.tag_id.shape == (120,)
-        n_leaves = s.dist_matrix.shape[0]
-        assert s.dist_matrix.shape == (n_leaves, n_leaves)
-        assert np.array_equal(s.dist_matrix, s.dist_matrix.T)
         assert s.cloud.semantic_label.min() >= 0
 
 

@@ -4,8 +4,7 @@ import pytest
 from partembed.errors import InputError, SamplingError
 from partembed.geometry import PointCloud
 from partembed.hierarchy import build_tree, leaves, tree_distance
-from partembed.triplets import (LeafIndex, build_pair_distribution,
-                                leaf_tree_distances, sample_shape_triplets,
+from partembed.triplets import (LeafIndex, build_pair_distribution, sample_shape_triplets,
                                 sample_triplets)
 
 from helpers import bfs_distance, cloud_on_tree, random_parents
@@ -22,7 +21,7 @@ def test_leaf_tree_distances_match_pairwise_queries():
         parents = random_parents(rng, max_nodes=50)
         t = build_tree(parents)
         leaf_ids = np.array(leaves(t))
-        mat = leaf_tree_distances(t, leaf_ids)
+        mat = t.leaf_distances
         assert mat.shape == (len(leaf_ids), len(leaf_ids))
         for i in range(len(leaf_ids)):
             for j in range(len(leaf_ids)):
@@ -70,16 +69,6 @@ def test_no_admissible_pairs_raises():
         build_pair_distribution(t, np.array([0, 5, 0, 0, 0]))
     with pytest.raises(SamplingError):
         build_pair_distribution(t, np.array([0, 1, 0, 1, 1]))
-
-
-def test_cached_distance_matrix_matches_direct():
-    t = nested_tree()
-    full = leaf_tree_distances(t, np.array(leaves(t)))
-    counts = np.array([0, 5, 0, 0, 5])
-    a = build_pair_distribution(t, counts, strategy="hierarchy")
-    b = build_pair_distribution(t, counts, strategy="hierarchy", dist_matrix=full)
-    np.testing.assert_array_equal(a.pairs, b.pairs)
-    np.testing.assert_allclose(a.weights, b.weights)
 
 
 def test_unknown_strategy():
@@ -139,24 +128,6 @@ def test_sampling_is_deterministic():
     np.testing.assert_array_equal(b1.anchor, b2.anchor)
     np.testing.assert_array_equal(b1.positive, b2.positive)
     np.testing.assert_array_equal(b1.negative, b2.negative)
-
-
-@pytest.mark.parametrize("strategy", ["hierarchy", "leaf"])
-def test_shape_triplets_same_with_and_without_distance_matrix(strategy):
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        parents = random_parents(rng, max_nodes=40)
-        t = build_tree(parents)
-        leaf_ids = leaves(t)
-        # some leaves get no points, so the populated subset is sliced
-        per_leaf = {l: int(rng.integers(0, 4)) for l in leaf_ids}
-        per_leaf[leaf_ids[0]], per_leaf[leaf_ids[-1]] = 3, 2
-        cloud = cloud_on_tree(t, per_leaf, rng)
-        full = leaf_tree_distances(t, np.array(leaf_ids))
-        a = sample_shape_triplets(t, cloud, 64, np.random.default_rng(1), strategy)
-        b = sample_shape_triplets(t, cloud, 64, np.random.default_rng(1), strategy, full)
-        for name in ("anchor", "positive", "negative"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_flat_tree_strategies_agree():
