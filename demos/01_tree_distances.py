@@ -9,7 +9,7 @@ from collections import deque
 
 import numpy as np
 
-from partembed.hierarchy import build_tree, leaves, tree_distance
+from partembed.hierarchy import build_tree, tree_distance
 
 # A chair: the root groups a frame and a seat assembly; the frame holds
 # four legs, the seat assembly holds the seat plate and the backrest.
@@ -24,17 +24,17 @@ names = ["chair", "frame", "seat_asm", "leg_fl", "leg_fr", "leg_bl", "leg_br",
          "seat", "back"]
 tree = build_tree(parents, names=names)
 
-print("leaves:", [tree.node(l).name for l in leaves(tree)])
+print("leaves:", [tree.names[l] for l in tree.leaves])
 print()
 
-leaf_ids = leaves(tree)
+leaf_ids = tree.leaves
 dist = tree.leaf_distances
-header = "".join(f"{tree.node(l).name:>8}" for l in leaf_ids)
+header = "".join(f"{tree.names[l]:>8}" for l in leaf_ids)
 print("pairwise tree distances (edges via the lowest common ancestor):")
 print(" " * 8 + header)
 for i, l in enumerate(leaf_ids):
     row = "".join(f"{dist[i, j]:>8}" for j in range(len(leaf_ids)))
-    print(f"{tree.node(l).name:>8}{row}")
+    print(f"{tree.names[l]:>8}{row}")
 print()
 print("two legs are 2 edges apart (via the frame); a leg and the seat are 4")
 print("(leg -> frame -> chair -> seat_asm -> seat).")

@@ -10,7 +10,7 @@ frequencies next to the exact 1/distance law.
 import numpy as np
 
 from partembed.geometry import PointCloud
-from partembed.hierarchy import build_tree, leaves
+from partembed.hierarchy import build_tree
 from partembed.triplets import LeafIndex, build_pair_distribution, sample_triplets
 
 # same toy chair as demo 01: four legs under a frame, seat+back under
@@ -19,7 +19,7 @@ parents = [None, 0, 0, 1, 1, 1, 1, 2, 2]
 names = ["chair", "frame", "seat_asm", "leg_fl", "leg_fr", "leg_bl", "leg_br",
          "seat", "back"]
 tree = build_tree(parents, names=names)
-leaf_ids = leaves(tree)
+leaf_ids = tree.leaves
 
 rng = np.random.default_rng(0)
 pts = rng.standard_normal((len(leaf_ids) * 40, 3))
@@ -43,7 +43,7 @@ pd_h = build_pair_distribution(tree, counts, strategy="hierarchy")
 print(f"{'pair':>16} {'delta':>6} {'1/d law':>8} {'hierarchy':>10} {'leaf':>8}")
 for (u, v), w in sorted(zip(map(tuple, pd_h.pairs), pd_h.weights),
                         key=lambda t: -t[1]):
-    name = f"{tree.node(int(u)).name}-{tree.node(int(v)).name}"
+    name = f"{tree.names[u]}-{tree.names[v]}"
     delta = int(dist[leaf_ids.index(int(u)), leaf_ids.index(int(v))])
     k = int(u) * 100 + int(v)
     print(f"{name:>16} {delta:>6} {w:>8.3f} "

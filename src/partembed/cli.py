@@ -127,9 +127,13 @@ def _load_dataset(data_dir):
     try:
         split = DatasetSplit.from_json(manifest["split"]) if "split" in manifest else \
             split_dataset([r.shape_id for r in records], seed=0)
-        vocabs = {cat: TagVocabulary(category=cat, tags=tuple(v["tags"]),
-                                     synonyms=v.get("synonyms", {}), counts=v.get("counts", {}))
-                  for cat, v in manifest.get("vocabularies", {}).items()}
+        vocabs = {}
+        for cat, v in manifest.get("vocabularies", {}).items():
+            if not (isinstance(v["tags"], list) and all(isinstance(t, str) for t in v["tags"])):
+                raise ConfigurationError(f"{mpath}: tags of {cat!r} must be a list of strings")
+            vocabs[cat] = TagVocabulary(category=cat, tags=tuple(v["tags"]),
+                                        synonyms=_synonyms(v.get("synonyms", {}), mpath),
+                                        counts=v.get("counts", {}))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigurationError(f"{mpath}: missing or malformed field {exc}") from exc
     if "vocabularies" not in manifest:
@@ -217,8 +221,7 @@ def cmd_mine(args) -> tuple[Path, list, list]:
 def cmd_pretrain(args) -> tuple[Path, list, list]:
     records, split, vocabs = _load_dataset(args.data)
     cfg = _pen_config(args.arch, with_ae=(args.strategy == "autoencoder"))
-    tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs,
-                       strategy=args.strategy if args.strategy != "autoencoder" else "hierarchy")
+    tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
     shapes = prepare_shapes(records, n_points=args.points, seed=args.seed,
                             vocab_by_category=vocabs)
     train, val, _ = _split_shapes(shapes, split)
@@ -227,7 +230,7 @@ def cmd_pretrain(args) -> tuple[Path, list, list]:
     if args.strategy == "autoencoder":
         report = pretrain_autoencoder(params, cfg, train, val, tc)
     else:
-        report = pretrain_metric(params, cfg, train, val, tc)
+        report = pretrain_metric(params, cfg, train, val, tc, args.strategy)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     meta = {"stage": "pretrain", "strategy": args.strategy, "seed": args.seed,
@@ -351,9 +354,8 @@ def cmd_export_embeddings(args) -> tuple[Path, list, list]:
         records = [parse_json_shape(Path(p).read_text()) for p in args.shape]
     else:
         records = load_corpus(args.data)
-        if args.ids:
-            wanted = set(args.ids)
-            records = [r for r in records if r.shape_id in wanted]
+    if args.ids:
+        records = [r for r in records if r.shape_id in args.ids]
     if not records:
         raise ConfigurationError("no shapes to export")
     shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)

@@ -2,8 +2,8 @@
 
 Trees come from designer metadata in scene-graph files (or from the synthetic
 generator) and stay small (at most a few hundred leaves), so every query here
-is a plain walk; a tree caches its node depths and, on first use, its leaf
-distance matrix.
+is a plain walk; a tree caches its children, leaves and node depths and, on
+first use, its leaf distance matrix.
 """
 
 from __future__ import annotations
@@ -20,32 +20,20 @@ NodeId = int
 
 
 @dataclass(frozen=True)
-class Node:
-    """One tree node. A leaf is a node without children."""
-
-    id: NodeId
-    parent: Optional[NodeId]
-    children: tuple[NodeId, ...]
-    name: str
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-@dataclass(frozen=True)
 class PartHierarchy:
     """A validated rooted tree, stored as one parent pointer and one name per
     node. Immutable after construction, safe to share.
 
     Node ids are dense indices 0..len(parents)-1. Exactly one node, the root,
-    has no parent, and every node is reachable from it. Children, depths and
-    the ``nodes`` view are derived from the parent pointers.
+    has no parent, and every node is reachable from it. ``children`` (a tuple
+    of child-id tuples) and ``leaves`` (the childless ids, in index order) are
+    derived from the parent pointers once, at construction.
     """
 
     parents: tuple[Optional[NodeId], ...]
     names: tuple[str, ...]
-    nodes: tuple[Node, ...] = field(init=False, repr=False, compare=False)
+    children: tuple[tuple[NodeId, ...], ...] = field(init=False, repr=False, compare=False)
+    leaves: tuple[NodeId, ...] = field(init=False, repr=False, compare=False)
     root: NodeId = field(init=False, repr=False, compare=False)
     _depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -78,37 +66,28 @@ class PartHierarchy:
                 stack.append(c)
         if -1 in depth:
             raise InputError(f"node {depth.index(-1)} unreachable from root")
-        object.__setattr__(self, "nodes", tuple(
-            Node(id=i, parent=self.parents[i], children=tuple(children[i]), name=self.names[i])
-            for i in range(n)))
+        object.__setattr__(self, "children", tuple(map(tuple, children)))
+        object.__setattr__(self, "leaves", tuple(i for i, c in enumerate(children) if not c))
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "_depth", tuple(depth))
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    def node(self, a: NodeId) -> Node:
-        self._check(a)
-        return self.nodes[a]
+        return len(self.parents)
 
     @property
     def height(self) -> int:
         return max(self._depth)
 
     def _check(self, a: NodeId) -> None:
-        if not isinstance(a, (int,)) or isinstance(a, bool) or not (0 <= a < len(self.nodes)):
-            raise InputError(f"node id {a!r} not in tree of {len(self.nodes)} nodes")
-
-    def parent_of(self, a: NodeId) -> Optional[NodeId]:
-        self._check(a)
-        return self.parents[a]
+        if not isinstance(a, int) or isinstance(a, bool) or not (0 <= a < len(self)):
+            raise InputError(f"node id {a!r} not in tree of {len(self)} nodes")
 
     @cached_property
     def leaf_distances(self) -> np.ndarray:
         """Read-only (L, L) tree distances between leaves, rows and columns
-        in ``leaves()`` order. Computed on first access: a tree too large to
+        in ``leaves`` order. Computed on first access: a tree too large to
         train on is rejected before anything asks for it."""
-        leaf_ids = np.array(leaves(self), dtype=np.int64)
+        leaf_ids = np.array(self.leaves, dtype=np.int64)
         parent = np.array([-1 if p is None else p for p in self.parents], dtype=np.int64)
         depth = np.array(self._depth, dtype=np.int64)[leaf_ids]
         # row i holds leaf i's ancestors indexed by depth, -1 below the leaf
@@ -149,11 +128,6 @@ def tree_distance(tree: PartHierarchy, a: NodeId, b: NodeId) -> int:
     Siblings are at distance 2."""
     anc = lca(tree, a, b)
     return (tree._depth[a] - tree._depth[anc]) + (tree._depth[b] - tree._depth[anc])
-
-
-def leaves(tree: PartHierarchy) -> list[NodeId]:
-    """All leaf node ids, in index order."""
-    return [n.id for n in tree.nodes if n.is_leaf]
 
 
 def build_tree(parents: Sequence[Optional[int]],

@@ -19,7 +19,7 @@ import numpy as np
 from .collada import parse_collada_tree
 from .errors import InputError, ParseError, SchemaError
 from .geometry import PointCloud, TriangleMesh, sample_surface
-from .hierarchy import PartHierarchy, build_tree, leaves
+from .hierarchy import PartHierarchy, build_tree
 
 # Scene-graph boilerplate that must never become a tag. Positional words
 # (back, top, ...) stay out of this list: they are real part names.
@@ -48,7 +48,7 @@ class ShapeRecord:
     hierarchy: PartHierarchy
 
     def __post_init__(self):
-        leaf_set = set(leaves(self.hierarchy))
+        leaf_set = set(self.hierarchy.leaves)
         used = set(np.unique(self.mesh.tri_leaf).tolist())
         if not used <= leaf_set:
             raise SchemaError(f"shape {self.shape_id}: tri_leaf references non-leaf nodes {sorted(used - leaf_set)}")
@@ -76,15 +76,16 @@ def dumps_shape(rec: ShapeRecord) -> str:
     leaf_sorted = rec.mesh.tri_leaf[order]
     sem = None if rec.mesh.tri_semantic is None else rec.mesh.tri_semantic[order]
 
+    tree = rec.hierarchy
     nodes = []
-    for node in rec.hierarchy.nodes:
-        entry: dict = {"id": node.id, "parent": node.parent, "name": node.name}
-        if node.is_leaf:
-            lo = int(np.searchsorted(leaf_sorted, node.id, side="left"))
-            hi = int(np.searchsorted(leaf_sorted, node.id, side="right"))
-            entry["tri_range"] = [lo, hi]
+    for i, (parent, name, children) in enumerate(zip(tree.parents, tree.names, tree.children)):
+        entry: dict = {"id": i, "parent": parent, "name": name}
+        if children:
+            entry["children"] = list(children)
         else:
-            entry["children"] = list(node.children)
+            lo = int(np.searchsorted(leaf_sorted, i, side="left"))
+            hi = int(np.searchsorted(leaf_sorted, i, side="right"))
+            entry["tri_range"] = [lo, hi]
         nodes.append(entry)
 
     obj = {
@@ -203,14 +204,14 @@ def parse_json_shape(source) -> ShapeRecord:
 
     # a leaf owns a tri_range; a group declares the children its parent
     # pointers give it, and has at least one
-    for node in tree.nodes:
-        declared = seen[node.id].get("children")
+    for i, children in enumerate(tree.children):
+        declared = seen[i].get("children")
         if declared is None:
-            _expect(node.is_leaf, f"node {node.id}: has children but carries a tri_range")
+            _expect(not children, f"node {i}: has children but carries a tri_range")
         else:
-            _expect(not node.is_leaf, f"node {node.id}: group has no children")
-            _expect(sorted(declared) == sorted(node.children),
-                    f"node {node.id}: children list disagrees with parent pointers")
+            _expect(bool(children), f"node {i}: group has no children")
+            _expect(sorted(declared) == sorted(children),
+                    f"node {i}: children list disagrees with parent pointers")
 
     try:
         mesh = TriangleMesh(vertices=vertices, triangles=triangles, tri_leaf=tri_leaf,
@@ -237,7 +238,7 @@ def filter_shape(rec: ShapeRecord, policy: FilterPolicy | None = None) -> tuple[
     total area that is not finite and positive has no surface to draw
     points from. Returns (keep, reason)."""
     policy = policy or FilterPolicy()
-    n = len(leaves(rec.hierarchy))
+    n = len(rec.hierarchy.leaves)
     if n < policy.min_leaves:
         return False, f"too_few_leaves:{n}"
     if n > policy.max_leaves:
@@ -297,7 +298,7 @@ def extract_tags(records: Sequence[ShapeRecord], category: str,
     shape_names: list[list[str]] = []
     candidates: set[str] = set()
     for rec in recs:
-        names = [n.name.lower() for n in rec.hierarchy.nodes]
+        names = [name.lower() for name in rec.hierarchy.names]
         shape_names.append(names)
         for name in names:
             for tok in re.findall(r"[a-z]+", name):
@@ -327,19 +328,20 @@ def label_points_with_tags(cloud: PointCloud, rec: ShapeRecord, vocab: TagVocabu
     """Tag id per point (-1 untagged). A point inherits the tag of the deepest
     ancestor of its leaf whose name matches a tag; when several tags match
     that node, the earliest in vocabulary order wins."""
-    tag_of_node = np.full(len(rec.hierarchy), -1, dtype=np.int64)
-    for leaf in leaves(rec.hierarchy):
+    tree = rec.hierarchy
+    tag_of_node = np.full(len(tree), -1, dtype=np.int64)
+    for leaf in tree.leaves:
         a: Optional[int] = leaf
         chosen = -1
         while a is not None:
-            nm = rec.hierarchy.node(a).name.lower()
+            nm = tree.names[a].lower()
             for ti, tag in enumerate(vocab.tags):
                 if _name_matches(nm, tag, vocab.synonyms):
                     chosen = ti
                     break
             if chosen >= 0:
                 break
-            a = rec.hierarchy.parent_of(a)
+            a = tree.parents[a]
         tag_of_node[leaf] = chosen
     return tag_of_node[cloud.leaf_id]
 

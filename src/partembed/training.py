@@ -29,7 +29,7 @@ from .network import (AdamState, PenConfig, _is_int, adam_step, ae_backward,
                       ae_forward, backward_embed, backward_trunk, chamfer_batch_and_grad,
                       forward_embed, forward_trunk, head_backward, head_forward,
                       seg_loss_and_grad, tag_loss_and_grad, triplet_loss_and_grad)
-from .triplets import STRATEGIES, TripletBatch, sample_shape_triplets
+from .triplets import TripletBatch, sample_shape_triplets
 
 
 @dataclass
@@ -50,7 +50,6 @@ class TrainConfig:
     margin: float = 0.2
     max_epochs: int = 100
     seed: int = 0
-    strategy: str = "hierarchy"
     microbatch: int = 8
     trunk_lr_scale: float = 0.1    # 0 freezes pretrained tensors in fine-tuning
     head_epochs: int = 10          # fresh tensors alone, before pretrained ones join
@@ -61,8 +60,6 @@ class TrainConfig:
                             ("head_epochs", 0)):
             if not (_is_int(getattr(self, name)) and getattr(self, name) >= least):
                 raise InputError(f"{name} must be an integer of at least {least}")
-        if self.strategy not in STRATEGIES:
-            raise InputError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         if self.decay_factor <= 1.0:
             raise InputError("decay_factor must exceed 1")
         if not self.lr > 0:
@@ -313,12 +310,14 @@ def _head_loss(params: dict, cfg: PenConfig, prefix: str, loss_and_grad,
 # ---------------------------------------------------------------------------
 
 def pretrain_metric(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShape],
-                    val_shapes: Sequence[TrainShape], tc: TrainConfig) -> TrainReport:
-    """Triplet metric pretraining. Mutates ``params`` and leaves them at the
-    best-validation epoch's values."""
+                    val_shapes: Sequence[TrainShape], tc: TrainConfig,
+                    strategy: str = "hierarchy") -> TrainReport:
+    """Triplet metric pretraining with the ``hierarchy`` or ``leaf`` triplet
+    strategy. Mutates ``params`` and leaves them at the best-validation
+    epoch's values."""
     def draw(chunk, rng):
         subs = [_subsample(s, tc.subsample_points, rng) for s in chunk]
-        return [(sub, _shape_triplets(s, sub, tc.triplets_per_shape, rng, tc.strategy))
+        return [(sub, _shape_triplets(s, sub, tc.triplets_per_shape, rng, strategy))
                 for s, sub in zip(chunk, subs)]
 
     def chunk_loss(chunk, draws, want_grads):

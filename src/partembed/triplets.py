@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, SamplingError
 from .geometry import PointCloud
-from .hierarchy import PartHierarchy, leaves
+from .hierarchy import PartHierarchy
 
 STRATEGIES = ("hierarchy", "leaf")
 
@@ -92,7 +92,7 @@ def build_pair_distribution(tree: PartHierarchy, leaf_counts: np.ndarray,
     if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}, expected one of {STRATEGIES}")
     leaf_counts = np.asarray(leaf_counts)
-    all_leaves = np.array(leaves(tree), dtype=np.int64)
+    all_leaves = np.array(tree.leaves, dtype=np.int64)
     pop_mask = leaf_counts[all_leaves] > 0
     populated = all_leaves[pop_mask]
     if len(populated) < 2:

@@ -112,8 +112,7 @@ def prenorm_floor(trace) -> float:
 def cloud_on_tree(tree: PartHierarchy, points_per_leaf, rng: np.random.Generator) -> PointCloud:
     """Random cloud whose points are assigned to the tree's leaves.
     ``points_per_leaf`` maps leaf id to a count (dict) or is a single count."""
-    from partembed.hierarchy import leaves
-    leaf_ids = leaves(tree)
+    leaf_ids = tree.leaves
     counts = points_per_leaf if isinstance(points_per_leaf, dict) else \
         {l: points_per_leaf for l in leaf_ids}
     ids = np.concatenate([np.full(counts.get(l, 0), l, dtype=np.int64) for l in leaf_ids])

@@ -23,7 +23,7 @@ from scipy import stats
 from partembed.benchmark import BenchmarkSpec, miou, run_benchmark
 from partembed.geometry import (PointCloud, RigidTransform, icp_align,
                                 normalize_cloud, sample_surface)
-from partembed.hierarchy import build_tree, leaves, tree_distance
+from partembed.hierarchy import build_tree, tree_distance
 from partembed.ingest import FilterPolicy, extract_tags, mine_directory, split_dataset
 from partembed.network import (DEFAULT_MARGIN, PROB_CLAMP, PenConfig, ae_backward,
                                ae_forward, all_layers, backward_embed, backward_trunk,
@@ -97,7 +97,7 @@ def test_triplet_sampling_distribution():
     for _ in range(50):
         parents = random_parents(rng, 8)
         tree = build_tree(parents)
-        if len(leaves(tree)) < 2:
+        if len(tree.leaves) < 2:
             parents = [None, 0, 0]
             tree = build_tree(parents)
         cloud = cloud_on_tree(tree, 2, rng)
@@ -109,7 +109,7 @@ def test_triplet_sampling_distribution():
         n_leaf = cloud.leaf_id[batch.negative]
         pairs = np.stack([np.minimum(a_leaf, n_leaf), np.maximum(a_leaf, n_leaf)], axis=1)
         # independent oracle: BFS distances over the raw parent array
-        lv = leaves(tree)
+        lv = tree.leaves
         exact = {(u, v): 1.0 / bfs_distance(parents, u, v)
                  for i, u in enumerate(lv) for v in lv[i + 1:]}
         z = sum(exact.values())

@@ -134,6 +134,19 @@ def _manifest_synonyms_not_a_map(tmp_path, corpus):
     return _edit_manifest(corpus, lambda m: m.update(synonyms=["x"]))
 
 
+def _vocabulary_tags(corpus, tags):
+    argv = _edit_manifest(corpus, lambda m: m.update(vocabularies={"table": {"tags": tags}}))
+    return [*argv, "--epochs", "1"]
+
+
+def _vocabulary_tags_not_strings(tmp_path, corpus):
+    return _vocabulary_tags(corpus, [1])
+
+
+def _vocabulary_tags_a_string(tmp_path, corpus):
+    return _vocabulary_tags(corpus, "seat")
+
+
 def _mine_synonyms_not_strings(tmp_path, corpus):
     synonyms = tmp_path / "synonyms.json"
     synonyms.write_text(json.dumps({"wheels": 1}))
@@ -282,6 +295,15 @@ def _fractional_max_epochs(tmp_path, corpus):
             "--points", "60", "--train", str(train)]
 
 
+def _strategy_in_train_config(tmp_path, corpus):
+    # the triplet strategy is the --strategy flag, not a training-config field
+    arch, train = tmp_path / "arch.json", tmp_path / "train.json"
+    arch.write_text(json.dumps(ARCH))
+    train.write_text(json.dumps({**TRAIN, "strategy": "leaf"}))
+    return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
+            "--points", "60", "--arch", str(arch), "--train", str(train)]
+
+
 @pytest.mark.parametrize("make_argv", [
     _checkpoint_missing_lift_widths, _zero_width_arch, _negative_lr, _corrupt_checkpoint,
     _malformed_manifest, _split_without_validation, _vocabulary_without_tags,
@@ -292,7 +314,8 @@ def _fractional_max_epochs(tmp_path, corpus):
     _finetune_zero_labeled_shapes, _fractional_max_epochs, _synth_noise_tag_prob,
     _mine_synonyms_not_strings, _manifest_synonyms_not_a_map, _ply_vertex_count_not_a_number,
     _ply_blank_header_line, _ply_property_without_name, _synth_string_tag_prob_in_config,
-    _synth_tag_prob_list_in_config, _export_without_shapes])
+    _synth_tag_prob_list_in_config, _export_without_shapes, _vocabulary_tags_not_strings,
+    _vocabulary_tags_a_string, _strategy_in_train_config])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])
@@ -643,12 +666,26 @@ def test_benchmark_takes_a_per_category_checkpoint_for_any_variant(tmp_path, con
         ["chair", "hierarchy"], ["chair", "scratch"], ["table", "scratch"]]
 
 
-def test_export_with_no_shapes_exits_2(tmp_path, configs):
+@pytest.mark.parametrize("source", ["--data", "--shape"])
+def test_export_with_no_shapes_exits_2(tmp_path, configs, source):
     arch, train = configs
     corpus = _synth(tmp_path, spec="table=4", seed="6")
     ck = tmp_path / "ck.npz"
     main(["pretrain", "--data", str(corpus), "--out", str(ck), "--points", "60",
           "--epochs", "1", "--arch", str(arch), "--train", str(train)])
-    rc = main(["export-embeddings", "--checkpoint", str(ck), "--data", str(corpus),
+    inputs = [corpus] if source == "--data" else sorted(corpus.glob("table/*.json"))
+    rc = main(["export-embeddings", "--checkpoint", str(ck), source, *map(str, inputs),
                "--out", str(tmp_path / "e"), "--ids", "nope"])
     assert rc == 2
+
+
+def test_export_ids_narrow_explicit_shapes(tmp_path):
+    corpus = _synth(tmp_path, spec="table=3", seed="6")
+    ck = tmp_path / "ck.npz"
+    cfg = PenConfig(point_widths=(4,), lift_widths=(6,), decoder_widths=(), embed_dim=3)
+    save_checkpoint(ck, init_params(cfg, np.random.default_rng(0)), cfg)
+    a, b, _ = sorted(corpus.glob("table/*.json"))
+    rc = main(["export-embeddings", "--checkpoint", str(ck), "--shape", str(a), str(b),
+               "--ids", a.stem, "--out", str(tmp_path / "e"), "--points", "60"])
+    assert rc == 0
+    assert [p.name for p in (tmp_path / "e").glob("*.ply")] == [f"{a.stem}.ply"]

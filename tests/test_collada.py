@@ -40,20 +40,18 @@ def test_sedan_fixture_structure():
     rec = shape_from_collada((FIXTURES / "cars" / "sedan.dae").read_bytes(), "sedan", "cars")
     t = rec.hierarchy
     assert len(t) == 7
-    names = [n.name for n in t.nodes]
+    names = t.names
     assert names[0] == "car" and "wheels" in names
-    leaves = [n for n in t.nodes if n.is_leaf]
-    assert len(leaves) == 5
+    assert len(t.leaves) == 5
     assert len(rec.mesh.vertices) == 4 + 4 * 3
     assert len(rec.mesh.triangles) == 2 + 4
     # the wheels group holds all four wheel leaves
-    wheels = t.nodes[names.index("wheels")]
-    assert len(wheels.children) == 4
+    assert len(t.children[names.index("wheels")]) == 4
 
 
 def test_translate_is_baked_into_leaf_vertices():
     rec = shape_from_collada((FIXTURES / "cars" / "sedan.dae").read_bytes(), "sedan", "cars")
-    names = {n.name: n.id for n in rec.hierarchy.nodes}
+    names = {name: i for i, name in enumerate(rec.hierarchy.names)}
     wfl = names["wheel_front_left"]
     tri_mask = rec.mesh.tri_leaf == wfl
     verts = rec.mesh.vertices[rec.mesh.triangles[tri_mask].reshape(-1)]
@@ -66,7 +64,7 @@ def test_single_geometry_node_is_leaf_root():
     rec = shape_from_collada(doc('<node id="a" name="a"><instance_geometry url="#g0"/></node>'),
                              "x")
     assert len(rec.hierarchy) == 1
-    assert rec.hierarchy.nodes[0].is_leaf
+    assert rec.hierarchy.leaves == (0,)
 
 
 def test_multiple_top_nodes_get_synthetic_root():
@@ -74,8 +72,8 @@ def test_multiple_top_nodes_get_synthetic_root():
              '<node name="b"><instance_geometry url="#g0"/></node>')
     rec = shape_from_collada(doc(nodes), "x")
     assert len(rec.hierarchy) == 3
-    assert rec.hierarchy.nodes[0].name == "test_scene"
-    assert not rec.hierarchy.nodes[0].is_leaf
+    assert rec.hierarchy.names[0] == "test_scene"
+    assert rec.hierarchy.children[0]
 
 
 def test_node_with_geometry_and_children_synthesizes_leaf():
@@ -84,7 +82,8 @@ def test_node_with_geometry_and_children_synthesizes_leaf():
     rec = shape_from_collada(doc(nodes), "x")
     # a becomes a group with a synthesized leaf named after it, plus b
     assert len(rec.hierarchy) == 3
-    kinds = {(n.name, n.is_leaf) for n in rec.hierarchy.nodes}
+    t = rec.hierarchy
+    kinds = {(name, not c) for name, c in zip(t.names, t.children)}
     assert ("a", False) in kinds and ("a", True) in kinds and ("b", True) in kinds
 
 
@@ -94,7 +93,7 @@ def test_empty_geometry_leaves_are_pruned():
     nodes = ('<node name="r"><node name="a"><instance_geometry url="#g0"/></node>'
              '<node name="b"><instance_geometry url="#g1"/></node></node>')
     rec = shape_from_collada(doc(nodes, geoms), "x")
-    assert sorted(n.name for n in rec.hierarchy.nodes) == ["a", "r"]
+    assert sorted(rec.hierarchy.names) == ["a", "r"]
 
 
 def test_malformed_xml_reports_position():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from partembed.errors import InputError
-from partembed.hierarchy import build_tree, lca, leaves, tree_distance
+from partembed.hierarchy import build_tree, lca, tree_distance
 
 from helpers import bfs_distance, random_parents
 
@@ -30,7 +30,7 @@ def test_distance_and_lca_basics():
 
 def test_leaves_in_index_order():
     t = chair_tree()
-    assert leaves(t) == [1, 2, 4, 5]
+    assert t.leaves == (1, 2, 4, 5)
 
 
 def test_height_and_depth():
@@ -66,9 +66,9 @@ def test_node_id_checks():
     with pytest.raises(InputError):
         tree_distance(t, 0, 99)
     with pytest.raises(InputError):
-        t.node(-1)
+        lca(t, -1, 0)
     with pytest.raises(InputError):
-        t.node(True)  # booleans are not node ids
+        lca(t, True, 0)  # booleans are not node ids
 
 
 def test_distance_matches_bfs_on_random_trees():
@@ -80,6 +80,9 @@ def test_distance_matches_bfs_on_random_trees():
         pairs = rng.integers(0, n, size=(20, 2))
         for a, b in pairs:
             assert tree_distance(t, int(a), int(b)) == bfs_distance(parents, int(a), int(b))
+        for p in range(n):
+            assert all((i in t.children[p]) == (parents[i] == p) for i in range(n))
+        assert t.leaves == tuple(i for i in range(n) if i not in parents)
 
 
 def test_metric_axioms_on_random_tree():

@@ -6,7 +6,6 @@ import pytest
 
 from partembed.errors import InputError, SchemaError
 from partembed.geometry import PointCloud, sample_surface
-from partembed.hierarchy import leaves
 from partembed.ingest import (DEFAULT_STOP_PATTERNS, MAX_TAGS, DatasetSplit, FilterPolicy,
                               TagVocabulary, dumps_shape, extract_tags,
                               filter_shape, label_points_with_tags,
@@ -51,7 +50,7 @@ def test_round_trip_preserves_triangle_ownership():
     for t in (rec, back):
         counts = {}
         for leaf in np.unique(t.mesh.tri_leaf):
-            counts[t.hierarchy.node(int(leaf)).name] = int(np.sum(t.mesh.tri_leaf == leaf))
+            counts[t.hierarchy.names[leaf]] = int(np.sum(t.mesh.tri_leaf == leaf))
     assert counts["body"] == 2 and counts["wheel_front_left"] == 1
 
 
@@ -112,7 +111,7 @@ def test_schema_errors():
     obj["nodes"][0]["children"] = [1, 2, 3]
     obj["nodes"].append({"id": 3, "parent": 0, "name": "e", "tri_range": [2, 2]})
     rec = parse_json_shape(obj)  # an empty range still makes a leaf
-    assert leaves(rec.hierarchy) == [1, 2, 3]
+    assert rec.hierarchy.leaves == (1, 2, 3)
 
 
 def test_filter_policy():
@@ -188,7 +187,7 @@ def test_label_points_deepest_match_wins():
     cloud = sample_surface(rec.mesh, n=2000, rng=np.random.default_rng(0))
     vocab = TagVocabulary(category="cars", tags=("wheel", "car"))
     tags = label_points_with_tags(cloud, rec, vocab)
-    names = {n.id: n.name for n in rec.hierarchy.nodes}
+    names = dict(enumerate(rec.hierarchy.names))
     for leaf in np.unique(cloud.leaf_id):
         got = set(tags[cloud.leaf_id == leaf])
         assert len(got) == 1
@@ -205,7 +204,7 @@ def test_label_points_vocab_order_breaks_ties():
     # both tags match wheel leaves; the earlier one wins
     vocab = TagVocabulary(category="cars", tags=("front", "wheel"))
     tags = label_points_with_tags(cloud, rec, vocab)
-    names = {n.id: n.name for n in rec.hierarchy.nodes}
+    names = dict(enumerate(rec.hierarchy.names))
     fl = [i for i, n in names.items() if n == "wheel_front_left"][0]
     rl = [i for i, n in names.items() if n == "wheel_rear_left"][0]
     assert set(tags[cloud.leaf_id == fl]) == {0}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from partembed.errors import ConfigurationError
 from partembed.geometry import PointCloud, TriangleMesh, read_ply, write_ply
-from partembed.hierarchy import build_tree, leaves
+from partembed.hierarchy import build_tree
 from partembed.ingest import ShapeRecord, dumps_shape, parse_json_shape
 from partembed.network import PenConfig
 
@@ -36,7 +36,7 @@ def shape_records(draw) -> ShapeRecord:
     n_tri = draw(st.integers(0, 10))
     vertices = draw(st.lists(finite, min_size=3 * n_vert, max_size=3 * n_vert))
     triangles = draw(st.lists(st.integers(0, n_vert - 1), min_size=3 * n_tri, max_size=3 * n_tri))
-    tri_leaf = draw(st.lists(st.sampled_from(leaves(tree)), min_size=n_tri, max_size=n_tri))
+    tri_leaf = draw(st.lists(st.sampled_from(tree.leaves), min_size=n_tri, max_size=n_tri))
     semantic = draw(st.none() | st.lists(st.integers(-1, 9), min_size=n_tri, max_size=n_tri))
     mesh = TriangleMesh(vertices=vertices, triangles=triangles, tri_leaf=tri_leaf,
                         tri_semantic=semantic)
@@ -46,7 +46,7 @@ def shape_records(draw) -> ShapeRecord:
 
 def _owned_triangles(rec: ShapeRecord) -> dict:
     return {leaf: sorted(map(tuple, rec.mesh.triangles[rec.mesh.tri_leaf == leaf].tolist()))
-            for leaf in leaves(rec.hierarchy)}
+            for leaf in rec.hierarchy.leaves}
 
 
 @FEW
@@ -56,8 +56,8 @@ def test_json_shape_round_trip_is_a_fixpoint(rec):
     back = parse_json_shape(text)
     assert dumps_shape(back) == text
     assert (back.shape_id, back.category) == (rec.shape_id, rec.category)
-    assert [(n.parent, n.name) for n in back.hierarchy.nodes] == \
-        [(n.parent, n.name) for n in rec.hierarchy.nodes]
+    assert (back.hierarchy.parents, back.hierarchy.names) == \
+        (rec.hierarchy.parents, rec.hierarchy.names)
     assert back.mesh.vertices.tobytes() == rec.mesh.vertices.tobytes()
     assert _owned_triangles(back) == _owned_triangles(rec)
 

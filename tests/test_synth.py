@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from partembed.errors import InputError
-from partembed.hierarchy import leaves
 from partembed.ingest import filter_shape, load_corpus, parse_json_shape
 from partembed.synth import (
     CATEGORIES,
@@ -26,16 +25,16 @@ def _name_is_tagged(name: str) -> bool:
 
 
 def _leaf_names(rec):
-    return [rec.hierarchy.node(l).name for l in leaves(rec.hierarchy)]
+    return [rec.hierarchy.names[l] for l in rec.hierarchy.leaves]
 
 
 def test_noise_off_makes_leaves_the_semantic_parts():
     quiet = NoiseConfig(split_parts=False, group_leaves=False)
     for category in CATEGORIES:
         rec = generate_shape(category, "s", np.random.default_rng(5), noise=quiet)
-        leaf_ids = leaves(rec.hierarchy)
+        leaf_ids = rec.hierarchy.leaves
         # flat tree: every leaf hangs off the root and owns one semantic part
-        assert all(rec.hierarchy.node(l).parent == rec.hierarchy.root for l in leaf_ids)
+        assert all(rec.hierarchy.parents[l] == rec.hierarchy.root for l in leaf_ids)
         labels_by_leaf = {}
         for leaf in leaf_ids:
             sem = np.unique(rec.mesh.tri_semantic[rec.mesh.tri_leaf == leaf])
@@ -48,7 +47,7 @@ def test_noise_off_makes_leaves_the_semantic_parts():
 def test_default_noise_varies_structure():
     rng = np.random.default_rng(0)
     recs = [generate_shape("chair", f"c{i}", rng) for i in range(12)]
-    leaf_counts = {len(leaves(r.hierarchy)) for r in recs}
+    leaf_counts = {len(r.hierarchy.leaves) for r in recs}
     assert len(leaf_counts) > 1
     heights = {r.hierarchy.height for r in recs}
     assert len(heights) > 1

@@ -123,11 +123,10 @@ def test_train_config_validation():
     # a float or bool count would otherwise pass here and then crash, or train
     # as batch size 1, once the data is loaded
     for bad in ({"max_epochs": 1.5}, {"microbatch": 2.5}, {"subsample_points": 2.5},
-                {"batch_shapes": True}, {"head_epochs": -1}, {"head_epochs": 2.0},
-                {"strategy": "bogus"}):
+                {"batch_shapes": True}, {"head_epochs": -1}, {"head_epochs": 2.0}):
         with pytest.raises(InputError):
             TrainConfig(**bad)
-    assert TrainConfig(head_epochs=0, strategy="leaf").head_epochs == 0
+    assert TrainConfig(head_epochs=0).head_epochs == 0
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +239,8 @@ def test_pretrain_metric_input_checks(chair_shapes):
     other = prepare_shapes([s.record for s in chair_shapes[:1]], n_points=80, seed=0)
     with pytest.raises(InputError, match="point count"):
         pretrain_metric(params, SMALL, chair_shapes[:2], other, TC)
+    with pytest.raises(InputError, match="unknown strategy"):
+        pretrain_metric(params, SMALL, chair_shapes[:4], chair_shapes[4:], TC, "bogus")
 
 
 def test_pretrain_metric_without_triplets_raises():

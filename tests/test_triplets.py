@@ -3,7 +3,7 @@ import pytest
 
 from partembed.errors import InputError, SamplingError
 from partembed.geometry import PointCloud
-from partembed.hierarchy import build_tree, leaves, tree_distance
+from partembed.hierarchy import build_tree, tree_distance
 from partembed.triplets import (LeafIndex, build_pair_distribution, sample_shape_triplets,
                                 sample_triplets)
 
@@ -20,7 +20,7 @@ def test_leaf_tree_distances_match_pairwise_queries():
     for _ in range(20):
         parents = random_parents(rng, max_nodes=50)
         t = build_tree(parents)
-        leaf_ids = np.array(leaves(t))
+        leaf_ids = np.array(t.leaves)
         mat = t.leaf_distances
         assert mat.shape == (len(leaf_ids), len(leaf_ids))
         for i in range(len(leaf_ids)):
