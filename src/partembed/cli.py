@@ -28,7 +28,7 @@ from .geometry import icp_align, read_ply, sample_surface, write_ply
 from .ingest import (DEFAULT_STOP_PATTERNS, DatasetSplit, FilterPolicy,
                      TagVocabulary, extract_tags, label_points_with_tags, load_corpus,
                      mine_directory, parse_json_shape, split_dataset, write_corpus)
-from .network import (PenConfig, forward_embed, init_params, load_checkpoint,
+from .network import (PenConfig, _is_int, forward_embed, init_params, load_checkpoint,
                       save_checkpoint)
 from .synth import DEFAULT_TAG_PROB, NoiseConfig, generate_corpus
 from .training import (TrainConfig, finetune_segmentation, finetune_tags,
@@ -63,6 +63,17 @@ def _csv(cast=str):
     return comma_list
 
 
+def _at_least(least: int):
+    """argparse type of an integer of at least ``least``; anything else is a
+    usage error (exit 2) that names the flag."""
+    def integer(text):
+        if not (text.removeprefix("-").isdigit() and int(text) >= least):
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {least}, got {text!r}")
+        return int(text)
+    return integer
+
+
 def _load_json(path) -> dict:
     try:
         obj = json.loads(Path(path).read_text())
@@ -88,6 +99,9 @@ def _pen_config(path_or_none, **overrides) -> PenConfig:
 
 def _train_config(path_or_none, **overrides) -> TrainConfig:
     raw = _load_json(path_or_none) if path_or_none else {}
+    if "seed" in raw:
+        raise ConfigurationError(f"{path_or_none}: the seed is the --seed flag, "
+                                 f"not a training-config field")
     raw.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return TrainConfig(**raw)
@@ -160,6 +174,8 @@ def cmd_synth(args) -> tuple[Path, list, list]:
     if not counts:
         raise ConfigurationError("no categories: pass --counts cat=N or a --config with counts")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if not (_is_int(seed) and seed >= 0):
+        raise ConfigurationError(f"{args.config}: seed must be an integer of at least 0")
     cfg_tag_prob = cfg.get("tag_prob", {})
     if not (isinstance(cfg_tag_prob, dict) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg_tag_prob.values())):
@@ -182,7 +198,10 @@ def cmd_mine(args) -> tuple[Path, list, list]:
     out = Path(args.out)
     synonyms = _synonyms(_load_json(args.synonyms), args.synonyms) if args.synonyms else None
     stop = args.stop_patterns or DEFAULT_STOP_PATTERNS
-    policy = FilterPolicy(min_leaves=args.min_leaves, max_leaves=args.max_leaves)
+    try:
+        policy = FilterPolicy(min_leaves=args.min_leaves, max_leaves=args.max_leaves)
+    except InputError as exc:
+        raise ConfigurationError(f"--min-leaves/--max-leaves: {exc}") from exc
     records, report = mine_directory(args.in_dir, synonyms=synonyms,
                                      stop_patterns=stop, policy=policy, seed=args.seed)
     target = None
@@ -243,8 +262,6 @@ def cmd_pretrain(args) -> tuple[Path, list, list]:
 
 
 def cmd_finetune(args) -> tuple[Path, list, list]:
-    if args.labeled_shapes is not None and args.labeled_shapes < 1:
-        raise ConfigurationError("--labeled-shapes must be at least 1")
     records, split, vocabs = _load_dataset(args.data)
     records = [r for r in records if r.category == args.category]
     if not records:
@@ -387,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", help="JSON with counts/seed/tag_prob/noise")
     s.add_argument("--counts", nargs="*", metavar="CAT=N")
     s.add_argument("--tag-prob", nargs="*", metavar="CAT=P", dest="tag_prob")
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=_at_least(0), default=None)
     s.set_defaults(func=cmd_synth)
 
     s = sub.add_parser("mine", help="parse, filter and tag a directory of scene files")
     s.add_argument("--in", required=True, dest="in_dir")
     s.add_argument("--out", required=True)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--points", type=int, default=10000)
+    s.add_argument("--seed", type=_at_least(0), default=0)
+    s.add_argument("--points", type=_at_least(1), default=10000)
     s.add_argument("--synonyms", help="JSON file mapping raw names to canonical tags")
     s.add_argument("--stop-patterns", type=_csv(), help="comma-separated junk name tokens")
     s.add_argument("--min-leaves", type=int, default=2)
@@ -409,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True)
     s.add_argument("--strategy", choices=("hierarchy", "leaf", "autoencoder"),
                    default="hierarchy")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--points", type=int, default=10000)
+    s.add_argument("--seed", type=_at_least(0), default=0)
+    s.add_argument("--points", type=_at_least(1), default=10000)
     s.add_argument("--epochs", type=int, default=None)
     s.add_argument("--arch", help="architecture config JSON")
     s.add_argument("--train", help="training config JSON")
@@ -422,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--objective", choices=("tags", "segmentation"), required=True)
     s.add_argument("--category", required=True)
     s.add_argument("--checkpoint", help="pretrained checkpoint to start from")
-    s.add_argument("--labeled-shapes", type=int, default=None)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--points", type=int, default=10000)
+    s.add_argument("--labeled-shapes", type=_at_least(1), default=None)
+    s.add_argument("--seed", type=_at_least(0), default=0)
+    s.add_argument("--points", type=_at_least(1), default=10000)
     s.add_argument("--epochs", type=int, default=None)
     s.add_argument("--arch", help="architecture config JSON")
     s.add_argument("--train", help="training config JSON")
@@ -441,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=BenchmarkSpec.point_axis)
     s.add_argument("--axes", type=_csv(), default=BenchmarkSpec.axes, help="shapes,points")
     s.add_argument("--repeats", type=int, default=5)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--points", type=int, default=10000)
+    s.add_argument("--seed", type=_at_least(0), default=0)
+    s.add_argument("--points", type=_at_least(1), default=10000)
     s.add_argument("--eval-points", type=int, default=2048, dest="eval_points")
     s.add_argument("--epochs", type=int, default=None)
     s.add_argument("--checkpoint", action="append", metavar="VARIANT=PATH",
@@ -459,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--data", help="mined/synthetic shape directory")
     source.add_argument("--shape", nargs="+", help="explicit shape JSON files")
     s.add_argument("--ids", type=_csv(), help="comma-separated shape ids to keep")
-    s.add_argument("--points", type=int, default=10000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--points", type=_at_least(1), default=10000)
+    s.add_argument("--seed", type=_at_least(0), default=0)
     s.set_defaults(func=cmd_export_embeddings)
     return p
 

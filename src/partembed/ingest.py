@@ -231,6 +231,11 @@ class FilterPolicy:
     min_leaves: int = 2
     max_leaves: int = 500
 
+    def __post_init__(self):
+        if not 0 <= self.min_leaves <= self.max_leaves:
+            raise InputError(f"leaf bounds must satisfy 0 <= min_leaves <= max_leaves, "
+                             f"got {self.min_leaves} and {self.max_leaves}")
+
 
 def filter_shape(rec: ShapeRecord, policy: FilterPolicy | None = None) -> tuple[bool, str]:
     """Keep shapes whose hierarchy is informative, neither a single blob nor

@@ -9,11 +9,16 @@ bounded dissimilarity.
 
 Every stack (trunk, embedding decoder, tag and segmentation heads,
 reconstruction decoder) is a slice of one layer table, ``all_layers``, run
-by one dense-layer engine, ``_forward`` and ``_backward``. Everything is
-float64 and dumb on purpose: dense layers, ReLU masks, argmax routing
-through the max-pool, and the exact Jacobian of the normalization.
-Gradients are checked against central differences in the test suite, so
-keep forward and backward in lockstep when editing.
+by one dense-layer engine, ``_forward`` and ``_backward``, which takes an
+input of any rank as rows of its last axis; a stack the config lacks
+raises InputError. A batch has one ``ForwardTrace``: heads and the
+reconstruction decoder read their input from the trunk's and record into
+it. Every backward writes into the caller's ``grads`` dict; those of a
+head and the reconstruction decoder return the gradient at their input.
+Everything is float64 and dumb on purpose: dense layers, ReLU masks,
+argmax routing through the max-pool, and the exact Jacobian of the
+normalization. Gradients are checked against central differences in the
+test suite, so keep forward and backward in lockstep when editing.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ConfigurationError, InputError, OptimizerError, SchemaError
 from .geometry import chamfer_with_grad
@@ -129,8 +135,12 @@ def all_layers(cfg: PenConfig) -> list[Layer]:
 
 
 def _stack(cfg: PenConfig, *prefixes: str) -> list[Layer]:
-    """The layers of ``all_layers`` named by one of the prefixes, in order."""
-    return [layer for layer in all_layers(cfg) if layer[0].startswith(prefixes)]
+    """The layers of ``all_layers`` named by one of the prefixes, in order.
+    A stack the config does not have raises InputError."""
+    layers = [layer for layer in all_layers(cfg) if layer[0].startswith(prefixes)]
+    if not layers:
+        raise InputError(f"config has no {'/'.join(prefixes)} layers")
+    return layers
 
 
 def params_spec(cfg: PenConfig) -> dict[str, tuple[int, ...]]:
@@ -168,10 +178,10 @@ def validate_params(cfg: PenConfig, params: dict[str, np.ndarray]) -> None:
 
 @dataclass
 class ForwardTrace:
-    """Everything backward needs: per-layer inputs, ReLU masks, pool routing
-    and the normalization state. Decoder fields stay None on trunk-only runs."""
+    """Everything backward needs of every stack run on one batch (layer
+    names are unique): per-layer inputs, ReLU masks, pool routing and the
+    normalization state. Decoder fields stay None on trunk-only runs."""
 
-    points: np.ndarray
     ins: dict[str, np.ndarray] = field(default_factory=dict)
     masks: dict[str, np.ndarray] = field(default_factory=dict)
     point_feat: Optional[np.ndarray] = None
@@ -197,16 +207,11 @@ def _backward(params, layers: list[Layer], trace: ForwardTrace, g: np.ndarray,
               grads: dict) -> np.ndarray:
     """Write the layers' tensor gradients into ``grads``, given the gradient
     at the stack's output, and return the gradient at its input."""
-    for name, _, _, relu in reversed(layers):
+    for name, din, dout, relu in reversed(layers):
         if relu:
             g = g * trace.masks[name]
-        x = trace.ins[name]
-        if x.ndim == 3:
-            grads[f"{name}.W"] = np.einsum("bni,bnj->ij", x, g)
-            grads[f"{name}.b"] = g.sum(axis=(0, 1))
-        else:
-            grads[f"{name}.W"] = x.T @ g
-            grads[f"{name}.b"] = g.sum(axis=0)
+        grads[f"{name}.W"] = trace.ins[name].reshape(-1, din).T @ g.reshape(-1, dout)
+        grads[f"{name}.b"] = g.reshape(-1, dout).sum(axis=0)
         g = g @ params[f"{name}.W"].T
     return g
 
@@ -216,7 +221,7 @@ def forward_trunk(params, cfg: PenConfig, points: np.ndarray) -> ForwardTrace:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 3 or points.shape[2] != 3:
         raise InputError(f"points must be (batch, n, 3), got {points.shape}")
-    trace = ForwardTrace(points=points)
+    trace = ForwardTrace()
     trace.point_feat = _forward(params, _stack(cfg, "enc"), points, trace)
     x = trace.pre_pool = _forward(params, _stack(cfg, "lift"), trace.point_feat, trace)
     trace.argmax = x.argmax(axis=1)
@@ -227,7 +232,7 @@ def forward_trunk(params, cfg: PenConfig, points: np.ndarray) -> ForwardTrace:
 def forward_embed(params, cfg: PenConfig, points: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """Full embedding pass. Returns (B, N, embed_dim) unit rows plus trace."""
     trace = forward_trunk(params, cfg, points)
-    b, n, _ = trace.points.shape
+    b, n, _ = trace.point_feat.shape
     broadcast = np.broadcast_to(trace.global_feat[:, None, :], (b, n, cfg.global_dim))
     x = np.concatenate([trace.point_feat, broadcast], axis=2)
     x = _forward(params, _stack(cfg, "dec", "embed"), x, trace)
@@ -237,71 +242,62 @@ def forward_embed(params, cfg: PenConfig, points: np.ndarray) -> tuple[np.ndarra
     return trace.embed, trace
 
 
-def _unpool(trace: ForwardTrace, g_global: Optional[np.ndarray]) -> np.ndarray:
+def _unpool(trace: ForwardTrace, g_global: np.ndarray) -> np.ndarray:
     """Gradient at the pre-pool features: each pooled channel's gradient
     goes to the point that won the max."""
     g = np.zeros_like(trace.pre_pool)
-    if g_global is not None:
-        np.put_along_axis(g, trace.argmax[:, None, :], g_global[:, None, :], axis=1)
+    np.put_along_axis(g, trace.argmax[:, None, :], g_global[:, None, :], axis=1)
     return g
 
 
 def backward_trunk(params, cfg: PenConfig, trace: ForwardTrace,
-                   g_point_feat: Optional[np.ndarray], g_global: Optional[np.ndarray],
-                   grads: Optional[dict] = None) -> dict:
-    """Accumulate trunk gradients from upstream gradients at the two taps
-    (per-point features and the pooled global feature)."""
-    grads = {} if grads is None else grads
+                   g_point_feat: Optional[np.ndarray], g_global: np.ndarray,
+                   grads: dict) -> None:
+    """Write trunk gradients into ``grads`` from upstream gradients at the
+    two taps (per-point features and the pooled global feature)."""
     # handed over with no other reference, so _backward frees this
     # full-width gradient after the last lift layer
     g = _backward(params, _stack(cfg, "lift"), trace, _unpool(trace, g_global), grads)
     if g_point_feat is not None:
         g = g + g_point_feat
     _backward(params, _stack(cfg, "enc"), trace, g, grads)
-    return grads
 
 
-def backward_embed(params, cfg: PenConfig, trace: ForwardTrace,
-                   g_embed: np.ndarray) -> dict:
-    """Gradients of a scalar loss with respect to every trunk and decoder
-    tensor, given its gradient at the normalized embedding."""
-    grads: dict[str, np.ndarray] = {}
+def backward_embed(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndarray,
+                   grads: Optional[dict] = None) -> dict:
+    """Trunk and decoder gradients of a loss, given its gradient at the
+    normalized embedding, written into ``grads`` (new when None)."""
+    grads = {} if grads is None else grads
     e = trace.embed
     g = (g_embed - e * np.sum(e * g_embed, axis=2, keepdims=True)) / trace.norm
     g = _backward(params, _stack(cfg, "dec", "embed"), trace, g, grads)
-    g_point = g[:, :, :cfg.point_dim]
-    g_global = g[:, :, cfg.point_dim:].sum(axis=1)
-    return backward_trunk(params, cfg, trace, g_point, g_global, grads)
+    backward_trunk(params, cfg, trace, g[:, :, :cfg.point_dim],
+                   g[:, :, cfg.point_dim:].sum(axis=1), grads)
+    return grads
 
 
-def head_forward(params, cfg: PenConfig, prefix: str,
-                 x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Logits of the config's ``prefix`` head (``"tag"`` or ``"seg"``) for
-    embeddings ``x``."""
-    trace = ForwardTrace(points=x)
-    return _forward(params, _stack(cfg, prefix), x, trace), trace
+def head_forward(params, cfg: PenConfig, prefix: str, trace: ForwardTrace) -> np.ndarray:
+    """Logits of the config's ``"tag"`` or ``"seg"`` head on the trace's embeddings."""
+    return _forward(params, _stack(cfg, prefix), trace.embed, trace)
 
 
 def head_backward(params, cfg: PenConfig, prefix: str, trace: ForwardTrace,
-                  g_logits: np.ndarray) -> tuple[dict, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
-    return grads, _backward(params, _stack(cfg, prefix), trace, g_logits, grads)
+                  g_logits: np.ndarray, grads: dict) -> np.ndarray:
+    """Head gradients into ``grads``; returns the gradient at its input."""
+    return _backward(params, _stack(cfg, prefix), trace, g_logits, grads)
 
 
-def ae_forward(params, cfg: PenConfig, global_feat: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Global feature (B, G) to reconstructed clouds (B, M, 3)."""
-    if not cfg.with_ae:
-        raise InputError("config has no reconstruction decoder")
-    trace = ForwardTrace(points=global_feat)
-    x = _forward(params, _stack(cfg, "ae"), global_feat, trace)
-    return x.reshape(len(global_feat), cfg.ae_points, 3), trace
+def ae_forward(params, cfg: PenConfig, trace: ForwardTrace) -> np.ndarray:
+    """The trace's global features (B, G) to reconstructed clouds (B, M, 3)."""
+    x = _forward(params, _stack(cfg, "ae"), trace.global_feat, trace)
+    return x.reshape(len(x), cfg.ae_points, 3)
 
 
-def ae_backward(params, cfg: PenConfig, trace: ForwardTrace,
-                g_recon: np.ndarray) -> tuple[dict, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
+def ae_backward(params, cfg: PenConfig, trace: ForwardTrace, g_recon: np.ndarray,
+                grads: dict) -> np.ndarray:
+    """Decoder gradients into ``grads``; returns the global feature's."""
     g = g_recon.reshape(len(g_recon), cfg.ae_points * 3)
-    return grads, _backward(params, _stack(cfg, "ae"), trace, g, grads)
+    return _backward(params, _stack(cfg, "ae"), trace, g, grads)
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +330,6 @@ def triplet_loss_and_grad(embed: np.ndarray, batches: Sequence, margin: float = 
     return total, g
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def tag_loss_and_grad(logits: np.ndarray, tag_ids: np.ndarray) -> tuple[float, np.ndarray]:
     """One-vs-rest binary cross-entropy, summed over points and tags.
 
@@ -353,7 +340,7 @@ def tag_loss_and_grad(logits: np.ndarray, tag_ids: np.ndarray) -> tuple[float, n
     """
     n_tags = logits.shape[-1]
     y = (np.asarray(tag_ids)[..., None] == np.arange(n_tags)).astype(np.float64)
-    p = _sigmoid(logits)
+    p = expit(logits)
     p_safe = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     loss = -float(np.sum(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
     g = y * (p - 1.0) * (p >= PROB_CLAMP) + (1.0 - y) * p * (p <= 1.0 - PROB_CLAMP)

@@ -294,14 +294,13 @@ def _head_loss(params: dict, cfg: PenConfig, prefix: str, loss_and_grad,
     def chunk_loss(chunk, subs, want_grads):
         pts = np.stack([s.cloud.points[sub] for s, sub in zip(chunk, subs)])
         labels = np.stack([labels_of(s)[sub] for s, sub in zip(chunk, subs)])
-        embed, trace = forward_embed(params, cfg, pts)
-        logits, head_trace = head_forward(params, cfg, prefix, embed)
-        loss, g_logits = loss_and_grad(logits, labels)
+        _, trace = forward_embed(params, cfg, pts)
+        loss, g_logits = loss_and_grad(head_forward(params, cfg, prefix, trace), labels)
         if not want_grads:
             return loss, None
-        grads, g_embed = head_backward(params, cfg, prefix, head_trace, g_logits)
-        _accumulate(grads, backward_embed(params, cfg, trace, g_embed))
-        return loss, grads
+        grads: dict[str, np.ndarray] = {}
+        g_embed = head_backward(params, cfg, prefix, trace, g_logits, grads)
+        return loss, backward_embed(params, cfg, trace, g_embed, grads)
     return chunk_loss
 
 
@@ -338,8 +337,6 @@ def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShap
     at ``trunk_lr_scale`` (0 freezes them), the rest at full rate; an empty
     ``pretrained`` means training from scratch. Loss is the summed
     one-vs-rest cross-entropy; validation is its per-shape mean."""
-    if cfg.n_tags <= 0:
-        raise InputError("config has no tag head")
     for s in list(train_shapes) + list(val_shapes):
         if s.cloud.tag_id is None:
             raise TrainingError(f"shape {s.record.shape_id} has no tag labels")
@@ -361,17 +358,15 @@ def pretrain_autoencoder(params: dict, cfg: PenConfig, train_shapes: Sequence[Tr
     """Chamfer reconstruction pretraining of the trunk (the baseline). Only
     the trunk and the reconstruction decoder receive gradients; the
     embedding decoder is untouched and stays at its initialization."""
-    if not cfg.with_ae:
-        raise InputError("config has no reconstruction decoder")
-
     def chunk_loss(chunk, subs, want_grads):
         pts = np.stack([s.cloud.points[sub] for s, sub in zip(chunk, subs)])
         trace = forward_trunk(params, cfg, pts)
-        recon, ae_trace = ae_forward(params, cfg, trace.global_feat)
+        recon = ae_forward(params, cfg, trace)
         loss, g_recon = chamfer_batch_and_grad(recon, list(pts))
         if not want_grads:
             return loss, None
-        grads, g_global = ae_backward(params, cfg, ae_trace, g_recon)
+        grads: dict[str, np.ndarray] = {}
+        g_global = ae_backward(params, cfg, trace, g_recon, grads)
         backward_trunk(params, cfg, trace, None, g_global, grads)
         return loss, grads
 
@@ -400,8 +395,6 @@ def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[T
     scratch: one stage with every tensor at full rate. Epoch counts are
     fixed: the labeled sets are too small to carve a validation split from.
     """
-    if cfg.n_classes <= 0:
-        raise InputError("config has no segmentation head")
     for s in train_shapes:
         if s.cloud.semantic_label is None:
             raise TrainingError(f"shape {s.record.shape_id} has no semantic labels")
@@ -424,11 +417,8 @@ def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[T
 def predict_segmentation(params: dict, cfg: PenConfig, points: np.ndarray,
                          microbatch: int = 8) -> np.ndarray:
     """Argmax class per point for a (S, N, 3) batch of clouds."""
-    if cfg.n_classes <= 0:
-        raise InputError("config has no segmentation head")
     outs = []
     for lo in range(0, len(points), microbatch):
-        embed, _ = forward_embed(params, cfg, points[lo:lo + microbatch])
-        logits, _ = head_forward(params, cfg, "seg", embed)
-        outs.append(logits.argmax(axis=2))
+        _, trace = forward_embed(params, cfg, points[lo:lo + microbatch])
+        outs.append(head_forward(params, cfg, "seg", trace).argmax(axis=2))
     return np.concatenate(outs, axis=0)

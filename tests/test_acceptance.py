@@ -179,24 +179,24 @@ def _head_instance(seed, head, loss_and_grad, labels_of):
     params = init_params(TINY, rng)
     pts = rng.standard_normal((2, 8, 3))
     embed, trace = forward_embed(params, TINY, pts)
-    logits, head_trace = head_forward(params, TINY, head, embed)
+    logits = head_forward(params, TINY, head, trace)
     labels = labels_of(rng)
     head_layers = [l for l in all_layers(TINY) if l[0].startswith(head)]
     p = 1.0 / (1.0 + np.exp(-logits))
     clamp_gap = min(float(p.min() - PROB_CLAMP), float(1.0 - PROB_CLAMP - p.max()))
     if (relu_margin(params, _trunk_layers(TINY), trace) < KINK_MARGIN
-            or relu_margin(params, head_layers, head_trace) < KINK_MARGIN
+            or relu_margin(params, head_layers, trace) < KINK_MARGIN
             or pool_gap(trace) < KINK_MARGIN or clamp_gap < 1e-4
             or prenorm_floor(trace) < KINK_MARGIN):
         return None
     loss, g_logits = loss_and_grad(logits, labels)
-    head_grads, g_embed = head_backward(params, TINY, head, head_trace, g_logits)
-    grads = backward_embed(params, TINY, trace, g_embed)
-    grads.update(head_grads)
+    grads = {}
+    g_embed = head_backward(params, TINY, head, trace, g_logits, grads)
+    backward_embed(params, TINY, trace, g_embed, grads)
 
     def f():
-        e, _ = forward_embed(params, TINY, pts)
-        lg, _ = head_forward(params, TINY, head, e)
+        _, tr = forward_embed(params, TINY, pts)
+        lg = head_forward(params, TINY, head, tr)
         return loss_and_grad(lg, labels)[0]
 
     return f, params, grads
@@ -207,7 +207,7 @@ def _chamfer_instance(seed):
     params = init_params(TINY, rng)
     pts = rng.standard_normal((2, 12, 3))
     trace = forward_trunk(params, TINY, pts)
-    recon, ae_trace = ae_forward(params, TINY, trace.global_feat)
+    recon = ae_forward(params, TINY, trace)
     targets = [rng.standard_normal((7, 3)), rng.standard_normal((6, 3))]
     nn_gap = np.inf
     for s in range(2):
@@ -219,16 +219,17 @@ def _chamfer_instance(seed):
     trunk = [l for l in all_layers(TINY) if l[0].startswith(("enc", "lift"))]
     ae_layers = [l for l in all_layers(TINY) if l[0].startswith("ae")]
     if (relu_margin(params, trunk, trace) < KINK_MARGIN
-            or relu_margin(params, ae_layers, ae_trace) < KINK_MARGIN
+            or relu_margin(params, ae_layers, trace) < KINK_MARGIN
             or pool_gap(trace) < KINK_MARGIN or nn_gap < KINK_MARGIN):
         return None
     loss, g_recon = chamfer_batch_and_grad(recon, targets)
-    ae_grads, g_global = ae_backward(params, TINY, ae_trace, g_recon)
-    grads = backward_trunk(params, TINY, trace, None, g_global, grads=ae_grads)
+    grads = {}
+    g_global = ae_backward(params, TINY, trace, g_recon, grads)
+    backward_trunk(params, TINY, trace, None, g_global, grads)
 
     def f():
         tr = forward_trunk(params, TINY, pts)
-        rec, _ = ae_forward(params, TINY, tr.global_feat)
+        rec = ae_forward(params, TINY, tr)
         return chamfer_batch_and_grad(rec, targets)[0]
 
     return f, params, grads

@@ -304,6 +304,60 @@ def _strategy_in_train_config(tmp_path, corpus):
             "--points", "60", "--arch", str(arch), "--train", str(train)]
 
 
+def _mine(tmp_path, corpus, *flags):
+    return ["mine", "--in", str(corpus), "--out", str(tmp_path / "mined"), "--points", "60",
+            *flags]
+
+
+def _mine_reversed_leaf_range(tmp_path, corpus):
+    return _mine(tmp_path, corpus, "--min-leaves", "5", "--max-leaves", "2")
+
+
+def _mine_negative_min_leaves(tmp_path, corpus):
+    return _mine(tmp_path, corpus, "--min-leaves", "-3")
+
+
+def _mine_zero_points_without_clouds(tmp_path, corpus):
+    # nothing is sampled without clouds, so only the flag check can catch it
+    return _mine(tmp_path, corpus, "--no-clouds", "--points", "0")
+
+
+def _mine_negative_seed(tmp_path, corpus):
+    return _mine(tmp_path, corpus, "--seed", "-1")
+
+
+def _synth_negative_seed(tmp_path, corpus):
+    return ["synth", "--out", str(tmp_path / "s"), "--counts", "table=3", "--seed", "-1"]
+
+
+def _pretrain_negative_seed(tmp_path, corpus):
+    return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
+            "--points", "60", "--seed", "-1"]
+
+
+def _synth_config_seed(tmp_path, seed):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"counts": {"table": 3}, "seed": seed}))
+    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+
+
+def _synth_negative_seed_in_config(tmp_path, corpus):
+    return _synth_config_seed(tmp_path, -2)
+
+
+def _synth_string_seed_in_config(tmp_path, corpus):
+    return _synth_config_seed(tmp_path, "x")
+
+
+def _seed_in_train_config(tmp_path, corpus):
+    # the seed is the --seed flag, which would silently overwrite this key
+    arch, train = tmp_path / "arch.json", tmp_path / "train.json"
+    arch.write_text(json.dumps(ARCH))
+    train.write_text(json.dumps({**TRAIN, "seed": 3}))
+    return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
+            "--points", "60", "--arch", str(arch), "--train", str(train)]
+
+
 @pytest.mark.parametrize("make_argv", [
     _checkpoint_missing_lift_widths, _zero_width_arch, _negative_lr, _corrupt_checkpoint,
     _malformed_manifest, _split_without_validation, _vocabulary_without_tags,
@@ -315,7 +369,10 @@ def _strategy_in_train_config(tmp_path, corpus):
     _mine_synonyms_not_strings, _manifest_synonyms_not_a_map, _ply_vertex_count_not_a_number,
     _ply_blank_header_line, _ply_property_without_name, _synth_string_tag_prob_in_config,
     _synth_tag_prob_list_in_config, _export_without_shapes, _vocabulary_tags_not_strings,
-    _vocabulary_tags_a_string, _strategy_in_train_config])
+    _vocabulary_tags_a_string, _strategy_in_train_config, _mine_reversed_leaf_range,
+    _mine_negative_min_leaves, _mine_zero_points_without_clouds, _mine_negative_seed,
+    _synth_negative_seed, _pretrain_negative_seed, _synth_negative_seed_in_config,
+    _synth_string_seed_in_config, _seed_in_train_config])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])
@@ -326,6 +383,17 @@ def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     assert proc.returncode in (1, 2)
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["mine", "pretrain", "finetune", "benchmark",
+                                     "export-embeddings"])
+def test_points_below_one_is_a_usage_error(tmp_path, capsys, command):
+    # rejected by the flag itself, before any corpus is read
+    argv = [command, "--points", "0", "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--points: must be an integer of at least 1" in capsys.readouterr().err
 
 
 def test_run_manifest_contents(tmp_path):

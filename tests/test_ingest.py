@@ -121,6 +121,9 @@ def test_filter_policy():
     assert not keep and reason.startswith("too_many_leaves")
     keep, reason = filter_shape(rec, FilterPolicy(min_leaves=10))
     assert not keep and reason.startswith("too_few_leaves")
+    for lo, hi in ((5, 2), (-3, 500), (0, -1)):
+        with pytest.raises(InputError):
+            FilterPolicy(min_leaves=lo, max_leaves=hi)
 
 
 def test_filter_rejects_501_leaves():

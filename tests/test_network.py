@@ -12,7 +12,11 @@ from partembed.network import (
     DEFAULT_MARGIN,
     PROB_CLAMP,
     AdamState,
+    ForwardTrace,
     PenConfig,
+    _backward,
+    _forward,
+    _stack,
     adam_step,
     ae_backward,
     ae_forward,
@@ -199,13 +203,13 @@ def test_tag_gradient_full_network():
     for seed in range(50):
         rng, params, pts = _instance(seed, b=2, n=8)
         embed, trace = forward_embed(params, TINY, pts)
-        logits, head_trace = head_forward(params, TINY, "tag", embed)
+        logits = head_forward(params, TINY, "tag", trace)
         tags = rng.integers(-1, TINY.n_tags, size=(2, 8))
         p = 1.0 / (1.0 + np.exp(-logits))
         clamp_gap = min(float(p.min() - PROB_CLAMP), float(1.0 - PROB_CLAMP - p.max()))
         head_layers = [l for l in all_layers(TINY) if l[0].startswith("tag")]
         if (_relu_margin(params, _trunk_decoder_layers(TINY), trace) > KINK_MARGIN
-                and _relu_margin(params, head_layers, head_trace) > KINK_MARGIN
+                and _relu_margin(params, head_layers, trace) > KINK_MARGIN
                 and _pool_gap(trace) > KINK_MARGIN and clamp_gap > 1e-4
                 and _prenorm_floor(trace) > KINK_MARGIN):
             break
@@ -213,13 +217,13 @@ def test_tag_gradient_full_network():
         pytest.fail("no kink-free instance found")
 
     loss, g_logits = tag_loss_and_grad(logits, tags)
-    head_grads, g_embed = head_backward(params, TINY, "tag", head_trace, g_logits)
-    grads = backward_embed(params, TINY, trace, g_embed)
-    grads.update(head_grads)
+    grads = {}
+    g_embed = head_backward(params, TINY, "tag", trace, g_logits, grads)
+    backward_embed(params, TINY, trace, g_embed, grads)
 
     def f():
-        e, _ = forward_embed(params, TINY, pts)
-        lg, _ = head_forward(params, TINY, "tag", e)
+        _, tr = forward_embed(params, TINY, pts)
+        lg = head_forward(params, TINY, "tag", tr)
         return tag_loss_and_grad(lg, tags)[0]
 
     assert f() == loss
@@ -230,12 +234,12 @@ def test_seg_gradient_full_network():
     for seed in range(50):
         rng, params, pts = _instance(seed, b=2, n=9)
         embed, trace = forward_embed(params, TINY, pts)
-        logits, head_trace = head_forward(params, TINY, "seg", embed)
+        logits = head_forward(params, TINY, "seg", trace)
         labels = rng.integers(0, TINY.n_classes, size=(2, 9))
         labels[0, 0] = -1  # unlabeled points must not contribute
         head_layers = [l for l in all_layers(TINY) if l[0].startswith("seg")]
         if (_relu_margin(params, _trunk_decoder_layers(TINY), trace) > KINK_MARGIN
-                and _relu_margin(params, head_layers, head_trace) > KINK_MARGIN
+                and _relu_margin(params, head_layers, trace) > KINK_MARGIN
                 and _pool_gap(trace) > KINK_MARGIN
                 and _prenorm_floor(trace) > KINK_MARGIN):
             break
@@ -243,13 +247,13 @@ def test_seg_gradient_full_network():
         pytest.fail("no kink-free instance found")
 
     loss, g_logits = seg_loss_and_grad(logits, labels)
-    head_grads, g_embed = head_backward(params, TINY, "seg", head_trace, g_logits)
-    grads = backward_embed(params, TINY, trace, g_embed)
-    grads.update(head_grads)
+    grads = {}
+    g_embed = head_backward(params, TINY, "seg", trace, g_logits, grads)
+    backward_embed(params, TINY, trace, g_embed, grads)
 
     def f():
-        e, _ = forward_embed(params, TINY, pts)
-        lg, _ = head_forward(params, TINY, "seg", e)
+        _, tr = forward_embed(params, TINY, pts)
+        lg = head_forward(params, TINY, "seg", tr)
         return seg_loss_and_grad(lg, labels)[0]
 
     assert f() == loss
@@ -260,7 +264,7 @@ def test_chamfer_gradient_full_network():
     for seed in range(50):
         rng, params, pts = _instance(seed, b=2, n=12)
         trace = forward_trunk(params, TINY, pts)
-        recon, ae_trace = ae_forward(params, TINY, trace.global_feat)
+        recon = ae_forward(params, TINY, trace)
         targets = [rng.standard_normal((7, 3)), rng.standard_normal((6, 3))]
         nn_gap = np.inf
         for s in range(2):
@@ -272,19 +276,20 @@ def test_chamfer_gradient_full_network():
         trunk = [l for l in all_layers(TINY) if l[0].startswith(("enc", "lift"))]
         ae_layers = [l for l in all_layers(TINY) if l[0].startswith("ae")]
         if (_relu_margin(params, trunk, trace) > KINK_MARGIN
-                and _relu_margin(params, ae_layers, ae_trace) > KINK_MARGIN
+                and _relu_margin(params, ae_layers, trace) > KINK_MARGIN
                 and _pool_gap(trace) > KINK_MARGIN and nn_gap > KINK_MARGIN):
             break
     else:
         pytest.fail("no kink-free instance found")
 
     loss, g_recon = chamfer_batch_and_grad(recon, targets)
-    ae_grads, g_global = ae_backward(params, TINY, ae_trace, g_recon)
-    grads = backward_trunk(params, TINY, trace, None, g_global, grads=ae_grads)
+    grads = {}
+    g_global = ae_backward(params, TINY, trace, g_recon, grads)
+    backward_trunk(params, TINY, trace, None, g_global, grads)
 
     def f():
         tr = forward_trunk(params, TINY, pts)
-        rec, _ = ae_forward(params, TINY, tr.global_feat)
+        rec = ae_forward(params, TINY, tr)
         return chamfer_batch_and_grad(rec, targets)[0]
 
     assert f() == loss
@@ -295,7 +300,45 @@ def test_ae_requires_config_flag():
     cfg = PenConfig(point_widths=(4,), lift_widths=(6,))
     params = init_params(cfg, np.random.default_rng(0))
     with pytest.raises(InputError):
-        ae_forward(params, cfg, np.zeros((1, 6)))
+        ae_forward(params, cfg, ForwardTrace(global_feat=np.zeros((1, 6))))
+
+
+def test_missing_head_raises():
+    cfg = PenConfig(point_widths=(4,), lift_widths=(6,), n_tags=2)
+    params = init_params(cfg, np.random.default_rng(0))
+    _, trace = forward_embed(params, cfg, np.zeros((1, 5, 3)))
+    assert head_forward(params, cfg, "tag", trace).shape == (1, 5, 2)
+    with pytest.raises(InputError):
+        head_forward(params, cfg, "seg", trace)
+    with pytest.raises(InputError):
+        head_backward(params, cfg, "seg", trace, np.zeros((1, 5, 3)), {})
+
+
+def test_backward_is_the_same_on_a_batch_and_its_rows():
+    rng, params, _ = _instance(4)
+    layers = _stack(TINY, "dec", "embed")
+    x = rng.standard_normal((3, 7, layers[0][1]))
+    g = rng.standard_normal((3, 7, TINY.embed_dim))
+    batch, rows = {}, {}
+    trace = ForwardTrace()
+    _forward(params, layers, x, trace)
+    g_batch = _backward(params, layers, trace, g, batch)
+    trace = ForwardTrace()
+    _forward(params, layers, x.reshape(21, -1), trace)
+    g_rows = _backward(params, layers, trace, g.reshape(21, -1), rows)
+    assert sorted(batch) == sorted(rows)
+    for name in batch:
+        np.testing.assert_allclose(batch[name], rows[name], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(g_batch.reshape(21, -1), g_rows, rtol=0, atol=1e-12)
+
+
+def test_one_trace_holds_trunk_decoders_and_head():
+    _, params, pts = _instance(5)
+    embed, trace = forward_embed(params, TINY, pts)
+    head_forward(params, TINY, "seg", trace)
+    ae_forward(params, TINY, trace)
+    assert sorted(trace.ins) == sorted(l[0] for l in all_layers(TINY) if l[0][:3] != "tag")
+    assert trace.ins["seg0"] is embed and trace.ins["ae0"] is trace.global_feat
 
 
 # ---------------------------------------------------------------------------
