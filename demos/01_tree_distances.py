@@ -1,15 +1,15 @@
 """Part hierarchies and the tree distance between parts.
 
 Builds the hierarchy of a toy chair by hand, prints the pairwise tree
-distances between its leaf parts, and cross-checks the closed-form LCA
-computation against a brute-force BFS on a few hundred random trees.
+distances between its leaf parts, and cross-checks the tree's leaf distance
+matrix against a brute-force BFS on a few hundred random trees.
 """
 
 from collections import deque
 
 import numpy as np
 
-from partembed.hierarchy import build_tree, tree_distance
+from partembed.hierarchy import build_tree
 
 # A chair: the root groups a frame and a seat assembly; the frame holds
 # four legs, the seat assembly holds the seat plate and the backrest.
@@ -64,7 +64,8 @@ for _ in range(300):
     n = int(rng.integers(2, 200))
     rparents = [None] + [int(rng.integers(0, i)) for i in range(1, n)]
     rtree = build_tree(rparents)
-    for a, b in rng.integers(0, n, size=(5, 2)):
-        assert tree_distance(rtree, int(a), int(b)) == bfs(rparents, int(a), int(b))
+    leaves = rtree.leaves
+    for i, j in rng.integers(0, len(leaves), size=(5, 2)):
+        assert rtree.leaf_distances[i, j] == bfs(rparents, leaves[i], leaves[j])
         checked += 1
-print(f"cross-checked {checked} random pairs against plain BFS: all equal")
+print(f"cross-checked {checked} random leaf pairs against plain BFS: all equal")

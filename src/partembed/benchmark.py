@@ -23,9 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check, kind
 from .errors import ConfigurationError, InputError
 from .ingest import DatasetSplit
-from .network import PenConfig, _is_int, init_params, load_checkpoint
+from .network import PenConfig, init_params, load_checkpoint
 from .training import (PRETRAINED, TrainConfig, TrainShape, finetune_segmentation,
                        predict_segmentation)
 
@@ -36,26 +37,22 @@ CSV_HEADER = ("category", "variant", "axis", "value", "repeat", "miou", "seconds
 
 @dataclass
 class BenchmarkSpec:
-    categories: tuple[str, ...]
-    variants: tuple[str, ...] = VARIANTS
-    shape_axis: tuple[int, ...] = (4, 8, 12, 20, 40, 60, 120)
-    point_axis: tuple[int, ...] = (20, 40, 60, 100, 200, 500)
-    point_axis_shapes: int = 8
-    axes: tuple[str, ...] = ("shapes", "points")
-    repeats: int = 5
-    seed: int = 0
-    eval_points: int = 2048
+    categories: tuple[str, ...] = kind("names")
+    variants: tuple[str, ...] = kind("names", VARIANTS)
+    shape_axis: tuple[int, ...] = kind("grid", (4, 8, 12, 20, 40, 60, 120))
+    point_axis: tuple[int, ...] = kind("grid", (20, 40, 60, 100, 200, 500))
+    point_axis_shapes: int = kind("count", 8)
+    axes: tuple[str, ...] = kind("names", ("shapes", "points"))
+    repeats: int = kind("count", 5)
+    seed: int = kind("natural", 0)
+    eval_points: int = kind("count", 2048)
 
     def __post_init__(self):
-        unknown = set(self.variants) - set(VARIANTS)
-        if unknown:
-            raise InputError(f"unknown variants {sorted(unknown)}")
-        if set(self.axes) - {"shapes", "points"}:
-            raise InputError("axes must be drawn from ('shapes', 'points')")
-        counts = (*self.shape_axis, *self.point_axis, self.point_axis_shapes, self.repeats,
-                  self.eval_points)
-        if not all(_is_int(n) and n >= 1 for n in counts):
-            raise InputError("axis values, point_axis_shapes, repeats, eval_points must be >= 1")
+        check(self)
+        if not set(self.variants) <= set(VARIANTS):
+            raise ConfigurationError(f"variants must be drawn from {VARIANTS}")
+        if not set(self.axes) <= {"shapes", "points"}:
+            raise ConfigurationError("axes must be drawn from ('shapes', 'points')")
 
 
 @dataclass

@@ -4,7 +4,9 @@ export-embeddings.
 Every command is deterministic given its flags and seed, writes its outputs
 under the given path and returns (directory, inputs, outputs), from which
 ``main`` drops a run.json manifest next to them. Exit codes: 0 success,
-1 runtime failure, 2 usage or configuration error.
+1 runtime failure, 2 usage or configuration error. Every JSON config
+(``--arch``, ``--train``, a synth ``noise``) decodes through
+``config.from_json`` after its defaults fill the keys it omits.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ import numpy as np
 from . import __version__
 from .benchmark import (VARIANTS, BenchmarkSpec, _category_classes, finetune_start,
                         run_benchmark, select_labeled_shapes)
+from .config import from_json, is_int
 from .errors import ConfigurationError, InputError, PartembedError
 from .geometry import icp_align, read_ply, sample_surface, write_ply
 from .ingest import (DEFAULT_STOP_PATTERNS, DatasetSplit, FilterPolicy,
                      TagVocabulary, extract_tags, label_points_with_tags, load_corpus,
                      mine_directory, parse_json_shape, split_dataset, write_corpus)
-from .network import (PenConfig, _is_int, forward_embed, init_params, load_checkpoint,
-                      save_checkpoint)
+from .network import PenConfig, forward_embed, init_params, load_checkpoint, save_checkpoint
 from .synth import DEFAULT_TAG_PROB, NoiseConfig, generate_corpus
 from .training import (TrainConfig, finetune_segmentation, finetune_tags,
                        prepare_shapes, pretrain_autoencoder, pretrain_metric)
@@ -92,9 +94,16 @@ def _synonyms(obj, path) -> dict[str, str]:
     return obj
 
 
+def _config(cls, raw, what: str, **overrides):
+    """A ``cls`` from a JSON object whose omitted keys take their defaults."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{what} must be a JSON object")
+    return from_json(cls, {**asdict(cls()), **raw, **overrides}, what)
+
+
 def _pen_config(path_or_none, **overrides) -> PenConfig:
     raw = _load_json(path_or_none) if path_or_none else {}
-    return PenConfig.from_dict({**asdict(PenConfig()), **raw, **overrides})
+    return _config(PenConfig, raw, str(path_or_none), **overrides)
 
 
 def _train_config(path_or_none, **overrides) -> TrainConfig:
@@ -102,11 +111,8 @@ def _train_config(path_or_none, **overrides) -> TrainConfig:
     if "seed" in raw:
         raise ConfigurationError(f"{path_or_none}: the seed is the --seed flag, "
                                  f"not a training-config field")
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return TrainConfig(**raw)
-    except (TypeError, InputError) as exc:
-        raise ConfigurationError(f"bad training config: {exc}") from exc
+    return _config(TrainConfig, raw, str(path_or_none),
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _write_run_manifest(out_dir: Path, args: argparse.Namespace,
@@ -174,17 +180,14 @@ def cmd_synth(args) -> tuple[Path, list, list]:
     if not counts:
         raise ConfigurationError("no categories: pass --counts cat=N or a --config with counts")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not (_is_int(seed) and seed >= 0):
+    if not (is_int(seed) and seed >= 0):
         raise ConfigurationError(f"{args.config}: seed must be an integer of at least 0")
     cfg_tag_prob = cfg.get("tag_prob", {})
     if not (isinstance(cfg_tag_prob, dict) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg_tag_prob.values())):
         raise ConfigurationError(f"{args.config}: tag_prob must map category names to numbers")
     tag_prob = {**DEFAULT_TAG_PROB, **cfg_tag_prob, **_parse_kv(args.tag_prob, float)}
-    try:
-        noise = NoiseConfig(**cfg["noise"]) if "noise" in cfg else None
-    except (TypeError, InputError) as exc:
-        raise ConfigurationError(f"bad noise config: {exc}") from exc
+    noise = _config(NoiseConfig, cfg["noise"], f"{args.config}: noise") if "noise" in cfg else None
     out = Path(args.out)
     try:
         records = generate_corpus(counts, seed=seed, tag_prob=tag_prob, noise=noise, out_dir=out)
@@ -198,10 +201,7 @@ def cmd_mine(args) -> tuple[Path, list, list]:
     out = Path(args.out)
     synonyms = _synonyms(_load_json(args.synonyms), args.synonyms) if args.synonyms else None
     stop = args.stop_patterns or DEFAULT_STOP_PATTERNS
-    try:
-        policy = FilterPolicy(min_leaves=args.min_leaves, max_leaves=args.max_leaves)
-    except InputError as exc:
-        raise ConfigurationError(f"--min-leaves/--max-leaves: {exc}") from exc
+    policy = FilterPolicy(min_leaves=args.min_leaves, max_leaves=args.max_leaves)
     records, report = mine_directory(args.in_dir, synonyms=synonyms,
                                      stop_patterns=stop, policy=policy, seed=args.seed)
     target = None
@@ -325,13 +325,10 @@ def _parse_checkpoint_flags(items) -> dict:
 
 def cmd_benchmark(args) -> tuple[Path, list, list]:
     records, split, _ = _load_dataset(args.data)
-    try:
-        spec = BenchmarkSpec(
-            categories=args.categories or tuple(sorted({r.category for r in records})),
-            variants=args.variants, shape_axis=args.x, point_axis=args.points_grid,
-            axes=args.axes, repeats=args.repeats, seed=args.seed, eval_points=args.eval_points)
-    except InputError as exc:
-        raise ConfigurationError(f"bad benchmark settings: {exc}") from exc
+    spec = BenchmarkSpec(
+        categories=args.categories or tuple(sorted({r.category for r in records})),
+        variants=args.variants, shape_axis=args.x, point_axis=args.points_grid,
+        axes=args.axes, repeats=args.repeats, seed=args.seed, eval_points=args.eval_points)
     shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
     tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
     base_cfg = _pen_config(args.arch)

@@ -1,9 +1,9 @@
 """Part hierarchies: rooted trees of named groups over geometry-carrying leaves.
 
 Trees come from designer metadata in scene-graph files (or from the synthetic
-generator) and stay small (at most a few hundred leaves), so every query here
-is a plain walk; a tree caches its children, leaves and node depths and, on
-first use, its leaf distance matrix.
+generator) and stay small (at most a few hundred leaves). A tree caches its
+children, leaves and node depths and, on first use, its leaf distance
+matrix, the only tree distances the pipeline reads.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ class PartHierarchy:
     def height(self) -> int:
         return max(self._depth)
 
-    def _check(self, a: NodeId) -> None:
-        if not isinstance(a, int) or isinstance(a, bool) or not (0 <= a < len(self)):
-            raise InputError(f"node id {a!r} not in tree of {len(self)} nodes")
-
     @cached_property
     def leaf_distances(self) -> np.ndarray:
         """Read-only (L, L) tree distances between leaves, rows and columns
@@ -102,32 +98,6 @@ class PartHierarchy:
         dist = depth[:, None] + depth[None, :] - 2 * (eq.sum(axis=2) - 1)
         dist.flags.writeable = False
         return dist
-
-
-def lca(tree: PartHierarchy, a: NodeId, b: NodeId) -> NodeId:
-    """Lowest common ancestor: the deepest node that is an ancestor-or-self
-    of both ``a`` and ``b``. Naive two-pointer walk (trees are small)."""
-    tree._check(a)
-    tree._check(b)
-    da, db = tree._depth[a], tree._depth[b]
-    while da > db:
-        a = tree.parents[a]
-        da -= 1
-    while db > da:
-        b = tree.parents[b]
-        db -= 1
-    while a != b:
-        a = tree.parents[a]
-        b = tree.parents[b]
-    return a
-
-
-def tree_distance(tree: PartHierarchy, a: NodeId, b: NodeId) -> int:
-    """Number of tree edges from ``a`` to the lowest common ancestor plus the
-    edges from ``b`` to it; equals the unweighted path distance in the tree.
-    Siblings are at distance 2."""
-    anc = lca(tree, a, b)
-    return (tree._depth[a] - tree._depth[anc]) + (tree._depth[b] - tree._depth[anc])
 
 
 def build_tree(parents: Sequence[Optional[int]],

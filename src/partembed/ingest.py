@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .collada import parse_collada_tree
-from .errors import InputError, ParseError, SchemaError
+from .config import check, kind
+from .errors import ConfigurationError, InputError, ParseError, SchemaError
 from .geometry import PointCloud, TriangleMesh, sample_surface
 from .hierarchy import PartHierarchy, build_tree
 
@@ -228,13 +229,13 @@ def parse_json_shape(source) -> ShapeRecord:
 
 @dataclass
 class FilterPolicy:
-    min_leaves: int = 2
-    max_leaves: int = 500
+    min_leaves: int = kind("natural", 2)
+    max_leaves: int = kind("natural", 500)
 
     def __post_init__(self):
-        if not 0 <= self.min_leaves <= self.max_leaves:
-            raise InputError(f"leaf bounds must satisfy 0 <= min_leaves <= max_leaves, "
-                             f"got {self.min_leaves} and {self.max_leaves}")
+        check(self)
+        if self.min_leaves > self.max_leaves:
+            raise ConfigurationError("min_leaves must not exceed max_leaves")
 
 
 def filter_shape(rec: ShapeRecord, policy: FilterPolicy | None = None) -> tuple[bool, str]:

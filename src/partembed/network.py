@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigurationError, InputError, OptimizerError, SchemaError
+from .config import check, from_json, kind
+from .errors import InputError, OptimizerError, SchemaError
 from .geometry import chamfer_with_grad
 
 DEFAULT_MARGIN = 0.2
@@ -48,47 +49,19 @@ class PenConfig:
     3 -> 64 -> 64 -> 64 point features, lifted 128 -> 1024 and max-pooled,
     1088-wide concatenation decoded through 256 to a 64-d embedding."""
 
-    point_widths: tuple[int, ...] = (64, 64, 64)
-    lift_widths: tuple[int, ...] = (128, 1024)
-    decoder_widths: tuple[int, ...] = (256,)
-    embed_dim: int = 64
-    head_hidden: int = 64
-    n_tags: int = 0
-    n_classes: int = 0
-    with_ae: bool = False
-    ae_hidden: tuple[int, ...] = (512,)
-    ae_points: int = 1024
+    point_widths: tuple[int, ...] = kind("widths", (64, 64, 64))
+    lift_widths: tuple[int, ...] = kind("widths", (128, 1024))
+    decoder_widths: tuple[int, ...] = kind("widths_or_empty", (256,))
+    embed_dim: int = kind("count", 64)
+    head_hidden: int = kind("count", 64)
+    n_tags: int = kind("natural", 0)
+    n_classes: int = kind("natural", 0)
+    with_ae: bool = kind("bool", False)
+    ae_hidden: tuple[int, ...] = kind("widths_or_empty", (512,))
+    ae_points: int = kind("count", 1024)
 
     def __post_init__(self):
-        stacks = (self.point_widths, self.lift_widths, self.decoder_widths, self.ae_hidden)
-        if not all(isinstance(s, tuple) for s in stacks):
-            raise InputError("point_widths, lift_widths, decoder_widths and ae_hidden must be lists")
-        if not isinstance(self.with_ae, bool):
-            raise InputError("with_ae must be true or false")
-        if not self.point_widths or not self.lift_widths:
-            raise InputError("point_widths and lift_widths must be nonempty")
-        sizes = (*sum(stacks, ()), self.embed_dim, self.head_hidden, self.ae_points)
-        if not all(_is_int(w) and w > 0 for w in sizes):
-            raise InputError("widths, embed_dim, head_hidden and ae_points must be positive integers")
-        if not all(_is_int(n) and n >= 0 for n in (self.n_tags, self.n_classes)):
-            raise InputError("n_tags and n_classes must be non-negative integers")
-
-    @classmethod
-    def from_dict(cls, raw) -> "PenConfig":
-        """Config from its JSON form, as ``asdict`` writes it (lists for the
-        width tuples). Every field must be present and valid; anything else
-        raises ConfigurationError."""
-        if not isinstance(raw, dict):
-            raise ConfigurationError("architecture config must be a JSON object")
-        names = {f.name for f in fields(cls)}
-        if set(raw) != names:
-            raise ConfigurationError(
-                f"architecture config: unknown keys {sorted(set(raw) - names)}, "
-                f"missing keys {sorted(names - set(raw))}")
-        try:
-            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
-        except (InputError, TypeError) as exc:
-            raise ConfigurationError(f"architecture config: {exc}") from exc
+        check(self)
 
     @property
     def point_dim(self) -> int:
@@ -97,10 +70,6 @@ class PenConfig:
     @property
     def global_dim(self) -> int:
         return self.lift_widths[-1]
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 Layer = tuple[str, int, int, bool]
@@ -454,10 +423,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], PenConfig, dict]:
             params = {k: z[k] for k in z.files if k != "__manifest__"}
         if manifest["format"] != 1:
             raise SchemaError(f"format {manifest['format']!r}, expected 1")
-        cfg = PenConfig.from_dict(manifest["config"])
+        cfg = from_json(PenConfig, manifest["config"], "checkpoint config")
         listed, meta = manifest["tensors"], manifest["meta"]
-    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile,
-            ConfigurationError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise SchemaError(f"{path}: not a readable checkpoint ({exc})") from exc
     if sorted(params) != listed:
         raise SchemaError(f"{path}: tensor listing disagrees with manifest")

@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .config import check, is_int, kind
+from .errors import ConfigurationError, InputError
 from .geometry import TriangleMesh
 from .hierarchy import build_tree
 from .ingest import ShapeRecord, write_corpus
-from .network import _is_int
 
 # Surface-name pools per part concept. The first entry is the canonical tag;
 # the rest are raw synonyms mapped onto it by SYNTH_SYNONYMS.
@@ -56,16 +56,15 @@ class NoiseConfig:
     """Hierarchy randomization. Everything off reduces each shape to one
     leaf per semantic part hanging straight off the root."""
 
-    split_parts: bool = True
-    max_sub_leaves: int = 4
-    group_leaves: bool = True
-    max_group_levels: int = 3
+    split_parts: bool = kind("bool", True)
+    max_sub_leaves: int = kind("count", 4)
+    group_leaves: bool = kind("bool", True)
+    max_group_levels: int = kind("count", 3)
 
     def __post_init__(self):
-        if not (1 <= self.max_sub_leaves):
-            raise InputError("max_sub_leaves must be at least 1")
-        if not (1 <= self.max_group_levels <= 3):
-            raise InputError("max_group_levels must be in [1, 3]")
+        check(self)
+        if self.max_group_levels > 3:
+            raise ConfigurationError("max_group_levels must be at most 3")
 
 
 @dataclass
@@ -267,7 +266,7 @@ def generate_corpus(counts: dict[str, int], seed: int = 0,
     category to the number of shapes; ``tag_prob`` overrides the per-category
     leaf-tagging probability."""
     for cat, n in counts.items():
-        if not (_is_int(n) and n >= 3):
+        if not (is_int(n) and n >= 3):
             raise InputError(f"category {cat!r}: need at least 3 shapes, asked for {n!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A17)))
     records = []

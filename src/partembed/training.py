@@ -21,11 +21,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, SamplingError, TrainingError
+from .config import check, kind
+from .errors import ConfigurationError, InputError, SamplingError, TrainingError
 from .geometry import PointCloud, normalize_cloud, sample_surface
 from .ingest import (MIN_TAG_COVERAGE, ShapeRecord, TagVocabulary, label_points_with_tags,
                      tag_sufficiency)
-from .network import (AdamState, PenConfig, _is_int, adam_step, ae_backward,
+from .network import (AdamState, PenConfig, adam_step, ae_backward,
                       ae_forward, backward_embed, backward_trunk, chamfer_batch_and_grad,
                       forward_embed, forward_trunk, head_backward, head_forward,
                       seg_loss_and_grad, tag_loss_and_grad, triplet_loss_and_grad)
@@ -38,34 +39,26 @@ class TrainConfig:
     0.01 divided by 10 on validation plateau, 32-shape batches, 2500-point
     subsamples, a constant number of triplets per shape."""
 
-    lr: float = 0.01
-    decay_factor: float = 10.0
-    plateau_patience: int = 5
-    plateau_rel_threshold: float = 1e-4
-    min_lr: float = 1e-5
-    stop_decays_below: int = 2
-    batch_shapes: int = 32
-    subsample_points: int = 2500
-    triplets_per_shape: int = 512
-    margin: float = 0.2
-    max_epochs: int = 100
-    seed: int = 0
-    microbatch: int = 8
-    trunk_lr_scale: float = 0.1    # 0 freezes pretrained tensors in fine-tuning
-    head_epochs: int = 10          # fresh tensors alone, before pretrained ones join
+    lr: float = kind("positive", 0.01)
+    decay_factor: float = kind("positive", 10.0)
+    plateau_patience: int = kind("count", 5)
+    plateau_rel_threshold: float = kind("nonnegative", 1e-4)
+    min_lr: float = kind("positive", 1e-5)
+    stop_decays_below: int = kind("count", 2)
+    batch_shapes: int = kind("count", 32)
+    subsample_points: int = kind("count", 2500)
+    triplets_per_shape: int = kind("count", 512)
+    margin: float = kind("positive", 0.2)
+    max_epochs: int = kind("count", 100)
+    seed: int = kind("natural", 0)
+    microbatch: int = kind("count", 8)
+    trunk_lr_scale: float = kind("nonnegative", 0.1)  # 0 freezes pretrained tensors in fine-tuning
+    head_epochs: int = kind("natural", 10)  # fresh tensors alone, before pretrained ones join
 
     def __post_init__(self):
-        for name, least in (("batch_shapes", 1), ("subsample_points", 1),
-                            ("triplets_per_shape", 1), ("max_epochs", 1), ("microbatch", 1),
-                            ("head_epochs", 0)):
-            if not (_is_int(getattr(self, name)) and getattr(self, name) >= least):
-                raise InputError(f"{name} must be an integer of at least {least}")
+        check(self)
         if self.decay_factor <= 1.0:
-            raise InputError("decay_factor must exceed 1")
-        if not self.lr > 0:
-            raise InputError("lr must be positive")
-        if not self.trunk_lr_scale >= 0:
-            raise InputError("trunk_lr_scale must be non-negative")
+            raise ConfigurationError("decay_factor must exceed 1")
 
 
 class PlateauScheduler:

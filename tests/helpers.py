@@ -1,5 +1,6 @@
-"""Shared test utilities: random trees, an independent BFS distance oracle,
-a brute-force Chamfer oracle, and finite-difference gradient checking."""
+"""Shared test utilities: random trees, the scalar LCA walk and an
+independent BFS distance oracle, a brute-force Chamfer oracle, and
+finite-difference gradient checking."""
 
 from collections import deque
 
@@ -18,6 +19,28 @@ def random_parents(rng: np.random.Generator, max_nodes: int = 500) -> list:
 
 def random_tree(rng: np.random.Generator, max_nodes: int = 500) -> PartHierarchy:
     return build_tree(random_parents(rng, max_nodes))
+
+
+def _ancestors(tree: PartHierarchy, a: int) -> list:
+    """``a``, its parent, ... up to the root."""
+    path = [a]
+    while tree.parents[path[-1]] is not None:
+        path.append(tree.parents[path[-1]])
+    return path
+
+
+def lca(tree: PartHierarchy, a: int, b: int) -> int:
+    """Lowest common ancestor: the first of ``a``'s ancestors-or-self that is
+    also one of ``b``'s."""
+    of_b = set(_ancestors(tree, b))
+    return next(x for x in _ancestors(tree, a) if x in of_b)
+
+
+def tree_distance(tree: PartHierarchy, a: int, b: int) -> int:
+    """Edges from ``a`` up to the lowest common ancestor plus those from
+    ``b``: the path distance in the tree, one query at a time."""
+    anc = lca(tree, a, b)
+    return _ancestors(tree, a).index(anc) + _ancestors(tree, b).index(anc)
 
 
 def bfs_distance(parents, a: int, b: int) -> int:

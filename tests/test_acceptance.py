@@ -23,7 +23,7 @@ from scipy import stats
 from partembed.benchmark import BenchmarkSpec, miou, run_benchmark
 from partembed.geometry import (PointCloud, RigidTransform, icp_align,
                                 normalize_cloud, sample_surface)
-from partembed.hierarchy import build_tree, tree_distance
+from partembed.hierarchy import build_tree
 from partembed.ingest import FilterPolicy, extract_tags, mine_directory, split_dataset
 from partembed.network import (DEFAULT_MARGIN, PROB_CLAMP, PenConfig, ae_backward,
                                ae_forward, all_layers, backward_embed, backward_trunk,
@@ -38,7 +38,7 @@ from partembed.triplets import (LeafIndex, TripletBatch, build_pair_distribution
                                 sample_triplets)
 
 from helpers import (KINK_MARGIN, bfs_distance, check_grads, cloud_on_tree,
-                     pool_gap, prenorm_floor, random_parents, relu_margin)
+                     pool_gap, prenorm_floor, random_parents, relu_margin, tree_distance)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

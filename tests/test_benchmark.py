@@ -237,15 +237,21 @@ def test_finetune_start_lends_trunk_and_decoder_never_heads(ckpt_cfg, lent):
 
 
 def test_benchmark_spec_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         BenchmarkSpec(categories=("table",), variants=("scratch", "mystery"))
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         BenchmarkSpec(categories=("table",), axes=("shapes", "lines"))
     for bad in ({"shape_axis": (4, 0)}, {"shape_axis": (-1,)}, {"point_axis": (20, 0)},
                 {"point_axis_shapes": 0}, {"repeats": 0}, {"eval_points": 0},
                 {"repeats": 1.5}):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             BenchmarkSpec(categories=("table",), **bad)
+    # a repeated grid entry would run its cells twice over the same seeds
+    for bad in ({"shape_axis": (2, 2)}, {"point_axis": (20, 40, 20)},
+                {"variants": ("scratch", "scratch")}, {"categories": ("chair", "chair")},
+                {"axes": ("shapes", "shapes")}):
+        with pytest.raises(ConfigurationError, match="distinct"):
+            BenchmarkSpec(**{"categories": ("table",), **bad})
     assert BenchmarkSpec(categories=("t",)).variants == VARIANTS
 
 

@@ -4,7 +4,7 @@ flow, benchmarking, and mining against the golden report."""
 import json
 import os
 import shutil
-from dataclasses import asdict, replace
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -288,11 +288,15 @@ def _export_without_shapes(tmp_path, corpus):
             "--points", "60"]
 
 
-def _fractional_max_epochs(tmp_path, corpus):
+def _train_file(tmp_path, corpus, **fields):
     train = tmp_path / "train.json"
-    train.write_text(json.dumps({**TRAIN, "max_epochs": 1.5}))
+    train.write_text(json.dumps({**TRAIN, **fields}))
     return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
             "--points", "60", "--train", str(train)]
+
+
+def _fractional_max_epochs(tmp_path, corpus):
+    return _train_file(tmp_path, corpus, max_epochs=1.5)
 
 
 def _strategy_in_train_config(tmp_path, corpus):
@@ -358,6 +362,63 @@ def _seed_in_train_config(tmp_path, corpus):
             "--points", "60", "--arch", str(arch), "--train", str(train)]
 
 
+# a nonpositive margin trains at loss 0 and a non-number fails inside numpy
+# mid-training, so each must be refused before training starts
+def _train_negative_margin(tmp_path, corpus):
+    return _train_file(tmp_path, corpus, margin=-1)
+
+
+def _train_string_margin(tmp_path, corpus):
+    return _train_file(tmp_path, corpus, margin="x")
+
+
+def _train_negative_min_lr(tmp_path, corpus):
+    return _train_file(tmp_path, corpus, min_lr=-1)
+
+
+def _train_string_min_lr(tmp_path, corpus):
+    return _train_file(tmp_path, corpus, min_lr="x")
+
+
+def _train_string_plateau_patience(tmp_path, corpus):
+    return _train_file(tmp_path, corpus, plateau_patience="x")
+
+
+def _train_nan_plateau_threshold(tmp_path, corpus):
+    return _train_file(tmp_path, corpus, plateau_rel_threshold=float("nan"))
+
+
+def _train_negative_stop_decays(tmp_path, corpus):
+    return _train_file(tmp_path, corpus, stop_decays_below=-3)
+
+
+def _train_infinite_decay_factor(tmp_path, corpus):
+    return _train_file(tmp_path, corpus, decay_factor=float("inf"))
+
+
+def _synth_noise(tmp_path, **noise):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"counts": {"table": 3}, "noise": noise}))
+    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+
+
+# a corpus would still be written from each, so each must be refused
+def _synth_fractional_sub_leaves(tmp_path, corpus):
+    return _synth_noise(tmp_path, max_sub_leaves=2.5)
+
+
+def _synth_string_split_parts(tmp_path, corpus):
+    return _synth_noise(tmp_path, split_parts="no")
+
+
+def _synth_bool_group_levels(tmp_path, corpus):
+    return _synth_noise(tmp_path, max_group_levels=True)
+
+
+def _synth_integer_group_leaves(tmp_path, corpus):
+    return _synth_noise(tmp_path, group_leaves=0)
+
+
 @pytest.mark.parametrize("make_argv", [
     _checkpoint_missing_lift_widths, _zero_width_arch, _negative_lr, _corrupt_checkpoint,
     _malformed_manifest, _split_without_validation, _vocabulary_without_tags,
@@ -372,7 +433,11 @@ def _seed_in_train_config(tmp_path, corpus):
     _vocabulary_tags_a_string, _strategy_in_train_config, _mine_reversed_leaf_range,
     _mine_negative_min_leaves, _mine_zero_points_without_clouds, _mine_negative_seed,
     _synth_negative_seed, _pretrain_negative_seed, _synth_negative_seed_in_config,
-    _synth_string_seed_in_config, _seed_in_train_config])
+    _synth_string_seed_in_config, _seed_in_train_config, _train_negative_margin,
+    _train_string_margin, _train_negative_min_lr, _train_string_min_lr,
+    _train_string_plateau_patience, _train_nan_plateau_threshold, _train_negative_stop_decays,
+    _train_infinite_decay_factor, _synth_fractional_sub_leaves, _synth_string_split_parts,
+    _synth_bool_group_levels, _synth_integer_group_leaves])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])
@@ -596,7 +661,7 @@ def test_finetune_segmentation_from_another_categorys_head(tmp_path, configs):
     arch, train = configs
     corpus = _synth(tmp_path, spec="table=5", seed="2")
     # a chair segmentation checkpoint: four classes, where tables have two
-    chair = replace(PenConfig.from_dict({**asdict(PenConfig()), **ARCH}), n_classes=4)
+    chair = replace(cli._config(PenConfig, ARCH, "arch"), n_classes=4)
     ck = tmp_path / "chair_seg.npz"
     save_checkpoint(ck, init_params(chair, np.random.default_rng(0)), chair)
     out = tmp_path / "seg.npz"
@@ -630,7 +695,7 @@ def test_finetune_tags_starts_like_segmentation(tmp_path, configs, monkeypatch, 
     arch, train = configs
     corpus = _synth(tmp_path, spec="chair=5", seed="3", extra=["--tag-prob", "chair=0.9"])
     n_tags = len(extract_tags(load_corpus(corpus), "chair", synonyms=SYNTH_SYNONYMS).tags)
-    base = PenConfig.from_dict({**asdict(PenConfig()), **ARCH})
+    base = cli._config(PenConfig, ARCH, "arch")
     ckpt_cfg, lent = {
         "scratch": (None, ()),
         "metric": (base, PRETRAINED),
@@ -718,7 +783,7 @@ def test_benchmark_takes_a_per_category_checkpoint_for_any_variant(tmp_path, con
     arch, train = configs
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--counts", "chair=8", "table=8"]) == 0
-    cfg = PenConfig.from_dict({**asdict(PenConfig()), **ARCH})
+    cfg = cli._config(PenConfig, ARCH, "arch")
     ck = tmp_path / "h.npz"
     save_checkpoint(ck, init_params(cfg, np.random.default_rng(0)), cfg)
     out = tmp_path / "bench"

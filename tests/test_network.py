@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from partembed.config import from_json
 from partembed.errors import ConfigurationError, InputError, OptimizerError, SchemaError
 from partembed.network import (
     DEFAULT_MARGIN,
@@ -91,20 +92,20 @@ def test_init_matches_spec_and_is_deterministic():
 
 
 def test_config_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         PenConfig(point_widths=())
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         PenConfig(embed_dim=0)
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         PenConfig(point_widths=(0,))
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         PenConfig(ae_points=0)
 
 
 def test_config_from_dict_round_trips_and_rejects():
     cfg = PenConfig(point_widths=(4, 5), ae_hidden=(), n_tags=3, with_ae=True)
     raw = json.loads(json.dumps(asdict(cfg)))
-    assert PenConfig.from_dict(raw) == cfg
+    assert from_json(PenConfig, raw, "arch") == cfg
     for bad in ({k: v for k, v in raw.items() if k != "lift_widths"},
                 {**raw, "depth": 3},
                 {**raw, "point_widths": [8.5]},
@@ -112,7 +113,7 @@ def test_config_from_dict_round_trips_and_rejects():
                 {**raw, "point_widths": [0]},
                 [1, 2]):
         with pytest.raises(ConfigurationError):
-            PenConfig.from_dict(bad)
+            from_json(PenConfig, bad, "arch")
 
 
 def test_heads_absent_without_tasks():

@@ -1,20 +1,26 @@
 """Property tests of the on-disk formats and of config validation: the native
 JSON shape format and PLY clouds read back exactly what was written, and an
-architecture config from any JSON object either builds or is refused with
-ConfigurationError."""
+architecture, training or noise config from any JSON value either builds or
+is refused with ConfigurationError."""
 
 import json
+import math
+import sys
 from dataclasses import asdict, fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partembed.config import from_json
 from partembed.errors import ConfigurationError
 from partembed.geometry import PointCloud, TriangleMesh, read_ply, write_ply
 from partembed.hierarchy import build_tree
 from partembed.ingest import ShapeRecord, dumps_shape, parse_json_shape
 from partembed.network import PenConfig
+from partembed.synth import NoiseConfig
+from partembed.training import TrainConfig
 
 FEW = settings(max_examples=60, deadline=None)
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -100,29 +106,34 @@ def test_ply_round_trip_is_bit_exact(tmp_path_factory, cloud_and_embeddings):
     assert got.tobytes() == embeddings.tobytes()
 
 
-FIELDS = [f.name for f in fields(PenConfig)]
+json_scalars = (st.none() | st.booleans() | st.integers(-3, 3000) | st.floats()
+                | st.text(max_size=3)
+                | st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]))
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3000) | st.floats() | st.text(max_size=3),
+    json_scalars,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                               max_size=2),
     max_leaves=8)
 
 
-def _json_form(cfg: PenConfig):
+def _json_form(cfg):
     return json.loads(json.dumps(asdict(cfg)))
 
 
 @st.composite
-def config_dicts(draw) -> dict:
-    """The JSON form of the default config with some fields replaced,
-    dropped or added, or an arbitrary JSON value."""
-    if draw(st.booleans()):
+def config_dicts(draw, cls) -> dict:
+    """An arbitrary JSON value, or the JSON form of the default config with
+    some fields replaced and, now and then, some dropped or added."""
+    if draw(st.integers(0, 3)) == 3:
         return draw(json_values)
-    raw = _json_form(PenConfig())
-    raw.update(draw(st.dictionaries(st.sampled_from(FIELDS), json_values, max_size=3)))
-    for key in draw(st.sets(st.sampled_from(FIELDS), max_size=2)):
-        del raw[key]
-    raw.update(draw(st.dictionaries(st.text(max_size=4), json_values, max_size=1)))
+    names = [f.name for f in fields(cls)]
+    raw = _json_form(cls())
+    raw.update(draw(st.dictionaries(st.sampled_from(names), json_scalars | json_values,
+                                    max_size=2)))
+    if draw(st.integers(0, 3)) == 3:
+        for key in draw(st.sets(st.sampled_from(names), max_size=2)):
+            del raw[key]
+        raw.update(draw(st.dictionaries(st.text(max_size=4), json_values, max_size=1)))
     return raw
 
 
@@ -130,14 +141,17 @@ def _is_count(x, least: int) -> bool:
     return type(x) is int and x >= least
 
 
-@settings(max_examples=200, deadline=None)
-@given(config_dicts())
-def test_pen_config_from_dict_builds_or_refuses(raw):
-    try:
-        cfg = PenConfig.from_dict(raw)
-    except ConfigurationError:
-        return
-    # what builds is a config every field of which has its declared type
+def _is_real(x, above: float, strict: bool) -> bool:
+    """A JSON number that a float can hold, at least (or, when ``strict``,
+    above) ``above``."""
+    if type(x) is int:
+        fits = abs(x) <= sys.float_info.max
+    else:
+        fits = type(x) is float and -math.inf < x < math.inf
+    return fits and (x > above if strict else x >= above)
+
+
+def _pen_config_is_typed(cfg: PenConfig) -> None:
     for name in ("point_widths", "lift_widths", "decoder_widths", "ae_hidden"):
         widths = getattr(cfg, name)
         assert type(widths) is tuple and all(_is_count(w, 1) for w in widths)
@@ -146,4 +160,39 @@ def test_pen_config_from_dict_builds_or_refuses(raw):
                for name in ("embed_dim", "head_hidden", "ae_points"))
     assert _is_count(cfg.n_tags, 0) and _is_count(cfg.n_classes, 0)
     assert type(cfg.with_ae) is bool
-    assert PenConfig.from_dict(_json_form(cfg)) == cfg
+
+
+def _train_config_is_typed(tc: TrainConfig) -> None:
+    assert all(_is_count(getattr(tc, name), 1) for name in (
+        "plateau_patience", "stop_decays_below", "batch_shapes", "subsample_points",
+        "triplets_per_shape", "max_epochs", "microbatch"))
+    assert _is_count(tc.seed, 0) and _is_count(tc.head_epochs, 0)
+    assert all(_is_real(getattr(tc, name), 0, strict=True)
+               for name in ("lr", "min_lr", "margin"))
+    assert _is_real(tc.decay_factor, 1, strict=True)
+    assert _is_real(tc.plateau_rel_threshold, 0, strict=False)
+    assert _is_real(tc.trunk_lr_scale, 0, strict=False)
+
+
+def _noise_config_is_typed(noise: NoiseConfig) -> None:
+    assert type(noise.split_parts) is bool and type(noise.group_leaves) is bool
+    assert _is_count(noise.max_sub_leaves, 1)
+    assert _is_count(noise.max_group_levels, 1) and noise.max_group_levels <= 3
+
+
+IS_TYPED = {PenConfig: _pen_config_is_typed, TrainConfig: _train_config_is_typed,
+            NoiseConfig: _noise_config_is_typed}
+
+
+@pytest.mark.parametrize("cls", IS_TYPED, ids=lambda cls: cls.__name__)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_config_from_json_builds_or_refuses(cls, data):
+    raw = data.draw(config_dicts(cls))
+    try:
+        cfg = from_json(cls, raw, cls.__name__)
+    except ConfigurationError:
+        return
+    # what builds is a config every field of which has its declared type
+    IS_TYPED[cls](cfg)
+    assert from_json(cls, _json_form(cfg), cls.__name__) == cfg

@@ -4,7 +4,7 @@ variability, tag-name coverage, and byte-stable generation."""
 import numpy as np
 import pytest
 
-from partembed.errors import InputError
+from partembed.errors import ConfigurationError, InputError
 from partembed.ingest import filter_shape, load_corpus, parse_json_shape
 from partembed.synth import (
     CATEGORIES,
@@ -93,7 +93,7 @@ def test_corpus_counts_and_tag_prob_validation():
         generate_shape("boat", "b", np.random.default_rng(0))
     with pytest.raises(InputError, match="probability"):
         generate_shape("table", "t", np.random.default_rng(0), tag_prob=1.5)
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         NoiseConfig(max_group_levels=0)
 
 

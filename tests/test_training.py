@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from partembed import training
-from partembed.errors import InputError, TrainingError
+from partembed.errors import ConfigurationError, InputError, TrainingError
 from partembed.ingest import extract_tags
 from partembed.network import PenConfig, init_params
 from partembed.synth import SYNTH_SYNONYMS, generate_corpus, generate_shape
@@ -112,19 +112,23 @@ def test_scheduler_stops_after_two_decays_below_floor():
 
 
 def test_train_config_validation():
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         TrainConfig(batch_shapes=0)
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         TrainConfig(decay_factor=1.0)
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         TrainConfig(lr=0.0)
-    with pytest.raises(InputError):
+    with pytest.raises(ConfigurationError):
         TrainConfig(trunk_lr_scale=-0.1)
     # a float or bool count would otherwise pass here and then crash, or train
     # as batch size 1, once the data is loaded
     for bad in ({"max_epochs": 1.5}, {"microbatch": 2.5}, {"subsample_points": 2.5},
                 {"batch_shapes": True}, {"head_epochs": -1}, {"head_epochs": 2.0}):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**bad)
+    # a rate beyond float range is not finite, and must not overflow the check
+    for bad in ({"lr": 10**400}, {"lr": float("inf")}):
+        with pytest.raises(ConfigurationError, match="lr"):
             TrainConfig(**bad)
     assert TrainConfig(head_epochs=0).head_epochs == 0
 

@@ -3,11 +3,11 @@ import pytest
 
 from partembed.errors import InputError, SamplingError
 from partembed.geometry import PointCloud
-from partembed.hierarchy import build_tree, tree_distance
+from partembed.hierarchy import build_tree
 from partembed.triplets import (LeafIndex, build_pair_distribution, sample_shape_triplets,
                                 sample_triplets)
 
-from helpers import bfs_distance, cloud_on_tree, random_parents
+from helpers import bfs_distance, cloud_on_tree, random_parents, tree_distance
 
 
 def nested_tree():
