@@ -11,7 +11,7 @@ import numpy as np
 
 from partembed.geometry import PointCloud
 from partembed.hierarchy import build_tree
-from partembed.triplets import LeafIndex, build_pair_distribution, sample_triplets
+from partembed.triplets import build_pair_distribution, sample_triplets
 
 # same toy chair as demo 01: four legs under a frame, seat+back under
 # a seat assembly
@@ -25,23 +25,22 @@ rng = np.random.default_rng(0)
 pts = rng.standard_normal((len(leaf_ids) * 40, 3))
 cloud = PointCloud(points=pts, leaf_id=np.repeat(leaf_ids, 40))
 
-counts = np.bincount(cloud.leaf_id, minlength=len(tree))
-index = LeafIndex.build(cloud, len(tree))
 dist = tree.leaf_distances
 
 n = 50_000
 freqs = {}
 for strategy in ("hierarchy", "leaf"):
-    pd = build_pair_distribution(tree, counts, strategy=strategy)
-    batch = sample_triplets(pd, index, n, rng)
-    a = cloud.leaf_id[batch.anchor]
-    c = cloud.leaf_id[batch.negative]
+    # a (3, n) array of anchor, positive and negative point indices
+    anchor, _, negative = sample_triplets(tree, cloud.leaf_id, n, rng, strategy)
+    a = cloud.leaf_id[anchor]
+    c = cloud.leaf_id[negative]
     key = np.minimum(a, c) * 100 + np.maximum(a, c)
     freqs[strategy] = {int(k): int((key == k).sum()) / n for k in np.unique(key)}
 
-pd_h = build_pair_distribution(tree, counts, strategy="hierarchy")
+counts = np.bincount(cloud.leaf_id, minlength=len(tree))
+pairs, weights = build_pair_distribution(tree, counts, strategy="hierarchy")
 print(f"{'pair':>16} {'delta':>6} {'1/d law':>8} {'hierarchy':>10} {'leaf':>8}")
-for (u, v), w in sorted(zip(map(tuple, pd_h.pairs), pd_h.weights),
+for (u, v), w in sorted(zip(map(tuple, pairs), weights),
                         key=lambda t: -t[1]):
     name = f"{tree.names[u]}-{tree.names[v]}"
     delta = int(dist[leaf_ids.index(int(u)), leaf_ids.index(int(v))])

@@ -26,6 +26,6 @@ from .synth import NoiseConfig, generate_corpus, generate_shape
 from .training import (TrainConfig, TrainShape, finetune_segmentation,
                        finetune_tags, prepare_shapes, predict_segmentation,
                        pretrain_autoencoder, pretrain_metric)
-from .triplets import TripletBatch, build_pair_distribution, sample_triplets
+from .triplets import build_pair_distribution, sample_triplets
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -125,9 +125,7 @@ def select_labeled_points(shapes: Sequence[TrainShape], y: int,
         keep = rng.permutation(n)[:min(y, n)]
         labels = np.full(n, -1, dtype=np.int64)
         labels[keep] = s.cloud.semantic_label[keep]
-        cloud = s.cloud.take(np.arange(n))
-        cloud.semantic_label = labels
-        out.append(TrainShape(record=s.record, cloud=cloud))
+        out.append(TrainShape(record=s.record, cloud=replace(s.cloud, semantic_label=labels)))
     return out
 
 
@@ -198,14 +196,23 @@ def run_benchmark(shapes: Sequence[TrainShape], split: DatasetSplit, spec: Bench
     train_ids = [i for i in split.train if i in by_id]
     test_ids = [i for i in split.test if i in by_id]
 
-    table = MetricsTable()
-    for ci, cat in enumerate(spec.categories):
+    # every category's data is checked before the first cell trains
+    largest = max([*(spec.shape_axis if "shapes" in spec.axes else ()),
+                   *((spec.point_axis_shapes,) if "points" in spec.axes else ())])
+    cats = []
+    for cat in spec.categories:
         pool = [by_id[i] for i in train_ids if by_id[i].category == cat]
         test = [by_id[i] for i in test_ids if by_id[i].category == cat]
         if not pool or not test:
             raise ConfigurationError(f"category {cat!r}: empty fine-tune pool or test set")
         n_classes = _category_classes(pool + test)
+        if largest > len(pool):
+            raise ConfigurationError(f"category {cat!r}: requested {largest} labeled shapes, "
+                                     f"pool has {len(pool)}")
+        cats.append((cat, pool, test, n_classes))
 
+    table = MetricsTable()
+    for ci, (cat, pool, test, n_classes) in enumerate(cats):
         eval_rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 0xE7A1, ci)))
         eval_idx = [np.sort(eval_rng.permutation(len(s.cloud))[:spec.eval_points]) for s in test]
         eval_pts = np.stack([s.cloud.points[idx] for s, idx in zip(test, eval_idx)])

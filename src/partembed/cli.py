@@ -174,8 +174,16 @@ def _split_shapes(shapes, split: DatasetSplit):
 # Commands
 # ---------------------------------------------------------------------------
 
+SYNTH_KEYS = ("counts", "seed", "tag_prob", "noise")
+
+
 def cmd_synth(args) -> tuple[Path, list, list]:
     cfg = _load_json(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - set(SYNTH_KEYS))
+    if unknown:
+        raise ConfigurationError(f"{args.config}: unknown keys {unknown}, expected {SYNTH_KEYS}")
+    if not isinstance(cfg.get("counts", {}), dict):
+        raise ConfigurationError(f"{args.config}: counts must map category names to counts")
     counts = _parse_kv(args.counts, int) or cfg.get("counts")
     if not counts:
         raise ConfigurationError("no categories: pass --counts cat=N or a --config with counts")

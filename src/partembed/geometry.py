@@ -77,15 +77,6 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def take(self, idx: np.ndarray) -> "PointCloud":
-        idx = np.asarray(idx)
-        return PointCloud(
-            points=self.points[idx],
-            leaf_id=self.leaf_id[idx],
-            tag_id=None if self.tag_id is None else self.tag_id[idx],
-            semantic_label=None if self.semantic_label is None else self.semantic_label[idx],
-        )
-
 
 @dataclass
 class RigidTransform:

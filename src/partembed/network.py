@@ -273,29 +273,31 @@ def ae_backward(params, cfg: PenConfig, trace: ForwardTrace, g_recon: np.ndarray
 # Losses
 # ---------------------------------------------------------------------------
 
-def triplet_loss_and_grad(embed: np.ndarray, batches: Sequence, margin: float = DEFAULT_MARGIN
+def triplet_loss_and_grad(embed: np.ndarray, triplets: Sequence, margin: float = DEFAULT_MARGIN
                           ) -> tuple[float, np.ndarray]:
     """Hinge triplet loss over squared Euclidean embedding distances.
 
-    Within each shape the loss is the mean over its triplets; shapes are then
-    summed. The subgradient at the hinge kink is taken as zero. Returns the
-    loss and its gradient with respect to ``embed`` (B, N, E).
+    ``triplets`` holds one (3, k) anchor/positive/negative index array per
+    shape, e.g. a (B, 3, k) array. Within each shape the loss is the mean
+    over its triplets; shapes are then summed. The subgradient at the hinge
+    kink is taken as zero. Returns the loss and its gradient with respect
+    to ``embed`` (B, N, E).
     """
-    if len(batches) != len(embed):
-        raise InputError("one triplet batch per shape required")
+    if len(triplets) != len(embed):
+        raise InputError("one triplet array per shape required")
     g = np.zeros_like(embed)
     total = 0.0
-    for s, tb in enumerate(batches):
+    for s, (a, p, n) in enumerate(triplets):
         e = embed[s]
-        ea, eb, ec = e[tb.anchor], e[tb.positive], e[tb.negative]
+        ea, eb, ec = e[a], e[p], e[n]
         d_pos = np.sum((ea - eb) ** 2, axis=1)
         d_neg = np.sum((ea - ec) ** 2, axis=1)
         viol = np.maximum(d_pos - d_neg + margin, 0.0)
         total += float(viol.mean())
-        scale = (viol > 0).astype(np.float64)[:, None] / len(tb)
-        np.add.at(g[s], tb.anchor, 2.0 * (ec - eb) * scale)
-        np.add.at(g[s], tb.positive, 2.0 * (eb - ea) * scale)
-        np.add.at(g[s], tb.negative, 2.0 * (ea - ec) * scale)
+        scale = (viol > 0).astype(np.float64)[:, None] / len(a)
+        np.add.at(g[s], a, 2.0 * (ec - eb) * scale)
+        np.add.at(g[s], p, 2.0 * (eb - ea) * scale)
+        np.add.at(g[s], n, 2.0 * (ea - ec) * scale)
     return total, g
 
 

@@ -30,7 +30,7 @@ from .network import (AdamState, PenConfig, adam_step, ae_backward,
                       ae_forward, backward_embed, backward_trunk, chamfer_batch_and_grad,
                       forward_embed, forward_trunk, head_backward, head_forward,
                       seg_loss_and_grad, tag_loss_and_grad, triplet_loss_and_grad)
-from .triplets import TripletBatch, sample_shape_triplets
+from .triplets import sample_triplets
 
 
 @dataclass
@@ -171,10 +171,11 @@ def _subsample_labeled(shape: TrainShape, n: int, rng: np.random.Generator) -> n
 
 
 def _shape_triplets(shape: TrainShape, sub_idx: np.ndarray, k: int,
-                    rng: np.random.Generator, strategy: str) -> TripletBatch:
+                    rng: np.random.Generator, strategy: str) -> np.ndarray:
+    """(3, k) triplets indexing the subsample ``sub_idx`` of the shape."""
     try:
-        return sample_shape_triplets(shape.record.hierarchy, shape.cloud.take(sub_idx), k, rng,
-                                     strategy)
+        return sample_triplets(shape.record.hierarchy, shape.cloud.leaf_id[sub_idx], k, rng,
+                               strategy)
     except SamplingError as exc:
         raise TrainingError(f"shape {shape.record.shape_id}: no valid triplets ({exc})") from exc
 
@@ -315,7 +316,7 @@ def pretrain_metric(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainSh
     def chunk_loss(chunk, draws, want_grads):
         pts = np.stack([s.cloud.points[sub] for s, (sub, _) in zip(chunk, draws)])
         embed, trace = forward_embed(params, cfg, pts)
-        loss, g_embed = triplet_loss_and_grad(embed, [tb for _, tb in draws], tc.margin)
+        loss, g_embed = triplet_loss_and_grad(embed, np.stack([t for _, t in draws]), tc.margin)
         return loss, backward_embed(params, cfg, trace, g_embed) if want_grads else None
 
     rng_train, rng_val = _train_val_rngs(tc, 0x7E1)

@@ -34,8 +34,7 @@ from partembed.network import (DEFAULT_MARGIN, PROB_CLAMP, PenConfig, ae_backwar
 from partembed.synth import SYNTH_SYNONYMS, generate_corpus, generate_shape
 from partembed.training import (TrainConfig, finetune_tags, prepare_shapes,
                                 pretrain_autoencoder, pretrain_metric)
-from partembed.triplets import (LeafIndex, TripletBatch, build_pair_distribution,
-                                sample_triplets)
+from partembed.triplets import sample_triplets
 
 from helpers import (KINK_MARGIN, bfs_distance, check_grads, cloud_on_tree,
                      pool_gap, prenorm_floor, random_parents, relu_margin, tree_distance)
@@ -101,12 +100,9 @@ def test_triplet_sampling_distribution():
             parents = [None, 0, 0]
             tree = build_tree(parents)
         cloud = cloud_on_tree(tree, 2, rng)
-        counts = np.bincount(cloud.leaf_id, minlength=len(tree))
-        dist = build_pair_distribution(tree, counts, strategy="hierarchy")
-        index = LeafIndex.build(cloud, len(tree))
-        batch = sample_triplets(dist, index, n_draws, rng)
-        a_leaf = cloud.leaf_id[batch.anchor]
-        n_leaf = cloud.leaf_id[batch.negative]
+        a, _, n = sample_triplets(tree, cloud.leaf_id, n_draws, rng, strategy="hierarchy")
+        a_leaf = cloud.leaf_id[a]
+        n_leaf = cloud.leaf_id[n]
         pairs = np.stack([np.minimum(a_leaf, n_leaf), np.maximum(a_leaf, n_leaf)], axis=1)
         # independent oracle: BFS distances over the raw parent array
         lv = tree.leaves
@@ -122,13 +118,10 @@ def test_triplet_sampling_distribution():
     for n_leaves in (4, 6, 9):
         tree = build_tree([None] + [0] * n_leaves)
         cloud = cloud_on_tree(tree, 2, rng)
-        counts = np.bincount(cloud.leaf_id, minlength=len(tree))
-        index = LeafIndex.build(cloud, len(tree))
         tables = []
         for strategy in ("hierarchy", "leaf"):
-            dist = build_pair_distribution(tree, counts, strategy=strategy)
-            batch = sample_triplets(dist, index, n_draws, rng)
-            a, n = cloud.leaf_id[batch.anchor], cloud.leaf_id[batch.negative]
+            anchor, _, negative = sample_triplets(tree, cloud.leaf_id, n_draws, rng, strategy)
+            a, n = cloud.leaf_id[anchor], cloud.leaf_id[negative]
             key = np.minimum(a, n) * (len(tree) + 1) + np.maximum(a, n)
             keys = sorted(set(key.tolist()))
             tables.append([int((key == k).sum()) for k in keys])
@@ -155,11 +148,11 @@ def _triplet_instance(seed):
         a = rng.integers(0, 10, size=6)
         b = (a + rng.integers(1, 10, size=6)) % 10
         c = rng.integers(0, 10, size=6)
-        batches.append(TripletBatch(anchor=a, positive=b, negative=c))
-    gaps = [np.abs(np.sum((embed[s][tb.anchor] - embed[s][tb.positive]) ** 2, axis=1)
-                   - np.sum((embed[s][tb.anchor] - embed[s][tb.negative]) ** 2, axis=1)
+        batches.append(np.stack([a, b, c]))
+    gaps = [np.abs(np.sum((embed[s][a] - embed[s][p]) ** 2, axis=1)
+                   - np.sum((embed[s][a] - embed[s][n]) ** 2, axis=1)
                    + DEFAULT_MARGIN).min()
-            for s, tb in enumerate(batches)]
+            for s, (a, p, n) in enumerate(batches)]
     if (relu_margin(params, _trunk_layers(TINY), trace) < KINK_MARGIN
             or pool_gap(trace) < KINK_MARGIN or min(gaps) < KINK_MARGIN
             or prenorm_floor(trace) < KINK_MARGIN):
@@ -317,7 +310,7 @@ def test_closed_form_losses():
 
     e = np.tile([1.0, 0.0, 0.0], (1, 6, 1))
     for m in (DEFAULT_MARGIN, 0.37):
-        batch = [TripletBatch(anchor=[0, 2], positive=[1, 3], negative=[4, 5])]
+        batch = [np.array([[0, 2], [1, 3], [4, 5]])]
         loss, _ = triplet_loss_and_grad(e, batch, margin=m)
         errs[f"triplet=m({m})"] = max(errs.get(f"triplet=m({m})", 0.0), abs(loss - m))
 

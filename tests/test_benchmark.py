@@ -333,6 +333,19 @@ def test_run_benchmark_checks_checkpoints_before_training(table_shapes, table_sp
                       {"leaf": tmp_path / "missing.npz"})
 
 
+@pytest.mark.parametrize("grid", [dict(shape_axis=(2, 50), axes=("shapes",)),
+                                  dict(shape_axis=(2,), point_axis_shapes=50)])
+def test_run_benchmark_checks_pool_sizes_before_training(table_shapes, table_split, monkeypatch,
+                                                         grid):
+    calls = []
+    monkeypatch.setattr(benchmark, "finetune_segmentation", lambda *a, **k: calls.append(a))
+    spec = BenchmarkSpec(categories=("table",), variants=("scratch",), point_axis=(15,),
+                         repeats=3, eval_points=40, seed=0, **grid)
+    with pytest.raises(ConfigurationError, match="requested 50 labeled shapes"):
+        run_benchmark(table_shapes, table_split, spec, FAST_TC, BASE, {})
+    assert calls == []
+
+
 def test_run_benchmark_rejects_mismatched_checkpoint(table_shapes, table_split, tmp_path):
     wrong = PenConfig(point_widths=(4,), lift_widths=(8,), decoder_widths=(6,),
                       embed_dim=4, head_hidden=4)

@@ -240,6 +240,21 @@ def _synth_float_count_in_config(tmp_path, corpus):
     return _synth_config_counts(tmp_path, {"table": 3.5})
 
 
+def _synth_counts_list_in_config(tmp_path, corpus):
+    return _synth_config_counts(tmp_path, [1, 2])
+
+
+def _synth_counts_string_in_config(tmp_path, corpus):
+    return _synth_config_counts(tmp_path, "chair")
+
+
+def _synth_unknown_top_level_key(tmp_path, corpus):
+    # a misspelt "seed" would otherwise be dropped and the corpus seeded 0
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"counts": {"chair": 3}, "sead": 5}))
+    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+
+
 def _benchmark(tmp_path, corpus, *flags):
     return ["benchmark", "--data", str(corpus), "--out", str(tmp_path / "b"),
             "--variants", "scratch", "--axes", "shapes", "--x", "1", "--repeats", "1",
@@ -437,7 +452,8 @@ def _synth_integer_group_leaves(tmp_path, corpus):
     _train_string_margin, _train_negative_min_lr, _train_string_min_lr,
     _train_string_plateau_patience, _train_nan_plateau_threshold, _train_negative_stop_decays,
     _train_infinite_decay_factor, _synth_fractional_sub_leaves, _synth_string_split_parts,
-    _synth_bool_group_levels, _synth_integer_group_leaves])
+    _synth_bool_group_levels, _synth_integer_group_leaves, _synth_counts_list_in_config,
+    _synth_counts_string_in_config, _synth_unknown_top_level_key])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])

@@ -38,7 +38,6 @@ from partembed.network import (
     triplet_loss_and_grad,
     validate_params,
 )
-from partembed.triplets import TripletBatch
 
 from helpers import (KINK_MARGIN, check_grads, pool_gap as _pool_gap,
                      prenorm_floor as _prenorm_floor, relu_margin as _relu_margin)
@@ -175,11 +174,11 @@ def test_triplet_gradient_full_network():
             a = rng.integers(0, 10, size=6)
             b_ = (a + rng.integers(1, 10, size=6)) % 10
             c = rng.integers(0, 10, size=6)
-            batches.append(TripletBatch(anchor=a, positive=b_, negative=c))
-        d_pos = [np.sum((embed[s][tb.anchor] - embed[s][tb.positive]) ** 2, axis=1)
-                 for s, tb in enumerate(batches)]
-        d_neg = [np.sum((embed[s][tb.anchor] - embed[s][tb.negative]) ** 2, axis=1)
-                 for s, tb in enumerate(batches)]
+            batches.append(np.stack([a, b_, c]))
+        d_pos = [np.sum((embed[s][a] - embed[s][p]) ** 2, axis=1)
+                 for s, (a, p, _) in enumerate(batches)]
+        d_neg = [np.sum((embed[s][a] - embed[s][n]) ** 2, axis=1)
+                 for s, (a, _, n) in enumerate(batches)]
         hinge_gap = min(float(np.abs(dp - dn + DEFAULT_MARGIN).min())
                         for dp, dn in zip(d_pos, d_neg))
         if (_relu_margin(params, _trunk_decoder_layers(TINY), trace) > KINK_MARGIN
@@ -365,7 +364,7 @@ def test_zero_logit_binary_cross_entropy_is_two_log_two():
 
 def test_collapsed_embeddings_triplet_loss_is_margin():
     e = np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (1, 9, 1))
-    tb = TripletBatch(anchor=[0, 1], positive=[3, 4], negative=[5, 6])
+    tb = np.array([[0, 1], [3, 4], [5, 6]])
     loss, grad = triplet_loss_and_grad(e, [tb], margin=DEFAULT_MARGIN)
     assert abs(loss - DEFAULT_MARGIN) < 1e-12
     assert not grad.any()  # (ec - eb) and friends all vanish
@@ -382,7 +381,7 @@ def test_triplet_loss_sums_shape_means():
     rng = np.random.default_rng(5)
     e = rng.standard_normal((3, 8, 4))
     e /= np.linalg.norm(e, axis=2, keepdims=True)
-    tb = TripletBatch(anchor=[0, 1, 2], positive=[3, 4, 5], negative=[6, 7, 0])
+    tb = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 0]])
     total, _ = triplet_loss_and_grad(e, [tb, tb, tb])
     single, _ = triplet_loss_and_grad(e[:1], [tb])
     per_shape = [triplet_loss_and_grad(e[s:s + 1], [tb])[0] for s in range(3)]
@@ -392,15 +391,13 @@ def test_triplet_loss_sums_shape_means():
 
 def test_loss_input_validation():
     e = np.zeros((2, 4, 3))
-    tb = TripletBatch(anchor=[0], positive=[1], negative=[2])
+    tb = np.array([[0], [1], [2]])
     with pytest.raises(InputError):
-        triplet_loss_and_grad(e, [tb])  # one batch for two shapes
+        triplet_loss_and_grad(e, [tb])  # one triplet array for two shapes
     with pytest.raises(InputError):
         seg_loss_and_grad(np.zeros((1, 3, 2)), np.full((1, 3), -1))
     with pytest.raises(InputError):
         chamfer_batch_and_grad(np.zeros((2, 4, 3)), [np.zeros((4, 3))])
-    with pytest.raises(InputError):
-        TripletBatch(anchor=[0, 1], positive=[0, 2], negative=[3, 3])
 
 
 def test_tag_clamp_gives_exactly_zero_gradient():

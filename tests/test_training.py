@@ -247,6 +247,26 @@ def test_pretrain_metric_input_checks(chair_shapes):
         pretrain_metric(params, SMALL, chair_shapes[:4], chair_shapes[4:], TC, "bogus")
 
 
+@pytest.mark.parametrize("strategy", ["hierarchy", "leaf"])
+def test_pretrain_metric_draw_indexes_the_subsample(chair_shapes, monkeypatch, strategy):
+    # the triplets of a draw index the subsample, not the full cloud
+    captured = []
+    monkeypatch.setattr(training, "fit", lambda params, shapes, tc, rng, draw, *args, **kwargs:
+                        captured.append(draw))
+    pretrain_metric(_fresh(SMALL), SMALL, chair_shapes[:4], chair_shapes[4:], TC, strategy)
+    draws = captured[0](chair_shapes, np.random.default_rng(0))
+    assert len(draws) == len(chair_shapes)
+    for shape, (sub, triplets) in zip(chair_shapes, draws):
+        assert len(sub) == TC.subsample_points < len(shape.cloud)
+        assert triplets.shape == (3, TC.triplets_per_shape)
+        assert triplets.min() >= 0 and triplets.max() < len(sub)
+        a, p, n = triplets
+        leaf = shape.cloud.leaf_id[sub]
+        assert (leaf[a] == leaf[p]).all()
+        assert (leaf[a] != leaf[n]).all()
+        assert (a != p).all()
+
+
 def test_pretrain_metric_without_triplets_raises():
     rec = generate_shape("chair", "c0", np.random.default_rng(0))
     shapes = prepare_shapes([rec], n_points=2, seed=0)
@@ -344,10 +364,8 @@ def test_finetune_tags_refusals(chair_shapes, chair_vocab):
 
 
 def replace_tags(shape, tags):
-    # a copied cloud, so the shared fixture keeps its tags
-    cloud = shape.cloud.take(np.arange(len(shape.cloud)))
-    cloud.tag_id = tags if tags is None else np.asarray(tags, dtype=np.int64)
-    return replace(shape, cloud=cloud)
+    # a new cloud, so the shared fixture keeps its tags
+    return replace(shape, cloud=replace(shape.cloud, tag_id=tags))
 
 
 # ---------------------------------------------------------------------------
