@@ -9,7 +9,7 @@ from collections import deque
 
 import numpy as np
 
-from partembed.hierarchy import build_tree
+from partembed.hierarchy import PartHierarchy
 
 # A chair: the root groups a frame and a seat assembly; the frame holds
 # four legs, the seat assembly holds the seat plate and the backrest.
@@ -22,7 +22,7 @@ from partembed.hierarchy import build_tree
 parents = [None, 0, 0, 1, 1, 1, 1, 2, 2]
 names = ["chair", "frame", "seat_asm", "leg_fl", "leg_fr", "leg_bl", "leg_br",
          "seat", "back"]
-tree = build_tree(parents, names=names)
+tree = PartHierarchy(parents, names)
 
 print("leaves:", [tree.names[l] for l in tree.leaves])
 print()
@@ -63,7 +63,7 @@ checked = 0
 for _ in range(300):
     n = int(rng.integers(2, 200))
     rparents = [None] + [int(rng.integers(0, i)) for i in range(1, n)]
-    rtree = build_tree(rparents)
+    rtree = PartHierarchy(rparents, [f"part{i}" for i in range(n)])
     leaves = rtree.leaves
     for i, j in rng.integers(0, len(leaves), size=(5, 2)):
         assert rtree.leaf_distances[i, j] == bfs(rparents, leaves[i], leaves[j])

@@ -10,7 +10,7 @@ frequencies next to the exact 1/distance law.
 import numpy as np
 
 from partembed.geometry import PointCloud
-from partembed.hierarchy import build_tree
+from partembed.hierarchy import PartHierarchy
 from partembed.triplets import build_pair_distribution, sample_triplets
 
 # same toy chair as demo 01: four legs under a frame, seat+back under
@@ -18,7 +18,7 @@ from partembed.triplets import build_pair_distribution, sample_triplets
 parents = [None, 0, 0, 1, 1, 1, 1, 2, 2]
 names = ["chair", "frame", "seat_asm", "leg_fl", "leg_fr", "leg_bl", "leg_br",
          "seat", "back"]
-tree = build_tree(parents, names=names)
+tree = PartHierarchy(parents, names)
 leaf_ids = tree.leaves
 
 rng = np.random.default_rng(0)

@@ -14,7 +14,7 @@ from .errors import (ConfigurationError, InputError, OptimizerError,
 from .geometry import (IcpResult, PointCloud, RigidTransform, TriangleMesh,
                        icp_align, normalize_cloud, read_ply, sample_surface,
                        write_ply)
-from .hierarchy import PartHierarchy, build_tree
+from .hierarchy import PartHierarchy
 from .ingest import (DatasetSplit, FilterPolicy, MineReport, ShapeRecord,
                      TagVocabulary, extract_tags, filter_shape,
                      label_points_with_tags, load_corpus, mine_directory,

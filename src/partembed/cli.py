@@ -2,8 +2,9 @@
 export-embeddings.
 
 Every command is deterministic given its flags and seed, writes its outputs
-under the given path and returns (directory, inputs, outputs), from which
-``main`` drops a run.json manifest next to them. Exit codes: 0 success,
+under the given path and returns (directory, inputs, outputs): the files
+it read (None for a path flag not given) and wrote. From these ``main``
+drops a run.json manifest next to the outputs. Exit codes: 0 success,
 1 runtime failure, 2 usage or configuration error. Every JSON config
 (``--arch``, ``--train``, a synth ``noise``) decodes through
 ``config.from_json`` after its defaults fill the keys it omits.
@@ -23,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import (VARIANTS, BenchmarkSpec, _category_classes, finetune_start,
-                        run_benchmark, select_labeled_shapes)
+from .benchmark import (BenchmarkSpec, _category_classes, finetune_start, run_benchmark,
+                        select_labeled_shapes)
 from .config import from_json, is_int
 from .errors import ConfigurationError, InputError, PartembedError
 from .geometry import icp_align, read_ply, sample_surface, write_ply
@@ -35,6 +36,7 @@ from .network import PenConfig, forward_embed, init_params, load_checkpoint, sav
 from .synth import DEFAULT_TAG_PROB, NoiseConfig, generate_corpus
 from .training import (TrainConfig, finetune_segmentation, finetune_tags,
                        prepare_shapes, pretrain_autoencoder, pretrain_metric)
+from .triplets import STRATEGIES
 
 # ---------------------------------------------------------------------------
 # Small helpers
@@ -124,7 +126,7 @@ def _write_run_manifest(out_dir: Path, args: argparse.Namespace,
         "config_hash": hashlib.sha256(blob.encode()).hexdigest(),
         "flags": json.loads(blob),
         "seed": getattr(args, "seed", None),
-        "inputs": [str(p) for p in inputs],
+        "inputs": [str(p) for p in inputs if p],
         "outputs": [str(p) for p in outputs],
         "version": __version__,
         "started": datetime.fromtimestamp(started, timezone.utc).isoformat(),
@@ -163,11 +165,9 @@ def _load_dataset(data_dir):
 
 
 def _split_shapes(shapes, split: DatasetSplit):
+    """The shapes of the split's train and validation ids, in split order."""
     by_id = {s.record.shape_id: s for s in shapes}
-    train = [by_id[i] for i in split.train if i in by_id]
-    val = [by_id[i] for i in split.validation if i in by_id]
-    test = [by_id[i] for i in split.test if i in by_id]
-    return train, val, test
+    return tuple([by_id[i] for i in ids if i in by_id] for ids in (split.train, split.validation))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def cmd_synth(args) -> tuple[Path, list, list]:
     except InputError as exc:
         raise ConfigurationError(f"bad corpus settings: {exc}") from exc
     print(f"wrote {len(records)} shapes in {len(counts)} categories to {out}")
-    return out, [args.config] if args.config else [], [out]
+    return out, [args.config], [out]
 
 
 def cmd_mine(args) -> tuple[Path, list, list]:
@@ -242,16 +242,15 @@ def cmd_mine(args) -> tuple[Path, list, list]:
         s = report.sufficiency[cat]
         verdict = "sufficient" if s["sufficient"] else "insufficient"
         print(f"{cat}: tags={list(v.tags)} coverage={s['coverage']:.4f} ({verdict})")
-    return out, [args.in_dir], [out]
+    return out, [args.in_dir, args.synonyms, args.align_to], [out]
 
 
 def cmd_pretrain(args) -> tuple[Path, list, list]:
-    records, split, vocabs = _load_dataset(args.data)
+    records, split, _ = _load_dataset(args.data)
     cfg = _pen_config(args.arch, with_ae=(args.strategy == "autoencoder"))
     tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
-    shapes = prepare_shapes(records, n_points=args.points, seed=args.seed,
-                            vocab_by_category=vocabs)
-    train, val, _ = _split_shapes(shapes, split)
+    shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
+    train, val = _split_shapes(shapes, split)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x11717)))
     params = init_params(cfg, rng)
     if args.strategy == "autoencoder":
@@ -266,7 +265,7 @@ def cmd_pretrain(args) -> tuple[Path, list, list]:
     save_checkpoint(out, params, cfg, meta)
     print(f"pretrained ({args.strategy}) for {report.epochs} epochs, "
           f"best val {report.best_val:.6f} at epoch {report.best_epoch}; wrote {out}")
-    return out.parent, [args.data], [out]
+    return out.parent, [args.data, args.arch, args.train], [out]
 
 
 def cmd_finetune(args) -> tuple[Path, list, list]:
@@ -288,7 +287,7 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
         shapes = [s for s in shapes if (s.cloud.tag_id >= 0).any()]
         if len(shapes) < 3:
             raise ConfigurationError(f"category {args.category!r}: too few tagged shapes")
-        train, val, _ = _split_shapes(shapes, split)
+        train, val = _split_shapes(shapes, split)
         if not train or not val:
             n_val = max(1, len(shapes) // 5)
             val, train = shapes[:n_val], shapes[n_val:]
@@ -302,10 +301,10 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
     else:
         shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
         n_classes = _category_classes(shapes)
-        train, _, _ = _split_shapes(shapes, split)
+        train, _ = _split_shapes(shapes, split)
         if args.labeled_shapes is not None:
             rng_sel = np.random.default_rng(np.random.SeedSequence((args.seed, 0x5E1EC7)))
-            train = select_labeled_shapes(train, min(args.labeled_shapes, len(train)), rng_sel)
+            train = select_labeled_shapes(train, args.labeled_shapes, rng_sel)
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xF15E6)))
         params, cfg, pretrained = finetune_start(ckpt, _pen_config(args.arch), rng,
                                                  n_classes=n_classes)
@@ -314,7 +313,7 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
                 "seed": args.seed, "epochs": report.epochs, "n_classes": n_classes}
     save_checkpoint(out, params, cfg, meta)
     print(f"fine-tuned ({args.objective}) on {args.category}: {report.epochs} epochs; wrote {out}")
-    return out.parent, [args.data, args.checkpoint or ""], [out]
+    return out.parent, [args.data, args.checkpoint, args.arch, args.train], [out]
 
 
 def _parse_checkpoint_flags(items) -> dict:
@@ -340,16 +339,19 @@ def cmd_benchmark(args) -> tuple[Path, list, list]:
     shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
     tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
     base_cfg = _pen_config(args.arch)
+    checkpoints = _parse_checkpoint_flags(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = run_benchmark(shapes, split, spec, tc, base_cfg,
-                          _parse_checkpoint_flags(args.checkpoint),
+    table = run_benchmark(shapes, split, spec, tc, base_cfg, checkpoints,
                           out_csv=out / "metrics.csv", out_summary=out / "summary.json")
     print(f"wrote {len(table.rows)} rows to {out / 'metrics.csv'}")
     for cell in table.summary()["cells"]:
         print(f"{cell['category']:>10} {cell['variant']:>15} {cell['axis']}={cell['value']:<4} "
               f"mIoU {cell['mean_miou']:.4f} ± {cell['std_miou']:.4f}")
-    return out, [args.data], [out / "metrics.csv"]
+    # only the requested variants' checkpoints are opened
+    given = [checkpoints[v] for v in spec.variants if v in checkpoints]
+    opened = [p for c in given for p in (c.values() if isinstance(c, dict) else [c])]
+    return out, [args.data, *opened, args.arch, args.train], [out / "metrics.csv"]
 
 
 def _pca_rgb(embed: np.ndarray) -> np.ndarray:
@@ -389,7 +391,7 @@ def cmd_export_embeddings(args) -> tuple[Path, list, list]:
         write_ply(path, s.cloud, embeddings=rows, rgb=_pca_rgb(rows))
         written.append(path)
     print(f"exported {len(written)} embedding clouds to {out}")
-    return out, [args.checkpoint], written
+    return out, [args.checkpoint, args.data, *(args.shape or ())], written
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "embeddings with tree-aware triplets, benchmark few-shot "
                     "segmentation transfer.")
     sub = p.add_subparsers(dest="command", required=True)
+    # flags shared by every command that samples clouds, and by those that train
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--out", required=True)
+    sampling.add_argument("--seed", type=_at_least(0), default=0)
+    sampling.add_argument("--points", type=_at_least(1), default=10000)
+    training = argparse.ArgumentParser(add_help=False, parents=[sampling])
+    training.add_argument("--data", required=True)
+    training.add_argument("--epochs", type=int, default=None)
+    training.add_argument("--arch", help="architecture config JSON for training from scratch")
+    training.add_argument("--train", help="training config JSON")
 
     s = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     s.add_argument("--out", required=True)
@@ -412,77 +424,54 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=_at_least(0), default=None)
     s.set_defaults(func=cmd_synth)
 
-    s = sub.add_parser("mine", help="parse, filter and tag a directory of scene files")
+    s = sub.add_parser("mine", parents=[sampling],
+                       help="parse, filter and tag a directory of scene files")
     s.add_argument("--in", required=True, dest="in_dir")
-    s.add_argument("--out", required=True)
-    s.add_argument("--seed", type=_at_least(0), default=0)
-    s.add_argument("--points", type=_at_least(1), default=10000)
     s.add_argument("--synonyms", help="JSON file mapping raw names to canonical tags")
     s.add_argument("--stop-patterns", type=_csv(), help="comma-separated junk name tokens")
-    s.add_argument("--min-leaves", type=int, default=2)
-    s.add_argument("--max-leaves", type=int, default=500)
+    s.add_argument("--min-leaves", type=int, default=FilterPolicy.min_leaves)
+    s.add_argument("--max-leaves", type=int, default=FilterPolicy.max_leaves)
     s.add_argument("--align-to", help="PLY target cloud for ICP canonical alignment")
     s.add_argument("--clouds", action=argparse.BooleanOptionalAction, default=True,
                    help="write sampled point clouds (PLY) next to the shapes")
     s.set_defaults(func=cmd_mine)
 
-    s = sub.add_parser("pretrain", help="triplet metric or reconstruction pretraining")
-    s.add_argument("--data", required=True)
-    s.add_argument("--out", required=True)
-    s.add_argument("--strategy", choices=("hierarchy", "leaf", "autoencoder"),
+    s = sub.add_parser("pretrain", parents=[training],
+                       help="triplet metric or reconstruction pretraining")
+    s.add_argument("--strategy", choices=(*STRATEGIES, "autoencoder"),
                    default="hierarchy")
-    s.add_argument("--seed", type=_at_least(0), default=0)
-    s.add_argument("--points", type=_at_least(1), default=10000)
-    s.add_argument("--epochs", type=int, default=None)
-    s.add_argument("--arch", help="architecture config JSON")
-    s.add_argument("--train", help="training config JSON")
     s.set_defaults(func=cmd_pretrain)
 
-    s = sub.add_parser("finetune", help="tag or segmentation fine-tuning")
-    s.add_argument("--data", required=True)
-    s.add_argument("--out", required=True)
+    s = sub.add_parser("finetune", parents=[training], help="tag or segmentation fine-tuning")
     s.add_argument("--objective", choices=("tags", "segmentation"), required=True)
     s.add_argument("--category", required=True)
     s.add_argument("--checkpoint", help="pretrained checkpoint to start from")
     s.add_argument("--labeled-shapes", type=_at_least(1), default=None)
-    s.add_argument("--seed", type=_at_least(0), default=0)
-    s.add_argument("--points", type=_at_least(1), default=10000)
-    s.add_argument("--epochs", type=int, default=None)
-    s.add_argument("--arch", help="architecture config JSON")
-    s.add_argument("--train", help="training config JSON")
     s.set_defaults(func=cmd_finetune)
 
-    s = sub.add_parser("benchmark", help="few-shot transfer benchmark")
-    s.add_argument("--data", required=True)
-    s.add_argument("--out", required=True)
+    s = sub.add_parser("benchmark", parents=[training], help="few-shot transfer benchmark")
     s.add_argument("--categories", type=_csv())
-    s.add_argument("--variants", type=_csv(), default=VARIANTS)
+    s.add_argument("--variants", type=_csv(), default=BenchmarkSpec.variants)
     s.add_argument("--x", type=_csv(int), default=BenchmarkSpec.shape_axis,
                    help="labeled-shape counts, e.g. 4,8")
     s.add_argument("--points-grid", dest="points_grid", type=_csv(int),
                    default=BenchmarkSpec.point_axis)
     s.add_argument("--axes", type=_csv(), default=BenchmarkSpec.axes, help="shapes,points")
-    s.add_argument("--repeats", type=int, default=5)
-    s.add_argument("--seed", type=_at_least(0), default=0)
-    s.add_argument("--points", type=_at_least(1), default=10000)
-    s.add_argument("--eval-points", type=int, default=2048, dest="eval_points")
-    s.add_argument("--epochs", type=int, default=None)
+    s.add_argument("--repeats", type=int, default=BenchmarkSpec.repeats)
+    s.add_argument("--eval-points", type=int, default=BenchmarkSpec.eval_points,
+                   dest="eval_points")
     s.add_argument("--checkpoint", action="append", metavar="VARIANT=PATH",
                    help="repeatable; any variant takes VARIANT=PATH (shared) or "
                         "VARIANT=CATEGORY=PATH (per category; others are skipped)")
-    s.add_argument("--arch", help="architecture config JSON for scratch")
-    s.add_argument("--train", help="training config JSON")
     s.set_defaults(func=cmd_benchmark)
 
-    s = sub.add_parser("export-embeddings", help="write per-point embeddings as PLY")
+    s = sub.add_parser("export-embeddings", parents=[sampling],
+                       help="write per-point embeddings as PLY")
     s.add_argument("--checkpoint", required=True)
-    s.add_argument("--out", required=True)
     source = s.add_mutually_exclusive_group(required=True)
     source.add_argument("--data", help="mined/synthetic shape directory")
     source.add_argument("--shape", nargs="+", help="explicit shape JSON files")
     s.add_argument("--ids", type=_csv(), help="comma-separated shape ids to keep")
-    s.add_argument("--points", type=_at_least(1), default=10000)
-    s.add_argument("--seed", type=_at_least(0), default=0)
     s.set_defaults(func=cmd_export_embeddings)
     return p
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +22,8 @@ NodeId = int
 @dataclass(frozen=True)
 class PartHierarchy:
     """A validated rooted tree, stored as one parent pointer and one name per
-    node. Immutable after construction, safe to share.
+    node: ``names`` parallels ``parents``. This is the only tree constructor.
+    Immutable after construction, safe to share.
 
     Node ids are dense indices 0..len(parents)-1. Exactly one node, the root,
     has no parent, and every node is reachable from it. ``children`` (a tuple
@@ -41,6 +42,8 @@ class PartHierarchy:
         object.__setattr__(self, "parents", tuple(self.parents))
         object.__setattr__(self, "names", tuple(self.names))
         n = len(self.parents)
+        if len(self.names) != n:
+            raise InputError(f"{len(self.names)} names for {n} nodes")
         children: list[list[int]] = [[] for _ in range(n)]
         root = None
         for i, p in enumerate(self.parents):
@@ -99,11 +102,3 @@ class PartHierarchy:
         dist.flags.writeable = False
         return dist
 
-
-def build_tree(parents: Sequence[Optional[int]],
-               names: Sequence[str] | None = None) -> PartHierarchy:
-    """A PartHierarchy from a parent array (``None`` marks the root) and
-    parallel node names, which default to ``n0``, ``n1``, ..."""
-    if names is None:
-        names = [f"n{i}" for i in range(len(parents))]
-    return PartHierarchy(parents, names)

@@ -20,7 +20,7 @@ from .collada import parse_collada_tree
 from .config import check, kind
 from .errors import ConfigurationError, InputError, ParseError, SchemaError
 from .geometry import PointCloud, TriangleMesh, sample_surface
-from .hierarchy import PartHierarchy, build_tree
+from .hierarchy import PartHierarchy
 
 # Scene-graph boilerplate that must never become a tag. Positional words
 # (back, top, ...) stay out of this list: they are real part names.
@@ -60,7 +60,7 @@ def shape_from_collada(data: bytes, shape_id: str, category: str = "default") ->
     instanced vertices; each instanced geometry becomes one leaf. Node ids
     follow document preorder, root first."""
     parents, names, vertices, triangles, tri_leaf = parse_collada_tree(data)
-    tree = build_tree(parents, names)
+    tree = PartHierarchy(parents, names)
     mesh = TriangleMesh(vertices=vertices, triangles=triangles, tri_leaf=tri_leaf)
     return ShapeRecord(shape_id=shape_id, category=category, mesh=mesh, hierarchy=tree)
 
@@ -199,7 +199,7 @@ def parse_json_shape(source) -> ShapeRecord:
         _expect(len(sem) == n_tri, f"semantic_labels has {len(sem)} entries for {n_tri} triangles")
 
     try:
-        tree = build_tree(parents, names)
+        tree = PartHierarchy(parents, names)
     except InputError as exc:
         raise SchemaError(f"invalid hierarchy: {exc}") from exc
 

@@ -154,7 +154,6 @@ class ForwardTrace:
     ins: dict[str, np.ndarray] = field(default_factory=dict)
     masks: dict[str, np.ndarray] = field(default_factory=dict)
     point_feat: Optional[np.ndarray] = None
-    pre_pool: Optional[np.ndarray] = None
     argmax: Optional[np.ndarray] = None
     global_feat: Optional[np.ndarray] = None
     norm: Optional[np.ndarray] = None
@@ -192,7 +191,7 @@ def forward_trunk(params, cfg: PenConfig, points: np.ndarray) -> ForwardTrace:
         raise InputError(f"points must be (batch, n, 3), got {points.shape}")
     trace = ForwardTrace()
     trace.point_feat = _forward(params, _stack(cfg, "enc"), points, trace)
-    x = trace.pre_pool = _forward(params, _stack(cfg, "lift"), trace.point_feat, trace)
+    x = _forward(params, _stack(cfg, "lift"), trace.point_feat, trace)
     trace.argmax = x.argmax(axis=1)
     trace.global_feat = np.take_along_axis(x, trace.argmax[:, None, :], axis=1)[:, 0, :]
     return trace
@@ -214,7 +213,7 @@ def forward_embed(params, cfg: PenConfig, points: np.ndarray) -> tuple[np.ndarra
 def _unpool(trace: ForwardTrace, g_global: np.ndarray) -> np.ndarray:
     """Gradient at the pre-pool features: each pooled channel's gradient
     goes to the point that won the max."""
-    g = np.zeros_like(trace.pre_pool)
+    g = np.zeros((*trace.point_feat.shape[:2], g_global.shape[1]))
     np.put_along_axis(g, trace.argmax[:, None, :], g_global[:, None, :], axis=1)
     return g
 

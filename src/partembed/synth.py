@@ -19,7 +19,7 @@ import numpy as np
 from .config import check, is_int, kind
 from .errors import ConfigurationError, InputError
 from .geometry import TriangleMesh
-from .hierarchy import build_tree
+from .hierarchy import PartHierarchy
 from .ingest import ShapeRecord, write_corpus
 
 # Surface-name pools per part concept. The first entry is the canonical tag;
@@ -41,12 +41,6 @@ SYNTH_SYNONYMS = {raw: canon for canon, pool in _POOLS.items() for raw in pool[1
 _JUNK_WORDS = ("geometry", "mesh", "node", "object", "group", "model", "solid")
 
 CATEGORIES = ("chair", "table", "airplane")
-
-CATEGORY_LABELS = {
-    "chair": ("seat", "back", "leg", "arm"),
-    "table": ("top", "leg"),
-    "airplane": ("body", "wing", "tail", "engine"),
-}
 
 DEFAULT_TAG_PROB = {"chair": 0.35, "table": 0.0, "airplane": 0.0}
 
@@ -235,7 +229,7 @@ def generate_shape(category: str, shape_id: str, rng: np.random.Generator,
                 tagged = rng.random() < tag_prob
                 add(parent, _leaf_name(concept, tagged, rng), (bucket, label))
 
-    tree = build_tree(parents, names)
+    tree = PartHierarchy(parents, names)
 
     verts, tris, tri_leaf, tri_sem = [], [], [], []
     base = 0

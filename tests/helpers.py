@@ -1,4 +1,4 @@
-"""Shared test utilities: random trees, the scalar LCA walk and an
+"""Shared test utilities: unnamed and random trees, the scalar LCA walk and an
 independent BFS distance oracle, a brute-force Chamfer oracle, and
 finite-difference gradient checking."""
 
@@ -7,7 +7,7 @@ from collections import deque
 import numpy as np
 
 from partembed.geometry import PointCloud
-from partembed.hierarchy import PartHierarchy, build_tree
+from partembed.hierarchy import PartHierarchy
 
 
 def random_parents(rng: np.random.Generator, max_nodes: int = 500) -> list:
@@ -17,8 +17,13 @@ def random_parents(rng: np.random.Generator, max_nodes: int = 500) -> list:
     return [None] + [int(rng.integers(0, i)) for i in range(1, n)]
 
 
+def unnamed_tree(parents) -> PartHierarchy:
+    """A PartHierarchy over ``parents`` whose nodes are named n0, n1, ..."""
+    return PartHierarchy(parents, [f"n{i}" for i in range(len(parents))])
+
+
 def random_tree(rng: np.random.Generator, max_nodes: int = 500) -> PartHierarchy:
-    return build_tree(random_parents(rng, max_nodes))
+    return unnamed_tree(random_parents(rng, max_nodes))
 
 
 def _ancestors(tree: PartHierarchy, a: int) -> list:
@@ -119,9 +124,13 @@ def relu_margin(params: dict, layers, trace) -> float:
     return worst
 
 
-def pool_gap(trace) -> float:
-    """Margin between the max-pool winner and runner-up, worst case."""
-    top2 = np.sort(trace.pre_pool, axis=1)[:, -2:, :]
+def pool_gap(params: dict, trace) -> float:
+    """Margin between the max-pool winner and runner-up, worst case. The
+    trace keeps no pre-pool tensor, so the last (linear) lift layer is run
+    again on its recorded input, as the forward pass ran it."""
+    last = [name for name in trace.ins if name.startswith("lift")][-1]
+    pre_pool = trace.ins[last] @ params[f"{last}.W"] + params[f"{last}.b"]
+    top2 = np.sort(pre_pool, axis=1)[:, -2:, :]
     return float((top2[:, 1, :] - top2[:, 0, :]).min())
 
 

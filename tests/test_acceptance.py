@@ -23,7 +23,6 @@ from scipy import stats
 from partembed.benchmark import BenchmarkSpec, miou, run_benchmark
 from partembed.geometry import (PointCloud, RigidTransform, icp_align,
                                 normalize_cloud, sample_surface)
-from partembed.hierarchy import build_tree
 from partembed.ingest import FilterPolicy, extract_tags, mine_directory, split_dataset
 from partembed.network import (DEFAULT_MARGIN, PROB_CLAMP, PenConfig, ae_backward,
                                ae_forward, all_layers, backward_embed, backward_trunk,
@@ -37,7 +36,8 @@ from partembed.training import (TrainConfig, finetune_tags, prepare_shapes,
 from partembed.triplets import sample_triplets
 
 from helpers import (KINK_MARGIN, bfs_distance, check_grads, cloud_on_tree,
-                     pool_gap, prenorm_floor, random_parents, relu_margin, tree_distance)
+                     pool_gap, prenorm_floor, random_parents, relu_margin, tree_distance,
+                     unnamed_tree)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -66,7 +66,7 @@ def test_tree_distance_matches_bfs_oracle():
     mismatches = 0
     for _ in range(1000):
         parents = random_parents(rng, 500)
-        tree = build_tree(parents)
+        tree = unnamed_tree(parents)
         n = len(parents)
         for a, b in rng.integers(0, n, size=(8, 2)):
             if tree_distance(tree, int(a), int(b)) != bfs_distance(parents, int(a), int(b)):
@@ -95,10 +95,10 @@ def test_triplet_sampling_distribution():
     l1s = []
     for _ in range(50):
         parents = random_parents(rng, 8)
-        tree = build_tree(parents)
+        tree = unnamed_tree(parents)
         if len(tree.leaves) < 2:
             parents = [None, 0, 0]
-            tree = build_tree(parents)
+            tree = unnamed_tree(parents)
         cloud = cloud_on_tree(tree, 2, rng)
         a, _, n = sample_triplets(tree, cloud.leaf_id, n_draws, rng, strategy="hierarchy")
         a_leaf = cloud.leaf_id[a]
@@ -116,7 +116,7 @@ def test_triplet_sampling_distribution():
 
     pvals = []
     for n_leaves in (4, 6, 9):
-        tree = build_tree([None] + [0] * n_leaves)
+        tree = unnamed_tree([None] + [0] * n_leaves)
         cloud = cloud_on_tree(tree, 2, rng)
         tables = []
         for strategy in ("hierarchy", "leaf"):
@@ -154,7 +154,7 @@ def _triplet_instance(seed):
                    + DEFAULT_MARGIN).min()
             for s, (a, p, n) in enumerate(batches)]
     if (relu_margin(params, _trunk_layers(TINY), trace) < KINK_MARGIN
-            or pool_gap(trace) < KINK_MARGIN or min(gaps) < KINK_MARGIN
+            or pool_gap(params, trace) < KINK_MARGIN or min(gaps) < KINK_MARGIN
             or prenorm_floor(trace) < KINK_MARGIN):
         return None
     loss, g_embed = triplet_loss_and_grad(embed, batches)
@@ -179,7 +179,7 @@ def _head_instance(seed, head, loss_and_grad, labels_of):
     clamp_gap = min(float(p.min() - PROB_CLAMP), float(1.0 - PROB_CLAMP - p.max()))
     if (relu_margin(params, _trunk_layers(TINY), trace) < KINK_MARGIN
             or relu_margin(params, head_layers, trace) < KINK_MARGIN
-            or pool_gap(trace) < KINK_MARGIN or clamp_gap < 1e-4
+            or pool_gap(params, trace) < KINK_MARGIN or clamp_gap < 1e-4
             or prenorm_floor(trace) < KINK_MARGIN):
         return None
     loss, g_logits = loss_and_grad(logits, labels)
@@ -213,7 +213,7 @@ def _chamfer_instance(seed):
     ae_layers = [l for l in all_layers(TINY) if l[0].startswith("ae")]
     if (relu_margin(params, trunk, trace) < KINK_MARGIN
             or relu_margin(params, ae_layers, trace) < KINK_MARGIN
-            or pool_gap(trace) < KINK_MARGIN or nn_gap < KINK_MARGIN):
+            or pool_gap(params, trace) < KINK_MARGIN or nn_gap < KINK_MARGIN):
         return None
     loss, g_recon = chamfer_batch_and_grad(recon, targets)
     grads = {}

@@ -1,6 +1,7 @@
 """Command-line tests: exit codes, run manifests, the synth/pretrain/export
 flow, benchmarking, and mining against the golden report."""
 
+import argparse
 import json
 import os
 import shutil
@@ -295,6 +296,13 @@ def _finetune_zero_labeled_shapes(tmp_path, corpus):
     return _finetune_labeled_shapes(tmp_path, corpus, "0")
 
 
+def _finetune_labeled_shapes_above_pool(tmp_path, corpus):
+    # refused before training, as benchmark refuses it
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps(ARCH))
+    return [*_finetune_labeled_shapes(tmp_path, corpus, "50"), "--arch", str(arch)]
+
+
 def _export_without_shapes(tmp_path, corpus):
     ck = tmp_path / "ck.npz"
     cfg = PenConfig(point_widths=(4,), lift_widths=(6,), decoder_widths=(), embed_dim=3)
@@ -453,7 +461,8 @@ def _synth_integer_group_leaves(tmp_path, corpus):
     _train_string_plateau_patience, _train_nan_plateau_threshold, _train_negative_stop_decays,
     _train_infinite_decay_factor, _synth_fractional_sub_leaves, _synth_string_split_parts,
     _synth_bool_group_levels, _synth_integer_group_leaves, _synth_counts_list_in_config,
-    _synth_counts_string_in_config, _synth_unknown_top_level_key])
+    _synth_counts_string_in_config, _synth_unknown_top_level_key,
+    _finetune_labeled_shapes_above_pool])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])
@@ -477,6 +486,112 @@ def test_points_below_one_is_a_usage_error(tmp_path, capsys, command):
     assert "--points: must be an integer of at least 1" in capsys.readouterr().err
 
 
+# A flag type is pinned by what it makes of a few probe strings ("error"
+# where it refuses one), so renaming a converter does not break the pin.
+TYPE_PROBES = ("-1", "0", "1", "a", "1,2", "")
+TYPES = {
+    "int": (-1, 0, 1, "error", "error", "error"),
+    "natural": ("error", 0, 1, "error", "error", "error"),
+    "count": ("error", "error", 1, "error", "error", "error"),
+    "names": (("-1",), ("0",), ("1",), ("a",), ("1", "2"), "error"),
+    "ints": ((-1,), (0,), (1,), "error", (1, 2), "error"),
+}
+
+
+def _type_kind(convert):
+    if convert is None:
+        return None
+    made = []
+    for probe in TYPE_PROBES:
+        try:
+            made.append(convert(probe))
+        except Exception:
+            made.append("error")
+    [kind] = [k for k, v in TYPES.items() if v == tuple(made)]
+    return kind
+
+
+# dest -> (option strings, default, required, choices, nargs, type, action)
+OUT = (("--out",), None, True, None, None, None, "_StoreAction")
+SEED = (("--seed",), 0, False, None, None, "natural", "_StoreAction")
+POINTS = (("--points",), 10000, False, None, None, "count", "_StoreAction")
+DATA = (("--data",), None, True, None, None, None, "_StoreAction")
+EPOCHS = (("--epochs",), None, False, None, None, "int", "_StoreAction")
+JSON_FILE = (None, False, None, None, None, "_StoreAction")
+HELP = (("-h", "--help"), "==SUPPRESS==", False, None, 0, None, "_HelpAction")
+TRAINING = {"data": DATA, "epochs": EPOCHS, "arch": (("--arch",), *JSON_FILE),
+            "train": (("--train",), *JSON_FILE), "out": OUT, "seed": SEED, "points": POINTS,
+            "help": HELP}
+PARSER_PIN = {
+    "synth": {
+        "out": OUT, "help": HELP,
+        "config": (("--config",), *JSON_FILE),
+        "counts": (("--counts",), None, False, None, "*", None, "_StoreAction"),
+        "tag_prob": (("--tag-prob",), None, False, None, "*", None, "_StoreAction"),
+        "seed": (("--seed",), None, False, None, None, "natural", "_StoreAction"),
+    },
+    "mine": {
+        "out": OUT, "seed": SEED, "points": POINTS, "help": HELP,
+        "in_dir": (("--in",), None, True, None, None, None, "_StoreAction"),
+        "synonyms": (("--synonyms",), *JSON_FILE),
+        "stop_patterns": (("--stop-patterns",), None, False, None, None, "names", "_StoreAction"),
+        "min_leaves": (("--min-leaves",), 2, False, None, None, "int", "_StoreAction"),
+        "max_leaves": (("--max-leaves",), 500, False, None, None, "int", "_StoreAction"),
+        "align_to": (("--align-to",), *JSON_FILE),
+        "clouds": (("--clouds", "--no-clouds"), True, False, None, 0, None,
+                   "BooleanOptionalAction"),
+    },
+    "pretrain": {
+        **TRAINING,
+        "strategy": (("--strategy",), "hierarchy", False, ("hierarchy", "leaf", "autoencoder"),
+                     None, None, "_StoreAction"),
+    },
+    "finetune": {
+        **TRAINING,
+        "objective": (("--objective",), None, True, ("tags", "segmentation"), None, None,
+                      "_StoreAction"),
+        "category": (("--category",), None, True, None, None, None, "_StoreAction"),
+        "checkpoint": (("--checkpoint",), *JSON_FILE),
+        "labeled_shapes": (("--labeled-shapes",), None, False, None, None, "count",
+                           "_StoreAction"),
+    },
+    "benchmark": {
+        **TRAINING,
+        "categories": (("--categories",), None, False, None, None, "names", "_StoreAction"),
+        "variants": (("--variants",), ("scratch", "autoencoder", "leaf", "hierarchy", "tags",
+                                       "hierarchy_tags"), False, None, None, "names",
+                     "_StoreAction"),
+        "x": (("--x",), (4, 8, 12, 20, 40, 60, 120), False, None, None, "ints", "_StoreAction"),
+        "points_grid": (("--points-grid",), (20, 40, 60, 100, 200, 500), False, None, None,
+                        "ints", "_StoreAction"),
+        "axes": (("--axes",), ("shapes", "points"), False, None, None, "names", "_StoreAction"),
+        "repeats": (("--repeats",), 5, False, None, None, "int", "_StoreAction"),
+        "eval_points": (("--eval-points",), 2048, False, None, None, "int", "_StoreAction"),
+        "checkpoint": (("--checkpoint",), None, False, None, None, None, "_AppendAction"),
+    },
+    "export-embeddings": {
+        "out": OUT, "seed": SEED, "points": POINTS, "help": HELP,
+        "checkpoint": (("--checkpoint",), None, True, None, None, None, "_StoreAction"),
+        "data": (("--data",), *JSON_FILE),
+        "shape": (("--shape",), None, False, None, "+", None, "_StoreAction"),
+        "ids": (("--ids",), None, False, None, None, "names", "_StoreAction"),
+    },
+}
+
+
+def test_parser_flags_are_pinned():
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(PARSER_PIN)
+    for command, parser in sub.choices.items():
+        flags = {a.dest: (tuple(a.option_strings), a.default, a.required, a.choices, a.nargs,
+                          _type_kind(a.type), type(a).__name__) for a in parser._actions}
+        assert len(flags) == len(parser._actions), command   # one action per dest
+        assert flags == PARSER_PIN[command], command
+    # export reads exactly one of its two sources
+    [group] = sub.choices["export-embeddings"]._mutually_exclusive_groups
+    assert group.required and [a.dest for a in group._group_actions] == ["data", "shape"]
+
+
 def test_run_manifest_contents(tmp_path):
     out = _synth(tmp_path, spec="table=3", seed="9")
     run = json.loads((out / "run.json").read_text())
@@ -486,6 +601,23 @@ def test_run_manifest_contents(tmp_path):
     assert run["outputs"] == [str(out)]
     assert run["started"] <= run["finished"]
     assert run["flags"]["counts"] == ["table=3"]
+
+
+def test_run_manifest_lists_every_file_read(tmp_path, configs):
+    arch, train = configs
+    corpus = _synth(tmp_path, spec="table=4", seed="3")
+    rc = main(["finetune", "--data", str(corpus), "--out", str(tmp_path / "seg.npz"),
+               "--objective", "segmentation", "--category", "table", "--points", "60",
+               "--epochs", "1", "--arch", str(arch), "--train", str(train)])
+    assert rc == 0
+    run = json.loads((tmp_path / "run.json").read_text())
+    assert run["inputs"] == [str(corpus), str(arch), str(train)]   # no --checkpoint given
+
+    rc = main(["export-embeddings", "--checkpoint", str(tmp_path / "seg.npz"),
+               "--data", str(corpus), "--out", str(tmp_path / "e"), "--points", "60"])
+    assert rc == 0
+    run = json.loads((tmp_path / "e" / "run.json").read_text())
+    assert run["inputs"] == [str(tmp_path / "seg.npz"), str(corpus)]
 
 
 def test_synth_is_deterministic(tmp_path, capsys):

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from partembed.errors import InputError
-from partembed.hierarchy import build_tree
+from partembed.hierarchy import PartHierarchy
 
-from helpers import bfs_distance, lca, random_parents, tree_distance
+from helpers import bfs_distance, lca, random_parents, tree_distance, unnamed_tree
 
 
 def chair_tree():
     # root(0) -> back(1), seat(2), base(3); base -> leg1(4), leg2(5)
-    return build_tree([None, 0, 0, 0, 3, 3],
-                      names=["chair", "back", "seat", "base", "leg1", "leg2"])
+    return PartHierarchy([None, 0, 0, 0, 3, 3],
+                         ["chair", "back", "seat", "base", "leg1", "leg2"])
 
 
 def test_siblings_are_distance_two():
@@ -50,22 +50,31 @@ def test_leaf_distances_are_lazy_and_read_only():
 
 def test_validation_rejects_bad_trees():
     with pytest.raises(InputError):
-        build_tree([None, None])  # two roots
+        unnamed_tree([None, None])  # two roots
     with pytest.raises(InputError):
-        build_tree([])  # empty
+        unnamed_tree([])  # empty
     with pytest.raises(InputError):
-        build_tree([0])  # no root (self-parent out of the None slot)
+        unnamed_tree([0])  # no root (self-parent out of the None slot)
     with pytest.raises(InputError, match="unreachable"):
-        build_tree([None, 2, 1])  # cycle off the root
+        unnamed_tree([None, 2, 1])  # cycle off the root
     with pytest.raises(InputError, match="out of range"):
-        build_tree([None, 5])  # parent out of range
+        unnamed_tree([None, 5])  # parent out of range
+
+
+def test_names_must_parallel_parents():
+    # a tree with fewer names than nodes would be written out with fewer nodes
+    with pytest.raises(InputError, match="1 names for 3 nodes"):
+        PartHierarchy([None, 0, 0], ["root"])
+    with pytest.raises(InputError, match="3 names for 2 nodes"):
+        PartHierarchy([None, 0], ["root", "a", "b"])
+    assert PartHierarchy([None, 0, 0], ["root", "a", "b"]).names == ("root", "a", "b")
 
 
 def test_distance_matches_bfs_on_random_trees():
     rng = np.random.default_rng(7)
     for _ in range(50):
         parents = random_parents(rng, max_nodes=60)
-        t = build_tree(parents)
+        t = unnamed_tree(parents)
         n = len(parents)
         pairs = rng.integers(0, n, size=(20, 2))
         for a, b in pairs:
@@ -77,7 +86,7 @@ def test_distance_matches_bfs_on_random_trees():
 
 def test_metric_axioms_on_random_tree():
     rng = np.random.default_rng(11)
-    t = build_tree(random_parents(rng, max_nodes=40))
+    t = unnamed_tree(random_parents(rng, max_nodes=40))
     n = len(t)
     ids = rng.integers(0, n, size=(30, 3))
     for a, b, c in ids:

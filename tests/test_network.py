@@ -182,7 +182,7 @@ def test_triplet_gradient_full_network():
         hinge_gap = min(float(np.abs(dp - dn + DEFAULT_MARGIN).min())
                         for dp, dn in zip(d_pos, d_neg))
         if (_relu_margin(params, _trunk_decoder_layers(TINY), trace) > KINK_MARGIN
-                and _pool_gap(trace) > KINK_MARGIN and hinge_gap > KINK_MARGIN
+                and _pool_gap(params, trace) > KINK_MARGIN and hinge_gap > KINK_MARGIN
                 and _prenorm_floor(trace) > KINK_MARGIN):
             break
     else:
@@ -210,7 +210,7 @@ def test_tag_gradient_full_network():
         head_layers = [l for l in all_layers(TINY) if l[0].startswith("tag")]
         if (_relu_margin(params, _trunk_decoder_layers(TINY), trace) > KINK_MARGIN
                 and _relu_margin(params, head_layers, trace) > KINK_MARGIN
-                and _pool_gap(trace) > KINK_MARGIN and clamp_gap > 1e-4
+                and _pool_gap(params, trace) > KINK_MARGIN and clamp_gap > 1e-4
                 and _prenorm_floor(trace) > KINK_MARGIN):
             break
     else:
@@ -240,7 +240,7 @@ def test_seg_gradient_full_network():
         head_layers = [l for l in all_layers(TINY) if l[0].startswith("seg")]
         if (_relu_margin(params, _trunk_decoder_layers(TINY), trace) > KINK_MARGIN
                 and _relu_margin(params, head_layers, trace) > KINK_MARGIN
-                and _pool_gap(trace) > KINK_MARGIN
+                and _pool_gap(params, trace) > KINK_MARGIN
                 and _prenorm_floor(trace) > KINK_MARGIN):
             break
     else:
@@ -277,7 +277,7 @@ def test_chamfer_gradient_full_network():
         ae_layers = [l for l in all_layers(TINY) if l[0].startswith("ae")]
         if (_relu_margin(params, trunk, trace) > KINK_MARGIN
                 and _relu_margin(params, ae_layers, trace) > KINK_MARGIN
-                and _pool_gap(trace) > KINK_MARGIN and nn_gap > KINK_MARGIN):
+                and _pool_gap(params, trace) > KINK_MARGIN and nn_gap > KINK_MARGIN):
             break
     else:
         pytest.fail("no kink-free instance found")

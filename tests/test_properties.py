@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from partembed.config import from_json
 from partembed.errors import ConfigurationError
 from partembed.geometry import PointCloud, TriangleMesh, read_ply, write_ply
-from partembed.hierarchy import build_tree
+from partembed.hierarchy import PartHierarchy
 from partembed.ingest import ShapeRecord, dumps_shape, parse_json_shape
 from partembed.network import PenConfig
 from partembed.synth import NoiseConfig
@@ -37,7 +37,7 @@ def shape_records(draw) -> ShapeRecord:
     for i, p in enumerate(grown):
         parents[ids[i]] = None if p is None else ids[p]
     names = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n))
-    tree = build_tree(parents, names)
+    tree = PartHierarchy(parents, names)
     n_vert = draw(st.integers(1, 8))
     n_tri = draw(st.integers(0, 10))
     vertices = draw(st.lists(finite, min_size=3 * n_vert, max_size=3 * n_vert))

@@ -8,13 +8,19 @@ from partembed.errors import ConfigurationError, InputError
 from partembed.ingest import filter_shape, load_corpus, parse_json_shape
 from partembed.synth import (
     CATEGORIES,
-    CATEGORY_LABELS,
     DEFAULT_TAG_PROB,
     SYNTH_SYNONYMS,
     NoiseConfig,
     generate_corpus,
     generate_shape,
 )
+
+# the semantic parts of each archetype, in label order
+CATEGORY_LABELS = {
+    "chair": ("seat", "back", "leg", "arm"),
+    "table": ("top", "leg"),
+    "airplane": ("body", "wing", "tail", "engine"),
+}
 
 _ALL_POOL_WORDS = tuple(SYNTH_SYNONYMS) + tuple(
     canon for cat in CATEGORY_LABELS.values() for canon in cat)

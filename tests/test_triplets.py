@@ -2,22 +2,23 @@ import numpy as np
 import pytest
 
 from partembed.errors import InputError, SamplingError
-from partembed.hierarchy import build_tree
+from partembed.hierarchy import PartHierarchy
 from partembed.triplets import build_pair_distribution, sample_triplets
 
-from helpers import bfs_distance, cloud_on_tree, random_parents, tree_distance
+from helpers import (bfs_distance, cloud_on_tree, random_parents, tree_distance,
+                     unnamed_tree)
 
 
 def nested_tree():
     # root(0) -> A(1), B(2); B -> B1(3), B2(4)
-    return build_tree([None, 0, 0, 2, 2], names=["r", "A", "B", "B1", "B2"])
+    return PartHierarchy([None, 0, 0, 2, 2], ["r", "A", "B", "B1", "B2"])
 
 
 def test_leaf_tree_distances_match_pairwise_queries():
     rng = np.random.default_rng(0)
     for _ in range(20):
         parents = random_parents(rng, max_nodes=50)
-        t = build_tree(parents)
+        t = unnamed_tree(parents)
         leaf_ids = np.array(t.leaves)
         mat = t.leaf_distances
         assert mat.shape == (len(leaf_ids), len(leaf_ids))
@@ -126,7 +127,7 @@ def test_sampling_is_deterministic():
 
 def test_flat_tree_strategies_agree():
     # on a flat tree every pair has delta 2, so hierarchy == uniform
-    t = build_tree([None, 0, 0, 0, 0])
+    t = unnamed_tree([None, 0, 0, 0, 0])
     counts = np.array([0, 3, 3, 3, 3])
     h_pairs, h_weights = build_pair_distribution(t, counts, strategy="hierarchy")
     l_pairs, l_weights = build_pair_distribution(t, counts, strategy="leaf")
