@@ -33,7 +33,7 @@ with tempfile.TemporaryDirectory(prefix="partembed_mine_") as tmp:
         s = report.sufficiency[cat]
         verdict = "sufficient" if s["sufficient"] else "insufficient"
         print(f"{cat}: tags {list(vocab.tags)}")
-        print(f"   point coverage {s['coverage']:.3f} -> {verdict} for tag supervision")
+        print(f"   area coverage {s['coverage']:.3f} -> {verdict} for tag supervision")
     print()
     print("tables have no real part names, so their vocabulary is empty or junk")
     print("and the coverage check rules them out; chairs pass.")

@@ -228,9 +228,8 @@ def cmd_mine(args) -> tuple[Path, list, list]:
                 rec.mesh.vertices = result.transform.apply(rec.mesh.vertices)
             if not args.clouds:
                 continue
-            vocab = report.vocabularies.get(rec.category)
-            if vocab is not None and vocab.tags:
-                cloud.tag_id = label_points_with_tags(cloud, rec, vocab)
+            cloud.tag_id = label_points_with_tags(cloud.leaf_id, rec.hierarchy,
+                                                  report.vocabularies[rec.category])
             write_ply(cloud_dir / f"{rec.shape_id}.ply", cloud)
     write_corpus(records, out, report.to_json())
 

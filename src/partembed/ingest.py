@@ -19,7 +19,7 @@ import numpy as np
 from .collada import parse_collada_tree
 from .config import check, kind
 from .errors import ConfigurationError, InputError, ParseError, SchemaError
-from .geometry import PointCloud, TriangleMesh, sample_surface
+from .geometry import TriangleMesh
 from .hierarchy import PartHierarchy
 
 # Scene-graph boilerplate that must never become a tag. Positional words
@@ -34,7 +34,6 @@ MIN_TOKEN_LEN = 2         # shortest name token that can become a tag
 MAX_TAGS = 10             # tags kept per category vocabulary
 MIN_HEIGHT = 1            # flatter hierarchies hold no part structure
 MIN_TAG_COVERAGE = 0.01   # mean tagged fraction a category must clear
-COVERAGE_POINTS = 2000    # points per shape when mining measures tag coverage
 VAL_FRAC = 0.15           # shares of a split held out for validation and test
 TEST_FRAC = 0.10
 
@@ -157,7 +156,6 @@ def parse_json_shape(source) -> ShapeRecord:
         _expect(isinstance(i, int) and 0 <= i < n, f"node id {i!r} not in 0..{n - 1}")
         _expect(i not in seen, f"duplicate node id {i}")
         seen[i] = entry
-    _expect(len(seen) == n, "node ids must be dense")
 
     parents: list[Optional[int]] = [None] * n
     names: list[str] = [""] * n
@@ -312,14 +310,12 @@ def extract_tags(records: Sequence[ShapeRecord], category: str,
                 if len(tok) >= MIN_TOKEN_LEN and tok not in stop:
                     candidates.add(tok)
 
-    counts = {}
-    for tag in candidates:
-        hits = sum(
-            1 for names in shape_names
-            if any(_name_matches(nm, tag, synonyms) for nm in names)
-        )
-        if hits:
-            counts[tag] = hits
+    # every candidate comes from some shape's names, so it scores at least 1
+    counts = {
+        tag: sum(1 for names in shape_names
+                 if any(_name_matches(nm, tag, synonyms) for nm in names))
+        for tag in candidates
+    }
     ranked = sorted(counts, key=lambda t: (-counts[t], t))[:MAX_TAGS]
     kept = tuple(ranked)
     return TagVocabulary(
@@ -330,11 +326,12 @@ def extract_tags(records: Sequence[ShapeRecord], category: str,
     )
 
 
-def label_points_with_tags(cloud: PointCloud, rec: ShapeRecord, vocab: TagVocabulary) -> np.ndarray:
-    """Tag id per point (-1 untagged). A point inherits the tag of the deepest
-    ancestor of its leaf whose name matches a tag; when several tags match
-    that node, the earliest in vocabulary order wins."""
-    tree = rec.hierarchy
+def label_points_with_tags(leaf_id: np.ndarray, tree: PartHierarchy,
+                           vocab: TagVocabulary) -> np.ndarray:
+    """Tag id per entry of ``leaf_id`` (-1 untagged): a cloud's points or a
+    mesh's triangles. An entry inherits the tag of the deepest ancestor of
+    its leaf whose name matches a tag; when several tags match that node,
+    the earliest in vocabulary order wins."""
     tag_of_node = np.full(len(tree), -1, dtype=np.int64)
     for leaf in tree.leaves:
         a: Optional[int] = leaf
@@ -349,17 +346,16 @@ def label_points_with_tags(cloud: PointCloud, rec: ShapeRecord, vocab: TagVocabu
                 break
             a = tree.parents[a]
         tag_of_node[leaf] = chosen
-    return tag_of_node[cloud.leaf_id]
+    return tag_of_node[leaf_id]
 
 
-def tag_sufficiency(tag_arrays: Sequence[np.ndarray]) -> tuple[bool, float]:
-    """Mean tagged fraction over shapes, and whether it strictly clears
-    ``MIN_TAG_COVERAGE``. Categories failing this are skipped by tag
+def tag_sufficiency(fractions: Sequence[float]) -> tuple[bool, float]:
+    """Mean of the per-shape tagged fractions, and whether it strictly
+    clears ``MIN_TAG_COVERAGE``. Categories failing this are skipped by tag
     supervision."""
-    if not len(tag_arrays):
+    if not len(fractions):
         return False, 0.0
-    fracs = [float(np.mean(np.asarray(a) >= 0)) for a in tag_arrays]
-    coverage = float(np.mean(fracs))
+    coverage = float(np.mean(fractions))
     return coverage > MIN_TAG_COVERAGE, coverage
 
 
@@ -392,7 +388,8 @@ def split_dataset(shape_ids: Sequence[str], seed: int = 0) -> DatasetSplit:
     """Deterministic shuffle split. Validation and test sizes, ``VAL_FRAC``
     and ``TEST_FRAC`` of the shapes, round to the nearest integer (half
     away from zero); train takes the remainder. Every group is nonempty,
-    which needs at least three shapes."""
+    which needs at least three shapes: for any n >= 3 the two rounded
+    shares leave train at least one."""
     ids = sorted(shape_ids)
     if len(set(ids)) != len(ids):
         raise InputError("duplicate shape ids")
@@ -401,11 +398,6 @@ def split_dataset(shape_ids: Sequence[str], seed: int = 0) -> DatasetSplit:
         raise InputError(f"need at least 3 shapes to split, got {n}")
     n_val = max(1, int(np.floor(n * VAL_FRAC + 0.5)))
     n_test = max(1, int(np.floor(n * TEST_FRAC + 0.5)))
-    while n - n_val - n_test < 1:
-        if n_val >= n_test and n_val > 1:
-            n_val -= 1
-        else:
-            n_test -= 1
     perm = np.random.default_rng(seed).permutation(n)
     val = [ids[i] for i in perm[:n_val]]
     test = [ids[i] for i in perm[n_val:n_val + n_test]]
@@ -465,7 +457,8 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
 
     Returns the kept shapes and the report: counts, per-category
     vocabularies, sufficiency verdicts and the split. ``write_corpus`` puts
-    both on disk.
+    both on disk. A category's coverage is the mean, over its shapes, of
+    the tagged share of surface area; ``seed`` drives only the split.
     """
     policy = policy or FilterPolicy()
     records: list[ShapeRecord] = []
@@ -501,16 +494,17 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
     categories = sorted({r.category for r in records})
     vocabularies: dict[str, TagVocabulary] = {}
     sufficiency: dict[str, dict] = {}
-    rng = np.random.default_rng(seed)
     for cat in categories:
         cat_recs = [r for r in records if r.category == cat]
         vocab = extract_tags(cat_recs, cat, synonyms=synonyms, stop_patterns=stop_patterns)
         vocabularies[cat] = vocab
-        tag_arrays = []
+        fractions = []
         for rec in cat_recs:
-            cloud = sample_surface(rec.mesh, n=COVERAGE_POINTS, rng=rng)
-            tag_arrays.append(label_points_with_tags(cloud, rec, vocab))
-        ok, coverage = tag_sufficiency(tag_arrays)
+            # filter_shape kept only shapes with a finite, positive total area
+            areas = rec.mesh.triangle_areas()
+            tagged = label_points_with_tags(rec.mesh.tri_leaf, rec.hierarchy, vocab) >= 0
+            fractions.append(areas[tagged].sum() / areas.sum())
+        ok, coverage = tag_sufficiency(fractions)
         sufficiency[cat] = {"sufficient": bool(ok), "coverage": round(coverage, 6)}
 
     split = split_dataset([r.shape_id for r in records], seed=seed) if len(records) >= 3 \

@@ -138,7 +138,7 @@ def prepare_shapes(records: Sequence[ShapeRecord], n_points: int = 10000,
         cloud = normalize_cloud(sample_surface(rec.mesh, n=n_points, rng=rng))
         vocab = (vocab_by_category or {}).get(rec.category)
         if vocab is not None:
-            cloud.tag_id = label_points_with_tags(cloud, rec, vocab)
+            cloud.tag_id = label_points_with_tags(cloud.leaf_id, rec.hierarchy, vocab)
         out.append(TrainShape(record=rec, cloud=cloud))
     return out
 
@@ -334,7 +334,7 @@ def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShap
     for s in list(train_shapes) + list(val_shapes):
         if s.cloud.tag_id is None:
             raise TrainingError(f"shape {s.record.shape_id} has no tag labels")
-    ok, coverage = tag_sufficiency([s.cloud.tag_id for s in train_shapes])
+    ok, coverage = tag_sufficiency([np.mean(s.cloud.tag_id >= 0) for s in train_shapes])
     if not ok:
         raise TrainingError(f"insufficient tags: mean tagged fraction {coverage:.4f} "
                             f"does not clear {MIN_TAG_COVERAGE}")

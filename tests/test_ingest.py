@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from partembed.errors import ConfigurationError, InputError, SchemaError
-from partembed.geometry import PointCloud, sample_surface
+from partembed.geometry import sample_surface
+from partembed.synth import generate_corpus
 from partembed.ingest import (DEFAULT_STOP_PATTERNS, MAX_TAGS, DatasetSplit, FilterPolicy,
                               TagVocabulary, dumps_shape, extract_tags,
                               filter_shape, label_points_with_tags,
@@ -189,7 +190,7 @@ def test_label_points_deepest_match_wins():
     rec = sedan()
     cloud = sample_surface(rec.mesh, n=2000, rng=np.random.default_rng(0))
     vocab = TagVocabulary(category="cars", tags=("wheel", "car"))
-    tags = label_points_with_tags(cloud, rec, vocab)
+    tags = label_points_with_tags(cloud.leaf_id, rec.hierarchy, vocab)
     names = dict(enumerate(rec.hierarchy.names))
     for leaf in np.unique(cloud.leaf_id):
         got = set(tags[cloud.leaf_id == leaf])
@@ -206,7 +207,7 @@ def test_label_points_vocab_order_breaks_ties():
     cloud = sample_surface(rec.mesh, n=500, rng=np.random.default_rng(0))
     # both tags match wheel leaves; the earlier one wins
     vocab = TagVocabulary(category="cars", tags=("front", "wheel"))
-    tags = label_points_with_tags(cloud, rec, vocab)
+    tags = label_points_with_tags(cloud.leaf_id, rec.hierarchy, vocab)
     names = dict(enumerate(rec.hierarchy.names))
     fl = [i for i, n in names.items() if n == "wheel_front_left"][0]
     rl = [i for i, n in names.items() if n == "wheel_rear_left"][0]
@@ -218,14 +219,14 @@ def test_untagged_leaves_get_minus_one():
     rec = sedan()
     cloud = sample_surface(rec.mesh, n=500, rng=np.random.default_rng(0))
     vocab = TagVocabulary(category="cars", tags=("zebra",))
-    tags = label_points_with_tags(cloud, rec, vocab)
+    tags = label_points_with_tags(cloud.leaf_id, rec.hierarchy, vocab)
     assert (tags == -1).all()
 
 
 def test_tag_sufficiency_threshold():
-    ok, cov = tag_sufficiency([np.array([0, -1, -1, -1])])
+    ok, cov = tag_sufficiency([0.25])
     assert ok and cov == 0.25
-    ok, cov = tag_sufficiency([np.full(1000, -1), np.full(1000, -1)])
+    ok, cov = tag_sufficiency([0.0, 0.0])
     assert not ok and cov == 0.0
     assert tag_sufficiency([]) == (False, 0.0)
 
@@ -244,6 +245,18 @@ def test_split_dataset_properties():
         split_dataset(["a", "a", "b"])
     tiny = split_dataset(["a", "b", "c"], seed=0)
     assert len(tiny.train) == len(tiny.validation) == len(tiny.test) == 1
+
+
+@pytest.mark.parametrize("n", range(3, 501))
+def test_split_sizes_round_the_shares_and_train_keeps_the_rest(n):
+    ids = [f"s{i}" for i in range(n)]
+    split = split_dataset(ids, seed=n)
+    n_val = max(1, int(np.floor(0.15 * n + 0.5)))
+    n_test = max(1, int(np.floor(0.10 * n + 0.5)))
+    assert len(split.validation) == n_val and len(split.test) == n_test
+    assert len(split.train) == n - n_val - n_test >= 1
+    groups = [set(split.train), set(split.validation), set(split.test)]
+    assert sum(map(len, groups)) == n and set().union(*groups) == set(ids)
 
 
 def test_dataset_split_rejects_overlapping_groups():
@@ -278,3 +291,48 @@ def test_mine_is_deterministic(tmp_path):
     sa = (tmp_path / "a" / "cars" / "sedan.json").read_bytes()
     sb = (tmp_path / "b" / "cars" / "sedan.json").read_bytes()
     assert sa == sb
+
+
+def sparse_chairs(out_dir):
+    # 12 chairs whose leaves rarely carry a part name; their exact tagged
+    # share of surface area, 0.00992, sits just under MIN_TAG_COVERAGE
+    generate_corpus({"chair": 12}, seed=0, tag_prob={"chair": 0.02}, out_dir=out_dir)
+
+
+def test_mine_coverage_does_not_depend_on_seed(tmp_path):
+    sparse_chairs(tmp_path)
+    _, r0 = mine_directory(tmp_path, seed=0)
+    _, r3 = mine_directory(tmp_path, seed=3)
+    assert r0.sufficiency == r3.sufficiency
+    assert r0.to_json()["vocabularies"] == r3.to_json()["vocabularies"]
+    assert r0.sufficiency["chair"] == {"sufficient": False, "coverage": 0.009921}
+
+
+def test_mine_coverage_does_not_depend_on_other_categories(tmp_path):
+    sparse_chairs(tmp_path)
+    _, alone = mine_directory(tmp_path, seed=0)
+    generate_corpus({"airplane": 5}, seed=1, out_dir=tmp_path)
+    _, mixed = mine_directory(tmp_path, seed=0)
+    assert "airplane" in mixed.sufficiency
+    assert mixed.sufficiency["chair"] == alone.sufficiency["chair"]
+
+
+def test_mine_coverage_is_the_tagged_share_of_area(tmp_path):
+    # leaf 1 (triangle area 1) is named by a tag; leaf 2 (area 2) and the
+    # root carry stop patterns only, so a third of the surface is tagged
+    obj = {
+        "shape_id": "s0",
+        "category": "cat",
+        "vertices": [[0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 2, 0]],
+        "triangles": [[0, 1, 2], [0, 1, 3]],
+        "nodes": [
+            {"id": 0, "parent": None, "name": "root", "children": [1, 2]},
+            {"id": 1, "parent": 0, "name": "wheel", "tri_range": [0, 1]},
+            {"id": 2, "parent": 0, "name": "geometry", "tri_range": [1, 2]},
+        ],
+    }
+    (tmp_path / "cat").mkdir()
+    (tmp_path / "cat" / "s0.json").write_text(json.dumps(obj))
+    _, report = mine_directory(tmp_path, seed=0)
+    assert report.vocabularies["cat"].tags == ("wheel",)
+    assert report.sufficiency["cat"] == {"sufficient": True, "coverage": 0.333333}
