@@ -16,16 +16,13 @@ from partembed.network import PenConfig, init_params
 from partembed.synth import generate_corpus
 from partembed.training import (PRETRAINED, TrainConfig, finetune_segmentation,
                                 predict_segmentation, prepare_shapes,
-                                pretrain_metric)
+                                pretrain_metric, split_shapes)
 
 t0 = time.time()
 records = generate_corpus({"chair": 16}, seed=1)
 shapes = prepare_shapes(records, n_points=400, seed=0)
-split = split_dataset([r.shape_id for r in records], seed=0)
-by_id = {s.record.shape_id: s for s in shapes}
-train = [by_id[i] for i in split.train]
-val = [by_id[i] for i in split.validation]
-test = [by_id[i] for i in split.test] + val[1:]
+train, val, test = split_shapes(shapes, split_dataset([r.shape_id for r in records], seed=0))
+test += val[1:]
 print(f"{len(train)} train / {len(test)} held-out chairs, 400 points each")
 
 cfg = PenConfig(point_widths=(16, 16), lift_widths=(32,), decoder_widths=(32,),

@@ -16,13 +16,13 @@ from partembed.benchmark import BenchmarkSpec, run_benchmark
 from partembed.ingest import split_dataset
 from partembed.network import PenConfig, init_params, save_checkpoint
 from partembed.synth import generate_corpus
-from partembed.training import TrainConfig, prepare_shapes, pretrain_metric
+from partembed.training import TrainConfig, prepare_shapes, pretrain_metric, split_shapes
 
 t0 = time.time()
 records = generate_corpus({"table": 30}, seed=2)
 shapes = prepare_shapes(records, n_points=400, seed=0)
 split = split_dataset([r.shape_id for r in records], seed=0)
-by_id = {s.record.shape_id: s for s in shapes}
+train, val, _ = split_shapes(shapes, split)
 
 cfg = PenConfig(point_widths=(16, 16), lift_widths=(32,), decoder_widths=(32,),
                 embed_dim=16, head_hidden=32)
@@ -31,12 +31,11 @@ tc = TrainConfig(lr=0.01, batch_shapes=8, subsample_points=300,
                  microbatch=4, trunk_lr_scale=0.1, seed=0)
 
 params = init_params(cfg, np.random.default_rng(0))
-pretrain_metric(params, cfg, [by_id[i] for i in split.train],
-                [by_id[i] for i in split.validation], tc)
+pretrain_metric(params, cfg, train, val, tc)
 with tempfile.TemporaryDirectory(prefix="partembed_bench_") as tmp:
     work = Path(tmp)
     save_checkpoint(work / "h.npz", params, cfg, {})
-    print(f"pretrained on {len(split.train)} tables ({time.time() - t0:.0f}s)")
+    print(f"pretrained on {len(train)} tables ({time.time() - t0:.0f}s)")
 
     spec = BenchmarkSpec(categories=("table",), variants=("scratch", "hierarchy"),
                          shape_axis=(2, 4), axes=("shapes",), repeats=3, seed=0,

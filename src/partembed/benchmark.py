@@ -28,11 +28,13 @@ from .errors import ConfigurationError, InputError
 from .ingest import DatasetSplit
 from .network import PenConfig, init_params, load_checkpoint
 from .training import (PRETRAINED, TrainConfig, TrainShape, finetune_segmentation,
-                       predict_segmentation)
+                       predict_segmentation, split_shapes)
 
 VARIANTS = ("scratch", "autoencoder", "leaf", "hierarchy", "tags", "hierarchy_tags")
 
 CSV_HEADER = ("category", "variant", "axis", "value", "repeat", "miou", "seconds")
+
+POINT_AXIS_SHAPES = 8  # labeled shapes behind every points-axis cell
 
 
 @dataclass
@@ -41,7 +43,6 @@ class BenchmarkSpec:
     variants: tuple[str, ...] = kind("names", VARIANTS)
     shape_axis: tuple[int, ...] = kind("grid", (4, 8, 12, 20, 40, 60, 120))
     point_axis: tuple[int, ...] = kind("grid", (20, 40, 60, 100, 200, 500))
-    point_axis_shapes: int = kind("count", 8)
     axes: tuple[str, ...] = kind("names", ("shapes", "points"))
     repeats: int = kind("count", 5)
     seed: int = kind("natural", 0)
@@ -154,7 +155,8 @@ def resolve_checkpoints(spec: BenchmarkSpec, checkpoints: dict) -> dict:
     return loaded
 
 
-def _category_classes(shapes: Sequence[TrainShape]) -> int:
+def category_classes(shapes: Sequence[TrainShape]) -> int:
+    """One more than the largest semantic label among ``shapes``."""
     top = 0
     for s in shapes:
         if s.cloud.semantic_label is None:
@@ -192,20 +194,18 @@ def run_benchmark(shapes: Sequence[TrainShape], split: DatasetSplit, spec: Bench
     an .npz path or to a {category: path} mapping; all are loaded up front
     (see ``resolve_checkpoints``)."""
     loaded = resolve_checkpoints(spec, checkpoints)
-    by_id = {s.record.shape_id: s for s in shapes}
-    train_ids = [i for i in split.train if i in by_id]
-    test_ids = [i for i in split.test if i in by_id]
+    train, _, held_out = split_shapes(shapes, split)
 
     # every category's data is checked before the first cell trains
     largest = max([*(spec.shape_axis if "shapes" in spec.axes else ()),
-                   *((spec.point_axis_shapes,) if "points" in spec.axes else ())])
+                   *((POINT_AXIS_SHAPES,) if "points" in spec.axes else ())])
     cats = []
     for cat in spec.categories:
-        pool = [by_id[i] for i in train_ids if by_id[i].category == cat]
-        test = [by_id[i] for i in test_ids if by_id[i].category == cat]
+        pool = [s for s in train if s.category == cat]
+        test = [s for s in held_out if s.category == cat]
         if not pool or not test:
             raise ConfigurationError(f"category {cat!r}: empty fine-tune pool or test set")
-        n_classes = _category_classes(pool + test)
+        n_classes = category_classes(pool + test)
         if largest > len(pool):
             raise ConfigurationError(f"category {cat!r}: requested {largest} labeled shapes, "
                                      f"pool has {len(pool)}")
@@ -228,7 +228,7 @@ def run_benchmark(shapes: Sequence[TrainShape], split: DatasetSplit, spec: Bench
                     if axis == "shapes":
                         labeled = select_labeled_shapes(pool, value, select_rng)
                     else:
-                        fixed = select_labeled_shapes(pool, spec.point_axis_shapes, select_rng)
+                        fixed = select_labeled_shapes(pool, POINT_AXIS_SHAPES, select_rng)
                         labeled = select_labeled_points(fixed, value, select_rng)
 
                     for vi, variant in enumerate(spec.variants):

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import (BenchmarkSpec, _category_classes, finetune_start, run_benchmark,
+from .benchmark import (BenchmarkSpec, category_classes, finetune_start, run_benchmark,
                         select_labeled_shapes)
 from .config import from_json, is_int
 from .errors import ConfigurationError, InputError, PartembedError
@@ -35,7 +35,7 @@ from .ingest import (DEFAULT_STOP_PATTERNS, DatasetSplit, FilterPolicy,
 from .network import PenConfig, forward_embed, init_params, load_checkpoint, save_checkpoint
 from .synth import DEFAULT_TAG_PROB, NoiseConfig, generate_corpus
 from .training import (TrainConfig, finetune_segmentation, finetune_tags,
-                       prepare_shapes, pretrain_autoencoder, pretrain_metric)
+                       prepare_shapes, pretrain_autoencoder, pretrain_metric, split_shapes)
 from .triplets import STRATEGIES
 
 # ---------------------------------------------------------------------------
@@ -164,12 +164,6 @@ def _load_dataset(data_dir):
     return records, split, vocabs
 
 
-def _split_shapes(shapes, split: DatasetSplit):
-    """The shapes of the split's train and validation ids, in split order."""
-    by_id = {s.record.shape_id: s for s in shapes}
-    return tuple([by_id[i] for i in ids if i in by_id] for ids in (split.train, split.validation))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -249,7 +243,7 @@ def cmd_pretrain(args) -> tuple[Path, list, list]:
     cfg = _pen_config(args.arch, with_ae=(args.strategy == "autoencoder"))
     tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
     shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
-    train, val = _split_shapes(shapes, split)
+    train, val, _ = split_shapes(shapes, split)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x11717)))
     params = init_params(cfg, rng)
     if args.strategy == "autoencoder":
@@ -283,13 +277,10 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
             raise ConfigurationError(f"category {args.category!r} has no tag vocabulary")
         shapes = prepare_shapes(records, n_points=args.points, seed=args.seed,
                                 vocab_by_category={args.category: vocab})
-        shapes = [s for s in shapes if (s.cloud.tag_id >= 0).any()]
-        if len(shapes) < 3:
-            raise ConfigurationError(f"category {args.category!r}: too few tagged shapes")
-        train, val = _split_shapes(shapes, split)
+        train, val, _ = split_shapes([s for s in shapes if (s.cloud.tag_id >= 0).any()], split)
         if not train or not val:
-            n_val = max(1, len(shapes) // 5)
-            val, train = shapes[:n_val], shapes[n_val:]
+            raise ConfigurationError(f"category {args.category!r}: no tagged shape in the "
+                                     f"{'validation' if train else 'train'} split")
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xF17A6)))
         params, cfg, pretrained = finetune_start(ckpt, _pen_config(args.arch), rng,
                                                  n_tags=len(vocab.tags))
@@ -299,8 +290,8 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
                 "best_val": report.best_val}
     else:
         shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
-        n_classes = _category_classes(shapes)
-        train, _ = _split_shapes(shapes, split)
+        n_classes = category_classes(shapes)
+        train, _, _ = split_shapes(shapes, split)
         if args.labeled_shapes is not None:
             rng_sel = np.random.default_rng(np.random.SeedSequence((args.seed, 0x5E1EC7)))
             train = select_labeled_shapes(train, args.labeled_shapes, rng_sel)
@@ -486,10 +477,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PartembedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PartembedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -412,11 +413,15 @@ def split_dataset(shape_ids: Sequence[str], seed: int = 0) -> DatasetSplit:
 @dataclass
 class MineReport:
     kept: int
-    rejected: dict[str, str]
-    reject_counts: dict[str, int]
+    rejected: dict[str, str]  # file path relative to the mined directory -> reason
     vocabularies: dict[str, TagVocabulary]
     sufficiency: dict[str, dict]
     split: DatasetSplit
+
+    @property
+    def reject_counts(self) -> dict[str, int]:
+        """How many files each reason class (the text before ``:``) rejected."""
+        return dict(Counter(reason.split(":", 1)[0] for reason in self.rejected.values()))
 
     def to_json(self) -> dict:
         return {
@@ -463,30 +468,24 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
     policy = policy or FilterPolicy()
     records: list[ShapeRecord] = []
     rejected: dict[str, str] = {}
-    reject_counts: dict[str, int] = {}
     seen_ids: set[str] = set()
 
-    def reject(key: str, reason: str):
-        rejected[key] = reason
-        cls = reason.split(":", 1)[0]
-        reject_counts[cls] = reject_counts.get(cls, 0) + 1
-
     for path, category in discover_shape_files(in_dir):
-        key = path.stem
+        key = path.relative_to(in_dir).as_posix()
         try:
             if path.suffix == ".dae":
                 rec = shape_from_collada(path.read_bytes(), shape_id=path.stem, category=category)
             else:
                 rec = parse_json_shape(path.read_text())
         except ParseError as exc:
-            reject(key, f"parse_error:{exc}")
+            rejected[key] = f"parse_error:{exc}"
             continue
         if rec.shape_id in seen_ids:
-            reject(key, f"parse_error:duplicate shape_id '{rec.shape_id}'")
+            rejected[key] = f"parse_error:duplicate shape_id '{rec.shape_id}'"
             continue
         keep, reason = filter_shape(rec, policy)
         if not keep:
-            reject(key, reason)
+            rejected[key] = reason
             continue
         seen_ids.add(rec.shape_id)
         records.append(rec)
@@ -509,8 +508,8 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
 
     split = split_dataset([r.shape_id for r in records], seed=seed) if len(records) >= 3 \
         else DatasetSplit(tuple(r.shape_id for r in records), (), ())
-    report = MineReport(kept=len(records), rejected=rejected, reject_counts=reject_counts,
-                        vocabularies=vocabularies, sufficiency=sufficiency, split=split)
+    report = MineReport(kept=len(records), rejected=rejected, vocabularies=vocabularies,
+                        sufficiency=sufficiency, split=split)
     return records, report
 
 

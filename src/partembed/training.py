@@ -24,8 +24,8 @@ import numpy as np
 from .config import check, kind
 from .errors import ConfigurationError, InputError, SamplingError, TrainingError
 from .geometry import PointCloud, normalize_cloud, sample_surface
-from .ingest import (MIN_TAG_COVERAGE, ShapeRecord, TagVocabulary, label_points_with_tags,
-                     tag_sufficiency)
+from .ingest import (MIN_TAG_COVERAGE, DatasetSplit, ShapeRecord, TagVocabulary,
+                     label_points_with_tags, tag_sufficiency)
 from .network import (AdamState, PenConfig, adam_step, ae_backward,
                       ae_forward, backward_embed, backward_trunk, chamfer_batch_and_grad,
                       forward_embed, forward_trunk, head_backward, head_forward,
@@ -141,6 +141,15 @@ def prepare_shapes(records: Sequence[ShapeRecord], n_points: int = 10000,
             cloud.tag_id = label_points_with_tags(cloud.leaf_id, rec.hierarchy, vocab)
         out.append(TrainShape(record=rec, cloud=cloud))
     return out
+
+
+def split_shapes(shapes: Sequence[TrainShape], split: DatasetSplit
+                 ) -> tuple[list[TrainShape], list[TrainShape], list[TrainShape]]:
+    """The shapes of the split's train, validation and test ids, each group
+    in split order. Ids not among ``shapes`` are skipped."""
+    by_id = {s.record.shape_id: s for s in shapes}
+    return tuple([by_id[i] for i in ids if i in by_id]
+                 for ids in (split.train, split.validation, split.test))
 
 
 def _check_same_size(shapes: Sequence[TrainShape]):

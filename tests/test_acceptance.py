@@ -476,7 +476,7 @@ def test_mining_golden_report():
     checks = {
         "kept": got["kept"] == golden["kept"],
         "reject_counts": got["reject_counts"] == golden["reject_counts"],
-        "reject_classes": {k: v.split(":", 1)[0] for k, v in got["rejected"].items()}
+        "reject_classes": {Path(k).stem: v.split(":", 1)[0] for k, v in got["rejected"].items()}
                           == golden["rejected_classes"],
         "split": got["split"] == golden["split"],
         "sufficiency": got["sufficiency"] == golden["sufficiency"],

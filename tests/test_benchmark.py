@@ -242,8 +242,7 @@ def test_benchmark_spec_validation():
     with pytest.raises(ConfigurationError):
         BenchmarkSpec(categories=("table",), axes=("shapes", "lines"))
     for bad in ({"shape_axis": (4, 0)}, {"shape_axis": (-1,)}, {"point_axis": (20, 0)},
-                {"point_axis_shapes": 0}, {"repeats": 0}, {"eval_points": 0},
-                {"repeats": 1.5}):
+                {"repeats": 0}, {"eval_points": 0}, {"repeats": 1.5}):
         with pytest.raises(ConfigurationError):
             BenchmarkSpec(categories=("table",), **bad)
     # a repeated grid entry would run its cells twice over the same seeds
@@ -259,10 +258,12 @@ def test_benchmark_spec_validation():
 # end to end
 # ---------------------------------------------------------------------------
 
-def test_run_benchmark_small_grid(tmp_path, table_shapes, table_split):
+def test_run_benchmark_small_grid(tmp_path, table_shapes, table_split, monkeypatch):
+    # the 6-table pool is smaller than the points axis's 8 labeled shapes
+    monkeypatch.setattr(benchmark, "POINT_AXIS_SHAPES", 2)
     ckpt = _write_ckpt(tmp_path, "hierarchy")
     spec = BenchmarkSpec(categories=("table",), variants=("scratch", "hierarchy"),
-                         shape_axis=(2,), point_axis=(15,), point_axis_shapes=2,
+                         shape_axis=(2,), point_axis=(15,),
                          axes=("shapes", "points"), repeats=2, eval_points=50, seed=0)
     out_csv = tmp_path / "rows.csv"
     out_summary = tmp_path / "summary.json"
@@ -316,8 +317,9 @@ def test_run_benchmark_starts_each_row_with_one_init(table_shapes, table_split, 
 
     for name in ("init_params", "predict_segmentation"):
         monkeypatch.setattr(benchmark, name, logged(name))
+    monkeypatch.setattr(benchmark, "POINT_AXIS_SHAPES", 2)
     spec = BenchmarkSpec(categories=("table",), variants=("scratch", "hierarchy", "tags"),
-                         shape_axis=(2,), point_axis=(15,), point_axis_shapes=2,
+                         shape_axis=(2,), point_axis=(15,),
                          repeats=1, eval_points=40, seed=0)
     table = run_benchmark(table_shapes, table_split, spec, FAST_TC, BASE,
                           {"hierarchy": _write_ckpt(tmp_path, "h"), "tags": {}})
@@ -334,11 +336,12 @@ def test_run_benchmark_checks_checkpoints_before_training(table_shapes, table_sp
 
 
 @pytest.mark.parametrize("grid", [dict(shape_axis=(2, 50), axes=("shapes",)),
-                                  dict(shape_axis=(2,), point_axis_shapes=50)])
+                                  dict(shape_axis=(2,))])
 def test_run_benchmark_checks_pool_sizes_before_training(table_shapes, table_split, monkeypatch,
                                                          grid):
     calls = []
     monkeypatch.setattr(benchmark, "finetune_segmentation", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(benchmark, "POINT_AXIS_SHAPES", 50)
     spec = BenchmarkSpec(categories=("table",), variants=("scratch",), point_axis=(15,),
                          repeats=3, eval_points=40, seed=0, **grid)
     with pytest.raises(ConfigurationError, match="requested 50 labeled shapes"):

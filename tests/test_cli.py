@@ -303,6 +303,29 @@ def _finetune_labeled_shapes_above_pool(tmp_path, corpus):
     return [*_finetune_labeled_shapes(tmp_path, corpus, "50"), "--arch", str(arch)]
 
 
+def _finetune_tags(tmp_path, corpus, category):
+    arch, train = tmp_path / "arch.json", tmp_path / "train.json"
+    arch.write_text(json.dumps(ARCH))
+    train.write_text(json.dumps(TRAIN))
+    return ["finetune", "--data", str(corpus), "--out", str(tmp_path / "tags.npz"),
+            "--objective", "tags", "--category", category, "--points", "80", "--epochs", "1",
+            "--arch", str(arch), "--train", str(train)]
+
+
+def _finetune_tags_without_vocabulary(tmp_path, corpus):
+    # as mine writes it for a category none of whose part names is a tag
+    _edit_manifest(corpus, lambda m: m.update(vocabularies={"table": {"tags": []}}))
+    return _finetune_tags(tmp_path, corpus, "table")
+
+
+def _finetune_tags_without_validation_chair(tmp_path, corpus):
+    # the split derived from these 21 shapes puts no chair in validation
+    chairs = tmp_path / "chairs"
+    assert main(["synth", "--out", str(chairs), "--counts", "chair=8", "table=13",
+                 "--tag-prob", "chair=0.9", "--seed", "0"]) == 0
+    return _finetune_tags(tmp_path, chairs, "chair")
+
+
 def _export_without_shapes(tmp_path, corpus):
     ck = tmp_path / "ck.npz"
     cfg = PenConfig(point_widths=(4,), lift_widths=(6,), decoder_widths=(), embed_dim=3)
@@ -462,7 +485,8 @@ def _synth_integer_group_leaves(tmp_path, corpus):
     _train_infinite_decay_factor, _synth_fractional_sub_leaves, _synth_string_split_parts,
     _synth_bool_group_levels, _synth_integer_group_leaves, _synth_counts_list_in_config,
     _synth_counts_string_in_config, _synth_unknown_top_level_key,
-    _finetune_labeled_shapes_above_pool])
+    _finetune_labeled_shapes_above_pool, _finetune_tags_without_vocabulary,
+    _finetune_tags_without_validation_chair])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])
@@ -648,7 +672,7 @@ def test_mine_reproduces_golden_report(tmp_path, capsys):
     assert manifest["split"] == golden["split"]
     assert manifest["sufficiency"] == golden["sufficiency"]
     # reject reasons carry parser detail after the class; the class is stable
-    classes = {k: v.split(":", 1)[0] for k, v in manifest["rejected"].items()}
+    classes = {Path(k).stem: v.split(":", 1)[0] for k, v in manifest["rejected"].items()}
     assert classes == golden["rejected_classes"]
     for cat, vocab in golden["vocabularies"].items():
         assert manifest["vocabularies"][cat]["tags"] == vocab["tags"]
@@ -683,11 +707,11 @@ def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
 
     golden = json.loads((FIXTURES / "golden" / "mine_report.json").read_text())
     manifest = json.loads((out / "manifest.json").read_text())
-    for name in ("short_translate", "word_in_floats"):
+    for name in ("cars/short_translate.dae", "chairs/word_in_floats.dae"):
         assert manifest["rejected"][name].startswith("parse_error:malformed number: ")
-    assert manifest["rejected"]["negative_offset"] == \
+    assert manifest["rejected"]["chairs/negative_offset.dae"] == \
         "parse_error:primitive <input> offset -1 is negative"
-    classes = {k: v.split(":", 1)[0] for k, v in manifest["rejected"].items()}
+    classes = {Path(k).stem: v.split(":", 1)[0] for k, v in manifest["rejected"].items()}
     assert classes == {**golden["rejected_classes"], "short_translate": "parse_error",
                        "word_in_floats": "parse_error", "negative_offset": "parse_error"}
     assert manifest["reject_counts"] == {**golden["reject_counts"], "parse_error": 6}
@@ -720,8 +744,8 @@ def test_mine_rejects_degenerate_meshes_and_mines_the_rest(tmp_path, capsys, clo
 
     golden = json.loads((FIXTURES / "golden" / "mine_report.json").read_text())
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["rejected"]["collapsed"] == "degenerate_mesh:area 0"
-    assert manifest["rejected"]["nan_in_floats"] == "degenerate_mesh:area nan"
+    assert manifest["rejected"]["chairs/collapsed.json"] == "degenerate_mesh:area 0"
+    assert manifest["rejected"]["chairs/nan_in_floats.dae"] == "degenerate_mesh:area nan"
     assert manifest["reject_counts"] == {**golden["reject_counts"], "degenerate_mesh": 2}
     for key in ("kept", "split", "sufficiency"):
         assert manifest[key] == golden[key]
@@ -884,6 +908,26 @@ def test_finetune_tags_starts_like_segmentation(tmp_path, configs, monkeypatch, 
     params, cfg, _ = load_checkpoint(out)
     assert not cfg.with_ae and cfg.n_classes == 0 and cfg.n_tags == n_tags
     assert all(name.startswith(("enc", "lift", "dec", "embed", "tag")) for name in params)
+
+
+def test_finetune_tags_reads_no_test_shape(tmp_path, capsys):
+    argv = _finetune_tags_without_validation_chair(tmp_path, None)
+    assert main(argv) == 2
+    assert "error: category 'chair': no tagged shape in the validation split" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "tags.npz").exists()
+
+
+def test_finetune_tags_trains_on_one_train_and_one_validation_shape(tmp_path):
+    corpus = _synth(tmp_path, spec="chair=3", seed="3", extra=["--tag-prob", "chair=0.9"])
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    train, val, test = manifest["shape_ids"]
+    (corpus / "chair" / f"{test}.json").unlink()
+    _edit_manifest(corpus, lambda m: m.update(split={"train": [train], "validation": [val],
+                                                     "test": [test]}))
+    assert main(_finetune_tags(tmp_path, corpus, "chair")) == 0
+    _, _, meta = load_checkpoint(tmp_path / "tags.npz")
+    assert meta["stage"] == "finetune_tags" and meta["epochs"] == 1
 
 
 def test_finetune_rejects_unknown_category(tmp_path, configs):

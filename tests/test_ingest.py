@@ -282,6 +282,16 @@ def test_mine_directory_counts_and_outputs(tmp_path):
     assert dumps_shape(back[1]) == dumps_shape([r for r in records if r.shape_id == "sedan"][0])
 
 
+def test_mine_report_keys_rejects_by_path(tmp_path):
+    # two malformed files sharing a stem are two entries, counted once each
+    for category in ("chairs", "cars"):
+        (tmp_path / category).mkdir()
+        (tmp_path / category / "x.dae").write_text("<COLLADA")
+    _, report = mine_directory(tmp_path, seed=0)
+    assert sorted(report.rejected) == ["cars/x.dae", "chairs/x.dae"]
+    assert report.reject_counts == {"parse_error": 2}
+
+
 def test_mine_is_deterministic(tmp_path):
     recs1, r1 = mine_directory(FIXTURES, seed=0)
     recs2, r2 = mine_directory(FIXTURES, seed=0)
