@@ -268,8 +268,6 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
         raise ConfigurationError(f"no shapes of category {args.category!r} in {args.data}")
     tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
     ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.objective == "tags":
         vocab = vocabs.get(args.category)
@@ -301,6 +299,8 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
         report = finetune_segmentation(params, cfg, train, tc, pretrained)
         meta = {"stage": "finetune_segmentation", "category": args.category,
                 "seed": args.seed, "epochs": report.epochs, "n_classes": n_classes}
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out, params, cfg, meta)
     print(f"fine-tuned ({args.objective}) on {args.category}: {report.epochs} epochs; wrote {out}")
     return out.parent, [args.data, args.checkpoint, args.arch, args.train], [out]

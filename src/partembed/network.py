@@ -1,24 +1,24 @@
 """Point embedding network: explicit numpy forward and backward passes.
 
-The trunk encodes each point with a shared MLP, lifts to a wide feature,
-max-pools over the cloud into a global descriptor, and concatenates the
-per-point feature with the broadcast global one. A decoder MLP maps the
-concatenation to an embedding that is L2-normalized per point, so all
-embeddings live on the unit hypersphere and squared Euclidean distance is a
-bounded dissimilarity.
+The trunk encodes each point with a shared MLP, lifts to a wide feature
+and max-pools over the cloud into a global descriptor. A decoder MLP maps
+each point's feature and the global one to an embedding, L2-normalized
+per point, so squared Euclidean distance is a bounded dissimilarity.
 
 Every stack (trunk, embedding decoder, tag and segmentation heads,
 reconstruction decoder) is a slice of one layer table, ``all_layers``, run
-by one dense-layer engine, ``_forward`` and ``_backward``, which takes an
-input of any rank as rows of its last axis; a stack the config lacks
-raises InputError. A batch has one ``ForwardTrace``: heads and the
-reconstruction decoder read their input from the trunk's and record into
-it. Every backward writes into the caller's ``grads`` dict; those of a
-head and the reconstruction decoder return the gradient at their input.
-Everything is float64 and dumb on purpose: dense layers, ReLU masks,
-argmax routing through the max-pool, and the exact Jacobian of the
-normalization. Gradients are checked against central differences in the
-test suite, so keep forward and backward in lockstep when editing.
+by one dense engine, ``_forward`` and ``_backward``, on inputs of any rank
+as rows of the last axis; a stack the config lacks raises InputError. A
+batch has one ``ForwardTrace``, which every stack records into. Every
+backward writes into the caller's ``grads``; a head's and the
+reconstruction decoder's return the gradient at their input. All is
+float64. Bias adds and ReLUs run in place; a ReLU's mask is read from its
+output, the next layer's input. The last (linear) lift layer runs
+channels-major, so the pool reduces the contiguous axis, and its backward
+touches only each channel's winning point. The first decoder layer splits
+its weight, so ``[point ‖ global]`` is never built. Gradients are checked
+against central differences and a plain reference in the tests, so keep
+forward and backward in lockstep.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from .config import check, from_json, kind
@@ -47,7 +48,7 @@ ADAM_EPS = 1e-8
 class PenConfig:
     """Widths of every stage. The defaults give the full-size network:
     3 -> 64 -> 64 -> 64 point features, lifted 128 -> 1024 and max-pooled,
-    1088-wide concatenation decoded through 256 to a 64-d embedding."""
+    point and global features (64 + 1024) decoded through 256 to 64-d."""
 
     point_widths: tuple[int, ...] = kind("widths", (64, 64, 64))
     lift_widths: tuple[int, ...] = kind("widths", (128, 1024))
@@ -148,11 +149,10 @@ def validate_params(cfg: PenConfig, params: dict[str, np.ndarray]) -> None:
 @dataclass
 class ForwardTrace:
     """Everything backward needs of every stack run on one batch (layer
-    names are unique): per-layer inputs, ReLU masks, pool routing and the
-    normalization state. Decoder fields stay None on trunk-only runs."""
+    names are unique): per-layer inputs, pool winners and the normalization
+    state. Decoder fields stay None on trunk-only runs."""
 
     ins: dict[str, np.ndarray] = field(default_factory=dict)
-    masks: dict[str, np.ndarray] = field(default_factory=dict)
     point_feat: Optional[np.ndarray] = None
     argmax: Optional[np.ndarray] = None
     global_feat: Optional[np.ndarray] = None
@@ -161,23 +161,25 @@ class ForwardTrace:
 
 
 def _forward(params, layers: list[Layer], x: np.ndarray, trace: ForwardTrace) -> np.ndarray:
-    """Run ``x`` through the dense layers, recording what _backward needs."""
+    """Run ``x`` through the dense layers, recording their inputs."""
     for name, _, _, relu in layers:
         trace.ins[name] = x
-        x = x @ params[f"{name}.W"] + params[f"{name}.b"]
+        x = x @ params[f"{name}.W"]
+        x += params[f"{name}.b"]
         if relu:
-            trace.masks[name] = x > 0
-            x = x * trace.masks[name]
+            np.maximum(x, 0.0, out=x)
     return x
 
 
 def _backward(params, layers: list[Layer], trace: ForwardTrace, g: np.ndarray,
-              grads: dict) -> np.ndarray:
+              grads: dict, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Write the layers' tensor gradients into ``grads``, given the gradient
-    at the stack's output, and return the gradient at its input."""
-    for name, din, dout, relu in reversed(layers):
+    at the stack's output, and return the gradient at its input. A stack
+    ending in a ReLU (the trunk's) needs its ``out`` and masks ``g`` in place."""
+    outs = [trace.ins[name] for name, *_ in layers[1:]] + [out]
+    for (name, din, dout, relu), y in zip(reversed(layers), reversed(outs)):
         if relu:
-            g = g * trace.masks[name]
+            g *= y > 0
         grads[f"{name}.W"] = trace.ins[name].reshape(-1, din).T @ g.reshape(-1, dout)
         grads[f"{name}.b"] = g.reshape(-1, dout).sum(axis=0)
         g = g @ params[f"{name}.W"].T
@@ -185,50 +187,57 @@ def _backward(params, layers: list[Layer], trace: ForwardTrace, g: np.ndarray,
 
 
 def forward_trunk(params, cfg: PenConfig, points: np.ndarray) -> ForwardTrace:
-    """Points (B, N, 3) through the shared encoder, lift and max-pool."""
+    """Points (B, N, 3) through the shared encoder, lift and max-pool. The
+    last lift layer runs as (C, N) per shape; its bias is added after the pool."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 3 or points.shape[2] != 3:
         raise InputError(f"points must be (batch, n, 3), got {points.shape}")
     trace = ForwardTrace()
     trace.point_feat = _forward(params, _stack(cfg, "enc"), points, trace)
-    x = _forward(params, _stack(cfg, "lift"), trace.point_feat, trace)
-    trace.argmax = x.argmax(axis=1)
-    trace.global_feat = np.take_along_axis(x, trace.argmax[:, None, :], axis=1)[:, 0, :]
+    *lifts, (last, _, dout, _) = _stack(cfg, "lift")
+    x = trace.ins[last] = _forward(params, lifts, trace.point_feat, trace)
+    trace.argmax, trace.global_feat = np.empty((len(x), dout), np.intp), np.empty((len(x), dout))
+    for s, rows in enumerate(x):
+        pre = params[f"{last}.W"].T @ rows.T
+        trace.argmax[s] = pre.argmax(axis=1)
+        trace.global_feat[s] = pre[np.arange(dout), trace.argmax[s]] + params[f"{last}.b"]
     return trace
 
 
 def forward_embed(params, cfg: PenConfig, points: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
     """Full embedding pass. Returns (B, N, embed_dim) unit rows plus trace."""
     trace = forward_trunk(params, cfg, points)
-    b, n, _ = trace.point_feat.shape
-    broadcast = np.broadcast_to(trace.global_feat[:, None, :], (b, n, cfg.global_dim))
-    x = np.concatenate([trace.point_feat, broadcast], axis=2)
-    x = _forward(params, _stack(cfg, "dec", "embed"), x, trace)
-    r = np.linalg.norm(x, axis=2, keepdims=True)
-    trace.norm = np.maximum(r, NORM_FLOOR)
-    trace.embed = x / trace.norm
+    (first, _, _, relu), *rest = _stack(cfg, "dec", "embed")
+    w, p = params[f"{first}.W"], cfg.point_dim
+    trace.ins[first] = trace.point_feat
+    x = trace.point_feat @ w[:p]
+    x += (trace.global_feat @ w[p:] + params[f"{first}.b"])[:, None, :]
+    if relu:
+        np.maximum(x, 0.0, out=x)
+    x = _forward(params, rest, x, trace)
+    trace.norm = np.maximum(np.linalg.norm(x, axis=2, keepdims=True), NORM_FLOOR)
+    trace.embed = np.divide(x, trace.norm, out=x)
     return trace.embed, trace
-
-
-def _unpool(trace: ForwardTrace, g_global: np.ndarray) -> np.ndarray:
-    """Gradient at the pre-pool features: each pooled channel's gradient
-    goes to the point that won the max."""
-    g = np.zeros((*trace.point_feat.shape[:2], g_global.shape[1]))
-    np.put_along_axis(g, trace.argmax[:, None, :], g_global[:, None, :], axis=1)
-    return g
 
 
 def backward_trunk(params, cfg: PenConfig, trace: ForwardTrace,
                    g_point_feat: Optional[np.ndarray], g_global: np.ndarray,
                    grads: dict) -> None:
     """Write trunk gradients into ``grads`` from upstream gradients at the
-    two taps (per-point features and the pooled global feature)."""
-    # handed over with no other reference, so _backward frees this
-    # full-width gradient after the last lift layer
-    g = _backward(params, _stack(cfg, "lift"), trace, _unpool(trace, g_global), grads)
+    two taps (per-point features and the pooled global feature). The pool
+    gradient, nonzero at each channel's winning point only, is sparse."""
+    *lifts, (last, din, dout, _) = _stack(cfg, "lift")
+    x = trace.ins[last]
+    b, n, _ = x.shape
+    g_pool = csr_matrix((g_global.ravel(), ((trace.argmax + n * np.arange(b)[:, None]).ravel(),
+                                            np.tile(np.arange(dout), b))), shape=(b * n, dout))
+    grads[f"{last}.W"] = x.reshape(-1, din).T @ g_pool
+    grads[f"{last}.b"] = g_global.sum(axis=0)
+    g = _backward(params, lifts, trace, (g_pool @ params[f"{last}.W"].T).reshape(x.shape),
+                  grads, out=x)
     if g_point_feat is not None:
-        g = g + g_point_feat
-    _backward(params, _stack(cfg, "enc"), trace, g, grads)
+        g += g_point_feat
+    _backward(params, _stack(cfg, "enc"), trace, g, grads, out=trace.point_feat)
 
 
 def backward_embed(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndarray,
@@ -238,9 +247,16 @@ def backward_embed(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndar
     grads = {} if grads is None else grads
     e = trace.embed
     g = (g_embed - e * np.sum(e * g_embed, axis=2, keepdims=True)) / trace.norm
-    g = _backward(params, _stack(cfg, "dec", "embed"), trace, g, grads)
-    backward_trunk(params, cfg, trace, g[:, :, :cfg.point_dim],
-                   g[:, :, cfg.point_dim:].sum(axis=1), grads)
+    (first, _, dout, relu), *rest = _stack(cfg, "dec", "embed")
+    g = _backward(params, rest, trace, g, grads)
+    if relu:
+        g *= trace.ins[rest[0][0]] > 0
+    w, p = params[f"{first}.W"], cfg.point_dim
+    g_global = g.sum(axis=1)
+    grads[f"{first}.W"] = np.concatenate([trace.point_feat.reshape(-1, p).T @ g.reshape(-1, dout),
+                                          trace.global_feat.T @ g_global])
+    grads[f"{first}.b"] = g_global.sum(axis=0)
+    backward_trunk(params, cfg, trace, g @ w[:p].T, g_global @ w[p:].T, grads)
     return grads
 
 

@@ -114,12 +114,19 @@ KINK_MARGIN = 1e-3
 
 
 def relu_margin(params: dict, layers, trace) -> float:
-    """Smallest |preactivation| over the ReLU layers of one trace."""
+    """Smallest |preactivation| over the ReLU layers of one trace. The first
+    decoder layer records only its point input, narrower than its weight;
+    its preactivation is the point part plus the broadcast global part, as
+    the forward pass ran it."""
     worst = np.inf
     for name, _, _, relu in layers:
         if not relu:
             continue
-        pre = trace.ins[name] @ params[f"{name}.W"] + params[f"{name}.b"]
+        x, w = trace.ins[name], params[f"{name}.W"]
+        width = x.shape[-1]
+        pre = x @ w[:width] + params[f"{name}.b"]
+        if width < len(w):
+            pre = pre + (trace.global_feat @ w[width:])[:, None, :]
         worst = min(worst, float(np.abs(pre).min()))
     return worst
 

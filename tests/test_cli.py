@@ -499,6 +499,20 @@ def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     assert "Traceback" not in proc.stderr
 
 
+# the output directory is made only when there is a checkpoint to write
+@pytest.mark.parametrize("make_argv", [
+    _finetune_tags_without_vocabulary, _finetune_tags_without_validation_chair,
+    _finetune_labeled_shapes_above_pool])
+def test_refused_finetune_leaves_no_output_directory(tmp_path, capsys, make_argv):
+    corpus = _synth(tmp_path, spec="table=3", seed="1")
+    argv = make_argv(tmp_path, corpus)
+    out = tmp_path / "new" / "ck.npz"
+    argv[argv.index("--out") + 1] = str(out)
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("command", ["mine", "pretrain", "finetune", "benchmark",
                                      "export-embeddings"])
 def test_points_below_one_is_a_usage_error(tmp_path, capsys, command):

@@ -2,7 +2,7 @@
 closed-form loss values, pooling symmetry, Adam, and checkpoint integrity."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -144,10 +144,11 @@ def test_points_shape_rejected():
 
 def test_final_lift_and_embed_are_linear():
     _, params, pts = _instance(1)
-    _, trace = forward_embed(params, TINY, pts)
-    assert "lift1" not in trace.masks
-    assert "embed" not in trace.masks
-    assert "lift0" in trace.masks and "dec0" in trace.masks
+    embed, trace = forward_embed(params, TINY, pts)
+    # a ReLU layer's output is the next layer's recorded input
+    assert (trace.ins["lift1"] >= 0).all() and (trace.ins["embed"] >= 0).all()
+    pre_pool = trace.ins["lift1"] @ params["lift1.W"] + params["lift1.b"]
+    assert pre_pool.min() < 0 and embed.min() < 0
 
 
 def test_permutation_invariance_and_equivariance():
@@ -339,6 +340,116 @@ def test_one_trace_holds_trunk_decoders_and_head():
     ae_forward(params, TINY, trace)
     assert sorted(trace.ins) == sorted(l[0] for l in all_layers(TINY) if l[0][:3] != "tag")
     assert trace.ins["seg0"] is embed and trace.ins["ae0"] is trace.global_feat
+
+
+# ---------------------------------------------------------------------------
+# the engine against a plain reference
+# ---------------------------------------------------------------------------
+
+def _ref_forward(params, layers, x):
+    """Dense layers in the textbook form: each output materialised, each
+    ReLU mask stored."""
+    cache = []
+    for name, _, _, relu in layers:
+        y = x @ params[f"{name}.W"] + params[f"{name}.b"]
+        mask = y > 0 if relu else np.ones(y.shape, dtype=bool)
+        cache.append((x, mask))
+        x = y * mask
+    return x, cache
+
+
+def _ref_backward(params, layers, cache, g, grads):
+    for (name, din, dout, _), (x, mask) in zip(reversed(layers), reversed(cache)):
+        g = g * mask
+        grads[f"{name}.W"] = x.reshape(-1, din).T @ g.reshape(-1, dout)
+        grads[f"{name}.b"] = g.reshape(-1, dout).sum(axis=0)
+        g = g @ params[f"{name}.W"].T
+    return g
+
+
+def _ref_trunk(params, cfg, pts):
+    enc, lift = _stack(cfg, "enc"), _stack(cfg, "lift")
+    point_feat, enc_cache = _ref_forward(params, enc, pts)
+    pre_pool, lift_cache = _ref_forward(params, lift, point_feat)
+    win = pre_pool.argmax(axis=1)
+    global_feat = np.take_along_axis(pre_pool, win[:, None, :], axis=1)[:, 0, :]
+    return point_feat, global_feat, (enc_cache, lift_cache, pre_pool.shape, win)
+
+
+def _ref_trunk_backward(params, cfg, cache, g_point_feat, g_global, grads):
+    """The pool gradient routed through a dense (B, N, C) tensor."""
+    enc_cache, lift_cache, shape, win = cache
+    g_pool = np.zeros(shape)
+    np.put_along_axis(g_pool, win[:, None, :], g_global[:, None, :], axis=1)
+    g = _ref_backward(params, _stack(cfg, "lift"), lift_cache, g_pool, grads)
+    if g_point_feat is not None:
+        g = g + g_point_feat
+    _ref_backward(params, _stack(cfg, "enc"), enc_cache, g, grads)
+
+
+def _ref_embed_and_grads(params, cfg, pts, g_embed):
+    """Embeddings and gradients with ``[point ‖ global]`` concatenated."""
+    point_feat, global_feat, trunk_cache = _ref_trunk(params, cfg, pts)
+    b, n, p = point_feat.shape
+    cat = np.concatenate([point_feat, np.broadcast_to(global_feat[:, None, :],
+                                                      (b, n, cfg.global_dim))], axis=2)
+    dec = _stack(cfg, "dec", "embed")
+    x, dec_cache = _ref_forward(params, dec, cat)
+    norm = np.linalg.norm(x, axis=2, keepdims=True)
+    embed = x / norm
+    grads = {}
+    g = (g_embed - embed * np.sum(embed * g_embed, axis=2, keepdims=True)) / norm
+    g = _ref_backward(params, dec, dec_cache, g, grads)
+    _ref_trunk_backward(params, cfg, trunk_cache, g[:, :, :p], g[:, :, p:].sum(axis=1), grads)
+    return embed, grads
+
+
+def _params_with_biases(cfg, rng):
+    # init_params zeroes every bias; nonzero ones exercise each bias path
+    params = init_params(cfg, rng)
+    for name in params:
+        if name.endswith(".b"):
+            params[name] = 0.1 * rng.standard_normal(params[name].shape)
+    return params
+
+
+def _assert_grads_match(grads, ref):
+    assert sorted(grads) == sorted(ref)
+    for name in ref:
+        np.testing.assert_allclose(grads[name], ref[name], rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("cfg, n", [
+    (TINY, 10),
+    (replace(TINY, decoder_widths=()), 10),       # the first decoder layer is the linear embed
+    (replace(TINY, lift_widths=(9,)), 10),        # one lift layer, as in the ordering gate
+    (TINY, 1)], ids=["tiny", "no_decoder_hidden", "one_lift", "one_point"])
+def test_engine_matches_plain_reference(cfg, n):
+    rng = np.random.default_rng(31)
+    params = _params_with_biases(cfg, rng)
+    pts = rng.standard_normal((3, n, 3))
+    g_embed = rng.standard_normal((3, n, cfg.embed_dim))
+    embed, trace = forward_embed(params, cfg, pts)
+    grads = backward_embed(params, cfg, trace, g_embed)
+    ref_embed, ref_grads = _ref_embed_and_grads(params, cfg, pts, g_embed)
+    np.testing.assert_allclose(embed, ref_embed, rtol=1e-12, atol=1e-12)
+    _assert_grads_match(grads, ref_grads)
+
+
+def test_trunk_backward_from_the_pool_alone_matches_reference():
+    # the reconstruction path: no gradient at the per-point features
+    rng = np.random.default_rng(32)
+    params = _params_with_biases(TINY, rng)
+    pts = rng.standard_normal((3, 10, 3))
+    g_global = rng.standard_normal((3, TINY.global_dim))
+    trace = forward_trunk(params, TINY, pts)
+    grads = {}
+    backward_trunk(params, TINY, trace, None, g_global, grads)
+    _, ref_global, cache = _ref_trunk(params, TINY, pts)
+    ref_grads = {}
+    _ref_trunk_backward(params, TINY, cache, None, g_global, ref_grads)
+    np.testing.assert_allclose(trace.global_feat, ref_global, rtol=1e-12, atol=1e-12)
+    _assert_grads_match(grads, ref_grads)
 
 
 # ---------------------------------------------------------------------------
