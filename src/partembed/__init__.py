@@ -8,9 +8,7 @@ segmentation transfer against scratch and reconstruction baselines.
 __version__ = "0.1.0"
 
 from .benchmark import BenchmarkSpec, MetricsTable, miou, run_benchmark
-from .errors import (ConfigurationError, InputError, OptimizerError,
-                     ParseError, PartembedError, SchemaError, TrainingError,
-                     UndefinedReferenceError, UnsupportedPrimitiveError)
+from .errors import ConfigurationError, InputError, ParseError, PartembedError
 from .geometry import (IcpResult, PointCloud, RigidTransform, TriangleMesh,
                        icp_align, normalize_cloud, read_ply, sample_surface,
                        write_ply)

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from .errors import ParseError, UndefinedReferenceError, UnsupportedPrimitiveError
+from .errors import ParseError
 
 _PRIMITIVE_TAGS = {"lines", "linestrips", "polygons", "trifans", "tristrips", "spline"}
 
@@ -71,12 +71,12 @@ def _resolve_position_source(prim_el, mesh_el, sources) -> tuple[np.ndarray, int
                         if vin.get("semantic") == "POSITION":
                             pref = (vin.get("source") or "").lstrip("#")
                             if pref not in sources:
-                                raise UndefinedReferenceError(f"POSITION source '#{pref}' undefined")
+                                raise ParseError(f"POSITION source '#{pref}' undefined")
                             return sources[pref], off, stride
-            raise UndefinedReferenceError(f"vertices '#{ref}' undefined or lacks POSITION input")
+            raise ParseError(f"vertices '#{ref}' undefined or lacks POSITION input")
         if sem == "POSITION":
             if ref not in sources:
-                raise UndefinedReferenceError(f"POSITION source '#{ref}' undefined")
+                raise ParseError(f"POSITION source '#{ref}' undefined")
             return sources[ref], off, stride
     raise ParseError("primitive has no VERTEX/POSITION input")
 
@@ -86,12 +86,12 @@ def _parse_geometry(geom_el) -> tuple[np.ndarray, np.ndarray]:
     meshes = _children(geom_el, "mesh")
     if not meshes:
         kinds = sorted(_local(c.tag) for c in geom_el)
-        raise UnsupportedPrimitiveError(
+        raise ParseError(
             f"geometry {geom_el.get('id')}: unsupported geometry kind {kinds or 'empty'}")
     mesh_el = meshes[0]
     for child in mesh_el:
         if _local(child.tag) in _PRIMITIVE_TAGS:
-            raise UnsupportedPrimitiveError(
+            raise ParseError(
                 f"geometry {geom_el.get('id')}: unsupported primitive <{_local(child.tag)}>")
     sources = _parse_sources(mesh_el)
 
@@ -111,7 +111,7 @@ def _parse_geometry(geom_el) -> tuple[np.ndarray, np.ndarray]:
                 if _children(prim, "vcount") else np.zeros(0, dtype=np.int64)
             if len(vcounts) and not (vcounts == 3).all():
                 bad = int(vcounts[vcounts != 3][0])
-                raise UnsupportedPrimitiveError(
+                raise ParseError(
                     f"geometry {geom_el.get('id')}: unsupported primitive <polylist> with {bad}-gons")
         if len(idx) % (3 * stride):
             raise ParseError(f"geometry {geom_el.get('id')}: index count not a multiple of triangle stride")
@@ -175,7 +175,7 @@ def _visit(el, parent, parent_world: np.ndarray, geometries: dict, out: tuple,
         parent = here
     for ref in refs:
         if ref not in geometries:
-            raise UndefinedReferenceError(f"instance_geometry references undefined geometry '#{ref}'")
+            raise ParseError(f"instance_geometry references undefined geometry '#{ref}'")
         v, t = geometries[ref]
         if len(t):
             tris.append(t + sum(map(len, verts)))

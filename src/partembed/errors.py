@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+There is one class per outcome a caller tells apart. ``ConfigurationError``
+makes the CLI exit 2. ``ParseError`` is a file ``mine`` rejects and moves
+past. ``InputError`` is a broken precondition; where input enters, the
+caller re-raises it as a refusal of that input. ``SamplingError`` is
+re-raised with the id of the shape it came from. Any other
+``PartembedError`` makes the CLI exit 1.
+"""
 
 
 class PartembedError(Exception):
@@ -10,39 +18,11 @@ class InputError(PartembedError, ValueError):
 
 
 class ParseError(PartembedError, ValueError):
-    """A scene-graph or shape document could not be parsed."""
-
-
-class SchemaError(ParseError):
-    """A JSON document does not match the native shape schema."""
-
-
-class UndefinedReferenceError(ParseError):
-    """A scene-graph node references geometry that is not defined."""
-
-
-class UnsupportedPrimitiveError(ParseError):
-    """A geometry primitive other than triangles was encountered."""
-
-
-class GeometryError(PartembedError, ValueError):
-    """A mesh or point cloud is degenerate for the requested operation."""
-
-
-class AlignmentError(GeometryError):
-    """Rigid alignment failed (degenerate correspondence covariance)."""
+    """A file or document could not be parsed."""
 
 
 class SamplingError(PartembedError, ValueError):
     """Triplets cannot be drawn from the given shape."""
-
-
-class OptimizerError(PartembedError, ValueError):
-    """The optimizer received non-finite gradients."""
-
-
-class TrainingError(PartembedError, RuntimeError):
-    """A training run cannot proceed (no usable data, etc.)."""
 
 
 class ConfigurationError(PartembedError, ValueError):

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import AlignmentError, GeometryError, InputError, ParseError
+from .errors import InputError, ParseError
 
 ORTHO_TOL = 1e-9
 ICP_MAX_ITERS = 100
@@ -111,7 +111,7 @@ def sample_surface(mesh: TriangleMesh, n: int, rng: np.random.Generator) -> Poin
     areas = mesh.triangle_areas()
     total = areas.sum()
     if not total > 0:
-        raise GeometryError("mesh has zero total surface area")
+        raise InputError("mesh has zero total surface area")
     cum = np.cumsum(areas)
     tri = np.searchsorted(cum, rng.random(n) * total)
     tri = np.minimum(tri, len(areas) - 1)
@@ -136,7 +136,7 @@ def normalize_cloud(cloud: PointCloud) -> PointCloud:
     centered = cloud.points - cloud.points.mean(axis=0)
     radius = np.linalg.norm(centered, axis=1).max()
     if not radius > 0:
-        raise GeometryError("all points identical; cannot normalize")
+        raise InputError("all points identical; cannot normalize")
     return PointCloud(
         points=centered / radius,
         leaf_id=cloud.leaf_id.copy(),
@@ -152,7 +152,7 @@ def _best_rigid_fit(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     cov = (src - mu_s).T @ (dst - mu_d)
     rank = np.linalg.matrix_rank(cov, tol=1e-12 * max(1.0, np.abs(cov).max()))
     if rank < 2:
-        raise AlignmentError("correspondence covariance is rank-deficient; alignment failed")
+        raise InputError("correspondence covariance is rank-deficient; alignment failed")
     u, _, vt = np.linalg.svd(cov)
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
@@ -260,7 +260,8 @@ def write_ply(path, cloud: PointCloud, embeddings: np.ndarray | None = None,
 def read_ply(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
     """Read an ascii PLY written by write_ply. Returns the cloud plus any
     extra columns (embeddings, rgb) keyed by property name. A file that is
-    not such a PLY raises ParseError naming it."""
+    not such a PLY, or has a non-finite coordinate, raises ParseError
+    naming it."""
     with open(path) as fh:
         line = fh.readline().strip()
         if line != "ply":
@@ -303,6 +304,8 @@ def read_ply(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
         )
     except KeyError as exc:
         raise ParseError(f"{path}: no {exc} vertex property") from exc
+    if not np.isfinite(cloud.points).all():
+        raise ParseError(f"{path}: a vertex coordinate is not finite")
     extra = {k: v for k, v in col.items()
              if k not in ("x", "y", "z", "leaf_id", "tag_id", "label")}
     return cloud, extra

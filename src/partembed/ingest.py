@@ -19,7 +19,7 @@ import numpy as np
 
 from .collada import parse_collada_tree
 from .config import check, kind
-from .errors import ConfigurationError, InputError, ParseError, SchemaError
+from .errors import ConfigurationError, InputError, ParseError
 from .geometry import TriangleMesh
 from .hierarchy import PartHierarchy
 
@@ -52,7 +52,7 @@ class ShapeRecord:
         leaf_set = set(self.hierarchy.leaves)
         used = set(np.unique(self.mesh.tri_leaf).tolist())
         if not used <= leaf_set:
-            raise SchemaError(f"shape {self.shape_id}: tri_leaf references non-leaf nodes {sorted(used - leaf_set)}")
+            raise ParseError(f"shape {self.shape_id}: tri_leaf references non-leaf nodes {sorted(used - leaf_set)}")
 
 
 def shape_from_collada(data: bytes, shape_id: str, category: str = "default") -> ShapeRecord:
@@ -114,7 +114,7 @@ def write_corpus(records: Sequence[ShapeRecord], out_dir, manifest: dict) -> Non
 
 def _expect(cond: bool, msg: str):
     if not cond:
-        raise SchemaError(msg)
+        raise ParseError(msg)
 
 
 def parse_json_shape(source) -> ShapeRecord:
@@ -123,7 +123,7 @@ def parse_json_shape(source) -> ShapeRecord:
         try:
             obj = json.loads(source)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+            raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     else:
         obj = source
     _expect(isinstance(obj, dict), "top level must be an object")
@@ -136,7 +136,7 @@ def parse_json_shape(source) -> ShapeRecord:
         vertices = np.asarray(obj["vertices"], dtype=np.float64)
         triangles = np.asarray(obj["triangles"], dtype=np.int64)
     except (ValueError, TypeError) as exc:
-        raise SchemaError(f"vertices/triangles are not numeric arrays: {exc}") from exc
+        raise ParseError(f"vertices/triangles are not numeric arrays: {exc}") from exc
     _expect(vertices.ndim == 2 and vertices.shape[1] == 3 or vertices.size == 0,
             "vertices must be an array of [x, y, z] rows")
     _expect(triangles.ndim == 2 and triangles.shape[1] == 3 or triangles.size == 0,
@@ -194,13 +194,13 @@ def parse_json_shape(source) -> ShapeRecord:
         try:
             sem = np.asarray(obj["semantic_labels"], dtype=np.int64).reshape(-1)
         except (ValueError, TypeError) as exc:
-            raise SchemaError(f"semantic_labels must be integers: {exc}") from exc
+            raise ParseError(f"semantic_labels must be integers: {exc}") from exc
         _expect(len(sem) == n_tri, f"semantic_labels has {len(sem)} entries for {n_tri} triangles")
 
     try:
         tree = PartHierarchy(parents, names)
     except InputError as exc:
-        raise SchemaError(f"invalid hierarchy: {exc}") from exc
+        raise ParseError(f"invalid hierarchy: {exc}") from exc
 
     # a leaf owns a tri_range; a group declares the children its parent
     # pointers give it, and has at least one
@@ -217,7 +217,7 @@ def parse_json_shape(source) -> ShapeRecord:
         mesh = TriangleMesh(vertices=vertices, triangles=triangles, tri_leaf=tri_leaf,
                             tri_semantic=sem)
     except InputError as exc:
-        raise SchemaError(f"invalid mesh: {exc}") from exc
+        raise ParseError(f"invalid mesh: {exc}") from exc
     return ShapeRecord(shape_id=obj["shape_id"], category=obj["category"],
                        mesh=mesh, hierarchy=tree)
 
@@ -463,8 +463,11 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
     Returns the kept shapes and the report: counts, per-category
     vocabularies, sufficiency verdicts and the split. ``write_corpus`` puts
     both on disk. A category's coverage is the mean, over its shapes, of
-    the tagged share of surface area; ``seed`` drives only the split.
+    the tagged share of surface area; ``seed`` drives only the split. An
+    ``in_dir`` that is not a directory raises InputError.
     """
+    if not Path(in_dir).is_dir():
+        raise InputError(f"{in_dir}: not a directory")
     policy = policy or FilterPolicy()
     records: list[ShapeRecord] = []
     rejected: dict[str, str] = {}

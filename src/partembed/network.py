@@ -33,7 +33,7 @@ from scipy.sparse import csr_matrix
 from scipy.special import expit
 
 from .config import check, from_json, kind
-from .errors import InputError, OptimizerError, SchemaError
+from .errors import InputError, ParseError
 from .geometry import chamfer_with_grad
 
 DEFAULT_MARGIN = 0.2
@@ -137,9 +137,9 @@ def validate_params(cfg: PenConfig, params: dict[str, np.ndarray]) -> None:
     spec = params_spec(cfg)
     for name, shape in spec.items():
         if name not in params:
-            raise SchemaError(f"missing tensor '{name}'")
+            raise ParseError(f"missing tensor '{name}'")
         if tuple(params[name].shape) != shape:
-            raise SchemaError(f"tensor '{name}' has shape {params[name].shape}, expected {shape}")
+            raise ParseError(f"tensor '{name}' has shape {params[name].shape}, expected {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +389,13 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """
     for name in sorted(grads):
         if name not in params:
-            raise OptimizerError(f"gradient for unknown tensor '{name}'")
+            raise InputError(f"gradient for unknown tensor '{name}'")
         factor = 1.0 if lr_mult is None else lr_mult.get(name, 1.0)
         if factor == 0.0:
             continue
         g = grads[name]
         if not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient for '{name}'")
+            raise InputError(f"non-finite gradient for '{name}'")
         if name not in state.m:
             state.m[name] = np.zeros_like(params[name])
             state.v[name] = np.zeros_like(params[name])
@@ -433,18 +433,18 @@ def save_checkpoint(path, params: dict[str, np.ndarray], cfg: PenConfig,
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], PenConfig, dict]:
     """Tensors, config and metadata of a checkpoint. A file save_checkpoint
     did not write, of another format, or whose manifest does not parse,
-    raises SchemaError."""
+    raises ParseError."""
     try:
         with np.load(path) as z:
             manifest = json.loads(bytes(z["__manifest__"].tolist()).decode())
             params = {k: z[k] for k in z.files if k != "__manifest__"}
         if manifest["format"] != 1:
-            raise SchemaError(f"format {manifest['format']!r}, expected 1")
+            raise ParseError(f"format {manifest['format']!r}, expected 1")
         cfg = from_json(PenConfig, manifest["config"], "checkpoint config")
         listed, meta = manifest["tensors"], manifest["meta"]
     except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise SchemaError(f"{path}: not a readable checkpoint ({exc})") from exc
+        raise ParseError(f"{path}: not a readable checkpoint ({exc})") from exc
     if sorted(params) != listed:
-        raise SchemaError(f"{path}: tensor listing disagrees with manifest")
+        raise ParseError(f"{path}: tensor listing disagrees with manifest")
     validate_params(cfg, params)
     return params, cfg, meta

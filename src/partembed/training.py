@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import check, kind
-from .errors import ConfigurationError, InputError, SamplingError, TrainingError
+from .errors import ConfigurationError, InputError, PartembedError, SamplingError
 from .geometry import PointCloud, normalize_cloud, sample_surface
 from .ingest import (MIN_TAG_COVERAGE, DatasetSplit, ShapeRecord, TagVocabulary,
                      label_points_with_tags, tag_sufficiency)
@@ -186,7 +186,7 @@ def _shape_triplets(shape: TrainShape, sub_idx: np.ndarray, k: int,
         return sample_triplets(shape.record.hierarchy, shape.cloud.leaf_id[sub_idx], k, rng,
                                strategy)
     except SamplingError as exc:
-        raise TrainingError(f"shape {shape.record.shape_id}: no valid triplets ({exc})") from exc
+        raise PartembedError(f"shape {shape.record.shape_id}: no valid triplets ({exc})") from exc
 
 
 def _accumulate(total: dict, part: dict) -> None:
@@ -342,11 +342,11 @@ def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShap
     one-vs-rest cross-entropy; validation is its per-shape mean."""
     for s in list(train_shapes) + list(val_shapes):
         if s.cloud.tag_id is None:
-            raise TrainingError(f"shape {s.record.shape_id} has no tag labels")
+            raise PartembedError(f"shape {s.record.shape_id} has no tag labels")
     ok, coverage = tag_sufficiency([np.mean(s.cloud.tag_id >= 0) for s in train_shapes])
     if not ok:
-        raise TrainingError(f"insufficient tags: mean tagged fraction {coverage:.4f} "
-                            f"does not clear {MIN_TAG_COVERAGE}")
+        raise PartembedError(f"insufficient tags: mean tagged fraction {coverage:.4f} "
+                              f"does not clear {MIN_TAG_COVERAGE}")
     rng_train, rng_val = _train_val_rngs(tc, 0x7A6)
     chunk_loss = _head_loss(params, cfg, "tag", tag_loss_and_grad,
                             lambda s: s.cloud.tag_id)
@@ -400,7 +400,7 @@ def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[T
     """
     for s in train_shapes:
         if s.cloud.semantic_label is None:
-            raise TrainingError(f"shape {s.record.shape_id} has no semantic labels")
+            raise PartembedError(f"shape {s.record.shape_id} has no semantic labels")
         top = int(s.cloud.semantic_label.max())
         if top >= cfg.n_classes:
             raise InputError(

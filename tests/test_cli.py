@@ -789,6 +789,27 @@ def test_mine_without_clouds(tmp_path):
         assert not np.allclose(a.mesh.vertices, b.mesh.vertices)
 
 
+def test_mine_refuses_a_non_finite_align_to_coordinate(tmp_path, capsys):
+    props = "".join(f"property double {name}\n" for name in ("x", "y", "z"))
+    props += "".join(f"property int {name}\n" for name in ("leaf_id", "tag_id", "label"))
+    argv = _align_to(tmp_path, FIXTURES / "scenes", "ply\nformat ascii 1.0\nelement vertex 3\n"
+                     f"{props}end_header\nnan 0 0 1 -1 -1\n1 0 0 1 -1 -1\n0 1 0 1 -1 -1\n")
+    assert main(argv) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "mined").exists()
+
+
+def test_mine_refuses_an_in_path_that_is_not_a_directory(tmp_path, capsys):
+    out = tmp_path / "mined"
+    assert main(["mine", "--in", str(tmp_path / "nowhere"), "--out", str(out)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+    # an existing empty directory is mined, to nothing
+    (tmp_path / "empty").mkdir()
+    assert main(["mine", "--in", str(tmp_path / "empty"), "--out", str(out)]) == 0
+    assert "kept 0 shapes" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # training flow
 # ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partembed.errors import (ParseError, UndefinedReferenceError,
-                              UnsupportedPrimitiveError)
+from partembed.errors import ParseError
 from partembed.ingest import shape_from_collada
 
 FIXTURES = Path(__file__).parent / "fixtures" / "scenes"
@@ -102,12 +101,12 @@ def test_malformed_xml_reports_position():
 
 
 def test_undefined_geometry_reference():
-    with pytest.raises(UndefinedReferenceError, match="nothing"):
+    with pytest.raises(ParseError, match="references undefined geometry '#nothing'"):
         shape_from_collada((FIXTURES / "cars" / "ghost.dae").read_bytes(), "x")
 
 
 def test_polylist_quad_rejected_by_name():
-    with pytest.raises(UnsupportedPrimitiveError, match="4-gons"):
+    with pytest.raises(ParseError, match="unsupported primitive <polylist> with 4-gons"):
         shape_from_collada((FIXTURES / "chairs" / "quadpanel.dae").read_bytes(), "x")
 
 
@@ -120,7 +119,7 @@ def test_unsupported_primitive_named():
       <lines count="1"><input semantic="VERTEX" source="#v" offset="0"/><p>0 1</p></lines>
     </mesh></geometry>"""
     nodes = '<node name="a"><instance_geometry url="#g0"/></node>'
-    with pytest.raises(UnsupportedPrimitiveError, match="lines"):
+    with pytest.raises(ParseError, match="unsupported primitive <lines>"):
         shape_from_collada(doc(nodes, geoms), "x")
 
 

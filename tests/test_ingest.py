@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partembed.errors import ConfigurationError, InputError, SchemaError
+from partembed.errors import ConfigurationError, InputError, ParseError
 from partembed.geometry import sample_surface
 from partembed.synth import generate_corpus
 from partembed.ingest import (DEFAULT_STOP_PATTERNS, MAX_TAGS, DatasetSplit, FilterPolicy,
@@ -65,47 +65,47 @@ def test_parse_json_accepts_dict_and_semantic_labels():
 def test_schema_errors():
     obj = minimal_obj()
     del obj["shape_id"]
-    with pytest.raises(SchemaError, match="shape_id"):
+    with pytest.raises(ParseError, match="missing required field 'shape_id'"):
         parse_json_shape(obj)
 
     obj = minimal_obj()
     obj["nodes"][1]["tri_range"] = [0, 2]  # overlaps node 2's range
-    with pytest.raises(SchemaError, match="overlap"):
+    with pytest.raises(ParseError, match="tri_range overlaps another leaf"):
         parse_json_shape(obj)
 
     obj = minimal_obj()
     obj["nodes"][2]["tri_range"] = [1, 1]  # triangle 1 uncovered
-    with pytest.raises(SchemaError, match="cover"):
+    with pytest.raises(ParseError, match="must cover every triangle"):
         parse_json_shape(obj)
 
     obj = minimal_obj()
     obj["nodes"][0]["children"] = [1]  # disagrees with node 2's parent
-    with pytest.raises(SchemaError, match="children"):
+    with pytest.raises(ParseError, match="children list disagrees"):
         parse_json_shape(obj)
 
     obj = minimal_obj()
     obj["nodes"][1]["parent"] = 1  # self-loop
-    with pytest.raises(SchemaError):
+    with pytest.raises(ParseError, match="invalid hierarchy: node 1 unreachable"):
         parse_json_shape(obj)
 
-    with pytest.raises(SchemaError, match="line"):
+    with pytest.raises(ParseError, match=r"invalid JSON at line \d+"):
         parse_json_shape("{not json")
 
     obj = minimal_obj()
     obj["nodes"][1]["tri_range"] = [0, 99]
-    with pytest.raises(SchemaError, match="out of bounds"):
+    with pytest.raises(ParseError, match=r"tri_range \[0, 99\] out of bounds"):
         parse_json_shape(obj)
 
     obj = minimal_obj()
     obj["nodes"][0]["children"] = [1]
     obj["nodes"][2]["parent"] = 1  # a tri_range node named as a parent
-    with pytest.raises(SchemaError):
+    with pytest.raises(ParseError, match="has children but carries a tri_range"):
         parse_json_shape(obj)
 
     obj = minimal_obj()
     obj["nodes"][0]["children"] = [1, 2, 3]
     obj["nodes"].append({"id": 3, "parent": 0, "name": "g", "children": []})
-    with pytest.raises(SchemaError):
+    with pytest.raises(ParseError, match="group has no children"):
         parse_json_shape(obj)
 
     obj = minimal_obj()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from partembed import training
-from partembed.errors import ConfigurationError, InputError, TrainingError
+from partembed.errors import ConfigurationError, InputError, PartembedError
 from partembed.ingest import extract_tags
 from partembed.network import PenConfig, init_params
 from partembed.synth import SYNTH_SYNONYMS, generate_corpus, generate_shape
@@ -271,7 +271,7 @@ def test_pretrain_metric_without_triplets_raises():
     rec = generate_shape("chair", "c0", np.random.default_rng(0))
     shapes = prepare_shapes([rec], n_points=2, seed=0)
     params = _fresh(SMALL)
-    with pytest.raises(TrainingError, match="no valid triplets"):
+    with pytest.raises(PartembedError, match="no valid triplets"):
         pretrain_metric(params, SMALL, shapes, shapes, TC)
 
 
@@ -355,11 +355,11 @@ def test_finetune_tags_refusals(chair_shapes, chair_vocab):
         finetune_tags(params, SMALL, chair_shapes[:2], chair_shapes[4:], TC)
 
     bare = [replace_tags(s, None) for s in chair_shapes[:2]]
-    with pytest.raises(TrainingError, match="no tag labels"):
+    with pytest.raises(PartembedError, match="no tag labels"):
         finetune_tags(params, cfg, bare, chair_shapes[4:], TC)
 
     empty = [replace_tags(s, np.full(len(s.cloud), -1)) for s in chair_shapes[:2]]
-    with pytest.raises(TrainingError, match="insufficient tags"):
+    with pytest.raises(PartembedError, match="insufficient tags"):
         finetune_tags(params, cfg, empty, empty, TC)
 
 
@@ -431,7 +431,7 @@ def test_finetune_segmentation_label_checks(chair_shapes):
     bare.cloud = copy.copy(bare.cloud)
     bare.cloud.semantic_label = None
     params = _fresh(cfg)
-    with pytest.raises(TrainingError, match="no semantic labels"):
+    with pytest.raises(PartembedError, match="no semantic labels"):
         finetune_segmentation(params, cfg, [bare], TC)
 
 
