@@ -249,7 +249,9 @@ def run_benchmark(shapes: Sequence[TrainShape], split: DatasetSplit, spec: Bench
                                   repeat=r, miou=float(np.mean(scores)),
                                   seconds=round(time.perf_counter() - t0, 3))
     if out_csv is not None:
+        Path(out_csv).parent.mkdir(parents=True, exist_ok=True)
         table.to_csv(out_csv)
     if out_summary is not None:
+        Path(out_summary).parent.mkdir(parents=True, exist_ok=True)
         Path(out_summary).write_text(json.dumps(table.summary(), indent=2, sort_keys=True) + "\n")
     return table

@@ -210,21 +210,17 @@ def cmd_mine(args) -> tuple[Path, list, list]:
     if args.align_to:
         target, _ = read_ply(args.align_to)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xC1)))
-    if args.clouds or target is not None:
-        cloud_dir = out / "clouds"
-        if args.clouds:
-            cloud_dir.mkdir(parents=True, exist_ok=True)
-        for rec in records:
-            cloud = sample_surface(rec.mesh, n=args.points, rng=rng)
-            if target is not None:
-                result = icp_align(cloud, target)
-                cloud.points = result.transform.apply(cloud.points)
-                rec.mesh.vertices = result.transform.apply(rec.mesh.vertices)
-            if not args.clouds:
-                continue
-            cloud.tag_id = label_points_with_tags(cloud.leaf_id, rec.hierarchy,
-                                                  report.vocabularies[rec.category])
-            write_ply(cloud_dir / f"{rec.shape_id}.ply", cloud)
+    cloud_dir = out / "clouds"
+    cloud_dir.mkdir(parents=True, exist_ok=True)
+    for rec in records:
+        cloud = sample_surface(rec.mesh, n=args.points, rng=rng)
+        if target is not None:
+            result = icp_align(cloud, target)
+            cloud.points = result.transform.apply(cloud.points)
+            rec.mesh.vertices = result.transform.apply(rec.mesh.vertices)
+        cloud.tag_id = label_points_with_tags(cloud.leaf_id, rec.hierarchy,
+                                              report.vocabularies[rec.category])
+        write_ply(cloud_dir / f"{rec.shape_id}.ply", cloud)
     write_corpus(records, out, report.to_json())
 
     print(f"kept {report.kept} shapes")
@@ -331,7 +327,6 @@ def cmd_benchmark(args) -> tuple[Path, list, list]:
     base_cfg = _pen_config(args.arch)
     checkpoints = _parse_checkpoint_flags(args.checkpoint)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     table = run_benchmark(shapes, split, spec, tc, base_cfg, checkpoints,
                           out_csv=out / "metrics.csv", out_summary=out / "summary.json")
     print(f"wrote {len(table.rows)} rows to {out / 'metrics.csv'}")
@@ -362,8 +357,6 @@ def _pca_rgb(embed: np.ndarray) -> np.ndarray:
 
 def cmd_export_embeddings(args) -> tuple[Path, list, list]:
     params, cfg, _ = load_checkpoint(args.checkpoint)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.shape:
         records = [parse_json_shape(Path(p).read_text()) for p in args.shape]
     else:
@@ -373,6 +366,8 @@ def cmd_export_embeddings(args) -> tuple[Path, list, list]:
     if not records:
         raise ConfigurationError("no shapes to export")
     shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     written = []
     for s in shapes:
         embed, _ = forward_embed(params, cfg, s.cloud.points[None])
@@ -422,8 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--min-leaves", type=int, default=FilterPolicy.min_leaves)
     s.add_argument("--max-leaves", type=int, default=FilterPolicy.max_leaves)
     s.add_argument("--align-to", help="PLY target cloud for ICP canonical alignment")
-    s.add_argument("--clouds", action=argparse.BooleanOptionalAction, default=True,
-                   help="write sampled point clouds (PLY) next to the shapes")
     s.set_defaults(func=cmd_mine)
 
     s = sub.add_parser("pretrain", parents=[training],

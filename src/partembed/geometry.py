@@ -225,87 +225,91 @@ def chamfer_with_grad(pa: np.ndarray, pb: np.ndarray) -> tuple[float, np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# PLY persistence (ascii). Integer properties use -1 where a field is absent.
+# PLY persistence: one vertex element, binary_little_endian 1.0 (Turk, 1994).
 # ---------------------------------------------------------------------------
+
+PLY_FORMAT = "format binary_little_endian 1.0"
+PLY_TYPES = {"double": np.dtype("<f8"), "int": np.dtype("<i4"), "uchar": np.dtype("u1")}
+PLY_CORE = dict(x="double", y="double", z="double", leaf_id="int", tag_id="int", label="int")
+
 
 def write_ply(path, cloud: PointCloud, embeddings: np.ndarray | None = None,
               rgb: np.ndarray | None = None) -> None:
+    """Write ``cloud`` (-1 where tag_id or semantic_label is absent), then
+    (n, k) ``embeddings`` as doubles e0, e1, ... and (n, 3) ``rgb`` as uchar
+    red, green, blue. A value that its column's type cannot hold raises
+    InputError before the file is opened."""
     n = len(cloud)
-    tag = cloud.tag_id if cloud.tag_id is not None else np.full(n, -1, dtype=np.int64)
-    lab = cloud.semantic_label if cloud.semantic_label is not None else np.full(n, -1, dtype=np.int64)
-    cols = [cloud.points, cloud.leaf_id[:, None], tag[:, None], lab[:, None]]
-    props = ["property double x", "property double y", "property double z",
-             "property int leaf_id", "property int tag_id", "property int label"]
-    fmts = ["%.17g", "%.17g", "%.17g", "%d", "%d", "%d"]
+    absent = np.full(n, -1)
+    cols = [*zip("xyz", ["double"] * 3, cloud.points.T),
+            ("leaf_id", "int", cloud.leaf_id),
+            ("tag_id", "int", absent if cloud.tag_id is None else cloud.tag_id),
+            ("label", "int", absent if cloud.semantic_label is None else cloud.semantic_label)]
     if embeddings is not None:
         embeddings = np.asarray(embeddings, dtype=np.float64)
-        if len(embeddings) != n:
-            raise InputError("embeddings must parallel points")
-        cols.append(embeddings)
-        props += [f"property double e{i}" for i in range(embeddings.shape[1])]
-        fmts += ["%.17g"] * embeddings.shape[1]
+        if embeddings.ndim != 2 or len(embeddings) != n:
+            raise InputError("embeddings must be an (n, k) array parallel to points")
+        cols += [(f"e{i}", "double", e) for i, e in enumerate(embeddings.T)]
     if rgb is not None:
-        rgb = np.asarray(rgb, dtype=np.int64)
-        cols.append(rgb)
-        props += ["property uchar red", "property uchar green", "property uchar blue"]
-        fmts += ["%d", "%d", "%d"]
-    body = np.hstack([np.asarray(c, dtype=np.float64) for c in cols])
-    header = "\n".join(
-        ["ply", "format ascii 1.0", f"element vertex {n}", *props, "end_header"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        np.savetxt(fh, body, fmt=" ".join(fmts))
+        rgb = np.asarray(rgb)
+        if rgb.shape != (n, 3):
+            raise InputError("rgb must be an (n, 3) array parallel to points")
+        cols += [*zip(("red", "green", "blue"), ["uchar"] * 3, rgb.T)]
+    body = np.empty(n, dtype=[(name, PLY_TYPES[kind]) for name, kind, _ in cols])
+    for name, kind, values in cols:
+        info = np.iinfo(PLY_TYPES[kind]) if kind != "double" else None
+        if info is not None and not ((values >= info.min) & (values <= info.max)).all():
+            raise InputError(f"{name} values must lie in {info.min}..{info.max} for PLY {kind}")
+        body[name] = values
+    header = ["ply", PLY_FORMAT, f"element vertex {n}",
+              *(f"property {kind} {name}" for name, kind, _ in cols), "end_header", ""]
+    with open(path, "wb") as fh:
+        fh.write("\n".join(header).encode("ascii"))
+        body.tofile(fh)
 
 
 def read_ply(path) -> tuple[PointCloud, dict[str, np.ndarray]]:
-    """Read an ascii PLY written by write_ply. Returns the cloud plus any
-    extra columns (embeddings, rgb) keyed by property name. A file that is
-    not such a PLY, or has a non-finite coordinate, raises ParseError
-    naming it."""
-    with open(path) as fh:
-        line = fh.readline().strip()
-        if line != "ply":
+    """Read a PLY written by write_ply: the cloud, and its other columns
+    (embeddings, rgb) by property name. A file that is not such a PLY, or
+    has a non-finite coordinate, raises ParseError naming it."""
+    with open(path, "rb") as fh:
+        if fh.readline().strip() != b"ply":
             raise ParseError(f"{path}: not a PLY file")
-        names: list[str] = []
-        n = None
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ParseError(f"{path}: truncated header")
-            line = line.strip()
-            if line == "end_header":
-                break
-            parts = line.split()
-            try:
-                if parts[0] == "element" and parts[1] == "vertex":
-                    n = int(parts[2])
-                elif parts[0] == "property":
-                    names.append(parts[2])
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"{path}: bad header line {line!r}") from exc
-        try:
-            data = np.loadtxt(fh, ndmin=2)
-        except ValueError as exc:
-            raise ParseError(f"{path}: vertex data is not numeric ({exc})") from exc
-    if n is None or data.shape != (n, len(names)):
-        raise ParseError(f"{path}: vertex data does not match header")
-    col = {name: data[:, i] for i, name in enumerate(names)}
+        if fh.readline().split() != PLY_FORMAT.encode().split():
+            raise ParseError(f"{path}: not {PLY_FORMAT!r}, the one PLY format read")
+        kinds, n = {}, None
+        for raw in iter(fh.readline, b""):
+            line = raw.decode("latin-1").strip()
+            match line.split():
+                case ["end_header"]:
+                    break
+                case ["element", "vertex", count] if count.isdecimal() and n is None:
+                    n = int(count)
+                case ["property", kind, name] if kind in PLY_TYPES and name not in kinds:
+                    kinds[name] = kind
+                case ["property", kind, _] if kind not in PLY_TYPES:
+                    raise ParseError(f"{path}: PLY type {kind!r} is none of {list(PLY_TYPES)}")
+                case _:
+                    raise ParseError(f"{path}: bad header line {line[:60]!r}")
+        else:
+            raise ParseError(f"{path}: header has no end_header")
+        body = fh.read()
+    for name, kind in PLY_CORE.items():
+        if kinds.get(name) != kind:
+            raise ParseError(f"{path}: no vertex property '{kind} {name}'")
+    dtype = np.dtype([(name, PLY_TYPES[kind]) for name, kind in kinds.items()])
+    if n is None or len(body) != n * dtype.itemsize:
+        raise ParseError(f"{path}: {len(body)} bytes of vertex data, header says {n} "
+                         f"of {dtype.itemsize}")
+    data = np.frombuffer(body, dtype=dtype)
 
     def int_col(name):
-        v = col[name].astype(np.int64)
+        v = data[name].astype(np.int64)
         return None if (v == -1).all() else v
 
-    try:
-        cloud = PointCloud(
-            points=np.stack([col["x"], col["y"], col["z"]], axis=1),
-            leaf_id=col["leaf_id"].astype(np.int64),
-            tag_id=int_col("tag_id"),
-            semantic_label=int_col("label"),
-        )
-    except KeyError as exc:
-        raise ParseError(f"{path}: no {exc} vertex property") from exc
+    cloud = PointCloud(points=np.stack([data["x"], data["y"], data["z"]], axis=1),
+                       leaf_id=data["leaf_id"], tag_id=int_col("tag_id"),
+                       semantic_label=int_col("label"))
     if not np.isfinite(cloud.points).all():
         raise ParseError(f"{path}: a vertex coordinate is not finite")
-    extra = {k: v for k, v in col.items()
-             if k not in ("x", "y", "z", "leaf_id", "tag_id", "label")}
-    return cloud, extra
+    return cloud, {name: data[name].copy() for name in kinds if name not in PLY_CORE}

@@ -1,6 +1,6 @@
 """Shared test utilities: unnamed and random trees, the scalar LCA walk and an
-independent BFS distance oracle, a brute-force Chamfer oracle, and
-finite-difference gradient checking."""
+independent BFS distance oracle, a brute-force Chamfer oracle,
+finite-difference gradient checking, and hand-made PLY files."""
 
 from collections import deque
 
@@ -157,3 +157,25 @@ def cloud_on_tree(tree: PartHierarchy, points_per_leaf, rng: np.random.Generator
     ids = np.concatenate([np.full(counts.get(l, 0), l, dtype=np.int64) for l in leaf_ids])
     pts = rng.standard_normal((len(ids), 3))
     return PointCloud(points=pts, leaf_id=ids)
+
+
+# the properties write_ply gives every cloud, and one binary row of them
+CORE_PROPERTIES = ["property double x", "property double y", "property double z",
+                   "property int leaf_id", "property int tag_id", "property int label"]
+CORE_ROW = np.dtype([("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+                     ("leaf_id", "<i4"), ("tag_id", "<i4"), ("label", "<i4")])
+
+
+def ply_bytes(header_lines, body: bytes = b"") -> bytes:
+    """A hand-made PLY file: the ``ply`` line, ``header_lines`` (format,
+    element and property lines, as given), ``end_header``, then ``body``."""
+    return "".join(f"{line}\n" for line in ["ply", *header_lines, "end_header"]).encode() + body
+
+
+def core_ply(rows, n: int | None = None) -> bytes:
+    """A binary PLY of the core properties holding ``rows`` of (x, y, z,
+    leaf_id, tag_id, label), whose header declares ``n`` vertices (default:
+    as many as there are rows)."""
+    header = ["format binary_little_endian 1.0",
+              f"element vertex {len(rows) if n is None else n}", *CORE_PROPERTIES]
+    return ply_bytes(header, np.array(rows, dtype=CORE_ROW).tobytes())

@@ -22,6 +22,8 @@ from partembed.network import PenConfig, init_params, load_checkpoint, save_chec
 from partembed.synth import SYNTH_SYNONYMS
 from partembed.training import PRETRAINED
 
+from helpers import CORE_PROPERTIES, core_ply, ply_bytes
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 ARCH = {"point_widths": [8, 8], "lift_widths": [16], "decoder_widths": [24],
@@ -155,37 +157,54 @@ def _mine_synonyms_not_strings(tmp_path, corpus):
             "--synonyms", str(synonyms)]
 
 
-def _align_to(tmp_path, corpus, ply_text):
+def _align_to(tmp_path, corpus, ply):
     target = tmp_path / "target.ply"
-    target.write_text(ply_text)
+    target.write_bytes(ply)
     return ["mine", "--in", str(corpus), "--out", str(tmp_path / "mined"), "--points", "60",
             "--align-to", str(target)]
 
 
+BINARY = "format binary_little_endian 1.0"
+ROWS = [(0, 0, 0, 1, -1, -1), (1, 0, 0, 1, -1, -1), (0, 1, 0, 1, -1, -1)]
+
+
 def _ply_without_leaf_id(tmp_path, corpus):
-    return _align_to(tmp_path, corpus, "ply\nformat ascii 1.0\nelement vertex 2\n"
-                     "property float x\nproperty float y\nproperty float z\nend_header\n"
-                     "0 0 0\n1 1 1\n")
+    header = [BINARY, "element vertex 2", "property double x", "property double y",
+              "property double z"]
+    return _align_to(tmp_path, corpus, ply_bytes(header, np.eye(2, 3).tobytes()))
 
 
 def _ply_non_numeric(tmp_path, corpus):
-    props = "".join(f"property double {name}\n" for name in ("x", "y", "z"))
-    props += "".join(f"property int {name}\n" for name in ("leaf_id", "tag_id", "label"))
-    return _align_to(tmp_path, corpus, "ply\nformat ascii 1.0\nelement vertex 1\n"
-                     f"{props}end_header\na b c 0 -1 -1\n")
+    # a binary body holds any bytes; what it can lack is length
+    return _align_to(tmp_path, corpus, core_ply(ROWS, n=4))
+
+
+def _ply_body_longer_than_header(tmp_path, corpus):
+    return _align_to(tmp_path, corpus, core_ply(ROWS, n=2))
+
+
+def _ply_without_end_header(tmp_path, corpus):
+    return _align_to(tmp_path, corpus, core_ply([]).replace(b"end_header\n", b""))
+
+
+def _ply_ascii(tmp_path, corpus):
+    # a target that mine aligned to when it read ascii: only the format is at fault
+    points = np.random.default_rng(0).normal(size=(50, 3))
+    rows = "".join(f"{x} {y} {z} 1 -1 -1\n" for x, y, z in points)
+    header = ["format ascii 1.0", f"element vertex {len(points)}", *CORE_PROPERTIES]
+    return _align_to(tmp_path, corpus, ply_bytes(header, rows.encode()))
 
 
 def _ply_vertex_count_not_a_number(tmp_path, corpus):
-    return _align_to(tmp_path, corpus, "ply\nformat ascii 1.0\nelement vertex abc\nend_header\n")
+    return _align_to(tmp_path, corpus, ply_bytes([BINARY, "element vertex abc"]))
 
 
 def _ply_blank_header_line(tmp_path, corpus):
-    return _align_to(tmp_path, corpus, "ply\nformat ascii 1.0\n\nelement vertex 1\nend_header\n")
+    return _align_to(tmp_path, corpus, ply_bytes([BINARY, "", "element vertex 1"]))
 
 
 def _ply_property_without_name(tmp_path, corpus):
-    return _align_to(tmp_path, corpus, "ply\nformat ascii 1.0\nelement vertex 1\n"
-                     "property double\nend_header\n")
+    return _align_to(tmp_path, corpus, ply_bytes([BINARY, "element vertex 1", "property double"]))
 
 
 def _synth_non_integer_count(tmp_path, corpus):
@@ -367,9 +386,8 @@ def _mine_negative_min_leaves(tmp_path, corpus):
     return _mine(tmp_path, corpus, "--min-leaves", "-3")
 
 
-def _mine_zero_points_without_clouds(tmp_path, corpus):
-    # nothing is sampled without clouds, so only the flag check can catch it
-    return _mine(tmp_path, corpus, "--no-clouds", "--points", "0")
+def _mine_zero_points(tmp_path, corpus):
+    return _mine(tmp_path, corpus, "--points", "0")
 
 
 def _mine_negative_seed(tmp_path, corpus):
@@ -477,7 +495,7 @@ def _synth_integer_group_leaves(tmp_path, corpus):
     _ply_blank_header_line, _ply_property_without_name, _synth_string_tag_prob_in_config,
     _synth_tag_prob_list_in_config, _export_without_shapes, _vocabulary_tags_not_strings,
     _vocabulary_tags_a_string, _strategy_in_train_config, _mine_reversed_leaf_range,
-    _mine_negative_min_leaves, _mine_zero_points_without_clouds, _mine_negative_seed,
+    _mine_negative_min_leaves, _mine_zero_points, _mine_negative_seed,
     _synth_negative_seed, _pretrain_negative_seed, _synth_negative_seed_in_config,
     _synth_string_seed_in_config, _seed_in_train_config, _train_negative_margin,
     _train_string_margin, _train_negative_min_lr, _train_string_min_lr,
@@ -486,7 +504,8 @@ def _synth_integer_group_leaves(tmp_path, corpus):
     _synth_bool_group_levels, _synth_integer_group_leaves, _synth_counts_list_in_config,
     _synth_counts_string_in_config, _synth_unknown_top_level_key,
     _finetune_labeled_shapes_above_pool, _finetune_tags_without_vocabulary,
-    _finetune_tags_without_validation_chair])
+    _finetune_tags_without_validation_chair, _ply_body_longer_than_header,
+    _ply_without_end_header, _ply_ascii])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])
@@ -499,14 +518,27 @@ def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     assert "Traceback" not in proc.stderr
 
 
-# the output directory is made only when there is a checkpoint to write
+def _export_unknown_ids(tmp_path, corpus):
+    return [*_export_without_shapes(tmp_path, corpus), "--data", str(corpus), "--ids", "nope"]
+
+
+def _benchmark_without_checkpoint(tmp_path, corpus):
+    return _benchmark(tmp_path, corpus, "--variants", "hierarchy")
+
+
+def _benchmark_x_above_pool(tmp_path, corpus):
+    return _benchmark(tmp_path, corpus, "--x", "9")
+
+
+# an output directory is made only when there is something to write into it
 @pytest.mark.parametrize("make_argv", [
     _finetune_tags_without_vocabulary, _finetune_tags_without_validation_chair,
-    _finetune_labeled_shapes_above_pool])
-def test_refused_finetune_leaves_no_output_directory(tmp_path, capsys, make_argv):
+    _finetune_labeled_shapes_above_pool, _export_unknown_ids, _benchmark_without_checkpoint,
+    _benchmark_x_above_pool])
+def test_refused_commands_leave_no_output_directory(tmp_path, capsys, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     argv = make_argv(tmp_path, corpus)
-    out = tmp_path / "new" / "ck.npz"
+    out = tmp_path / "new" / "out"
     argv[argv.index("--out") + 1] = str(out)
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
@@ -576,8 +608,6 @@ PARSER_PIN = {
         "min_leaves": (("--min-leaves",), 2, False, None, None, "int", "_StoreAction"),
         "max_leaves": (("--max-leaves",), 500, False, None, None, "int", "_StoreAction"),
         "align_to": (("--align-to",), *JSON_FILE),
-        "clouds": (("--clouds", "--no-clouds"), True, False, None, 0, None,
-                   "BooleanOptionalAction"),
     },
     "pretrain": {
         **TRAINING,
@@ -736,8 +766,7 @@ def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
         assert manifest["vocabularies"][cat]["counts"] == vocab["counts"]
 
 
-@pytest.mark.parametrize("clouds", ["--clouds", "--no-clouds"])
-def test_mine_rejects_degenerate_meshes_and_mines_the_rest(tmp_path, capsys, clouds):
+def test_mine_rejects_degenerate_meshes_and_mines_the_rest(tmp_path, capsys):
     scenes = tmp_path / "scenes"
     shutil.copytree(FIXTURES / "scenes", scenes)
     # two leaves, every vertex at one point: zero total area
@@ -752,7 +781,7 @@ def test_mine_rejects_degenerate_meshes_and_mines_the_rest(tmp_path, capsys, clo
         chair.replace(">0 0 0 1 0 0 1 1 0 0 1 0<", ">0 0 0 1 0 0 1 nan 0 0 1 0<"))
     out = tmp_path / "mined"
     rc = main(["mine", "--in", str(scenes), "--out", str(out), "--seed", "0",
-               "--points", "200", clouds])
+               "--points", "200"])
     assert rc == 0
     assert "kept 3 shapes" in capsys.readouterr().out
 
@@ -766,34 +795,34 @@ def test_mine_rejects_degenerate_meshes_and_mines_the_rest(tmp_path, capsys, clo
     assert sorted(p.stem for p in out.glob("*/*.json")) == ["club_chair", "sedan", "side_chair"]
 
 
-def test_mine_without_clouds(tmp_path):
+def test_mine_align_to_writes_the_aligned_corpus_once(tmp_path):
     out = tmp_path / "mined"
-    rc = main(["mine", "--in", str(FIXTURES / "scenes"), "--out", str(out),
-               "--no-clouds", "--points", "100"])
+    rc = main(["mine", "--in", str(FIXTURES / "scenes"), "--out", str(out), "--points", "100"])
     assert rc == 0
-    assert not (out / "clouds").exists()
 
     target = tmp_path / "target.ply"
     write_ply(target, PointCloud(points=np.random.default_rng(0).normal(size=(100, 3)),
                                  leaf_id=np.zeros(100)))
     aligned = tmp_path / "aligned"
     rc = main(["mine", "--in", str(FIXTURES / "scenes"), "--out", str(aligned),
-               "--no-clouds", "--points", "100", "--align-to", str(target)])
+               "--points", "100", "--align-to", str(target)])
     assert rc == 0
-    assert not (aligned / "clouds").exists()
-    # the aligned corpus is written once, after alignment, and loads
+    # the aligned corpus is written once, after alignment, and loads; its
+    # clouds are the same draws, moved as their meshes were
     plain, moved = load_corpus(out), load_corpus(aligned)
     assert [r.shape_id for r in moved] == [r.shape_id for r in plain]
     for a, b in zip(plain, moved):
         assert a.mesh.vertices.shape == b.mesh.vertices.shape
         assert not np.allclose(a.mesh.vertices, b.mesh.vertices)
+        cloud_a, _ = read_ply(out / "clouds" / f"{a.shape_id}.ply")
+        cloud_b, _ = read_ply(aligned / "clouds" / f"{b.shape_id}.ply")
+        np.testing.assert_array_equal(cloud_a.leaf_id, cloud_b.leaf_id)
+        assert not np.allclose(cloud_a.points, cloud_b.points)
 
 
 def test_mine_refuses_a_non_finite_align_to_coordinate(tmp_path, capsys):
-    props = "".join(f"property double {name}\n" for name in ("x", "y", "z"))
-    props += "".join(f"property int {name}\n" for name in ("leaf_id", "tag_id", "label"))
-    argv = _align_to(tmp_path, FIXTURES / "scenes", "ply\nformat ascii 1.0\nelement vertex 3\n"
-                     f"{props}end_header\nnan 0 0 1 -1 -1\n1 0 0 1 -1 -1\n0 1 0 1 -1 -1\n")
+    argv = _align_to(tmp_path, FIXTURES / "scenes",
+                     core_ply([(np.nan, 0, 0, 1, -1, -1), *ROWS[1:]]))
     assert main(argv) == 1
     assert "error: " in capsys.readouterr().err
     assert not (tmp_path / "mined").exists()

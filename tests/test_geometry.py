@@ -6,7 +6,7 @@ from partembed.geometry import (PointCloud, RigidTransform, TriangleMesh,
                                 chamfer_with_grad, icp_align, normalize_cloud,
                                 read_ply, sample_surface, write_ply)
 
-from helpers import brute_chamfer_with_grad
+from helpers import CORE_PROPERTIES, CORE_ROW, brute_chamfer_with_grad, core_ply, ply_bytes
 
 
 def two_triangle_mesh():
@@ -169,6 +169,64 @@ def test_read_ply_rejects_garbage(tmp_path):
     path.write_text("not a ply\n")
     with pytest.raises(ParseError):
         read_ply(path)
+
+
+def test_read_ply_refuses_integer_columns_of_another_type(tmp_path):
+    # a double leaf_id can hold nan and 1.5, which no leaf id is
+    header = ["format binary_little_endian 1.0", "element vertex 2", *CORE_PROPERTIES[:3],
+              "property double leaf_id", *CORE_PROPERTIES[4:]]
+    row = np.dtype([*CORE_ROW.descr[:3], ("leaf_id", "<f8"), *CORE_ROW.descr[4:]])
+    body = np.array([(0, 0, 0, np.nan, -1, -1), (1, 0, 0, 1.5, -1, -1)], dtype=row).tobytes()
+    path = tmp_path / "c.ply"
+    path.write_bytes(ply_bytes(header, body))
+    with pytest.raises(ParseError, match="no vertex property 'int leaf_id'"):
+        read_ply(path)
+
+
+def test_read_ply_names_each_defect(tmp_path):
+    rows = [(0, 0, 0, 1, -1, -1)] * 2
+    one_format = "'format binary_little_endian 1.0', the one PLY format read"
+    cases = {
+        ply_bytes(["format ascii 1.0", "element vertex 1", *CORE_PROPERTIES],
+                  b"0 0 0 1 -1 -1\n"): one_format,
+        core_ply(rows).replace(b"binary_little", b"binary_big"): one_format,
+        ply_bytes(["format binary_little_endian 1.0", "element vertex 0", "property float x"]):
+            "PLY type 'float' is none of",
+        core_ply(rows, n=3): "72 bytes of vertex data, header says 3 of 36",
+        core_ply(rows, n=1): "72 bytes of vertex data, header says 1 of 36",
+        core_ply([]).replace(b"end_header\n", b""): "header has no end_header",
+        core_ply(rows).replace(b"element vertex 2", b"element vertex -2"): "bad header line",
+        core_ply(rows).replace(b"property int tag_id\n", b""): "no vertex property 'int tag_id'",
+        core_ply([(0, np.inf, 0, 1, -1, -1)]): "a vertex coordinate is not finite",
+    }
+    path = tmp_path / "c.ply"
+    for data, message in cases.items():
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=message):
+            read_ply(path)
+
+
+def test_write_ply_refuses_rgb_outside_a_byte(tmp_path):
+    cloud = PointCloud(points=np.zeros((2, 3)), leaf_id=[0, 1])
+    path = tmp_path / "c.ply"
+    for bad in ([[0, 0, 256], [0, 0, 0]], [[0, 0, 0], [-1, 0, 0]], [[0, 0, 0], [np.nan, 0, 0]]):
+        with pytest.raises(InputError, match=r"values must lie in 0\.\.255"):
+            write_ply(path, cloud, rgb=np.array(bad))
+        assert not path.exists()
+    write_ply(path, cloud, rgb=np.array([[0, 0, 0], [255, 255, 255]]))
+    assert read_ply(path)[1]["blue"].tolist() == [0, 255]
+
+
+def test_write_ply_refuses_ints_outside_int32(tmp_path):
+    path = tmp_path / "c.ply"
+    for leaf, label in (([2**31], None), ([0], [-2**31 - 1])):
+        with pytest.raises(InputError, match=r"values must lie in -2147483648\.\.2147483647"):
+            write_ply(path, PointCloud(points=np.zeros((1, 3)), leaf_id=leaf,
+                                       semantic_label=label))
+        assert not path.exists()
+    extremes = PointCloud(points=np.zeros((2, 3)), leaf_id=[-2**31, 2**31 - 1])
+    write_ply(path, extremes)
+    assert read_ply(path)[0].leaf_id.tolist() == [-2**31, 2**31 - 1]
 
 
 def test_mesh_validation():

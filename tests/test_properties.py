@@ -70,8 +70,8 @@ def test_json_shape_round_trip_is_a_fixpoint(rec):
 
 @st.composite
 def clouds(draw) -> tuple[PointCloud, np.ndarray]:
-    """A cloud and 0 to 3 embedding columns. Integer columns are written
-    through float64, so they stay exact below 2**53."""
+    """A cloud and 0 to 3 embedding columns. Integer columns are PLY int,
+    so their values are drawn from the whole int32 range."""
     n = draw(st.integers(1, 20))
 
     def columns(elements, width):
@@ -80,11 +80,11 @@ def clouds(draw) -> tuple[PointCloud, np.ndarray]:
 
     def labels():
         # read_ply reads a column that is -1 throughout as absent
-        v = None if draw(st.booleans()) else columns(st.integers(-1, 2**31 - 1), 1)[:, 0]
+        v = None if draw(st.booleans()) else columns(st.integers(-2**31, 2**31 - 1), 1)[:, 0]
         return None if v is None or (v == -1).all() else v
 
     cloud = PointCloud(points=columns(finite, 3),
-                       leaf_id=columns(st.integers(0, 2**31 - 1), 1)[:, 0],
+                       leaf_id=columns(st.integers(-2**31, 2**31 - 1), 1)[:, 0],
                        tag_id=labels(), semantic_label=labels())
     return cloud, columns(finite, draw(st.integers(0, 3)))
 
@@ -92,6 +92,9 @@ def clouds(draw) -> tuple[PointCloud, np.ndarray]:
 @FEW
 @given(clouds())
 def test_ply_round_trip_is_bit_exact(tmp_path_factory, cloud_and_embeddings):
+    """Every column comes back bit for bit: coordinates and embeddings as the
+    float64 written, integer columns as the int32 written, with no pass of
+    the integers through float64."""
     cloud, embeddings = cloud_and_embeddings
     path = tmp_path_factory.mktemp("ply") / "c.ply"
     write_ply(path, cloud, embeddings=embeddings if embeddings.size else None)
