@@ -38,7 +38,7 @@ moved = PointCloud(points=true.apply(cloud.points), leaf_id=cloud.leaf_id.copy()
 result = icp_align(cloud, moved)
 
 cos_angle = np.clip((np.trace(result.transform.rotation.T @ rot) - 1) / 2, -1, 1)
-print(f"ICP converged in {result.iterations} iterations, "
+print(f"ICP converged in {len(result.residual_history)} iterations, "
       f"residual {result.residual:.2e}")
 print(f"   rotation error    {np.arccos(cos_angle):.2e} rad")
 print(f"   translation error {np.linalg.norm(result.transform.translation - true.translation):.2e}")

@@ -13,11 +13,10 @@ from .geometry import (IcpResult, PointCloud, RigidTransform, TriangleMesh,
                        icp_align, normalize_cloud, read_ply, sample_surface,
                        write_ply)
 from .hierarchy import PartHierarchy
-from .ingest import (DatasetSplit, FilterPolicy, MineReport, ShapeRecord,
-                     TagVocabulary, extract_tags, filter_shape,
-                     label_points_with_tags, load_corpus, mine_directory,
-                     parse_json_shape, shape_from_collada, split_dataset,
-                     tag_sufficiency)
+from .ingest import (DatasetSplit, MineReport, ShapeRecord, TagVocabulary,
+                     extract_tags, filter_shape, label_points_with_tags,
+                     load_corpus, mine_directory, parse_json_shape,
+                     shape_from_collada, split_dataset, tag_sufficiency)
 from .network import (PenConfig, forward_embed, init_params, load_checkpoint,
                       save_checkpoint, triplet_loss_and_grad)
 from .synth import NoiseConfig, generate_corpus, generate_shape

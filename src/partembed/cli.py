@@ -29,9 +29,9 @@ from .benchmark import (BenchmarkSpec, category_classes, finetune_start, run_ben
 from .config import from_json, is_int
 from .errors import ConfigurationError, InputError, PartembedError
 from .geometry import icp_align, read_ply, sample_surface, write_ply
-from .ingest import (DEFAULT_STOP_PATTERNS, DatasetSplit, FilterPolicy,
-                     TagVocabulary, extract_tags, label_points_with_tags, load_corpus,
-                     mine_directory, parse_json_shape, split_dataset, write_corpus)
+from .ingest import (DatasetSplit, TagVocabulary, extract_tags, label_points_with_tags,
+                     load_corpus, mine_directory, parse_json_shape, split_dataset,
+                     write_corpus)
 from .network import PenConfig, forward_embed, init_params, load_checkpoint, save_checkpoint
 from .synth import DEFAULT_TAG_PROB, NoiseConfig, generate_corpus
 from .training import (TrainConfig, finetune_segmentation, finetune_tags,
@@ -184,6 +184,7 @@ def cmd_synth(args) -> tuple[Path, list, list]:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if not (is_int(seed) and seed >= 0):
         raise ConfigurationError(f"{args.config}: seed must be an integer of at least 0")
+    args.seed = seed  # run.json records the seed used, wherever it came from
     cfg_tag_prob = cfg.get("tag_prob", {})
     if not (isinstance(cfg_tag_prob, dict) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg_tag_prob.values())):
@@ -202,10 +203,7 @@ def cmd_synth(args) -> tuple[Path, list, list]:
 def cmd_mine(args) -> tuple[Path, list, list]:
     out = Path(args.out)
     synonyms = _synonyms(_load_json(args.synonyms), args.synonyms) if args.synonyms else None
-    stop = args.stop_patterns or DEFAULT_STOP_PATTERNS
-    policy = FilterPolicy(min_leaves=args.min_leaves, max_leaves=args.max_leaves)
-    records, report = mine_directory(args.in_dir, synonyms=synonyms,
-                                     stop_patterns=stop, policy=policy, seed=args.seed)
+    records, report = mine_directory(args.in_dir, synonyms=synonyms, seed=args.seed)
     target = None
     if args.align_to:
         target, _ = read_ply(args.align_to)
@@ -413,9 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parse, filter and tag a directory of scene files")
     s.add_argument("--in", required=True, dest="in_dir")
     s.add_argument("--synonyms", help="JSON file mapping raw names to canonical tags")
-    s.add_argument("--stop-patterns", type=_csv(), help="comma-separated junk name tokens")
-    s.add_argument("--min-leaves", type=int, default=FilterPolicy.min_leaves)
-    s.add_argument("--max-leaves", type=int, default=FilterPolicy.max_leaves)
     s.add_argument("--align-to", help="PLY target cloud for ICP canonical alignment")
     s.set_defaults(func=cmd_mine)
 

@@ -163,7 +163,6 @@ def _best_rigid_fit(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
 class IcpResult:
     transform: RigidTransform
     residual: float
-    iterations: int
     residual_history: list[float] = field(default_factory=list)
 
 
@@ -174,9 +173,10 @@ def icp_align(source: PointCloud, target: PointCloud) -> IcpResult:
 
     Each iteration fits the source cloud itself to its current
     correspondences, so the transform is one least-squares fit, never a
-    product of steps. Returns the transform mapping source toward target
-    plus the final residual. No outlier rejection; the intended use is
-    coarse canonical alignment of same-shape clouds.
+    product of steps. Returns the transform mapping source toward target,
+    the final residual and the residual of each iteration. No outlier
+    rejection; the intended use is coarse canonical alignment of same-shape
+    clouds.
     """
     if len(source) == 0 or len(target) == 0:
         raise InputError("ICP requires nonempty clouds")
@@ -184,7 +184,7 @@ def icp_align(source: PointCloud, target: PointCloud) -> IcpResult:
     moved = source.points
     prev = None
     history: list[float] = []
-    for iters in range(1, ICP_MAX_ITERS + 1):
+    for _ in range(ICP_MAX_ITERS):
         _, idx = tree.query(moved)
         current = _best_rigid_fit(source.points, target.points[idx])
         moved = current.apply(source.points)
@@ -193,8 +193,7 @@ def icp_align(source: PointCloud, target: PointCloud) -> IcpResult:
         if prev is not None and prev - residual <= ICP_TOL * max(prev, 1e-30):
             break
         prev = residual
-    return IcpResult(transform=current, residual=history[-1], iterations=iters,
-                     residual_history=history)
+    return IcpResult(transform=current, residual=history[-1], residual_history=history)
 
 
 def _nearest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,21 +18,22 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .collada import parse_collada_tree
-from .config import check, kind
-from .errors import ConfigurationError, InputError, ParseError
+from .errors import InputError, ParseError
 from .geometry import TriangleMesh
 from .hierarchy import PartHierarchy
 
 # Scene-graph boilerplate that must never become a tag. Positional words
 # (back, top, ...) stay out of this list: they are real part names.
-DEFAULT_STOP_PATTERNS = (
+DEFAULT_STOP_PATTERNS = frozenset({
     "geometry", "geom", "mesh", "node", "group", "object", "obj", "model",
     "scene", "shape", "instance", "untitled", "default", "root", "dummy",
     "empty", "transform", "component", "entity", "element", "item", "lod",
     "collision", "visual", "solid", "copy", "new", "null",
-)
+})
 MIN_TOKEN_LEN = 2         # shortest name token that can become a tag
 MAX_TAGS = 10             # tags kept per category vocabulary
+MIN_LEAVES = 2            # fewer leaves: a single blob
+MAX_LEAVES = 500          # more leaves: an implausibly fine-grained scene
 MIN_HEIGHT = 1            # flatter hierarchies hold no part structure
 MIN_TAG_COVERAGE = 0.01   # mean tagged fraction a category must clear
 VAL_FRAC = 0.15           # shares of a split held out for validation and test
@@ -226,27 +227,15 @@ def parse_json_shape(source) -> ShapeRecord:
 # Filtering
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FilterPolicy:
-    min_leaves: int = kind("natural", 2)
-    max_leaves: int = kind("natural", 500)
-
-    def __post_init__(self):
-        check(self)
-        if self.min_leaves > self.max_leaves:
-            raise ConfigurationError("min_leaves must not exceed max_leaves")
-
-
-def filter_shape(rec: ShapeRecord, policy: FilterPolicy | None = None) -> tuple[bool, str]:
+def filter_shape(rec: ShapeRecord) -> tuple[bool, str]:
     """Keep shapes whose hierarchy is informative, neither a single blob nor
     an implausibly fine-grained scene, and whose surface can be sampled: a
     total area that is not finite and positive has no surface to draw
     points from. Returns (keep, reason)."""
-    policy = policy or FilterPolicy()
     n = len(rec.hierarchy.leaves)
-    if n < policy.min_leaves:
+    if n < MIN_LEAVES:
         return False, f"too_few_leaves:{n}"
-    if n > policy.max_leaves:
+    if n > MAX_LEAVES:
         return False, f"too_many_leaves:{n}"
     if rec.hierarchy.height < MIN_HEIGHT:
         return False, f"flat_hierarchy:{rec.hierarchy.height}"
@@ -286,8 +275,7 @@ def _name_matches(name_lower: str, tag: str, synonyms: dict[str, str]) -> bool:
 
 
 def extract_tags(records: Sequence[ShapeRecord], category: str,
-                 synonyms: dict[str, str] | None = None,
-                 stop_patterns: Sequence[str] = DEFAULT_STOP_PATTERNS) -> TagVocabulary:
+                 synonyms: dict[str, str] | None = None) -> TagVocabulary:
     """Mine a tag vocabulary from node names of one category's shapes.
 
     Candidates are lowercase alphabetic tokens of at least ``MIN_TOKEN_LEN``
@@ -297,7 +285,6 @@ def extract_tags(records: Sequence[ShapeRecord], category: str,
     ``MAX_TAGS`` most frequent survive, ties broken lexicographically.
     """
     synonyms = {k.lower(): v.lower() for k, v in (synonyms or {}).items()}
-    stop = set(stop_patterns)
     recs = [r for r in records if r.category == category]
 
     shape_names: list[list[str]] = []
@@ -308,7 +295,7 @@ def extract_tags(records: Sequence[ShapeRecord], category: str,
         for name in names:
             for tok in re.findall(r"[a-z]+", name):
                 tok = synonyms.get(tok, tok)
-                if len(tok) >= MIN_TOKEN_LEN and tok not in stop:
+                if len(tok) >= MIN_TOKEN_LEN and tok not in DEFAULT_STOP_PATTERNS:
                     candidates.add(tok)
 
     # every candidate comes from some shape's names, so it scores at least 1
@@ -455,8 +442,6 @@ def discover_shape_files(in_dir) -> list[tuple[Path, str]]:
 
 
 def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
-                   stop_patterns: Sequence[str] = DEFAULT_STOP_PATTERNS,
-                   policy: FilterPolicy | None = None,
                    seed: int = 0) -> tuple[list[ShapeRecord], MineReport]:
     """Parse, filter and tag every shape file under ``in_dir``.
 
@@ -468,7 +453,6 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
     """
     if not Path(in_dir).is_dir():
         raise InputError(f"{in_dir}: not a directory")
-    policy = policy or FilterPolicy()
     records: list[ShapeRecord] = []
     rejected: dict[str, str] = {}
     seen_ids: set[str] = set()
@@ -486,7 +470,7 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
         if rec.shape_id in seen_ids:
             rejected[key] = f"parse_error:duplicate shape_id '{rec.shape_id}'"
             continue
-        keep, reason = filter_shape(rec, policy)
+        keep, reason = filter_shape(rec)
         if not keep:
             rejected[key] = reason
             continue
@@ -498,7 +482,7 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
     sufficiency: dict[str, dict] = {}
     for cat in categories:
         cat_recs = [r for r in records if r.category == cat]
-        vocab = extract_tags(cat_recs, cat, synonyms=synonyms, stop_patterns=stop_patterns)
+        vocab = extract_tags(cat_recs, cat, synonyms=synonyms)
         vocabularies[cat] = vocab
         fractions = []
         for rec in cat_recs:

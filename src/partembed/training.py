@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import check, kind
-from .errors import ConfigurationError, InputError, PartembedError, SamplingError
+from .errors import InputError, PartembedError, SamplingError
 from .geometry import PointCloud, normalize_cloud, sample_surface
 from .ingest import (MIN_TAG_COVERAGE, DatasetSplit, ShapeRecord, TagVocabulary,
                      label_points_with_tags, tag_sufficiency)
@@ -33,6 +33,17 @@ from .network import (AdamState, PenConfig, adam_step, ae_backward,
 from .triplets import sample_triplets
 
 
+# The plateau schedule: an epoch improves when its validation loss beats the
+# best seen by more than PLATEAU_REL_THRESHOLD (relative); PLATEAU_PATIENCE
+# epochs without improvement divide the rate by DECAY_FACTOR, and training
+# stops once STOP_DECAYS_BELOW decays have landed below MIN_LR.
+DECAY_FACTOR = 10.0
+PLATEAU_PATIENCE = 5
+PLATEAU_REL_THRESHOLD = 1e-4
+MIN_LR = 1e-5
+STOP_DECAYS_BELOW = 2
+
+
 @dataclass
 class TrainConfig:
     """Knobs for every objective. Defaults follow the full-scale recipe: Adam at
@@ -40,15 +51,9 @@ class TrainConfig:
     subsamples, a constant number of triplets per shape."""
 
     lr: float = kind("positive", 0.01)
-    decay_factor: float = kind("positive", 10.0)
-    plateau_patience: int = kind("count", 5)
-    plateau_rel_threshold: float = kind("nonnegative", 1e-4)
-    min_lr: float = kind("positive", 1e-5)
-    stop_decays_below: int = kind("count", 2)
     batch_shapes: int = kind("count", 32)
     subsample_points: int = kind("count", 2500)
     triplets_per_shape: int = kind("count", 512)
-    margin: float = kind("positive", 0.2)
     max_epochs: int = kind("count", 100)
     seed: int = kind("natural", 0)
     microbatch: int = kind("count", 8)
@@ -57,45 +62,36 @@ class TrainConfig:
 
     def __post_init__(self):
         check(self)
-        if self.decay_factor <= 1.0:
-            raise ConfigurationError("decay_factor must exceed 1")
 
 
 class PlateauScheduler:
-    """Divide the learning rate when the watched loss stops improving.
+    """Divide the learning rate, starting at ``lr``, when the watched loss
+    stops improving, on the module's plateau schedule. ``observe`` returns
+    True once training should stop at the rate floor."""
 
-    The schedule is the training config's: an epoch improves when its loss
-    beats the best seen by more than ``plateau_rel_threshold`` (relative);
-    ``plateau_patience`` non-improving epochs trigger one division by
-    ``decay_factor``; ``observe`` returns True once ``stop_decays_below``
-    decays have landed below ``min_lr``.
-    """
-
-    def __init__(self, tc: TrainConfig):
-        self.tc = tc
-        self.lr = tc.lr
+    def __init__(self, lr: float):
+        self.lr = lr
         self.best = np.inf
         self.bad_epochs = 0
         self.decays = 0
         self.decays_below = 0
 
     def observe(self, loss: float) -> bool:
-        tc = self.tc
         # against inf the relative margin is nan; any finite loss improves
-        bar = self.best - tc.plateau_rel_threshold * abs(self.best) \
+        bar = self.best - PLATEAU_REL_THRESHOLD * abs(self.best) \
             if np.isfinite(self.best) else self.best
         if loss < bar:
             self.best = loss
             self.bad_epochs = 0
             return False
         self.bad_epochs += 1
-        if self.bad_epochs >= tc.plateau_patience:
-            self.lr /= tc.decay_factor
+        if self.bad_epochs >= PLATEAU_PATIENCE:
+            self.lr /= DECAY_FACTOR
             self.decays += 1
             self.bad_epochs = 0
-            if self.lr < tc.min_lr:
+            if self.lr < MIN_LR:
                 self.decays_below += 1
-                if self.decays_below >= tc.stop_decays_below:
+                if self.decays_below >= STOP_DECAYS_BELOW:
                     return True
         return False
 
@@ -239,7 +235,7 @@ def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.ran
     t0 = time.perf_counter()
     state = AdamState() if state is None else state
     report = TrainReport() if report is None else report
-    sched = PlateauScheduler(tc)
+    sched = PlateauScheduler(tc.lr)
     # drawn one shape at a time, once per run: the validation loss is then a
     # pure function of the parameters and independent of the chunking
     fixtures = [d for s in val_shapes for d in draw([s], rng_val)]
@@ -325,7 +321,7 @@ def pretrain_metric(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainSh
     def chunk_loss(chunk, draws, want_grads):
         pts = np.stack([s.cloud.points[sub] for s, (sub, _) in zip(chunk, draws)])
         embed, trace = forward_embed(params, cfg, pts)
-        loss, g_embed = triplet_loss_and_grad(embed, np.stack([t for _, t in draws]), tc.margin)
+        loss, g_embed = triplet_loss_and_grad(embed, np.stack([t for _, t in draws]))
         return loss, backward_embed(params, cfg, trace, g_embed) if want_grads else None
 
     rng_train, rng_val = _train_val_rngs(tc, 0x7E1)

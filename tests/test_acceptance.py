@@ -23,7 +23,7 @@ from scipy import stats
 from partembed.benchmark import BenchmarkSpec, miou, run_benchmark
 from partembed.geometry import (PointCloud, RigidTransform, icp_align,
                                 normalize_cloud, sample_surface)
-from partembed.ingest import FilterPolicy, extract_tags, mine_directory, split_dataset
+from partembed.ingest import extract_tags, mine_directory, split_dataset
 from partembed.network import (DEFAULT_MARGIN, PROB_CLAMP, PenConfig, ae_backward,
                                ae_forward, all_layers, backward_embed, backward_trunk,
                                chamfer_batch_and_grad, forward_embed, forward_trunk,
@@ -471,7 +471,7 @@ def test_fewshot_transfer_ordering(tmp_path):
 
 def test_mining_golden_report():
     golden = json.loads((FIXTURES / "golden" / "mine_report.json").read_text())
-    records, report = mine_directory(FIXTURES / "scenes", policy=FilterPolicy(), seed=0)
+    records, report = mine_directory(FIXTURES / "scenes", seed=0)
     got = report.to_json()
     checks = {
         "kept": got["kept"] == golden["kept"],

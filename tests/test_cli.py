@@ -426,8 +426,8 @@ def _seed_in_train_config(tmp_path, corpus):
             "--points", "60", "--arch", str(arch), "--train", str(train)]
 
 
-# a nonpositive margin trains at loss 0 and a non-number fails inside numpy
-# mid-training, so each must be refused before training starts
+# the margin and the plateau schedule are constants, not training-config
+# fields, so a --train file naming one is refused before training starts
 def _train_negative_margin(tmp_path, corpus):
     return _train_file(tmp_path, corpus, margin=-1)
 
@@ -604,9 +604,6 @@ PARSER_PIN = {
         "out": OUT, "seed": SEED, "points": POINTS, "help": HELP,
         "in_dir": (("--in",), None, True, None, None, None, "_StoreAction"),
         "synonyms": (("--synonyms",), *JSON_FILE),
-        "stop_patterns": (("--stop-patterns",), None, False, None, None, "names", "_StoreAction"),
-        "min_leaves": (("--min-leaves",), 2, False, None, None, "int", "_StoreAction"),
-        "max_leaves": (("--max-leaves",), 500, False, None, None, "int", "_StoreAction"),
         "align_to": (("--align-to",), *JSON_FILE),
     },
     "pretrain": {
@@ -669,6 +666,16 @@ def test_run_manifest_contents(tmp_path):
     assert run["outputs"] == [str(out)]
     assert run["started"] <= run["finished"]
     assert run["flags"]["counts"] == ["table=3"]
+
+
+def test_run_manifest_records_the_seed_of_a_synth_config(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps({"counts": {"chair": 3}, "seed": 7}))
+    for out, flags in ((tmp_path / "a", ()), (tmp_path / "b", ("--seed", "8"))):
+        assert main(["synth", "--out", str(out), "--config", str(config), *flags]) == 0
+        run = json.loads((out / "run.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert run["seed"] == manifest["seed"] == (8 if flags else 7)
 
 
 def test_run_manifest_lists_every_file_read(tmp_path, configs):

@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partembed.errors import ConfigurationError, InputError, ParseError
+from partembed.errors import InputError, ParseError
 from partembed.geometry import sample_surface
 from partembed.synth import generate_corpus
-from partembed.ingest import (DEFAULT_STOP_PATTERNS, MAX_TAGS, DatasetSplit, FilterPolicy,
-                              TagVocabulary, dumps_shape, extract_tags,
+from partembed.ingest import (DEFAULT_STOP_PATTERNS, MAX_LEAVES, MAX_TAGS, MIN_LEAVES,
+                              DatasetSplit, TagVocabulary, dumps_shape, extract_tags,
                               filter_shape, label_points_with_tags,
                               load_corpus, mine_directory, parse_json_shape,
                               shape_from_collada, split_dataset,
@@ -115,32 +115,18 @@ def test_schema_errors():
     assert rec.hierarchy.leaves == (1, 2, 3)
 
 
-def test_filter_policy():
-    rec = sedan()
-    assert filter_shape(rec)[0]
-    keep, reason = filter_shape(rec, FilterPolicy(max_leaves=3))
-    assert not keep and reason.startswith("too_many_leaves")
-    keep, reason = filter_shape(rec, FilterPolicy(min_leaves=10))
-    assert not keep and reason.startswith("too_few_leaves")
-    for lo, hi in ((5, 2), (-3, 500), (0, -1)):
-        with pytest.raises(ConfigurationError):
-            FilterPolicy(min_leaves=lo, max_leaves=hi)
+def test_filter_leaf_bounds():
+    assert (MIN_LEAVES, MAX_LEAVES) == (2, 500)
+    assert filter_shape(sedan())[0]
+    assert filter_shape(named_parts("two", ["a", "b"]))[0]
+    keep, reason = filter_shape(named_parts("one", ["a"]))
+    assert not keep and reason == "too_few_leaves:1"
 
 
 def test_filter_rejects_501_leaves():
-    obj = {
-        "shape_id": "wide", "category": "c",
-        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
-        "triangles": [[0, 1, 2]] * 501,
-        "nodes": [{"id": 0, "parent": None, "name": "r", "children": list(range(1, 502))}] + [
-            {"id": i, "parent": 0, "name": f"p{i}", "tri_range": [i - 1, i]}
-            for i in range(1, 502)
-        ],
-    }
-    rec = parse_json_shape(obj)
-    keep, reason = filter_shape(rec)
+    keep, reason = filter_shape(named_parts("wide", [f"p{i}" for i in range(501)]))
     assert not keep and reason == "too_many_leaves:501"
-    assert filter_shape(rec, FilterPolicy(max_leaves=501))[0]
+    assert filter_shape(named_parts("widest", [f"p{i}" for i in range(500)]))[0]
 
 
 def test_extract_tags_with_synonyms_and_stops():
@@ -150,8 +136,9 @@ def test_extract_tags_with_synonyms_and_stops():
     assert "wheel" in vocab.tags
     assert vocab.synonyms == {"wheels": "wheel"}
     # stop patterns remove candidates entirely
-    vocab = extract_tags(recs, "cars", stop_patterns=DEFAULT_STOP_PATTERNS + ("wheel", "wheels"))
-    assert "wheel" not in vocab.tags and "wheels" not in vocab.tags
+    names = ["leg_geometry", "mesh_arm", "node"]
+    assert {"root", "geometry", "mesh", "node"} <= DEFAULT_STOP_PATTERNS
+    assert extract_tags([named_parts("s0", names)], "c").tags == ("arm", "leg")
 
 
 def named_parts(shape_id, names):

@@ -1,12 +1,17 @@
 """Package-wide rules: modules reach each other through public names only,
-and every error type is one that some caller catches by name."""
+every error type is one that some caller catches by name, and the README's
+config table names every config field."""
 
 import ast
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import partembed
+from partembed import BenchmarkSpec, NoiseConfig, PenConfig, TrainConfig
 
 PACKAGE = Path(partembed.__file__).resolve().parent
+README = PACKAGE.parents[1] / "README.md"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
@@ -29,3 +34,13 @@ def test_every_error_class_is_caught_by_name_somewhere():
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
     assert sorted(defined - caught) == []
+
+
+def test_readme_kind_table_names_exactly_the_config_fields():
+    text = README.read_text()
+    table = text[text.index("| kind | fields |"):].split("\n\n", 1)[0]
+    rows = [line.split("|")[2] for line in table.splitlines()[2:]]
+    named = [name for row in rows for name in re.findall(r"`([^`]+)`", row)]
+    assert len(named) == len(set(named)), "a field is listed twice"
+    assert set(named) == {f.name for cls in (PenConfig, TrainConfig, NoiseConfig, BenchmarkSpec)
+                          for f in fields(cls)}

@@ -167,13 +167,9 @@ def _pen_config_is_typed(cfg: PenConfig) -> None:
 
 def _train_config_is_typed(tc: TrainConfig) -> None:
     assert all(_is_count(getattr(tc, name), 1) for name in (
-        "plateau_patience", "stop_decays_below", "batch_shapes", "subsample_points",
-        "triplets_per_shape", "max_epochs", "microbatch"))
+        "batch_shapes", "subsample_points", "triplets_per_shape", "max_epochs", "microbatch"))
     assert _is_count(tc.seed, 0) and _is_count(tc.head_epochs, 0)
-    assert all(_is_real(getattr(tc, name), 0, strict=True)
-               for name in ("lr", "min_lr", "margin"))
-    assert _is_real(tc.decay_factor, 1, strict=True)
-    assert _is_real(tc.plateau_rel_threshold, 0, strict=False)
+    assert _is_real(tc.lr, 0, strict=True)
     assert _is_real(tc.trunk_lr_scale, 0, strict=False)
 
 

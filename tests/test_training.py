@@ -63,8 +63,13 @@ def _changed(before, after, prefix):
 # scheduler
 # ---------------------------------------------------------------------------
 
+def test_scheduler_constants_are_the_paper_recipe():
+    assert (training.DECAY_FACTOR, training.PLATEAU_PATIENCE, training.PLATEAU_REL_THRESHOLD,
+            training.MIN_LR, training.STOP_DECAYS_BELOW) == (10.0, 5, 1e-4, 1e-5, 2)
+
+
 def test_scheduler_flat_run_decays_exactly_once():
-    sched = PlateauScheduler(TrainConfig(lr=0.01, decay_factor=10.0, plateau_patience=5))
+    sched = PlateauScheduler(0.01)
     assert not sched.observe(1.0)  # first observation improves on +inf
     for i in range(5):
         assert sched.decays == 0
@@ -75,12 +80,11 @@ def test_scheduler_flat_run_decays_exactly_once():
 
 
 def test_scheduler_improvement_resets_patience():
-    sched = PlateauScheduler(TrainConfig(lr=0.01, plateau_patience=3))
-    sched.observe(1.0)
-    sched.observe(1.0)
-    sched.observe(1.0)
+    sched = PlateauScheduler(0.01)
+    for _ in range(5):
+        sched.observe(1.0)
     sched.observe(0.5)  # clear improvement with one bad epoch to spare
-    for _ in range(2):
+    for _ in range(4):
         sched.observe(0.5)
     assert sched.decays == 0
     sched.observe(0.5)
@@ -88,34 +92,47 @@ def test_scheduler_improvement_resets_patience():
 
 
 def test_scheduler_threshold_is_relative():
-    sched = PlateauScheduler(TrainConfig(lr=0.01, plateau_patience=2,
-                                         plateau_rel_threshold=1e-4))
+    sched = PlateauScheduler(0.01)
     sched.observe(1.0)
     assert sched.best == 1.0
-    sched.observe(1.0 - 5e-5)  # inside the threshold: not an improvement
+    sched.observe(1.0 - 5e-5)  # inside the 1e-4 threshold: not an improvement
     assert sched.best == 1.0 and sched.bad_epochs == 1
     sched.observe(1.0 - 2e-4)
     assert sched.best == pytest.approx(1.0 - 2e-4) and sched.bad_epochs == 0
 
 
 def test_scheduler_stops_after_two_decays_below_floor():
-    sched = PlateauScheduler(TrainConfig(lr=0.01, decay_factor=10.0, plateau_patience=1,
-                                         min_lr=1e-5, stop_decays_below=2))
+    sched = PlateauScheduler(0.01)
     sched.observe(1.0)
-    stops = []
-    for _ in range(5):
-        stops.append(sched.observe(1.0))
-    # 0.01 -> 1e-3 -> 1e-4 -> 1e-5 (not below) -> 1e-6 (below) -> 1e-7 (stop)
-    assert stops == [False, False, False, False, True]
+    stops = [sched.observe(1.0) for _ in range(25)]
+    # a decay every 5 flat epochs: 0.01 -> 1e-3 -> 1e-4 -> 1e-5 (not below)
+    # -> 1e-6 (below) -> 1e-7 (stop)
+    assert stops == [False] * 24 + [True]
     assert sched.decays == 5
     assert sched.lr == pytest.approx(1e-7)
+
+
+def test_fit_stops_at_the_rate_floor(chair_shapes):
+    # a flat validation loss: one improving epoch, then a decay every 5
+    def draw(chunk, rng):
+        return [None] * len(chunk)
+
+    def chunk_loss(chunk, draws, want_grads):
+        return float(len(chunk)), {"w": np.zeros(2)} if want_grads else None
+
+    params = {"w": np.ones(2)}
+    report = fit(params, chair_shapes[:4], TC, np.random.default_rng(0), draw, chunk_loss,
+                 100, val=(chair_shapes[4:], np.random.default_rng(1)))
+    assert report.stop_reason == "lr_floor"
+    assert report.epochs == 26 and report.decays == 5
+    assert report.val_losses == [1.0] * 26 and report.best_epoch == 0
+    assert report.lr_history[-1] == pytest.approx(1e-6)
+    assert np.array_equal(params["w"], np.ones(2))
 
 
 def test_train_config_validation():
     with pytest.raises(ConfigurationError):
         TrainConfig(batch_shapes=0)
-    with pytest.raises(ConfigurationError):
-        TrainConfig(decay_factor=1.0)
     with pytest.raises(ConfigurationError):
         TrainConfig(lr=0.0)
     with pytest.raises(ConfigurationError):
