@@ -19,7 +19,7 @@ from .ingest import (DatasetSplit, MineReport, ShapeRecord, TagVocabulary,
                      shape_from_collada, split_dataset, tag_sufficiency)
 from .network import (PenConfig, forward_embed, init_params, load_checkpoint,
                       save_checkpoint, triplet_loss_and_grad)
-from .synth import NoiseConfig, generate_corpus, generate_shape
+from .synth import generate_corpus, generate_shape
 from .training import (TrainConfig, TrainShape, finetune_segmentation,
                        finetune_tags, prepare_shapes, predict_segmentation,
                        pretrain_autoencoder, pretrain_metric)

@@ -5,9 +5,9 @@ Every command is deterministic given its flags and seed, writes its outputs
 under the given path and returns (directory, inputs, outputs): the files
 it read (None for a path flag not given) and wrote. From these ``main``
 drops a run.json manifest next to the outputs. Exit codes: 0 success,
-1 runtime failure, 2 usage or configuration error. Every JSON config
-(``--arch``, ``--train``, a synth ``noise``) decodes through
-``config.from_json`` after its defaults fill the keys it omits.
+1 runtime failure, 2 usage or configuration error. Both JSON configs
+(``--arch``, ``--train``) decode through ``config.from_json`` after their
+defaults fill the keys they omit.
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ import numpy as np
 from . import __version__
 from .benchmark import (BenchmarkSpec, category_classes, finetune_start, run_benchmark,
                         select_labeled_shapes)
-from .config import from_json, is_int
+from .config import from_json
 from .errors import ConfigurationError, InputError, PartembedError
 from .geometry import icp_align, read_ply, sample_surface, write_ply
 from .ingest import (DatasetSplit, TagVocabulary, extract_tags, label_points_with_tags,
                      load_corpus, mine_directory, parse_json_shape, split_dataset,
                      write_corpus)
 from .network import PenConfig, forward_embed, init_params, load_checkpoint, save_checkpoint
-from .synth import DEFAULT_TAG_PROB, NoiseConfig, generate_corpus
+from .synth import generate_corpus
 from .training import (TrainConfig, finetune_segmentation, finetune_tags,
                        prepare_shapes, pretrain_autoencoder, pretrain_metric, split_shapes)
 from .triplets import STRATEGIES
@@ -125,7 +125,7 @@ def _write_run_manifest(out_dir: Path, args: argparse.Namespace,
         "command": args.command,
         "config_hash": hashlib.sha256(blob.encode()).hexdigest(),
         "flags": json.loads(blob),
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "inputs": [str(p) for p in inputs if p],
         "outputs": [str(p) for p in outputs],
         "version": __version__,
@@ -134,6 +134,15 @@ def _write_run_manifest(out_dir: Path, args: argparse.Namespace,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _new_dir(path) -> Path:
+    """``path`` as an output directory holding no files of an earlier run,
+    which would otherwise be read back as part of this one."""
+    out = Path(path)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ConfigurationError(f"--out {out} exists and is not empty")
+    return out
 
 
 def _load_dataset(data_dir):
@@ -168,40 +177,22 @@ def _load_dataset(data_dir):
 # Commands
 # ---------------------------------------------------------------------------
 
-SYNTH_KEYS = ("counts", "seed", "tag_prob", "noise")
-
-
 def cmd_synth(args) -> tuple[Path, list, list]:
-    cfg = _load_json(args.config) if args.config else {}
-    unknown = sorted(set(cfg) - set(SYNTH_KEYS))
-    if unknown:
-        raise ConfigurationError(f"{args.config}: unknown keys {unknown}, expected {SYNTH_KEYS}")
-    if not isinstance(cfg.get("counts", {}), dict):
-        raise ConfigurationError(f"{args.config}: counts must map category names to counts")
-    counts = _parse_kv(args.counts, int) or cfg.get("counts")
+    out = _new_dir(args.out)
+    counts = _parse_kv(args.counts, int)
     if not counts:
-        raise ConfigurationError("no categories: pass --counts cat=N or a --config with counts")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if not (is_int(seed) and seed >= 0):
-        raise ConfigurationError(f"{args.config}: seed must be an integer of at least 0")
-    args.seed = seed  # run.json records the seed used, wherever it came from
-    cfg_tag_prob = cfg.get("tag_prob", {})
-    if not (isinstance(cfg_tag_prob, dict) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in cfg_tag_prob.values())):
-        raise ConfigurationError(f"{args.config}: tag_prob must map category names to numbers")
-    tag_prob = {**DEFAULT_TAG_PROB, **cfg_tag_prob, **_parse_kv(args.tag_prob, float)}
-    noise = _config(NoiseConfig, cfg["noise"], f"{args.config}: noise") if "noise" in cfg else None
-    out = Path(args.out)
+        raise ConfigurationError("no categories: pass --counts cat=N")
     try:
-        records = generate_corpus(counts, seed=seed, tag_prob=tag_prob, noise=noise, out_dir=out)
+        records = generate_corpus(counts, seed=args.seed,
+                                  tag_prob=_parse_kv(args.tag_prob, float), out_dir=out)
     except InputError as exc:
         raise ConfigurationError(f"bad corpus settings: {exc}") from exc
     print(f"wrote {len(records)} shapes in {len(counts)} categories to {out}")
-    return out, [args.config], [out]
+    return out, [], [out]
 
 
 def cmd_mine(args) -> tuple[Path, list, list]:
-    out = Path(args.out)
+    out = _new_dir(args.out)
     synonyms = _synonyms(_load_json(args.synonyms), args.synonyms) if args.synonyms else None
     records, report = mine_directory(args.in_dir, synonyms=synonyms, seed=args.seed)
     target = None
@@ -360,6 +351,10 @@ def cmd_export_embeddings(args) -> tuple[Path, list, list]:
     else:
         records = load_corpus(args.data)
     if args.ids:
+        found = {r.shape_id for r in records}
+        missing = [i for i in args.ids if i not in found]
+        if missing:
+            raise ConfigurationError(f"--ids not found: {', '.join(missing)}")
         records = [r for r in records if r.shape_id in args.ids]
     if not records:
         raise ConfigurationError("no shapes to export")
@@ -388,10 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "embeddings with tree-aware triplets, benchmark few-shot "
                     "segmentation transfer.")
     sub = p.add_subparsers(dest="command", required=True)
-    # flags shared by every command that samples clouds, and by those that train
-    sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--out", required=True)
-    sampling.add_argument("--seed", type=_at_least(0), default=0)
+    # flags shared by every command, by those that sample clouds, and by
+    # those that train
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", required=True)
+    outputs.add_argument("--seed", type=_at_least(0), default=0)
+    sampling = argparse.ArgumentParser(add_help=False, parents=[outputs])
     sampling.add_argument("--points", type=_at_least(1), default=10000)
     training = argparse.ArgumentParser(add_help=False, parents=[sampling])
     training.add_argument("--data", required=True)
@@ -399,12 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     training.add_argument("--arch", help="architecture config JSON for training from scratch")
     training.add_argument("--train", help="training config JSON")
 
-    s = sub.add_parser("synth", help="generate a synthetic labeled corpus")
-    s.add_argument("--out", required=True)
-    s.add_argument("--config", help="JSON with counts/seed/tag_prob/noise")
+    s = sub.add_parser("synth", parents=[outputs], help="generate a synthetic labeled corpus")
     s.add_argument("--counts", nargs="*", metavar="CAT=N")
     s.add_argument("--tag-prob", nargs="*", metavar="CAT=P", dest="tag_prob")
-    s.add_argument("--seed", type=_at_least(0), default=None)
     s.set_defaults(func=cmd_synth)
 
     s = sub.add_parser("mine", parents=[sampling],

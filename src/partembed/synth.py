@@ -2,22 +2,22 @@
 
 Three archetypes (chair, table, airplane) are assembled from jittered boxes.
 Every box belongs to a semantic part, so each shape carries ground-truth
-per-triangle labels. With noise off, hierarchy leaves coincide with the
-semantic parts. Noise randomly splits parts into sub-leaves, nests them
-under one to three intermediate grouping levels, and names each leaf from a
-part-concept synonym pool with probability ``tag_prob`` (junk otherwise),
-emulating the variability of crowd-modeled scene graphs.
+per-triangle labels. The hierarchy is noisy by construction, emulating the
+variability of crowd-modeled scene graphs: every part splits into one to
+``MAX_SUB_LEAVES`` sub-leaves, nested under one to ``MAX_GROUP_LEVELS``
+grouping levels, and each leaf is named from a part-concept synonym pool
+with probability ``tag_prob`` (junk otherwise).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import check, is_int, kind
-from .errors import ConfigurationError, InputError
+from .config import is_int
+from .errors import InputError
 from .geometry import TriangleMesh
 from .hierarchy import PartHierarchy
 from .ingest import ShapeRecord, write_corpus
@@ -44,21 +44,9 @@ CATEGORIES = ("chair", "table", "airplane")
 
 DEFAULT_TAG_PROB = {"chair": 0.35, "table": 0.0, "airplane": 0.0}
 
-
-@dataclass
-class NoiseConfig:
-    """Hierarchy randomization. Everything off reduces each shape to one
-    leaf per semantic part hanging straight off the root."""
-
-    split_parts: bool = kind("bool", True)
-    max_sub_leaves: int = kind("count", 4)
-    group_leaves: bool = kind("bool", True)
-    max_group_levels: int = kind("count", 3)
-
-    def __post_init__(self):
-        check(self)
-        if self.max_group_levels > 3:
-            raise ConfigurationError("max_group_levels must be at most 3")
+# the hierarchy noise: sub-leaves per part and grouping levels per shape
+MAX_SUB_LEAVES = 4
+MAX_GROUP_LEVELS = 3
 
 
 @dataclass
@@ -173,18 +161,16 @@ def _split_into_leaves(boxes: list[_Box], n_sub: int, rng) -> list[list[_Box]]:
 
 
 def generate_shape(category: str, shape_id: str, rng: np.random.Generator,
-                   noise: Optional[NoiseConfig] = None,
                    tag_prob: Optional[float] = None) -> ShapeRecord:
-    """One synthetic shape. Geometry is always jittered; the hierarchy varies
-    per ``noise``, and each leaf gets a part-concept name with probability
-    ``tag_prob`` (``DEFAULT_TAG_PROB[category]`` when not given)."""
+    """One synthetic shape. Geometry is jittered and the hierarchy noisy, and
+    each leaf gets a part-concept name with probability ``tag_prob``
+    (``DEFAULT_TAG_PROB[category]`` when not given)."""
     if category not in _PART_BUILDERS:
         raise InputError(f"unknown category {category!r}, expected one of {CATEGORIES}")
     if tag_prob is None:
         tag_prob = DEFAULT_TAG_PROB[category]
     if not (0.0 <= tag_prob <= 1.0):
         raise InputError(f"tag_prob must be a probability, got {tag_prob!r}")
-    noise = noise or NoiseConfig()
     parts = _PART_BUILDERS[category](rng)
 
     parents: list[Optional[int]] = [None]
@@ -199,7 +185,7 @@ def generate_shape(category: str, shape_id: str, rng: np.random.Generator,
             leaf_boxes[i] = boxes_label
         return i
 
-    levels = int(rng.integers(1, noise.max_group_levels + 1)) if noise.group_leaves else 0
+    levels = int(rng.integers(1, MAX_GROUP_LEVELS + 1))
     # level 2+: one junk wrapper over a suffix of the part list
     wrap_from = int(rng.integers(1, len(parts))) if levels >= 2 else len(parts)
     wrapper = None
@@ -210,11 +196,11 @@ def generate_shape(category: str, shape_id: str, rng: np.random.Generator,
             if wrapper is None:
                 wrapper = add(0, _junk_name(rng))
             parent = wrapper
-        n_sub = int(rng.integers(1, noise.max_sub_leaves + 1)) if noise.split_parts else 1
+        n_sub = int(rng.integers(1, MAX_SUB_LEAVES + 1))
         buckets = _split_into_leaves(boxes, n_sub, rng)
         # level 1: a group node per part (skipped sometimes when it would
         # hold a single leaf)
-        if levels >= 1 and (len(buckets) > 1 or rng.random() < 0.7):
+        if len(buckets) > 1 or rng.random() < 0.7:
             parent = add(parent, _junk_name(rng))
         # level 3: pair sub-leaves under holders
         if levels >= 3 and len(buckets) >= 4 and rng.random() < 0.6:
@@ -253,7 +239,6 @@ def generate_shape(category: str, shape_id: str, rng: np.random.Generator,
 
 def generate_corpus(counts: dict[str, int], seed: int = 0,
                     tag_prob: Optional[dict[str, float]] = None,
-                    noise: Optional[NoiseConfig] = None,
                     out_dir=None) -> list[ShapeRecord]:
     """Deterministic corpus: same arguments and seed give identical shapes
     (and identical bytes on disk when ``out_dir`` is set). ``counts`` maps
@@ -266,7 +251,7 @@ def generate_corpus(counts: dict[str, int], seed: int = 0,
     records = []
     for category in sorted(counts):
         for i in range(counts[category]):
-            records.append(generate_shape(category, f"{category}_{i:04d}", rng, noise=noise,
+            records.append(generate_shape(category, f"{category}_{i:04d}", rng,
                                           tag_prob=(tag_prob or {}).get(category)))
 
     if out_dir is not None:
@@ -275,7 +260,6 @@ def generate_corpus(counts: dict[str, int], seed: int = 0,
             "counts": dict(sorted(counts.items())),
             "tag_prob": {c: (tag_prob or {}).get(c, DEFAULT_TAG_PROB.get(c, 0.0))
                          for c in sorted(counts)},
-            "noise": asdict(noise) if noise is not None else None,
             "categories": sorted(counts),
             "shape_ids": [r.shape_id for r in records],
             "synonyms": SYNTH_SYNONYMS,

@@ -211,16 +211,33 @@ def _synth_non_integer_count(tmp_path, corpus):
     return ["synth", "--out", str(tmp_path / "s"), "--counts", "table=x"]
 
 
+def _synth_tag_prob(tmp_path, value):
+    return ["synth", "--out", str(tmp_path / "s"), "--counts", "table=3",
+            "--tag-prob", f"table={value}"]
+
+
+def _synth_tag_prob_not_a_number(tmp_path, corpus):
+    return _synth_tag_prob(tmp_path, "x")
+
+
+def _synth_tag_prob_above_one(tmp_path, corpus):
+    return _synth_tag_prob(tmp_path, "1.5")
+
+
+# synth takes its settings from flags alone and its noise is a fixed recipe,
+# so every synth --config case below exits 2 as an unrecognized argument
+def _synth_config(tmp_path, **config):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"counts": {"table": 3}, **config}))
+    return ["synth", "--out", str(tmp_path / "s"), "--config", str(path)]
+
+
 def _synth_unknown_noise_key(tmp_path, corpus):
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"counts": {"table": 3}, "noise": {"wobble": 1}}))
-    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+    return _synth_config(tmp_path, noise={"wobble": 1})
 
 
 def _synth_noise_tag_prob(tmp_path, corpus):
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"counts": {"table": 3}, "noise": {"tag_prob": 1.0}}))
-    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+    return _synth_config(tmp_path, noise={"tag_prob": 1.0})
 
 
 def _unlabeled_segmentation(tmp_path, corpus):
@@ -232,47 +249,32 @@ def _unlabeled_segmentation(tmp_path, corpus):
             "--objective", "segmentation", "--category", "table", "--points", "60"]
 
 
-def _synth_config_counts(tmp_path, counts):
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"counts": counts}))
-    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
-
-
-def _synth_config_tag_prob(tmp_path, tag_prob):
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"counts": {"table": 3}, "tag_prob": tag_prob}))
-    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
-
-
 def _synth_string_tag_prob_in_config(tmp_path, corpus):
-    return _synth_config_tag_prob(tmp_path, {"table": "x"})
+    return _synth_config(tmp_path, tag_prob={"table": "x"})
 
 
 def _synth_tag_prob_list_in_config(tmp_path, corpus):
-    return _synth_config_tag_prob(tmp_path, [1])
+    return _synth_config(tmp_path, tag_prob=[1])
 
 
 def _synth_string_count_in_config(tmp_path, corpus):
-    return _synth_config_counts(tmp_path, {"table": "x"})
+    return _synth_config(tmp_path, counts={"table": "x"})
 
 
 def _synth_float_count_in_config(tmp_path, corpus):
-    return _synth_config_counts(tmp_path, {"table": 3.5})
+    return _synth_config(tmp_path, counts={"table": 3.5})
 
 
 def _synth_counts_list_in_config(tmp_path, corpus):
-    return _synth_config_counts(tmp_path, [1, 2])
+    return _synth_config(tmp_path, counts=[1, 2])
 
 
 def _synth_counts_string_in_config(tmp_path, corpus):
-    return _synth_config_counts(tmp_path, "chair")
+    return _synth_config(tmp_path, counts="chair")
 
 
 def _synth_unknown_top_level_key(tmp_path, corpus):
-    # a misspelt "seed" would otherwise be dropped and the corpus seeded 0
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"counts": {"chair": 3}, "sead": 5}))
-    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
+    return _synth_config(tmp_path, sead=5)
 
 
 def _benchmark(tmp_path, corpus, *flags):
@@ -403,18 +405,12 @@ def _pretrain_negative_seed(tmp_path, corpus):
             "--points", "60", "--seed", "-1"]
 
 
-def _synth_config_seed(tmp_path, seed):
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"counts": {"table": 3}, "seed": seed}))
-    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
-
-
 def _synth_negative_seed_in_config(tmp_path, corpus):
-    return _synth_config_seed(tmp_path, -2)
+    return _synth_config(tmp_path, seed=-2)
 
 
 def _synth_string_seed_in_config(tmp_path, corpus):
-    return _synth_config_seed(tmp_path, "x")
+    return _synth_config(tmp_path, seed="x")
 
 
 def _seed_in_train_config(tmp_path, corpus):
@@ -460,27 +456,20 @@ def _train_infinite_decay_factor(tmp_path, corpus):
     return _train_file(tmp_path, corpus, decay_factor=float("inf"))
 
 
-def _synth_noise(tmp_path, **noise):
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"counts": {"table": 3}, "noise": noise}))
-    return ["synth", "--out", str(tmp_path / "s"), "--config", str(config)]
-
-
-# a corpus would still be written from each, so each must be refused
 def _synth_fractional_sub_leaves(tmp_path, corpus):
-    return _synth_noise(tmp_path, max_sub_leaves=2.5)
+    return _synth_config(tmp_path, noise={"max_sub_leaves": 2.5})
 
 
 def _synth_string_split_parts(tmp_path, corpus):
-    return _synth_noise(tmp_path, split_parts="no")
+    return _synth_config(tmp_path, noise={"split_parts": "no"})
 
 
 def _synth_bool_group_levels(tmp_path, corpus):
-    return _synth_noise(tmp_path, max_group_levels=True)
+    return _synth_config(tmp_path, noise={"max_group_levels": True})
 
 
 def _synth_integer_group_leaves(tmp_path, corpus):
-    return _synth_noise(tmp_path, group_leaves=0)
+    return _synth_config(tmp_path, noise={"group_leaves": 0})
 
 
 @pytest.mark.parametrize("make_argv", [
@@ -505,7 +494,8 @@ def _synth_integer_group_leaves(tmp_path, corpus):
     _synth_counts_string_in_config, _synth_unknown_top_level_key,
     _finetune_labeled_shapes_above_pool, _finetune_tags_without_vocabulary,
     _finetune_tags_without_validation_chair, _ply_body_longer_than_header,
-    _ply_without_end_header, _ply_ascii])
+    _ply_without_end_header, _ply_ascii, _synth_tag_prob_not_a_number,
+    _synth_tag_prob_above_one])
 def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     src = str(Path(partembed.__file__).resolve().parents[1])
@@ -522,6 +512,11 @@ def _export_unknown_ids(tmp_path, corpus):
     return [*_export_without_shapes(tmp_path, corpus), "--data", str(corpus), "--ids", "nope"]
 
 
+def _export_some_unknown_ids(tmp_path, corpus):
+    return [*_export_without_shapes(tmp_path, corpus), "--data", str(corpus),
+            "--ids", "table_0000,nope"]
+
+
 def _benchmark_without_checkpoint(tmp_path, corpus):
     return _benchmark(tmp_path, corpus, "--variants", "hierarchy")
 
@@ -534,7 +529,7 @@ def _benchmark_x_above_pool(tmp_path, corpus):
 @pytest.mark.parametrize("make_argv", [
     _finetune_tags_without_vocabulary, _finetune_tags_without_validation_chair,
     _finetune_labeled_shapes_above_pool, _export_unknown_ids, _benchmark_without_checkpoint,
-    _benchmark_x_above_pool])
+    _benchmark_x_above_pool, _export_some_unknown_ids])
 def test_refused_commands_leave_no_output_directory(tmp_path, capsys, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     argv = make_argv(tmp_path, corpus)
@@ -594,11 +589,9 @@ TRAINING = {"data": DATA, "epochs": EPOCHS, "arch": (("--arch",), *JSON_FILE),
             "help": HELP}
 PARSER_PIN = {
     "synth": {
-        "out": OUT, "help": HELP,
-        "config": (("--config",), *JSON_FILE),
+        "out": OUT, "seed": SEED, "help": HELP,
         "counts": (("--counts",), None, False, None, "*", None, "_StoreAction"),
         "tag_prob": (("--tag-prob",), None, False, None, "*", None, "_StoreAction"),
-        "seed": (("--seed",), None, False, None, None, "natural", "_StoreAction"),
     },
     "mine": {
         "out": OUT, "seed": SEED, "points": POINTS, "help": HELP,
@@ -669,13 +662,34 @@ def test_run_manifest_contents(tmp_path):
 
 
 def test_run_manifest_records_the_seed_of_a_synth_config(tmp_path):
-    config = tmp_path / "synth.json"
-    config.write_text(json.dumps({"counts": {"chair": 3}, "seed": 7}))
     for out, flags in ((tmp_path / "a", ()), (tmp_path / "b", ("--seed", "8"))):
-        assert main(["synth", "--out", str(out), "--config", str(config), *flags]) == 0
+        assert main(["synth", "--out", str(out), "--counts", "chair=3", *flags]) == 0
         run = json.loads((out / "run.json").read_text())
         manifest = json.loads((out / "manifest.json").read_text())
-        assert run["seed"] == manifest["seed"] == (8 if flags else 7)
+        assert run["seed"] == manifest["seed"] == (8 if flags else 0)
+        assert run["inputs"] == []
+
+
+def test_synth_and_mine_refuse_an_out_directory_that_holds_files(tmp_path, capsys):
+    # a second run into one --out would leave the first run's shapes and
+    # clouds beside its own, and load_corpus would read them all
+    one = tmp_path / "one" / "chairs"
+    one.mkdir(parents=True)
+    shutil.copyfile(FIXTURES / "scenes" / "chairs" / "side_chair.dae", one / "side_chair.dae")
+    for first, second in (
+            (["synth", "--counts", "table=6"], ["synth", "--counts", "table=3"]),
+            (["mine", "--in", str(FIXTURES / "scenes"), "--points", "60"],
+             ["mine", "--in", str(one.parent), "--points", "60"])):
+        out = tmp_path / first[0]
+        assert main([*first, "--out", str(out)]) == 0
+        written = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main([*second, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out} exists")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == written
+    # an empty directory is a fresh output
+    (tmp_path / "empty").mkdir()
+    assert main(["synth", "--counts", "table=3", "--out", str(tmp_path / "empty")]) == 0
 
 
 def test_run_manifest_lists_every_file_read(tmp_path, configs):
@@ -1075,7 +1089,7 @@ def test_export_with_no_shapes_exits_2(tmp_path, configs, source):
     assert rc == 2
 
 
-def test_export_ids_narrow_explicit_shapes(tmp_path):
+def test_export_ids_narrow_explicit_shapes(tmp_path, capsys):
     corpus = _synth(tmp_path, spec="table=3", seed="6")
     ck = tmp_path / "ck.npz"
     cfg = PenConfig(point_widths=(4,), lift_widths=(6,), decoder_widths=(), embed_dim=3)
@@ -1085,3 +1099,8 @@ def test_export_ids_narrow_explicit_shapes(tmp_path):
                "--ids", a.stem, "--out", str(tmp_path / "e"), "--points", "60"])
     assert rc == 0
     assert [p.name for p in (tmp_path / "e").glob("*.ply")] == [f"{a.stem}.ply"]
+    # every id the source lacks is named, the corpus's third shape included
+    rc = main(["export-embeddings", "--checkpoint", str(ck), "--shape", str(a), str(b),
+               "--ids", f"nope,{a.stem},gone,table_0002", "--out", str(tmp_path / "f")])
+    assert rc == 2
+    assert "error: --ids not found: nope, gone, table_0002" in capsys.readouterr().err

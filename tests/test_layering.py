@@ -1,14 +1,17 @@
 """Package-wide rules: modules reach each other through public names only,
-every error type is one that some caller catches by name, and the README's
-config table names every config field."""
+every error type is one that some caller catches by name, the README's
+config table names every config field, and its command-line section every
+command-line flag."""
 
+import argparse
 import ast
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import partembed
-from partembed import BenchmarkSpec, NoiseConfig, PenConfig, TrainConfig
+from partembed import BenchmarkSpec, PenConfig, TrainConfig
+from partembed.cli import build_parser
 
 PACKAGE = Path(partembed.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
@@ -42,5 +45,16 @@ def test_readme_kind_table_names_exactly_the_config_fields():
     rows = [line.split("|")[2] for line in table.splitlines()[2:]]
     named = [name for row in rows for name in re.findall(r"`([^`]+)`", row)]
     assert len(named) == len(set(named)), "a field is listed twice"
-    assert set(named) == {f.name for cls in (PenConfig, TrainConfig, NoiseConfig, BenchmarkSpec)
+    assert set(named) == {f.name for cls in (PenConfig, TrainConfig, BenchmarkSpec)
                           for f in fields(cls)}
+
+
+def test_readme_command_line_names_exactly_the_cli_flags():
+    text = README.read_text()
+    start = text.index("## Command line")
+    section = text[start:text.index("\n## ", start)]
+    named = set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?", section))
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {option for parser in sub.choices.values() for action in parser._actions
+             for option in action.option_strings} - {"-h", "--help"}
+    assert sorted(named - flags) == [] and sorted(flags - named) == []

@@ -1,7 +1,7 @@
 """Property tests of the on-disk formats and of config validation: the native
 JSON shape format and PLY clouds read back exactly what was written, and an
-architecture, training or noise config from any JSON value either builds or
-is refused with ConfigurationError."""
+architecture or training config from any JSON value either builds or is
+refused with ConfigurationError."""
 
 import json
 import math
@@ -19,7 +19,6 @@ from partembed.geometry import PointCloud, TriangleMesh, read_ply, write_ply
 from partembed.hierarchy import PartHierarchy
 from partembed.ingest import ShapeRecord, dumps_shape, parse_json_shape
 from partembed.network import PenConfig
-from partembed.synth import NoiseConfig
 from partembed.training import TrainConfig
 
 FEW = settings(max_examples=60, deadline=None)
@@ -173,14 +172,7 @@ def _train_config_is_typed(tc: TrainConfig) -> None:
     assert _is_real(tc.trunk_lr_scale, 0, strict=False)
 
 
-def _noise_config_is_typed(noise: NoiseConfig) -> None:
-    assert type(noise.split_parts) is bool and type(noise.group_leaves) is bool
-    assert _is_count(noise.max_sub_leaves, 1)
-    assert _is_count(noise.max_group_levels, 1) and noise.max_group_levels <= 3
-
-
-IS_TYPED = {PenConfig: _pen_config_is_typed, TrainConfig: _train_config_is_typed,
-            NoiseConfig: _noise_config_is_typed}
+IS_TYPED = {PenConfig: _pen_config_is_typed, TrainConfig: _train_config_is_typed}
 
 
 @pytest.mark.parametrize("cls", IS_TYPED, ids=lambda cls: cls.__name__)
