@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -135,10 +136,15 @@ def resolve_checkpoints(spec: BenchmarkSpec, checkpoints: dict) -> dict:
     runs. A variant maps to one path, shared by every category, or to a
     category -> path mapping; categories missing from a mapping are skipped
     (tags exist only for some). Loaded checkpoints are keyed by variant or
-    by (variant, category). Missing or unreadable files raise naming
-    everything missing at once."""
+    by (variant, category). Missing or unreadable files, and a checkpoint
+    that no requested variant runs, raise naming every problem at once."""
     loaded: dict = {}
     problems = []
+    for name in checkpoints:
+        if name == "scratch":
+            problems.append("scratch: scratch takes no checkpoint")
+        elif name not in spec.variants:
+            problems.append(f"{name}: checkpoint given for a variant not requested")
     for variant in spec.variants:
         if variant == "scratch":
             continue
@@ -231,13 +237,15 @@ def run_benchmark(shapes: Sequence[TrainShape], split: DatasetSplit, spec: Bench
                         fixed = select_labeled_shapes(pool, POINT_AXIS_SHAPES, select_rng)
                         labeled = select_labeled_points(fixed, value, select_rng)
 
-                    for vi, variant in enumerate(spec.variants):
+                    for variant in spec.variants:
                         ckpt = loaded.get(variant, loaded.get((variant, cat)))
                         if ckpt is None and variant != "scratch":
                             continue  # a per-category mapping without this category
                         t0 = time.perf_counter()
-                        rng_init = np.random.default_rng(
-                            np.random.SeedSequence((spec.seed, 0x171, ci, vi, value, r)))
+                        # keyed on the name, so a variant's heads do not
+                        # depend on which other variants run
+                        rng_init = np.random.default_rng(np.random.SeedSequence(
+                            (spec.seed, 0x171, ci, zlib.crc32(variant.encode()), value, r)))
                         params, cat_cfg, pretrained = finetune_start(ckpt, base_cfg, rng_init,
                                                                      n_classes=n_classes)
                         ftc = replace(tc, seed=tc.seed + 1000 * r + value)

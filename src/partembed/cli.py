@@ -322,9 +322,8 @@ def cmd_benchmark(args) -> tuple[Path, list, list]:
     for cell in table.summary()["cells"]:
         print(f"{cell['category']:>10} {cell['variant']:>15} {cell['axis']}={cell['value']:<4} "
               f"mIoU {cell['mean_miou']:.4f} ± {cell['std_miou']:.4f}")
-    # only the requested variants' checkpoints are opened
-    given = [checkpoints[v] for v in spec.variants if v in checkpoints]
-    opened = [p for c in given for p in (c.values() if isinstance(c, dict) else [c])]
+    opened = [p for c in checkpoints.values()
+              for p in (c.values() if isinstance(c, dict) else [c])]
     return out, [args.data, *opened, args.arch, args.train], [out / "metrics.csv"]
 
 

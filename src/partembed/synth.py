@@ -243,10 +243,13 @@ def generate_corpus(counts: dict[str, int], seed: int = 0,
     """Deterministic corpus: same arguments and seed give identical shapes
     (and identical bytes on disk when ``out_dir`` is set). ``counts`` maps
     category to the number of shapes; ``tag_prob`` overrides the per-category
-    leaf-tagging probability."""
+    leaf-tagging probability of a category that ``counts`` names."""
     for cat, n in counts.items():
         if not (is_int(n) and n >= 3):
             raise InputError(f"category {cat!r}: need at least 3 shapes, asked for {n!r}")
+    uncounted = sorted(set(tag_prob or {}) - set(counts))
+    if uncounted:
+        raise InputError(f"tag_prob names categories not in counts: {', '.join(uncounted)}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5A17)))
     records = []
     for category in sorted(counts):
@@ -258,7 +261,7 @@ def generate_corpus(counts: dict[str, int], seed: int = 0,
         write_corpus(records, out_dir, {
             "seed": seed,
             "counts": dict(sorted(counts.items())),
-            "tag_prob": {c: (tag_prob or {}).get(c, DEFAULT_TAG_PROB.get(c, 0.0))
+            "tag_prob": {c: (tag_prob or {}).get(c, DEFAULT_TAG_PROB[c])
                          for c in sorted(counts)},
             "categories": sorted(counts),
             "shape_ids": [r.shape_id for r in records],

@@ -193,6 +193,13 @@ def test_resolve_checkpoints_names_every_problem(tmp_path):
                                    "tags": "not-a-mapping"})
     msg = str(err.value)
     assert "autoencoder" in msg and "hierarchy" in msg and "tags" in msg
+    # a checkpoint that no requested variant runs is refused, not dropped
+    ck = _write_ckpt(tmp_path, "h")
+    with pytest.raises(ConfigurationError) as err:
+        resolve_checkpoints(spec, {"autoencoder": ck, "hierarchy": ck, "tags": ck,
+                                   "scratch": ck, "leaf": ck})
+    assert str(err.value) == ("scratch: scratch takes no checkpoint; "
+                              "leaf: checkpoint given for a variant not requested")
 
 
 def test_resolve_checkpoints_skips_categories_without_tags(tmp_path):
@@ -292,6 +299,23 @@ def test_run_benchmark_is_deterministic(table_shapes, table_split, tmp_path):
     t1 = run_benchmark(table_shapes, table_split, spec, FAST_TC, BASE, {})
     t2 = run_benchmark(table_shapes, table_split, spec, FAST_TC, BASE, {})
     assert t1.rows[0]["miou"] == t2.rows[0]["miou"]
+
+
+def test_a_variants_rows_do_not_depend_on_the_other_variants(table_shapes, table_split,
+                                                             tmp_path):
+    ckpts = {"hierarchy": _write_ckpt(tmp_path, "h"), "autoencoder": _write_ckpt(tmp_path, "ae")}
+
+    def hierarchy_rows(variants):
+        spec = BenchmarkSpec(categories=("table",), variants=variants, shape_axis=(2,),
+                             axes=("shapes",), repeats=2, eval_points=40, seed=0)
+        table = run_benchmark(table_shapes, table_split, spec, FAST_TC, BASE,
+                              {v: ckpts[v] for v in variants if v != "scratch"})
+        return [{k: v for k, v in row.items() if k != "seconds"}
+                for row in table.rows if row["variant"] == "hierarchy"]
+
+    rows = hierarchy_rows(("scratch", "hierarchy"))
+    assert len(rows) == 2
+    assert rows == hierarchy_rows(("scratch", "autoencoder", "hierarchy"))
 
 
 def test_run_benchmark_skips_tagless_categories(table_shapes, table_split):

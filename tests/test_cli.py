@@ -75,9 +75,7 @@ def test_runtime_error_exits_1(tmp_path, capsys):
 
 
 def _checkpoint_missing_lift_widths(tmp_path, corpus):
-    ck = tmp_path / "ck.npz"
-    cfg = PenConfig(point_widths=(4,), lift_widths=(6,), decoder_widths=(), embed_dim=3)
-    save_checkpoint(ck, init_params(cfg, np.random.default_rng(0)), cfg)
+    ck = _tiny_checkpoint(tmp_path)
     with np.load(ck) as z:
         arrays = {k: z[k] for k in z.files}
     manifest = json.loads(bytes(arrays["__manifest__"]).decode())
@@ -224,6 +222,12 @@ def _synth_tag_prob_above_one(tmp_path, corpus):
     return _synth_tag_prob(tmp_path, "1.5")
 
 
+def _synth_tag_prob_for_uncounted_category(tmp_path, corpus):
+    # a misspelt category would otherwise leave chair at its default
+    return ["synth", "--out", str(tmp_path / "s"), "--counts", "chair=3",
+            "--tag-prob", "chiar=0.9"]
+
+
 # synth takes its settings from flags alone and its noise is a fixed recipe,
 # so every synth --config case below exits 2 as an unrecognized argument
 def _synth_config(tmp_path, **config):
@@ -303,6 +307,22 @@ def _benchmark_zero_repeats(tmp_path, corpus):
     return _benchmark(tmp_path, corpus, "--repeats", "0")
 
 
+def _tiny_checkpoint(tmp_path):
+    ck = tmp_path / "ck.npz"
+    cfg = PenConfig(point_widths=(4,), lift_widths=(6,), decoder_widths=(), embed_dim=3)
+    save_checkpoint(ck, init_params(cfg, np.random.default_rng(0)), cfg)
+    return ck
+
+
+# a checkpoint that no variant runs would otherwise be dropped in silence
+def _benchmark_checkpoint_for_unrequested_variant(tmp_path, corpus):
+    return _benchmark(tmp_path, corpus, "--checkpoint", f"hierarchy={_tiny_checkpoint(tmp_path)}")
+
+
+def _benchmark_scratch_checkpoint(tmp_path, corpus):
+    return _benchmark(tmp_path, corpus, "--checkpoint", f"scratch={_tiny_checkpoint(tmp_path)}")
+
+
 def _finetune_labeled_shapes(tmp_path, corpus, n):
     return ["finetune", "--data", str(corpus), "--out", str(tmp_path / "seg.npz"),
             "--objective", "segmentation", "--category", "table", "--points", "60",
@@ -348,11 +368,8 @@ def _finetune_tags_without_validation_chair(tmp_path, corpus):
 
 
 def _export_without_shapes(tmp_path, corpus):
-    ck = tmp_path / "ck.npz"
-    cfg = PenConfig(point_widths=(4,), lift_widths=(6,), decoder_widths=(), embed_dim=3)
-    save_checkpoint(ck, init_params(cfg, np.random.default_rng(0)), cfg)
-    return ["export-embeddings", "--checkpoint", str(ck), "--out", str(tmp_path / "e"),
-            "--points", "60"]
+    return ["export-embeddings", "--checkpoint", str(_tiny_checkpoint(tmp_path)),
+            "--out", str(tmp_path / "e"), "--points", "60"]
 
 
 def _train_file(tmp_path, corpus, **fields):
@@ -380,6 +397,7 @@ def _mine(tmp_path, corpus, *flags):
             *flags]
 
 
+# the leaf-count filter is fixed, so its flags are unrecognized arguments
 def _mine_reversed_leaf_range(tmp_path, corpus):
     return _mine(tmp_path, corpus, "--min-leaves", "5", "--max-leaves", "2")
 
@@ -495,15 +513,36 @@ def _synth_integer_group_leaves(tmp_path, corpus):
     _finetune_labeled_shapes_above_pool, _finetune_tags_without_vocabulary,
     _finetune_tags_without_validation_chair, _ply_body_longer_than_header,
     _ply_without_end_header, _ply_ascii, _synth_tag_prob_not_a_number,
-    _synth_tag_prob_above_one])
-def test_bad_configs_exit_with_error_line(tmp_path, make_argv):
+    _synth_tag_prob_above_one, _synth_tag_prob_for_uncounted_category,
+    _benchmark_checkpoint_for_unrequested_variant, _benchmark_scratch_checkpoint])
+def test_bad_configs_exit_with_error_line(tmp_path, capsys, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
+    argv = make_argv(tmp_path, corpus)
+    capsys.readouterr()
+    # an exception escaping main is what prints a traceback from the console
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse's usage errors
+        code = exc.code
+    assert code in (1, 2)
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+# the real entry point, once for each way out of main
+@pytest.mark.parametrize("argv, code", [
+    (["synth", "--out", "s", "--counts", "table=3", "--config", "synth.json"], 2),
+    (["synth", "--out", "s"], 2),
+    (["pretrain", "--data", "empty", "--out", "ck.npz"], 1),
+], ids=["usage_error", "configuration_error", "runtime_error"])
+def test_entry_point_exits_with_error_line(tmp_path, argv, code):
     src = str(Path(partembed.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "partembed.cli", *make_argv(tmp_path, corpus)],
+    proc = subprocess.run([sys.executable, "-m", "partembed.cli", *argv], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode in (1, 2)
+    assert proc.returncode == code
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
 
@@ -529,7 +568,8 @@ def _benchmark_x_above_pool(tmp_path, corpus):
 @pytest.mark.parametrize("make_argv", [
     _finetune_tags_without_vocabulary, _finetune_tags_without_validation_chair,
     _finetune_labeled_shapes_above_pool, _export_unknown_ids, _benchmark_without_checkpoint,
-    _benchmark_x_above_pool, _export_some_unknown_ids])
+    _benchmark_x_above_pool, _export_some_unknown_ids, _synth_tag_prob_for_uncounted_category,
+    _benchmark_checkpoint_for_unrequested_variant, _benchmark_scratch_checkpoint])
 def test_refused_commands_leave_no_output_directory(tmp_path, capsys, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     argv = make_argv(tmp_path, corpus)

@@ -96,6 +96,8 @@ def test_generated_shapes_pass_the_mining_filter():
 def test_corpus_counts_and_tag_prob_validation():
     with pytest.raises(InputError, match="at least 3"):
         generate_corpus({"chair": 2})
+    with pytest.raises(InputError, match="not in counts: chiar"):
+        generate_corpus({"chair": 3}, tag_prob={"chiar": 0.9})
     with pytest.raises(InputError):
         generate_shape("boat", "b", np.random.default_rng(0))
     with pytest.raises(InputError, match="probability"):
