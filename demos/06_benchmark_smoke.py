@@ -1,9 +1,10 @@
 """A miniature few-shot transfer benchmark.
 
-The real benchmark compares six variants over a grid of labeled-shape and
-labeled-point budgets with repeats. This smoke version runs two variants
-(scratch vs hierarchy-pretrained) on one small category and prints the
-metrics table, to show the moving parts without the wait.
+The real benchmark compares training from scratch with every pretrained
+checkpoint it is given, over a grid of labeled-shape and labeled-point
+budgets with repeats. This smoke version runs two variants (scratch vs
+hierarchy-pretrained) on one small category and prints the metrics table,
+to show the moving parts without the wait.
 """
 
 import tempfile

@@ -6,8 +6,8 @@ under the given path and returns (directory, inputs, outputs): the files
 it read (None for a path flag not given) and wrote. From these ``main``
 drops a run.json manifest next to the outputs. Exit codes: 0 success,
 1 runtime failure, 2 usage or configuration error. Both JSON configs
-(``--arch``, ``--train``) decode through ``config.from_json`` after their
-defaults fill the keys they omit.
+(``--arch``, ``--train``) fill their omitted keys with defaults and decode
+through ``config.from_json``; neither may name a key the command sets.
 """
 
 from __future__ import annotations
@@ -96,25 +96,20 @@ def _synonyms(obj, path) -> dict[str, str]:
     return obj
 
 
-def _config(cls, raw, what: str, **overrides):
-    """A ``cls`` from a JSON object whose omitted keys take their defaults."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{what} must be a JSON object")
-    return from_json(cls, {**asdict(cls()), **raw, **overrides}, what)
+def _read_config(cls, path, sets: dict, **flags):
+    """A ``cls`` from the JSON file at ``path`` (no file: the defaults) with
+    the keys ``sets``, which the command sets and so the file may not name,
+    and the ``flags`` given, which override the file."""
+    raw = _load_json(path) if path else {}
+    if named := sorted(set(raw) & set(sets)):
+        raise ConfigurationError(f"{path} names {', '.join(named)}, "
+                                 f"which the command sets")
+    given = {k: v for k, v in flags.items() if v is not None}
+    return from_json(cls, {**asdict(cls()), **raw, **given, **sets}, str(path))
 
 
-def _pen_config(path_or_none, **overrides) -> PenConfig:
-    raw = _load_json(path_or_none) if path_or_none else {}
-    return _config(PenConfig, raw, str(path_or_none), **overrides)
-
-
-def _train_config(path_or_none, **overrides) -> TrainConfig:
-    raw = _load_json(path_or_none) if path_or_none else {}
-    if "seed" in raw:
-        raise ConfigurationError(f"{path_or_none}: the seed is the --seed flag, "
-                                 f"not a training-config field")
-    return _config(TrainConfig, raw, str(path_or_none),
-                   **{k: v for k, v in overrides.items() if v is not None})
+# the heads and the reconstruction decoder are the command's to set
+HEADS = {"n_classes": 0, "n_tags": 0, "with_ae": False}
 
 
 def _write_run_manifest(out_dir: Path, args: argparse.Namespace,
@@ -225,8 +220,8 @@ def cmd_mine(args) -> tuple[Path, list, list]:
 
 def cmd_pretrain(args) -> tuple[Path, list, list]:
     records, split, _ = _load_dataset(args.data)
-    cfg = _pen_config(args.arch, with_ae=(args.strategy == "autoencoder"))
-    tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
+    cfg = _read_config(PenConfig, args.arch, {**HEADS, "with_ae": args.strategy == "autoencoder"})
+    tc = _read_config(TrainConfig, args.train, {"seed": args.seed}, max_epochs=args.epochs)
     shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
     train, val, _ = split_shapes(shapes, split)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0x11717)))
@@ -247,11 +242,14 @@ def cmd_pretrain(args) -> tuple[Path, list, list]:
 
 
 def cmd_finetune(args) -> tuple[Path, list, list]:
+    if args.checkpoint and args.arch:
+        raise ConfigurationError("--arch is for training from scratch, not from a --checkpoint")
     records, split, vocabs = _load_dataset(args.data)
     records = [r for r in records if r.category == args.category]
     if not records:
         raise ConfigurationError(f"no shapes of category {args.category!r} in {args.data}")
-    tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
+    tc = _read_config(TrainConfig, args.train, {"seed": args.seed}, max_epochs=args.epochs)
+    base_cfg = _read_config(PenConfig, args.arch, HEADS)
     ckpt = load_checkpoint(args.checkpoint) if args.checkpoint else None
 
     if args.objective == "tags":
@@ -265,7 +263,7 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
             raise ConfigurationError(f"category {args.category!r}: no tagged shape in the "
                                      f"{'validation' if train else 'train'} split")
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xF17A6)))
-        params, cfg, pretrained = finetune_start(ckpt, _pen_config(args.arch), rng,
+        params, cfg, pretrained = finetune_start(ckpt, base_cfg, rng,
                                                  n_tags=len(vocab.tags))
         report = finetune_tags(params, cfg, train, val, tc, pretrained)
         meta = {"stage": "finetune_tags", "category": args.category, "seed": args.seed,
@@ -279,7 +277,7 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
             rng_sel = np.random.default_rng(np.random.SeedSequence((args.seed, 0x5E1EC7)))
             train = select_labeled_shapes(train, args.labeled_shapes, rng_sel)
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0xF15E6)))
-        params, cfg, pretrained = finetune_start(ckpt, _pen_config(args.arch), rng,
+        params, cfg, pretrained = finetune_start(ckpt, base_cfg, rng,
                                                  n_classes=n_classes)
         report = finetune_segmentation(params, cfg, train, tc, pretrained)
         meta = {"stage": "finetune_segmentation", "category": args.category,
@@ -292,29 +290,36 @@ def cmd_finetune(args) -> tuple[Path, list, list]:
 
 
 def _parse_checkpoint_flags(items) -> dict:
-    """['hierarchy=ck.npz', 'tags=chair=ck.npz'] -> nested mapping."""
+    """['hierarchy=ck.npz', 'tags=chair=ck.npz'] -> nested mapping. A variant
+    takes one shared path or one path per category, each given once."""
     out: dict = {}
     for item in items or []:
         parts = item.split("=")
-        if len(parts) == 2:
-            out[parts[0]] = parts[1]
-        elif len(parts) == 3:
-            out.setdefault(parts[0], {})[parts[1]] = parts[2]
-        else:
+        if len(parts) not in (2, 3) or not all(parts):
             raise ConfigurationError(f"expected variant=path or variant=category=path, got {item!r}")
-    return out
+        variant, *cat, path = parts
+        given = out.setdefault(variant, {})
+        key = cat[0] if cat else None
+        if key in given:
+            raise ConfigurationError(f"--checkpoint {'='.join((variant, *cat))} given twice")
+        if given and None in (key, *given):
+            raise ConfigurationError(f"--checkpoint {variant} given both shared and per category")
+        given[key] = path
+    return {variant: given.get(None, given) for variant, given in out.items()}
 
 
 def cmd_benchmark(args) -> tuple[Path, list, list]:
+    checkpoints = _parse_checkpoint_flags(args.checkpoint)
     records, split, _ = _load_dataset(args.data)
+    # scratch runs first, as every variant's pair; a scratch= checkpoint is refused later
     spec = BenchmarkSpec(
         categories=args.categories or tuple(sorted({r.category for r in records})),
-        variants=args.variants, shape_axis=args.x, point_axis=args.points_grid,
-        axes=args.axes, repeats=args.repeats, seed=args.seed, eval_points=args.eval_points)
+        variants=tuple(dict.fromkeys(["scratch", *checkpoints])), shape_axis=args.x,
+        point_axis=args.points_grid, axes=args.axes, repeats=args.repeats, seed=args.seed,
+        eval_points=args.eval_points)
     shapes = prepare_shapes(records, n_points=args.points, seed=args.seed)
-    tc = _train_config(args.train, seed=args.seed, max_epochs=args.epochs)
-    base_cfg = _pen_config(args.arch)
-    checkpoints = _parse_checkpoint_flags(args.checkpoint)
+    tc = _read_config(TrainConfig, args.train, {"seed": args.seed}, max_epochs=args.epochs)
+    base_cfg = _read_config(PenConfig, args.arch, HEADS)
     out = Path(args.out)
     table = run_benchmark(shapes, split, spec, tc, base_cfg, checkpoints,
                           out_csv=out / "metrics.csv", out_summary=out / "summary.json")
@@ -422,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("benchmark", parents=[training], help="few-shot transfer benchmark")
     s.add_argument("--categories", type=_csv())
-    s.add_argument("--variants", type=_csv(), default=BenchmarkSpec.variants)
     s.add_argument("--x", type=_csv(int), default=BenchmarkSpec.shape_axis,
                    help="labeled-shape counts, e.g. 4,8")
     s.add_argument("--points-grid", dest="points_grid", type=_csv(int),
@@ -432,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eval-points", type=int, default=BenchmarkSpec.eval_points,
                    dest="eval_points")
     s.add_argument("--checkpoint", action="append", metavar="VARIANT=PATH",
-                   help="repeatable; any variant takes VARIANT=PATH (shared) or "
-                        "VARIANT=CATEGORY=PATH (per category; others are skipped)")
+                   help="repeatable; each names a variant run after scratch, with "
+                        "VARIANT=PATH (shared) or VARIANT=CATEGORY=PATH (per category; "
+                        "others are skipped)")
     s.set_defaults(func=cmd_benchmark)
 
     s = sub.add_parser("export-embeddings", parents=[sampling],

@@ -35,7 +35,6 @@ class PartHierarchy:
     names: tuple[str, ...]
     children: tuple[tuple[NodeId, ...], ...] = field(init=False, repr=False, compare=False)
     leaves: tuple[NodeId, ...] = field(init=False, repr=False, compare=False)
-    root: NodeId = field(init=False, repr=False, compare=False)
     _depth: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,7 +70,6 @@ class PartHierarchy:
             raise InputError(f"node {depth.index(-1)} unreachable from root")
         object.__setattr__(self, "children", tuple(map(tuple, children)))
         object.__setattr__(self, "leaves", tuple(i for i, c in enumerate(children) if not c))
-        object.__setattr__(self, "root", root)
         object.__setattr__(self, "_depth", tuple(depth))
 
     def __len__(self) -> int:

@@ -433,7 +433,7 @@ def discover_shape_files(in_dir) -> list[tuple[Path, str]]:
     for path in sorted(in_dir.rglob("*")):
         if path.suffix not in (".dae", ".json") or not path.is_file():
             continue
-        if path.name in ("manifest.json", "split.json", "run.json"):
+        if path.name in ("manifest.json", "run.json"):
             continue
         rel = path.relative_to(in_dir)
         category = rel.parts[-2] if len(rel.parts) > 1 else "default"

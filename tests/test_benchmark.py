@@ -12,7 +12,6 @@ import pytest
 from partembed import benchmark
 from partembed.benchmark import (
     CSV_HEADER,
-    VARIANTS,
     BenchmarkSpec,
     MetricsTable,
     finetune_start,
@@ -244,8 +243,10 @@ def test_finetune_start_lends_trunk_and_decoder_never_heads(ckpt_cfg, lent):
 
 
 def test_benchmark_spec_validation():
-    with pytest.raises(ConfigurationError):
-        BenchmarkSpec(categories=("table",), variants=("scratch", "mystery"))
+    # scratch by default; any other name is a variant that a checkpoint sets
+    assert BenchmarkSpec(categories=("t",)).variants == ("scratch",)
+    assert BenchmarkSpec(categories=("t",), variants=("scratch", "mystery")).variants == (
+        "scratch", "mystery")
     with pytest.raises(ConfigurationError):
         BenchmarkSpec(categories=("table",), axes=("shapes", "lines"))
     for bad in ({"shape_axis": (4, 0)}, {"shape_axis": (-1,)}, {"point_axis": (20, 0)},
@@ -258,7 +259,6 @@ def test_benchmark_spec_validation():
                 {"axes": ("shapes", "shapes")}):
         with pytest.raises(ConfigurationError, match="distinct"):
             BenchmarkSpec(**{"categories": ("table",), **bad})
-    assert BenchmarkSpec(categories=("t",)).variants == VARIANTS
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 import partembed
 from partembed import cli
 from partembed.cli import main
+from partembed.errors import ConfigurationError
 from partembed.geometry import PointCloud, read_ply, write_ply
 from partembed.ingest import extract_tags, load_corpus
 from partembed.network import PenConfig, init_params, load_checkpoint, save_checkpoint
@@ -283,7 +284,7 @@ def _synth_unknown_top_level_key(tmp_path, corpus):
 
 def _benchmark(tmp_path, corpus, *flags):
     return ["benchmark", "--data", str(corpus), "--out", str(tmp_path / "b"),
-            "--variants", "scratch", "--axes", "shapes", "--x", "1", "--repeats", "1",
+            "--axes", "shapes", "--x", "1", "--repeats", "1",
             "--points", "60", "--eval-points", "40", "--epochs", "1", *flags]
 
 
@@ -314,13 +315,28 @@ def _tiny_checkpoint(tmp_path):
     return ck
 
 
-# a checkpoint that no variant runs would otherwise be dropped in silence
-def _benchmark_checkpoint_for_unrequested_variant(tmp_path, corpus):
-    return _benchmark(tmp_path, corpus, "--checkpoint", f"hierarchy={_tiny_checkpoint(tmp_path)}")
-
-
 def _benchmark_scratch_checkpoint(tmp_path, corpus):
     return _benchmark(tmp_path, corpus, "--checkpoint", f"scratch={_tiny_checkpoint(tmp_path)}")
+
+
+# a variant is named once: a second path for it would otherwise replace the
+# first in silence, or mix a shared checkpoint with per-category ones
+def _benchmark_checkpoints(tmp_path, corpus, *keys):
+    ck = _tiny_checkpoint(tmp_path)
+    flags = [f for key in keys for f in ("--checkpoint", f"{key}={ck}")]
+    return _benchmark(tmp_path, corpus, *flags)
+
+
+def _benchmark_checkpoint_given_twice(tmp_path, corpus):
+    return _benchmark_checkpoints(tmp_path, corpus, "hierarchy", "hierarchy")
+
+
+def _benchmark_category_checkpoint_given_twice(tmp_path, corpus):
+    return _benchmark_checkpoints(tmp_path, corpus, "tags=table", "tags=table")
+
+
+def _benchmark_checkpoint_shared_and_per_category(tmp_path, corpus):
+    return _benchmark_checkpoints(tmp_path, corpus, "hierarchy", "hierarchy=table")
 
 
 def _finetune_labeled_shapes(tmp_path, corpus, n):
@@ -342,6 +358,29 @@ def _finetune_labeled_shapes_above_pool(tmp_path, corpus):
     arch = tmp_path / "arch.json"
     arch.write_text(json.dumps(ARCH))
     return [*_finetune_labeled_shapes(tmp_path, corpus, "50"), "--arch", str(arch)]
+
+
+# the command sets the heads and the reconstruction decoder, so an --arch
+# file naming one would be overwritten in silence
+def _arch_file(tmp_path, **fields):
+    arch = tmp_path / "arch.json"
+    arch.write_text(json.dumps({**ARCH, **fields}))
+    return str(arch)
+
+
+def _pretrain_heads_in_arch(tmp_path, corpus):
+    return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
+            "--points", "60", "--arch", _arch_file(tmp_path, with_ae=True, n_classes=5)]
+
+
+def _benchmark_tags_in_arch(tmp_path, corpus):
+    return _benchmark(tmp_path, corpus, "--arch", _arch_file(tmp_path, n_tags=2))
+
+
+# a checkpoint sets the network sizes, so an --arch beside it goes unread
+def _finetune_arch_with_checkpoint(tmp_path, corpus):
+    return [*_finetune_labeled_shapes(tmp_path, corpus, "2"), "--arch", _arch_file(tmp_path),
+            "--checkpoint", str(_tiny_checkpoint(tmp_path))]
 
 
 def _finetune_tags(tmp_path, corpus, category):
@@ -514,7 +553,9 @@ def _synth_integer_group_leaves(tmp_path, corpus):
     _finetune_tags_without_validation_chair, _ply_body_longer_than_header,
     _ply_without_end_header, _ply_ascii, _synth_tag_prob_not_a_number,
     _synth_tag_prob_above_one, _synth_tag_prob_for_uncounted_category,
-    _benchmark_checkpoint_for_unrequested_variant, _benchmark_scratch_checkpoint])
+    _benchmark_scratch_checkpoint, _benchmark_checkpoint_given_twice,
+    _benchmark_category_checkpoint_given_twice, _benchmark_checkpoint_shared_and_per_category,
+    _pretrain_heads_in_arch, _benchmark_tags_in_arch, _finetune_arch_with_checkpoint])
 def test_bad_configs_exit_with_error_line(tmp_path, capsys, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     argv = make_argv(tmp_path, corpus)
@@ -557,7 +598,7 @@ def _export_some_unknown_ids(tmp_path, corpus):
 
 
 def _benchmark_without_checkpoint(tmp_path, corpus):
-    return _benchmark(tmp_path, corpus, "--variants", "hierarchy")
+    return _benchmark(tmp_path, corpus, "--checkpoint", f"hierarchy={tmp_path / 'gone.npz'}")
 
 
 def _benchmark_x_above_pool(tmp_path, corpus):
@@ -569,7 +610,9 @@ def _benchmark_x_above_pool(tmp_path, corpus):
     _finetune_tags_without_vocabulary, _finetune_tags_without_validation_chair,
     _finetune_labeled_shapes_above_pool, _export_unknown_ids, _benchmark_without_checkpoint,
     _benchmark_x_above_pool, _export_some_unknown_ids, _synth_tag_prob_for_uncounted_category,
-    _benchmark_checkpoint_for_unrequested_variant, _benchmark_scratch_checkpoint])
+    _benchmark_scratch_checkpoint, _benchmark_checkpoint_given_twice,
+    _benchmark_category_checkpoint_given_twice, _benchmark_checkpoint_shared_and_per_category,
+    _pretrain_heads_in_arch, _benchmark_tags_in_arch, _finetune_arch_with_checkpoint])
 def test_refused_commands_leave_no_output_directory(tmp_path, capsys, make_argv):
     corpus = _synth(tmp_path, spec="table=3", seed="1")
     argv = make_argv(tmp_path, corpus)
@@ -656,9 +699,6 @@ PARSER_PIN = {
     "benchmark": {
         **TRAINING,
         "categories": (("--categories",), None, False, None, None, "names", "_StoreAction"),
-        "variants": (("--variants",), ("scratch", "autoencoder", "leaf", "hierarchy", "tags",
-                                       "hierarchy_tags"), False, None, None, "names",
-                     "_StoreAction"),
         "x": (("--x",), (4, 8, 12, 20, 40, 60, 120), False, None, None, "ints", "_StoreAction"),
         "points_grid": (("--points-grid",), (20, 40, 60, 100, 200, 500), False, None, None,
                         "ints", "_StoreAction"),
@@ -958,7 +998,7 @@ def test_finetune_segmentation_from_another_categorys_head(tmp_path, configs):
     arch, train = configs
     corpus = _synth(tmp_path, spec="table=5", seed="2")
     # a chair segmentation checkpoint: four classes, where tables have two
-    chair = replace(cli._config(PenConfig, ARCH, "arch"), n_classes=4)
+    chair = replace(cli._read_config(PenConfig, arch, {}), n_classes=4)
     ck = tmp_path / "chair_seg.npz"
     save_checkpoint(ck, init_params(chair, np.random.default_rng(0)), chair)
     out = tmp_path / "seg.npz"
@@ -992,7 +1032,7 @@ def test_finetune_tags_starts_like_segmentation(tmp_path, configs, monkeypatch, 
     arch, train = configs
     corpus = _synth(tmp_path, spec="chair=5", seed="3", extra=["--tag-prob", "chair=0.9"])
     n_tags = len(extract_tags(load_corpus(corpus), "chair", synonyms=SYNTH_SYNONYMS).tags)
-    base = cli._config(PenConfig, ARCH, "arch")
+    base = cli._read_config(PenConfig, arch, {})
     ckpt_cfg, lent = {
         "scratch": (None, ()),
         "metric": (base, PRETRAINED),
@@ -1003,10 +1043,11 @@ def test_finetune_tags_starts_like_segmentation(tmp_path, configs, monkeypatch, 
     }[kind]
     out = tmp_path / "tags.npz"
     argv = ["finetune", "--data", str(corpus), "--out", str(out), "--objective", "tags",
-            "--category", "chair", "--points", "80", "--epochs", "1",
-            "--arch", str(arch), "--train", str(train)]
+            "--category", "chair", "--points", "80", "--epochs", "1", "--train", str(train)]
     ckpt = {}
-    if ckpt_cfg is not None:
+    if ckpt_cfg is None:
+        argv += ["--arch", str(arch)]
+    else:
         ckpt = init_params(ckpt_cfg, np.random.default_rng(0))
         save_checkpoint(tmp_path / "ck.npz", ckpt, ckpt_cfg)
         argv += ["--checkpoint", str(tmp_path / "ck.npz")]
@@ -1072,9 +1113,8 @@ def test_benchmark_cli_writes_tables(tmp_path, configs, capsys):
     corpus = _synth(tmp_path, spec="table=8", seed="5")
     out = tmp_path / "bench"
     rc = main(["benchmark", "--data", str(corpus), "--out", str(out),
-               "--variants", "scratch", "--x", "2", "--axes", "shapes",
-               "--repeats", "2", "--points", "80", "--eval-points", "40",
-               "--epochs", "1", "--arch", str(arch), "--train", str(train)])
+               "--x", "2", "--axes", "shapes", "--repeats", "2", "--points", "80",
+               "--eval-points", "40", "--epochs", "1", "--arch", str(arch), "--train", str(train)])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "wrote 2 rows" in stdout and "mIoU" in stdout
@@ -1086,13 +1126,45 @@ def test_benchmark_cli_writes_tables(tmp_path, configs, capsys):
     assert (out / "run.json").exists()
 
 
+def test_benchmark_runs_scratch_then_each_checkpoint_in_order(tmp_path, configs):
+    arch, train = configs
+    corpus = _synth(tmp_path, spec="table=8", seed="5")
+    ck = tmp_path / "h.npz"
+    cfg = cli._read_config(PenConfig, arch, {})
+    save_checkpoint(ck, init_params(cfg, np.random.default_rng(0)), cfg)
+    argv = ["benchmark", "--data", str(corpus), "--x", "2", "--axes", "shapes",
+            "--repeats", "2", "--points", "60", "--eval-points", "40", "--epochs", "1",
+            "--arch", str(arch), "--train", str(train)]
+    for name, flags, variants in (
+            ("alone", (), ["scratch"]),
+            ("both", ("--checkpoint", f"leaf={ck}", "--checkpoint", f"hierarchy={ck}"),
+             ["scratch", "leaf", "hierarchy"])):
+        assert main([*argv, "--out", str(tmp_path / name), *flags]) == 0
+        rows = (tmp_path / name / "metrics.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == variants * 2   # per repeat
+
+
+def test_checkpoint_flags_name_each_variant_once():
+    assert cli._parse_checkpoint_flags(["hierarchy=h.npz", "tags=chair=c.npz",
+                                        "tags=table=t.npz"]) == {
+        "hierarchy": "h.npz", "tags": {"chair": "c.npz", "table": "t.npz"}}
+    for flags, problem in (
+            (["hierarchy=a.npz", "hierarchy=b.npz"], "hierarchy given twice"),
+            (["tags=chair=a.npz", "tags=chair=b.npz"], "tags=chair given twice"),
+            (["tags=a.npz", "tags=chair=b.npz"], "tags given both shared and per category"),
+            (["tags=chair=a.npz", "tags=b.npz"], "tags given both shared and per category")):
+        with pytest.raises(ConfigurationError) as err:
+            cli._parse_checkpoint_flags(flags)
+        assert str(err.value) == f"--checkpoint {problem}"
+
+
 def test_benchmark_missing_checkpoint_exits_2(tmp_path, configs):
     arch, train = configs
     corpus = _synth(tmp_path, spec="table=8", seed="5")
     rc = main(["benchmark", "--data", str(corpus), "--out", str(tmp_path / "b"),
-               "--variants", "scratch,hierarchy", "--x", "2", "--axes", "shapes",
-               "--repeats", "1", "--points", "60", "--arch", str(arch),
-               "--train", str(train)])
+               "--x", "2", "--axes", "shapes", "--repeats", "1", "--points", "60",
+               "--arch", str(arch), "--train", str(train),
+               "--checkpoint", f"hierarchy={tmp_path / 'gone.npz'}"])
     assert rc == 2
 
 
@@ -1100,12 +1172,12 @@ def test_benchmark_takes_a_per_category_checkpoint_for_any_variant(tmp_path, con
     arch, train = configs
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out", str(corpus), "--counts", "chair=8", "table=8"]) == 0
-    cfg = cli._config(PenConfig, ARCH, "arch")
+    cfg = cli._read_config(PenConfig, arch, {})
     ck = tmp_path / "h.npz"
     save_checkpoint(ck, init_params(cfg, np.random.default_rng(0)), cfg)
     out = tmp_path / "bench"
     rc = main(["benchmark", "--data", str(corpus), "--out", str(out),
-               "--variants", "scratch,hierarchy", "--x", "2", "--axes", "shapes",
+               "--x", "2", "--axes", "shapes",
                "--repeats", "1", "--points", "60", "--eval-points", "40", "--epochs", "1",
                "--arch", str(arch), "--train", str(train),
                "--checkpoint", f"hierarchy=chair={ck}"])
