@@ -16,9 +16,14 @@ float64. Bias adds and ReLUs run in place; a ReLU's mask is read from its
 output, the next layer's input. The last (linear) lift layer runs
 channels-major, so the pool reduces the contiguous axis, and its backward
 touches only each channel's winning point. The first decoder layer splits
-its weight, so ``[point ‖ global]`` is never built. Gradients are checked
-against central differences and a plain reference in the tests, so keep
-forward and backward in lockstep.
+its weight, so ``[point ‖ global]`` is never built. The trunk pools over
+every point, but the decoder and the normalization are row-wise, so
+``forward_embed`` can decode just the rows a loss reads; ``backward_embed``
+scatters their gradient back into the trunk's full rows. The triplet loss
+gathers every shape's triplets through flat indices and scatters its
+gradient through one sparse product. Gradients are checked against central
+differences and a plain reference in the tests, so keep forward and
+backward in lockstep.
 """
 
 from __future__ import annotations
@@ -149,13 +154,15 @@ def validate_params(cfg: PenConfig, params: dict[str, np.ndarray]) -> None:
 @dataclass
 class ForwardTrace:
     """Everything backward needs of every stack run on one batch (layer
-    names are unique): per-layer inputs, pool winners and the normalization
-    state. Decoder fields stay None on trunk-only runs."""
+    names are unique): per-layer inputs, pool winners, the decoded rows
+    (None when every row was decoded) and the normalization state. Decoder
+    fields stay None on trunk-only runs."""
 
     ins: dict[str, np.ndarray] = field(default_factory=dict)
     point_feat: Optional[np.ndarray] = None
     argmax: Optional[np.ndarray] = None
     global_feat: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
     norm: Optional[np.ndarray] = None
     embed: Optional[np.ndarray] = None
 
@@ -188,7 +195,8 @@ def _backward(params, layers: list[Layer], trace: ForwardTrace, g: np.ndarray,
 
 def forward_trunk(params, cfg: PenConfig, points: np.ndarray) -> ForwardTrace:
     """Points (B, N, 3) through the shared encoder, lift and max-pool. The
-    last lift layer runs as (C, N) per shape; its bias is added after the pool."""
+    last lift layer runs as (C, N) per shape, into one buffer reused across
+    shapes; its bias is added after the pool."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 3 or points.shape[2] != 3:
         raise InputError(f"points must be (batch, n, 3), got {points.shape}")
@@ -197,20 +205,43 @@ def forward_trunk(params, cfg: PenConfig, points: np.ndarray) -> ForwardTrace:
     *lifts, (last, _, dout, _) = _stack(cfg, "lift")
     x = trace.ins[last] = _forward(params, lifts, trace.point_feat, trace)
     trace.argmax, trace.global_feat = np.empty((len(x), dout), np.intp), np.empty((len(x), dout))
+    pre = np.empty((dout, x.shape[1]))
     for s, rows in enumerate(x):
-        pre = params[f"{last}.W"].T @ rows.T
+        np.matmul(params[f"{last}.W"].T, rows.T, out=pre)
         trace.argmax[s] = pre.argmax(axis=1)
         trace.global_feat[s] = pre[np.arange(dout), trace.argmax[s]] + params[f"{last}.b"]
     return trace
 
 
-def forward_embed(params, cfg: PenConfig, points: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Full embedding pass. Returns (B, N, embed_dim) unit rows plus trace."""
+def _check_rows(rows, b: int, n: int) -> np.ndarray:
+    rows = np.asarray(rows)
+    bad = InputError(f"rows must be ({b}, R) distinct indices in [0, {n}) per shape")
+    if rows.ndim != 2 or len(rows) != b or rows.dtype.kind not in "iu":
+        raise bad
+    ordered = np.sort(rows, axis=1)
+    if (rows.size and (ordered[:, 0].min() < 0 or ordered[:, -1].max() >= n)
+            or np.any(ordered[:, 1:] == ordered[:, :-1])):
+        raise bad
+    return rows
+
+
+def forward_embed(params, cfg: PenConfig, points: np.ndarray, rows: Optional[np.ndarray] = None
+                  ) -> tuple[np.ndarray, ForwardTrace]:
+    """Embedding pass. Returns (B, N, embed_dim) unit rows plus trace.
+
+    The trunk always sees every point. Given ``rows``, a (B, R) array of
+    distinct point indices per shape, only those rows are decoded and the
+    embeddings are (B, R, embed_dim), row r of shape s being point
+    ``rows[s, r]``'s."""
     trace = forward_trunk(params, cfg, points)
     (first, _, _, relu), *rest = _stack(cfg, "dec", "embed")
     w, p = params[f"{first}.W"], cfg.point_dim
-    trace.ins[first] = trace.point_feat
-    x = trace.point_feat @ w[:p]
+    feat = trace.point_feat
+    if rows is not None:
+        trace.rows = _check_rows(rows, *feat.shape[:2])
+        feat = np.take_along_axis(feat, trace.rows[:, :, None], axis=1)
+    trace.ins[first] = feat
+    x = feat @ w[:p]
     x += (trace.global_feat @ w[p:] + params[f"{first}.b"])[:, None, :]
     if relu:
         np.maximum(x, 0.0, out=x)
@@ -243,7 +274,8 @@ def backward_trunk(params, cfg: PenConfig, trace: ForwardTrace,
 def backward_embed(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndarray,
                    grads: Optional[dict] = None) -> dict:
     """Trunk and decoder gradients of a loss, given its gradient at the
-    normalized embedding, written into ``grads`` (new when None)."""
+    normalized embedding, written into ``grads`` (new when None). Decoded
+    rows pass their gradient back to their points; the others get none."""
     grads = {} if grads is None else grads
     e = trace.embed
     g = (g_embed - e * np.sum(e * g_embed, axis=2, keepdims=True)) / trace.norm
@@ -253,10 +285,14 @@ def backward_embed(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndar
         g *= trace.ins[rest[0][0]] > 0
     w, p = params[f"{first}.W"], cfg.point_dim
     g_global = g.sum(axis=1)
-    grads[f"{first}.W"] = np.concatenate([trace.point_feat.reshape(-1, p).T @ g.reshape(-1, dout),
+    grads[f"{first}.W"] = np.concatenate([trace.ins[first].reshape(-1, p).T @ g.reshape(-1, dout),
                                           trace.global_feat.T @ g_global])
     grads[f"{first}.b"] = g_global.sum(axis=0)
-    backward_trunk(params, cfg, trace, g @ w[:p].T, g_global @ w[p:].T, grads)
+    g_point = g @ w[:p].T
+    if trace.rows is not None:
+        g_point, decoded = np.zeros(trace.point_feat.shape), g_point
+        np.put_along_axis(g_point, trace.rows[:, :, None], decoded, axis=1)
+    backward_trunk(params, cfg, trace, g_point, g_global @ w[p:].T, grads)
     return grads
 
 
@@ -293,27 +329,44 @@ def triplet_loss_and_grad(embed: np.ndarray, triplets: Sequence, margin: float =
     """Hinge triplet loss over squared Euclidean embedding distances.
 
     ``triplets`` holds one (3, k) anchor/positive/negative index array per
-    shape, e.g. a (B, 3, k) array. Within each shape the loss is the mean
-    over its triplets; shapes are then summed. The subgradient at the hinge
-    kink is taken as zero. Returns the loss and its gradient with respect
-    to ``embed`` (B, N, E).
+    shape, with one k for every shape, e.g. a (B, 3, k) array. Within each
+    shape the loss is the mean over its triplets; shapes are then summed.
+    The subgradient at the hinge kink is taken as zero. Returns the loss
+    and its gradient with respect to ``embed`` (B, N, E). Ragged triplet
+    arrays and an index outside [0, N) raise InputError.
     """
-    if len(triplets) != len(embed):
+    b, n, dim = embed.shape
+    if len(triplets) != b:
         raise InputError("one triplet array per shape required")
-    g = np.zeros_like(embed)
-    total = 0.0
-    for s, (a, p, n) in enumerate(triplets):
-        e = embed[s]
-        ea, eb, ec = e[a], e[p], e[n]
-        d_pos = np.sum((ea - eb) ** 2, axis=1)
-        d_neg = np.sum((ea - ec) ** 2, axis=1)
-        viol = np.maximum(d_pos - d_neg + margin, 0.0)
-        total += float(viol.mean())
-        scale = (viol > 0).astype(np.float64)[:, None] / len(a)
-        np.add.at(g[s], a, 2.0 * (ec - eb) * scale)
-        np.add.at(g[s], p, 2.0 * (eb - ea) * scale)
-        np.add.at(g[s], n, 2.0 * (ea - ec) * scale)
-    return total, g
+    if len({np.shape(x) for x in triplets}) != 1:
+        raise InputError("ragged triplets: every shape needs the same (3, k) shape")
+    t = np.asarray(triplets)
+    if (t.ndim != 3 or t.shape[1] != 3 or t.dtype.kind not in "iu"
+            or (t.size and (t.min() < 0 or t.max() >= n))):
+        raise InputError(f"triplets must be (3, k) integer indices in [0, {n}) per shape")
+    k = t.shape[2]
+    # rows of the flat (B * N, E) view: shape s's start at s * n
+    idx = (t + n * np.arange(b)[:, None, None]).transpose(1, 0, 2).reshape(3, -1)
+    ea, eb, ec = gathered = embed.reshape(-1, dim)[idx]
+    # each role's gradient direction: at a, (ec - eb); at p, (eb - ea); at n, (ea - ec)
+    parts = np.empty_like(gathered)
+    np.subtract(ec, eb, out=parts[0])
+    np.subtract(eb, ea, out=parts[1])
+    np.subtract(ea, ec, out=parts[2])
+    d_pos = np.sum(parts[1] ** 2, axis=1)
+    d_neg = np.sum(parts[2] ** 2, axis=1)
+    viol = np.maximum(d_pos - d_neg + margin, 0.0)
+    # shape means summed one by one, in shape order
+    total = sum(float(m) for m in viol.reshape(b, k).mean(axis=1))
+    parts *= 2.0
+    parts *= (viol > 0).astype(np.float64)[:, None] / k
+    # one entry per contribution, in anchor, positive, negative order; the
+    # transposed product adds each into its row in that order, and a row
+    # only ever receives its own shape's contributions
+    scatter = csr_matrix((np.ones(idx.size), idx.ravel(), np.arange(idx.size + 1)),
+                         shape=(idx.size, b * n))
+    g = scatter.T @ parts.reshape(-1, dim)
+    return total, g.reshape(embed.shape)
 
 
 def tag_loss_and_grad(logits: np.ndarray, tag_ids: np.ndarray) -> tuple[float, np.ndarray]:

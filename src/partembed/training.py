@@ -185,6 +185,14 @@ def _shape_triplets(shape: TrainShape, sub_idx: np.ndarray, k: int,
         raise PartembedError(f"shape {shape.record.shape_id}: no valid triplets ({exc})") from exc
 
 
+def _pad_rows(named: np.ndarray, n: int, width: int) -> np.ndarray:
+    """``named`` followed by the first of the other rows of [0, n), ``width``
+    rows in all."""
+    free = np.ones(n, dtype=bool)
+    free[named] = False
+    return np.concatenate([named, np.flatnonzero(free)[:width - len(named)]])
+
+
 def _accumulate(total: dict, part: dict) -> None:
     for k, v in part.items():
         if k in total:
@@ -312,16 +320,29 @@ def pretrain_metric(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainSh
                     strategy: str = "hierarchy") -> TrainReport:
     """Triplet metric pretraining with the ``hierarchy`` or ``leaf`` triplet
     strategy. Mutates ``params`` and leaves them at the best-validation
-    epoch's values."""
+    epoch's values.
+
+    A draw holds, per shape, the subsample, the distinct subsample rows its
+    triplets name (sorted) and the (3, k) triplets as indices into those
+    rows. A step decodes only the named rows; the trunk still pools over
+    the whole subsample."""
     def draw(chunk, rng):
         subs = [_subsample(s, tc.subsample_points, rng) for s in chunk]
-        return [(sub, _shape_triplets(s, sub, tc.triplets_per_shape, rng, strategy))
-                for s, sub in zip(chunk, subs)]
+        draws = []
+        for s, sub in zip(chunk, subs):
+            t = _shape_triplets(s, sub, tc.triplets_per_shape, rng, strategy)
+            named, local = np.unique(t, return_inverse=True)
+            draws.append((sub, named, local.reshape(t.shape)))
+        return draws
 
     def chunk_loss(chunk, draws, want_grads):
-        pts = np.stack([s.cloud.points[sub] for s, (sub, _) in zip(chunk, draws)])
-        embed, trace = forward_embed(params, cfg, pts)
-        loss, g_embed = triplet_loss_and_grad(embed, np.stack([t for _, t in draws]))
+        pts = np.stack([s.cloud.points[sub] for s, (sub, _, _) in zip(chunk, draws)])
+        # pad every shape to the chunk's widest with its own unnamed rows,
+        # so each shape's rows stay distinct
+        width = max(len(named) for _, named, _ in draws)
+        rows = np.stack([_pad_rows(named, len(sub), width) for sub, named, _ in draws])
+        embed, trace = forward_embed(params, cfg, pts, rows)
+        loss, g_embed = triplet_loss_and_grad(embed, np.stack([t for _, _, t in draws]))
         return loss, backward_embed(params, cfg, trace, g_embed) if want_grads else None
 
     rng_train, rng_val = _train_val_rngs(tc, 0x7E1)

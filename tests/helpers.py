@@ -1,6 +1,6 @@
 """Shared test utilities: unnamed and random trees, the scalar LCA walk and an
-independent BFS distance oracle, a brute-force Chamfer oracle,
-finite-difference gradient checking, and hand-made PLY files."""
+independent BFS distance oracle, a brute-force Chamfer oracle, a per-shape
+triplet loss, finite-difference gradient checking, and hand-made PLY files."""
 
 from collections import deque
 
@@ -79,6 +79,24 @@ def brute_chamfer_with_grad(a: np.ndarray, b: np.ndarray) -> tuple[float, np.nda
     owner = (near_a[None, :] == np.arange(len(a))[:, None]).astype(np.float64)
     pull = (owner.sum(axis=1)[:, None] * a - owner @ b) / len(b)
     return float(loss), 2.0 * (a - b[near_b]) / len(a) + 2.0 * pull
+
+
+def triplet_loss_loop(embed: np.ndarray, triplets, margin: float) -> tuple[float, np.ndarray]:
+    """The hinge triplet loss one shape at a time: each shape's mean summed
+    in shape order, its gradient scattered by three ``np.add.at`` calls, at
+    the anchors, positives and negatives in turn."""
+    g = np.zeros_like(embed)
+    total = 0.0
+    for s, (a, p, n) in enumerate(triplets):
+        ea, eb, ec = embed[s][a], embed[s][p], embed[s][n]
+        viol = np.maximum(np.sum((ea - eb) ** 2, axis=1) - np.sum((ea - ec) ** 2, axis=1)
+                          + margin, 0.0)
+        total += float(viol.mean())
+        scale = (viol > 0).astype(np.float64)[:, None] / len(a)
+        np.add.at(g[s], a, 2.0 * (ec - eb) * scale)
+        np.add.at(g[s], p, 2.0 * (eb - ea) * scale)
+        np.add.at(g[s], n, 2.0 * (ea - ec) * scale)
+    return total, g
 
 
 def rel_err(analytic: float, numeric: float) -> float:

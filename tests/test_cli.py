@@ -741,7 +741,7 @@ def test_run_manifest_contents(tmp_path):
     assert run["flags"]["counts"] == ["table=3"]
 
 
-def test_run_manifest_records_the_seed_of_a_synth_config(tmp_path):
+def test_run_manifest_records_the_synth_seed(tmp_path):
     for out, flags in ((tmp_path / "a", ()), (tmp_path / "b", ("--seed", "8"))):
         assert main(["synth", "--out", str(out), "--counts", "chair=3", *flags]) == 0
         run = json.loads((out / "run.json").read_text())

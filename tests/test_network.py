@@ -40,7 +40,8 @@ from partembed.network import (
 )
 
 from helpers import (KINK_MARGIN, check_grads, pool_gap as _pool_gap,
-                     prenorm_floor as _prenorm_floor, relu_margin as _relu_margin)
+                     prenorm_floor as _prenorm_floor, relu_margin as _relu_margin,
+                     triplet_loss_loop)
 
 TINY = PenConfig(point_widths=(6, 5), lift_widths=(7, 9), decoder_widths=(8,),
                  embed_dim=4, head_hidden=5, n_tags=3, n_classes=4,
@@ -50,6 +51,17 @@ TINY = PenConfig(point_widths=(6, 5), lift_widths=(7, 9), decoder_widths=(8,),
 def _trunk_decoder_layers(cfg):
     return [l for l in all_layers(cfg)
             if l[0].startswith(("enc", "lift", "dec", "embed"))]
+
+
+def _named_rows(triplets, n):
+    """Per shape, the distinct rows the (3, k) triplets name, padded to the
+    widest shape with the first unnamed rows, and the triplets remapped onto
+    those rows: what metric pretraining decodes."""
+    named = [np.unique(t) for t in triplets]
+    width = max(len(r) for r in named)
+    rows = np.stack([np.concatenate([r, np.setdiff1d(np.arange(n), r)[:width - len(r)]])
+                     for r in named])
+    return rows, np.stack([np.searchsorted(r, t) for r, t in zip(named, triplets)])
 
 
 def _instance(seed, b=2, n=10):
@@ -198,6 +210,19 @@ def test_triplet_gradient_full_network():
 
     assert f() == loss
     check_grads(f, params, grads, rng=np.random.default_rng(11))
+
+    # decoding only the named rows, the triplets remapped onto them
+    rows, local = _named_rows(batches, 10)
+
+    def f_rows():
+        e, _ = forward_embed(params, TINY, pts, rows)
+        return triplet_loss_and_grad(e, local)[0]
+
+    embed, trace = forward_embed(params, TINY, pts, rows)
+    loss_rows, g_embed = triplet_loss_and_grad(embed, local)
+    grads = backward_embed(params, TINY, trace, g_embed)
+    assert abs(loss_rows - loss) < 1e-12
+    check_grads(f_rows, params, grads, rng=np.random.default_rng(11))
 
 
 def test_tag_gradient_full_network():
@@ -436,6 +461,39 @@ def test_engine_matches_plain_reference(cfg, n):
     _assert_grads_match(grads, ref_grads)
 
 
+def test_decoding_rows_matches_the_full_pass():
+    rng = np.random.default_rng(33)
+    params = _params_with_biases(TINY, rng)
+    pts = rng.standard_normal((3, 10, 3))
+    # shape 1 names few rows, so it is padded with unnamed ones
+    triplets = [rng.integers(0, 10, size=(3, 5)), np.tile([[1], [4], [2]], 5),
+                rng.integers(0, 10, size=(3, 5))]
+    rows, local = _named_rows(triplets, 10)
+    embed, trace = forward_embed(params, TINY, pts)
+    embed_rows, trace_rows = forward_embed(params, TINY, pts, rows)
+    assert trace.rows is None and embed_rows.shape == (3, rows.shape[1], TINY.embed_dim)
+    np.testing.assert_allclose(embed_rows, np.take_along_axis(embed, rows[:, :, None], axis=1),
+                               rtol=1e-12, atol=1e-12)
+    loss, g_embed = triplet_loss_and_grad(embed, triplets)
+    loss_rows, g_rows = triplet_loss_and_grad(embed_rows, local)
+    assert abs(loss_rows - loss) < 1e-12
+    _assert_grads_match(backward_embed(params, TINY, trace_rows, g_rows),
+                        backward_embed(params, TINY, trace, g_embed))
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [2, 10]],          # past the last point
+    [[0, 1], [-1, 2]],          # negative
+    [[0, 1], [3, 3]],           # repeated within a shape
+    [[0, 1]],                   # one row array for two shapes
+    [0, 1],                     # not one row array per shape
+    3], ids=["past_end", "negative", "repeated", "short_batch", "flat", "scalar"])
+def test_decoded_rows_are_validated(rows):
+    _, params, pts = _instance(6)
+    with pytest.raises(InputError, match="rows"):
+        forward_embed(params, TINY, pts, np.array(rows))
+
+
 def test_trunk_backward_from_the_pool_alone_matches_reference():
     # the reconstruction path: no gradient at the per-point features
     rng = np.random.default_rng(32)
@@ -500,11 +558,32 @@ def test_triplet_loss_sums_shape_means():
     assert abs(single - per_shape[0]) < 1e-12
 
 
+@pytest.mark.parametrize("b, n, k", [(3, 8, 40), (1, 6, 25), (3, 4, 12)],
+                         ids=["three_shapes", "one_shape", "repeats_everywhere"])
+def test_triplet_loss_matches_per_shape_loop(b, n, k):
+    # k above n repeats every index many times, within and across roles
+    rng = np.random.default_rng(b * 100 + n)
+    e = rng.standard_normal((b, n, 5))
+    e /= np.linalg.norm(e, axis=2, keepdims=True)
+    t = rng.integers(0, n, size=(b, 3, k))
+    t[0, :, 0] = t[0, 0, 1]     # one triplet whose three points coincide
+    loss, g = triplet_loss_and_grad(e, t)
+    ref_loss, ref_g = triplet_loss_loop(e, t, DEFAULT_MARGIN)
+    assert loss == ref_loss
+    assert np.array_equal(g, ref_g)
+
+
 def test_loss_input_validation():
     e = np.zeros((2, 4, 3))
     tb = np.array([[0], [1], [2]])
     with pytest.raises(InputError):
         triplet_loss_and_grad(e, [tb])  # one triplet array for two shapes
+    with pytest.raises(InputError):
+        triplet_loss_and_grad(e, [tb, np.array([[0], [-1], [2]])])  # negative index
+    with pytest.raises(InputError):
+        triplet_loss_and_grad(e, [tb, np.array([[0], [4], [2]])])  # past the last row
+    with pytest.raises(InputError):
+        triplet_loss_and_grad(e, [tb, np.array([[0, 1], [1, 2], [2, 3]])])  # unequal k
     with pytest.raises(InputError):
         seg_loss_and_grad(np.zeros((1, 3, 2)), np.full((1, 3), -1))
     with pytest.raises(InputError):

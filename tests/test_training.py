@@ -266,16 +266,20 @@ def test_pretrain_metric_input_checks(chair_shapes):
 
 @pytest.mark.parametrize("strategy", ["hierarchy", "leaf"])
 def test_pretrain_metric_draw_indexes_the_subsample(chair_shapes, monkeypatch, strategy):
-    # the triplets of a draw index the subsample, not the full cloud
+    # the triplets of a draw index the rows they name, and through them the
+    # subsample, not the full cloud
     captured = []
     monkeypatch.setattr(training, "fit", lambda params, shapes, tc, rng, draw, *args, **kwargs:
                         captured.append(draw))
     pretrain_metric(_fresh(SMALL), SMALL, chair_shapes[:4], chair_shapes[4:], TC, strategy)
     draws = captured[0](chair_shapes, np.random.default_rng(0))
     assert len(draws) == len(chair_shapes)
-    for shape, (sub, triplets) in zip(chair_shapes, draws):
+    for shape, (sub, named, local) in zip(chair_shapes, draws):
         assert len(sub) == TC.subsample_points < len(shape.cloud)
-        assert triplets.shape == (3, TC.triplets_per_shape)
+        assert local.shape == (3, TC.triplets_per_shape)
+        assert np.array_equal(np.unique(local), np.arange(len(named)))
+        assert (np.diff(named) > 0).all()
+        triplets = named[local]
         assert triplets.min() >= 0 and triplets.max() < len(sub)
         a, p, n = triplets
         leaf = shape.cloud.leaf_id[sub]
