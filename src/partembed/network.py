@@ -18,10 +18,15 @@ channels-major, so the pool reduces the contiguous axis, and its backward
 touches only each channel's winning point. The first decoder layer splits
 its weight, so ``[point ‖ global]`` is never built. The trunk pools over
 every point, but the decoder and the normalization are row-wise, so
-``forward_embed`` can decode just the rows a loss reads; ``backward_embed``
-scatters their gradient back into the trunk's full rows. The triplet loss
-gathers every shape's triplets through flat indices and scatters its
-gradient through one sparse product. Gradients are checked against central
+``forward_embed`` can decode just the rows a loss reads. Through the pool
+only each channel's winning point gets gradient, so such a trace then keeps
+the trunk's tensors only on the rows backward reads: the lift inputs on the
+winners, the encoder's on the winners and the decoded rows. The backward
+runs on those rows alone, and the decoded rows' gradient lands at their
+kept positions. A trunk backward with no per-point gradient (the
+reconstruction path) runs on the winners alone. The triplet loss gathers
+every shape's triplets through flat indices and scatters its gradient
+through one sparse product. Gradients are checked against central
 differences and a plain reference in the tests, so keep forward and
 backward in lockstep.
 """
@@ -156,13 +161,23 @@ class ForwardTrace:
     """Everything backward needs of every stack run on one batch (layer
     names are unique): per-layer inputs, pool winners, the decoded rows
     (None when every row was decoded) and the normalization state. Decoder
-    fields stay None on trunk-only runs."""
+    fields stay None on trunk-only runs.
+
+    A full trace keeps the trunk tensors (B, N, ·) on every point, and
+    ``argmax`` (B, C) holds each channel's winner as a row of the flat
+    (B * N) batch. A trace cut to the rows backward reads keeps them as
+    (K, ·) rows: the encoder inputs and ``point_feat`` on the winners and
+    then the decoded rows that are not winners, the lift inputs on the
+    winners alone. ``argmax`` then indexes the winner rows, and ``rows_at``
+    (B * R,) gives each decoded row's position among the K kept rows; it is
+    None on a full trace."""
 
     ins: dict[str, np.ndarray] = field(default_factory=dict)
     point_feat: Optional[np.ndarray] = None
     argmax: Optional[np.ndarray] = None
     global_feat: Optional[np.ndarray] = None
     rows: Optional[np.ndarray] = None
+    rows_at: Optional[np.ndarray] = None
     norm: Optional[np.ndarray] = None
     embed: Optional[np.ndarray] = None
 
@@ -194,23 +209,47 @@ def _backward(params, layers: list[Layer], trace: ForwardTrace, g: np.ndarray,
 
 
 def forward_trunk(params, cfg: PenConfig, points: np.ndarray) -> ForwardTrace:
-    """Points (B, N, 3) through the shared encoder, lift and max-pool. The
-    last lift layer runs as (C, N) per shape, into one buffer reused across
-    shapes; its bias is added after the pool."""
+    """Points (B, N, 3), N >= 1, through the shared encoder, lift and
+    max-pool, into a full trace. The last lift layer runs as (C, N) per
+    shape, into one buffer reused across shapes; its bias is added after
+    the pool."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 3 or points.shape[2] != 3:
-        raise InputError(f"points must be (batch, n, 3), got {points.shape}")
+    if points.ndim != 3 or points.shape[1] == 0 or points.shape[2] != 3:
+        raise InputError(f"points must be (batch, n >= 1, 3), got {points.shape}")
     trace = ForwardTrace()
     trace.point_feat = _forward(params, _stack(cfg, "enc"), points, trace)
     *lifts, (last, _, dout, _) = _stack(cfg, "lift")
     x = trace.ins[last] = _forward(params, lifts, trace.point_feat, trace)
-    trace.argmax, trace.global_feat = np.empty((len(x), dout), np.intp), np.empty((len(x), dout))
-    pre = np.empty((dout, x.shape[1]))
+    b, n, _ = x.shape
+    trace.argmax, trace.global_feat = np.empty((b, dout), np.intp), np.empty((b, dout))
+    pre = np.empty((dout, n))
     for s, rows in enumerate(x):
         np.matmul(params[f"{last}.W"].T, rows.T, out=pre)
-        trace.argmax[s] = pre.argmax(axis=1)
-        trace.global_feat[s] = pre[np.arange(dout), trace.argmax[s]] + params[f"{last}.b"]
+        win = pre.argmax(axis=1)
+        trace.global_feat[s] = pre[np.arange(dout), win] + params[f"{last}.b"]
+        trace.argmax[s] = win + s * n
     return trace
+
+
+def _cut(cfg: PenConfig, trace: ForwardTrace, rows: np.ndarray) -> ForwardTrace:
+    """A full trace cut to the rows its trunk backward reads, given the
+    decoded rows' flat indices (distinct): the pool winners, then the
+    decoded rows that are not winners. The lift inputs keep the winners."""
+    b, n, p = trace.point_feat.shape
+    win, at = np.unique(trace.argmax, return_inverse=True)
+    kept = np.concatenate([win, np.setdiff1d(rows, win, assume_unique=True)])
+    pos = np.empty(b * n, np.intp)
+    pos[kept] = np.arange(len(kept))
+    cut = ForwardTrace(point_feat=trace.point_feat.reshape(-1, p)[kept],
+                       argmax=at.reshape(trace.argmax.shape), global_feat=trace.global_feat,
+                       rows=trace.rows, rows_at=pos[rows])
+    for name, din, _, _ in _stack(cfg, "enc"):
+        cut.ins[name] = trace.ins[name].reshape(-1, din)[kept]
+    (first, *_), *rest = _stack(cfg, "lift")
+    cut.ins[first] = cut.point_feat[:len(win)]
+    for name, din, _, _ in rest:
+        cut.ins[name] = trace.ins[name].reshape(-1, din)[win]
+    return cut
 
 
 def _check_rows(rows, b: int, n: int) -> np.ndarray:
@@ -222,7 +261,7 @@ def _check_rows(rows, b: int, n: int) -> np.ndarray:
     if (rows.size and (ordered[:, 0].min() < 0 or ordered[:, -1].max() >= n)
             or np.any(ordered[:, 1:] == ordered[:, :-1])):
         raise bad
-    return rows
+    return rows.astype(np.intp, copy=False)
 
 
 def forward_embed(params, cfg: PenConfig, points: np.ndarray, rows: Optional[np.ndarray] = None
@@ -232,14 +271,17 @@ def forward_embed(params, cfg: PenConfig, points: np.ndarray, rows: Optional[np.
     The trunk always sees every point. Given ``rows``, a (B, R) array of
     distinct point indices per shape, only those rows are decoded and the
     embeddings are (B, R, embed_dim), row r of shape s being point
-    ``rows[s, r]``'s."""
+    ``rows[s, r]``'s; the trace is then cut to the rows backward reads
+    before the decoder runs."""
     trace = forward_trunk(params, cfg, points)
     (first, _, _, relu), *rest = _stack(cfg, "dec", "embed")
     w, p = params[f"{first}.W"], cfg.point_dim
     feat = trace.point_feat
     if rows is not None:
-        trace.rows = _check_rows(rows, *feat.shape[:2])
-        feat = np.take_along_axis(feat, trace.rows[:, :, None], axis=1)
+        b, n, _ = feat.shape
+        trace.rows = _check_rows(rows, b, n)
+        trace = _cut(cfg, trace, (trace.rows + n * np.arange(b)[:, None]).ravel())
+        feat = trace.point_feat[trace.rows_at].reshape(b, -1, p)
     trace.ins[first] = feat
     x = feat @ w[:p]
     x += (trace.global_feat @ w[p:] + params[f"{first}.b"])[:, None, :]
@@ -255,19 +297,30 @@ def backward_trunk(params, cfg: PenConfig, trace: ForwardTrace,
                    g_point_feat: Optional[np.ndarray], g_global: np.ndarray,
                    grads: dict) -> None:
     """Write trunk gradients into ``grads`` from upstream gradients at the
-    two taps (per-point features and the pooled global feature). The pool
-    gradient, nonzero at each channel's winning point only, is sparse."""
+    two taps: the per-point features, on the trace's decoded rows (B, R, P)
+    or on every point (B, N, P) of a full trace, and the pooled global
+    feature. The pool gradient, nonzero at each channel's winning point
+    only, is sparse, so the lift stack runs on the winners when the trace
+    is cut, and the encoder on the kept rows. With no per-point gradient, a
+    full trace is first cut to its winners."""
+    if trace.rows_at is None and g_point_feat is None:
+        trace = _cut(cfg, trace, np.empty(0, np.intp))
     *lifts, (last, din, dout, _) = _stack(cfg, "lift")
     x = trace.ins[last]
-    b, n, _ = x.shape
-    g_pool = csr_matrix((g_global.ravel(), ((trace.argmax + n * np.arange(b)[:, None]).ravel(),
-                                            np.tile(np.arange(dout), b))), shape=(b * n, dout))
+    g_pool = csr_matrix((g_global.ravel(), (trace.argmax.ravel(),
+                                            np.tile(np.arange(dout), len(g_global)))),
+                        shape=(x.size // din, dout))
     grads[f"{last}.W"] = x.reshape(-1, din).T @ g_pool
     grads[f"{last}.b"] = g_global.sum(axis=0)
     g = _backward(params, lifts, trace, (g_pool @ params[f"{last}.W"].T).reshape(x.shape),
                   grads, out=x)
-    if g_point_feat is not None:
+    if trace.rows_at is None:
         g += g_point_feat
+    else:
+        # the winners lead the kept rows; the decoded rows land at their positions
+        g = np.concatenate([g, np.zeros((len(trace.point_feat) - len(g), g.shape[1]))])
+        if g_point_feat is not None:
+            g[trace.rows_at] += g_point_feat.reshape(len(trace.rows_at), -1)
     _backward(params, _stack(cfg, "enc"), trace, g, grads, out=trace.point_feat)
 
 
@@ -275,7 +328,8 @@ def backward_embed(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndar
                    grads: Optional[dict] = None) -> dict:
     """Trunk and decoder gradients of a loss, given its gradient at the
     normalized embedding, written into ``grads`` (new when None). Decoded
-    rows pass their gradient back to their points; the others get none."""
+    rows pass their gradient to the trunk's kept rows as it is; the points
+    that were not decoded get none."""
     grads = {} if grads is None else grads
     e = trace.embed
     g = (g_embed - e * np.sum(e * g_embed, axis=2, keepdims=True)) / trace.norm
@@ -288,11 +342,7 @@ def backward_embed(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndar
     grads[f"{first}.W"] = np.concatenate([trace.ins[first].reshape(-1, p).T @ g.reshape(-1, dout),
                                           trace.global_feat.T @ g_global])
     grads[f"{first}.b"] = g_global.sum(axis=0)
-    g_point = g @ w[:p].T
-    if trace.rows is not None:
-        g_point, decoded = np.zeros(trace.point_feat.shape), g_point
-        np.put_along_axis(g_point, trace.rows[:, :, None], decoded, axis=1)
-    backward_trunk(params, cfg, trace, g_point, g_global @ w[p:].T, grads)
+    backward_trunk(params, cfg, trace, g @ w[:p].T, g_global @ w[p:].T, grads)
     return grads
 
 
@@ -333,7 +383,7 @@ def triplet_loss_and_grad(embed: np.ndarray, triplets: Sequence, margin: float =
     shape the loss is the mean over its triplets; shapes are then summed.
     The subgradient at the hinge kink is taken as zero. Returns the loss
     and its gradient with respect to ``embed`` (B, N, E). Ragged triplet
-    arrays and an index outside [0, N) raise InputError.
+    arrays, k = 0 and an index outside [0, N) raise InputError.
     """
     b, n, dim = embed.shape
     if len(triplets) != b:
@@ -341,12 +391,12 @@ def triplet_loss_and_grad(embed: np.ndarray, triplets: Sequence, margin: float =
     if len({np.shape(x) for x in triplets}) != 1:
         raise InputError("ragged triplets: every shape needs the same (3, k) shape")
     t = np.asarray(triplets)
-    if (t.ndim != 3 or t.shape[1] != 3 or t.dtype.kind not in "iu"
-            or (t.size and (t.min() < 0 or t.max() >= n))):
-        raise InputError(f"triplets must be (3, k) integer indices in [0, {n}) per shape")
+    if (t.ndim != 3 or t.shape[1] != 3 or t.shape[2] == 0 or t.dtype.kind not in "iu"
+            or t.min() < 0 or t.max() >= n):
+        raise InputError(f"triplets must be (3, k >= 1) integer indices in [0, {n}) per shape")
     k = t.shape[2]
     # rows of the flat (B * N, E) view: shape s's start at s * n
-    idx = (t + n * np.arange(b)[:, None, None]).transpose(1, 0, 2).reshape(3, -1)
+    idx = (t.astype(np.intp) + n * np.arange(b)[:, None, None]).transpose(1, 0, 2).reshape(3, -1)
     ea, eb, ec = gathered = embed.reshape(-1, dim)[idx]
     # each role's gradient direction: at a, (ec - eb); at p, (eb - ea); at n, (ea - ec)
     parts = np.empty_like(gathered)

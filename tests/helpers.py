@@ -1,6 +1,7 @@
 """Shared test utilities: unnamed and random trees, the scalar LCA walk and an
 independent BFS distance oracle, a brute-force Chamfer oracle, a per-shape
-triplet loss, finite-difference gradient checking, and hand-made PLY files."""
+triplet loss, finite-difference gradient checking, hand-made PLY files, and
+paired bootstrap margins of a benchmark table."""
 
 from collections import deque
 
@@ -197,3 +198,30 @@ def core_ply(rows, n: int | None = None) -> bytes:
     header = ["format binary_little_endian 1.0",
               f"element vertex {len(rows) if n is None else n}", *CORE_PROPERTIES]
     return ply_bytes(header, np.array(rows, dtype=CORE_ROW).tobytes())
+
+
+def paired_margin(rows, variant: str, baseline: str, category=None,
+                  resamples: int = 10_000, seed: int = 0) -> tuple[float, float, float]:
+    """Mean mIoU margin of ``variant`` over ``baseline`` in a benchmark
+    table's rows (of ``category`` only, when given), with its 95% paired
+    bootstrap CI: the rows pair up on (category, value, repeat), and the
+    pairs' differences are resampled with replacement. Returns (margin,
+    lo, hi). A row without a partner, or two rows on one key, raises
+    ValueError."""
+    def keyed(name):
+        out = {}
+        for r in rows:
+            if r["variant"] == name and category in (None, r["category"]):
+                key = (r["category"], r["value"], r["repeat"])
+                if key in out:
+                    raise ValueError(f"two {name} rows at {key}")
+                out[key] = r["miou"]
+        return out
+
+    a, b = keyed(variant), keyed(baseline)
+    if not a or a.keys() != b.keys():
+        raise ValueError(f"{variant} and {baseline} rows do not pair up")
+    d = np.array([a[k] - b[k] for k in sorted(a)])
+    draws = np.random.default_rng(seed).integers(0, len(d), size=(resamples, len(d)))
+    lo, hi = np.percentile(d[draws].mean(axis=1), [2.5, 97.5])
+    return float(d.mean()), float(lo), float(hi)

@@ -35,7 +35,7 @@ from partembed.training import (TrainConfig, finetune_tags, prepare_shapes,
                                 pretrain_autoencoder, pretrain_metric)
 from partembed.triplets import sample_triplets
 
-from helpers import (KINK_MARGIN, bfs_distance, check_grads, cloud_on_tree,
+from helpers import (KINK_MARGIN, bfs_distance, check_grads, cloud_on_tree, paired_margin,
                      pool_gap, prenorm_floor, random_parents, relu_margin, tree_distance,
                      unnamed_tree)
 
@@ -458,10 +458,15 @@ def test_fewshot_transfer_ordering(tmp_path):
     dt = time.time() - t0
     ok = (hier - scratch >= 0.03 and ae >= scratch
           and tags_chair >= hier_chair and dt < 45 * 60)
+
+    def margin(variant, baseline, category=None):
+        m, lo, hi = paired_margin(table.rows, variant, baseline, category)
+        return f"{100 * m:+.1f} pts [95% CI {100 * lo:+.1f}, {100 * hi:+.1f}]"
+
     _report("few-shot transfer ordering", ok,
-            f"hierarchy-scratch +{100 * (hier - scratch):.1f} pts (>= 3), "
-            f"autoencoder-scratch +{100 * (ae - scratch):.1f} pts (>= 0), "
-            f"tags-hierarchy on chair +{100 * (tags_chair - hier_chair):.1f} pts "
+            f"hierarchy-scratch {margin('hierarchy', 'scratch')} (>= 3), "
+            f"autoencoder-scratch {margin('autoencoder', 'scratch')} (>= 0), "
+            f"tags-hierarchy on chair {margin('hierarchy_tags', 'hierarchy', 'chair')} "
             f"(>= 0); x in (4, 8), 5 repeats; {dt:.0f}s (< 45min)")
 
 

@@ -27,6 +27,8 @@ from partembed.network import PenConfig, init_params, save_checkpoint
 from partembed.synth import generate_corpus
 from partembed.training import PRETRAINED, TrainConfig, prepare_shapes
 
+from helpers import paired_margin
+
 BASE = PenConfig(point_widths=(8, 8), lift_widths=(16,), decoder_widths=(24,),
                  embed_dim=6, head_hidden=6)
 
@@ -116,6 +118,28 @@ def test_metrics_table_means_and_summary():
     assert cells["scratch"]["mean_miou"] == pytest.approx(0.6)
     assert cells["scratch"]["repeats"] == 3
     assert cells["hierarchy"]["std_miou"] == pytest.approx(float(np.std([0.7, 0.8, 0.9])))
+
+
+def test_paired_margin_on_a_toy_table():
+    # chair pairs differ by 0.10, 0.05, 0.10, 0.05; hierarchy rows listed in another order
+    rows = [dict(category=c, variant=v, axis="shapes", value=x, repeat=r, miou=m)
+            for c, v, x, r, m in [
+                ("chair", "scratch", 4, 0, 0.50), ("chair", "scratch", 4, 1, 0.40),
+                ("chair", "scratch", 8, 0, 0.60), ("chair", "scratch", 8, 1, 0.55),
+                ("chair", "hierarchy", 8, 1, 0.60), ("chair", "hierarchy", 8, 0, 0.70),
+                ("chair", "hierarchy", 4, 1, 0.45), ("chair", "hierarchy", 4, 0, 0.60),
+                ("table", "scratch", 4, 0, 0.10), ("table", "hierarchy", 4, 0, 0.90)]]
+    m, lo, hi = paired_margin(rows, "hierarchy", "scratch", "chair")
+    # a resample of all-0.05 or all-0.10 pairs has chance 1/16 > 2.5%, so
+    # the CI's ends are the smallest and largest difference
+    assert (m, lo, hi) == pytest.approx((0.075, 0.05, 0.10))
+    assert paired_margin(rows, "hierarchy", "scratch", "chair") == (m, lo, hi)
+    assert paired_margin(rows, "hierarchy", "scratch", "table") == pytest.approx((0.8, 0.8, 0.8))
+    assert paired_margin(rows, "hierarchy", "scratch")[0] == pytest.approx((0.3 + 0.8) / 5)
+    with pytest.raises(ValueError, match="pair up"):
+        paired_margin(rows[:-1], "hierarchy", "scratch")
+    with pytest.raises(ValueError, match="two"):
+        paired_margin(rows + rows[-1:], "hierarchy", "scratch")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 closed-form loss values, pooling symmetry, Adam, and checkpoint integrity."""
 
 import json
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -152,6 +153,8 @@ def test_points_shape_rejected():
         forward_trunk(params, TINY, np.zeros((5, 3)))
     with pytest.raises(InputError):
         forward_trunk(params, TINY, np.zeros((2, 5, 4)))
+    with pytest.raises(InputError):
+        forward_trunk(params, TINY, np.zeros((2, 0, 3)))  # no point to pool
 
 
 def test_final_lift_and_embed_are_linear():
@@ -479,6 +482,10 @@ def test_decoding_rows_matches_the_full_pass():
     assert abs(loss_rows - loss) < 1e-12
     _assert_grads_match(backward_embed(params, TINY, trace_rows, g_rows),
                         backward_embed(params, TINY, trace, g_embed))
+    # unsigned indices name the same rows
+    embed_u, _ = forward_embed(params, TINY, pts, rows.astype(np.uint64))
+    assert np.array_equal(embed_u, embed_rows)
+    assert triplet_loss_and_grad(embed_u, local.astype(np.uint64))[0] == loss_rows
 
 
 @pytest.mark.parametrize("rows", [
@@ -508,6 +515,92 @@ def test_trunk_backward_from_the_pool_alone_matches_reference():
     _ref_trunk_backward(params, TINY, cache, None, g_global, ref_grads)
     np.testing.assert_allclose(trace.global_feat, ref_global, rtol=1e-12, atol=1e-12)
     _assert_grads_match(grads, ref_grads)
+
+
+def _winners(params, cfg, pts):
+    """Per shape, the sorted distinct points that win a pool channel."""
+    return [np.unique(w) for w in _ref_trunk(params, cfg, pts)[2][3]]
+
+
+def _few_rows(rng, params, pts):
+    return np.stack([rng.choice(pts.shape[1], size=8, replace=False) for _ in pts])
+
+
+def _winner_rows(rng, params, pts):
+    win = _winners(params, TINY, pts)
+    return np.stack([w[:min(len(v) for v in win)] for w in win])
+
+
+def _all_rows(rng, params, pts):
+    return np.stack([rng.permutation(pts.shape[1]) for _ in pts])
+
+
+@pytest.mark.parametrize("pick", [_few_rows, _winner_rows, _all_rows],
+                         ids=["eight_rows", "rows_all_winners", "rows_cover_all"])
+def test_cut_trace_matches_plain_reference(pick):
+    # at 200 points the cut keeps few rows; the reference decodes every row
+    # and takes no gradient at the undecoded ones
+    rng = np.random.default_rng(34)
+    params = _params_with_biases(TINY, rng)
+    pts = rng.standard_normal((3, 200, 3))
+    rows = pick(rng, params, pts)
+    g_rows = rng.standard_normal((*rows.shape, TINY.embed_dim))
+    embed, trace = forward_embed(params, TINY, pts, rows)
+    grads = backward_embed(params, TINY, trace, g_rows)
+    g_embed = np.zeros((3, 200, TINY.embed_dim))
+    np.put_along_axis(g_embed, rows[:, :, None], g_rows, axis=1)
+    ref_embed, ref_grads = _ref_embed_and_grads(params, TINY, pts, g_embed)
+    np.testing.assert_allclose(embed, np.take_along_axis(ref_embed, rows[:, :, None], axis=1),
+                               rtol=1e-12, atol=1e-12)
+    _assert_grads_match(grads, ref_grads)
+
+
+def test_trunk_backward_from_the_pool_alone_at_200_points_matches_reference():
+    rng = np.random.default_rng(35)
+    params = _params_with_biases(TINY, rng)
+    pts = rng.standard_normal((3, 200, 3))
+    g_global = rng.standard_normal((3, TINY.global_dim))
+    grads, ref_grads = {}, {}
+    backward_trunk(params, TINY, forward_trunk(params, TINY, pts), None, g_global, grads)
+    _ref_trunk_backward(params, TINY, _ref_trunk(params, TINY, pts)[2], None, g_global, ref_grads)
+    _assert_grads_match(grads, ref_grads)
+
+
+def test_cut_trace_keeps_winners_and_decoded_rows():
+    rng = np.random.default_rng(36)
+    params = init_params(TINY, rng)
+    pts = rng.standard_normal((3, 200, 3))
+    win = _winners(params, TINY, pts)
+    # three winners and five other points per shape
+    rows = np.stack([np.concatenate([w[:3], np.setdiff1d(np.arange(200), w)[:5]]) for w in win])
+    n_win = sum(len(w) for w in win)
+    n_kept = n_win + 5 * len(win)
+    _, trace = forward_embed(params, TINY, pts, rows)
+    for name in ("enc0", "enc1"):
+        assert trace.ins[name].shape[0] == n_kept, name
+    assert trace.point_feat.shape == (n_kept, TINY.point_dim)
+    for name in ("lift0", "lift1"):
+        assert trace.ins[name].shape[0] == n_win, name
+    assert n_kept < 0.25 * pts.shape[0] * pts.shape[1]
+
+
+def test_backward_embed_on_a_cut_trace_builds_no_full_array():
+    rng = np.random.default_rng(37)
+    params = init_params(TINY, rng)
+    b, n = 2, 20000
+    pts = rng.standard_normal((b, n, 3))
+    rows = _few_rows(rng, params, pts)
+    embed, trace = forward_embed(params, TINY, pts, rows)
+    g_embed = rng.standard_normal(embed.shape)
+    backward_embed(params, TINY, trace, g_embed)  # warm every lazy import
+    tracemalloc.start()
+    try:
+        backward_embed(params, TINY, trace, g_embed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # any float (B, N, ·) array takes at least b * n * 8 bytes
+    assert peak < b * n * 8
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +677,8 @@ def test_loss_input_validation():
         triplet_loss_and_grad(e, [tb, np.array([[0], [4], [2]])])  # past the last row
     with pytest.raises(InputError):
         triplet_loss_and_grad(e, [tb, np.array([[0, 1], [1, 2], [2, 3]])])  # unequal k
+    with pytest.raises(InputError):
+        triplet_loss_and_grad(e, np.zeros((2, 3, 0), dtype=np.intp))  # no triplet
     with pytest.raises(InputError):
         seg_loss_and_grad(np.zeros((1, 3, 2)), np.full((1, 3), -1))
     with pytest.raises(InputError):
