@@ -81,7 +81,7 @@ def _at_least(least: int):
 def _load_json(path) -> dict:
     try:
         obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{path} must hold a JSON object")
@@ -351,7 +351,7 @@ def _pca_rgb(embed: np.ndarray) -> np.ndarray:
 def cmd_export_embeddings(args) -> tuple[Path, list, list]:
     params, cfg, _ = load_checkpoint(args.checkpoint)
     if args.shape:
-        records = [parse_json_shape(Path(p).read_text()) for p in args.shape]
+        records = [parse_json_shape(Path(p).read_bytes()) for p in args.shape]
     else:
         records = load_corpus(args.data)
     if args.ids:

@@ -199,6 +199,8 @@ def parse_collada_tree(data: bytes):
     except ET.ParseError as exc:
         line, col = exc.position
         raise ParseError(f"malformed XML at line {line}, column {col}: {exc.msg}") from exc
+    except LookupError as exc:   # an encoding the XML declaration names but Python lacks
+        raise ParseError(f"malformed XML: {exc}") from exc
     out: tuple = ([], [], [], [])
     try:
         geometries = {geom.get("id"): _parse_geometry(geom) for lib in root_el.iter()
@@ -210,13 +212,16 @@ def parse_collada_tree(data: bytes):
         top = _children(scenes[0], "node")
         if not top:
             raise ParseError("visual scene contains no nodes")
-        if len(top) == 1:
-            _visit(top[0], None, np.eye(4), geometries, out)
-        else:
-            _visit(scenes[0], None, np.eye(4), geometries, out, fallback="scene")
+        # an infinite or huge number bakes into NaN or inf coordinates without
+        # a warning; filter_shape rejects the mesh as degenerate
+        with np.errstate(invalid="ignore", over="ignore"):
+            if len(top) == 1:
+                _visit(top[0], None, np.eye(4), geometries, out)
+            else:
+                _visit(scenes[0], None, np.eye(4), geometries, out, fallback="scene")
     except ParseError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"malformed number: {exc}") from exc
     nodes, verts, tris, tri_leaf = out
     if not nodes:

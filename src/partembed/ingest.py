@@ -119,10 +119,12 @@ def _expect(cond: bool, msg: str):
 
 
 def parse_json_shape(source) -> ShapeRecord:
-    """Parse the native JSON shape format (text, bytes or a decoded dict)."""
+    """Parse the native JSON shape format (text, UTF-8 bytes or a decoded dict)."""
     if isinstance(source, (str, bytes)):
         try:
-            obj = json.loads(source)
+            obj = json.loads(source.decode() if isinstance(source, bytes) else source)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     else:
@@ -136,7 +138,7 @@ def parse_json_shape(source) -> ShapeRecord:
     try:
         vertices = np.asarray(obj["vertices"], dtype=np.float64)
         triangles = np.asarray(obj["triangles"], dtype=np.int64)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"vertices/triangles are not numeric arrays: {exc}") from exc
     _expect(vertices.ndim == 2 and vertices.shape[1] == 3 or vertices.size == 0,
             "vertices must be an array of [x, y, z] rows")
@@ -194,7 +196,7 @@ def parse_json_shape(source) -> ShapeRecord:
     if "semantic_labels" in obj:
         try:
             sem = np.asarray(obj["semantic_labels"], dtype=np.int64).reshape(-1)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ParseError(f"semantic_labels must be integers: {exc}") from exc
         _expect(len(sem) == n_tri, f"semantic_labels has {len(sem)} entries for {n_tri} triangles")
 
@@ -463,7 +465,7 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
             if path.suffix == ".dae":
                 rec = shape_from_collada(path.read_bytes(), shape_id=path.stem, category=category)
             else:
-                rec = parse_json_shape(path.read_text())
+                rec = parse_json_shape(path.read_bytes())
         except ParseError as exc:
             rejected[key] = f"parse_error:{exc}"
             continue
@@ -502,6 +504,6 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
 
 def load_corpus(shape_dir) -> list[ShapeRecord]:
     """Read every native JSON shape under a mined directory, sorted by id."""
-    records = [parse_json_shape(path.read_text())
+    records = [parse_json_shape(path.read_bytes())
                for path, _ in discover_shape_files(shape_dir) if path.suffix == ".json"]
     return sorted(records, key=lambda r: r.shape_id)

@@ -17,14 +17,13 @@ output, the next layer's input. The last (linear) lift layer runs
 channels-major, so the pool reduces the contiguous axis, and its backward
 touches only each channel's winning point. The first decoder layer splits
 its weight, so ``[point ‖ global]`` is never built. The trunk pools over
-every point, but the decoder and the normalization are row-wise, so
-``forward_embed`` can decode just the rows a loss reads. Through the pool
-only each channel's winning point gets gradient, so such a trace then keeps
-the trunk's tensors only on the rows backward reads: the lift inputs on the
-winners, the encoder's on the winners and the decoded rows. The backward
-runs on those rows alone, and the decoded rows' gradient lands at their
-kept positions. A trunk backward with no per-point gradient (the
-reconstruction path) runs on the winners alone. The triplet loss gathers
+every point, but through the pool only each channel's winning point gets
+gradient, so the trace keeps the trunk's tensors only on the rows
+backward reads, in one layout: the lift inputs on the winners, the
+encoder's on the kept rows. The kept rows are every row when every row is
+decoded, and otherwise the winners and then the rows ``forward_embed``
+decodes, which the decoder and the normalization allow since they are
+row-wise. The backward runs on those rows alone. The triplet loss gathers
 every shape's triplets through flat indices and scatters its gradient
 through one sparse product. Gradients are checked against central
 differences and a plain reference in the tests, so keep forward and
@@ -159,25 +158,23 @@ def validate_params(cfg: PenConfig, params: dict[str, np.ndarray]) -> None:
 @dataclass
 class ForwardTrace:
     """Everything backward needs of every stack run on one batch (layer
-    names are unique): per-layer inputs, pool winners, the decoded rows
-    (None when every row was decoded) and the normalization state. Decoder
-    fields stay None on trunk-only runs.
+    names are unique): per-layer inputs, pool winners, the decoded rows'
+    positions and the normalization state. Decoder fields stay None on
+    trunk-only runs.
 
-    A full trace keeps the trunk tensors (B, N, ·) on every point, and
-    ``argmax`` (B, C) holds each channel's winner as a row of the flat
-    (B * N) batch. A trace cut to the rows backward reads keeps them as
-    (K, ·) rows: the encoder inputs and ``point_feat`` on the winners and
-    then the decoded rows that are not winners, the lift inputs on the
-    winners alone. ``argmax`` then indexes the winner rows, and ``rows_at``
-    (B * R,) gives each decoded row's position among the K kept rows; it is
-    None on a full trace."""
+    The trunk keeps its tensors as (K, ·) rows of the flat (B * N) batch:
+    the encoder inputs and ``point_feat`` on the kept rows, the lift inputs
+    on the pool winners alone, sorted and distinct. ``argmax`` (B, C) gives
+    each channel's winner as a row of the lift inputs, ``win_at`` the
+    winners' positions among the kept rows and ``rows_at`` the decoded
+    rows' (B * R); each is a slice where it needs no gather."""
 
     ins: dict[str, np.ndarray] = field(default_factory=dict)
     point_feat: Optional[np.ndarray] = None
     argmax: Optional[np.ndarray] = None
     global_feat: Optional[np.ndarray] = None
-    rows: Optional[np.ndarray] = None
-    rows_at: Optional[np.ndarray] = None
+    win_at: Optional[np.ndarray | slice] = None
+    rows_at: Optional[np.ndarray | slice] = None
     norm: Optional[np.ndarray] = None
     embed: Optional[np.ndarray] = None
 
@@ -208,50 +205,6 @@ def _backward(params, layers: list[Layer], trace: ForwardTrace, g: np.ndarray,
     return g
 
 
-def forward_trunk(params, cfg: PenConfig, points: np.ndarray) -> ForwardTrace:
-    """Points (B, N, 3), N >= 1, through the shared encoder, lift and
-    max-pool, into a full trace. The last lift layer runs as (C, N) per
-    shape, into one buffer reused across shapes; its bias is added after
-    the pool."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 3 or points.shape[1] == 0 or points.shape[2] != 3:
-        raise InputError(f"points must be (batch, n >= 1, 3), got {points.shape}")
-    trace = ForwardTrace()
-    trace.point_feat = _forward(params, _stack(cfg, "enc"), points, trace)
-    *lifts, (last, _, dout, _) = _stack(cfg, "lift")
-    x = trace.ins[last] = _forward(params, lifts, trace.point_feat, trace)
-    b, n, _ = x.shape
-    trace.argmax, trace.global_feat = np.empty((b, dout), np.intp), np.empty((b, dout))
-    pre = np.empty((dout, n))
-    for s, rows in enumerate(x):
-        np.matmul(params[f"{last}.W"].T, rows.T, out=pre)
-        win = pre.argmax(axis=1)
-        trace.global_feat[s] = pre[np.arange(dout), win] + params[f"{last}.b"]
-        trace.argmax[s] = win + s * n
-    return trace
-
-
-def _cut(cfg: PenConfig, trace: ForwardTrace, rows: np.ndarray) -> ForwardTrace:
-    """A full trace cut to the rows its trunk backward reads, given the
-    decoded rows' flat indices (distinct): the pool winners, then the
-    decoded rows that are not winners. The lift inputs keep the winners."""
-    b, n, p = trace.point_feat.shape
-    win, at = np.unique(trace.argmax, return_inverse=True)
-    kept = np.concatenate([win, np.setdiff1d(rows, win, assume_unique=True)])
-    pos = np.empty(b * n, np.intp)
-    pos[kept] = np.arange(len(kept))
-    cut = ForwardTrace(point_feat=trace.point_feat.reshape(-1, p)[kept],
-                       argmax=at.reshape(trace.argmax.shape), global_feat=trace.global_feat,
-                       rows=trace.rows, rows_at=pos[rows])
-    for name, din, _, _ in _stack(cfg, "enc"):
-        cut.ins[name] = trace.ins[name].reshape(-1, din)[kept]
-    (first, *_), *rest = _stack(cfg, "lift")
-    cut.ins[first] = cut.point_feat[:len(win)]
-    for name, din, _, _ in rest:
-        cut.ins[name] = trace.ins[name].reshape(-1, din)[win]
-    return cut
-
-
 def _check_rows(rows, b: int, n: int) -> np.ndarray:
     rows = np.asarray(rows)
     bad = InputError(f"rows must be ({b}, R) distinct indices in [0, {n}) per shape")
@@ -264,25 +217,67 @@ def _check_rows(rows, b: int, n: int) -> np.ndarray:
     return rows.astype(np.intp, copy=False)
 
 
+def forward_trunk(params, cfg: PenConfig, points: np.ndarray,
+                  rows: Optional[np.ndarray] = None) -> ForwardTrace:
+    """Points (B, N, 3), N >= 1, through the shared encoder, lift and
+    max-pool. The last lift layer runs as (C, N) per shape, into one buffer
+    reused across shapes; its bias is added after the pool.
+
+    The trace keeps the rows backward reads. With ``rows`` None that is
+    every row, and the encoder tensors stay views of the batch. Given
+    ``rows``, a (B, R) array of distinct point indices per shape, it is the
+    pool winners and then the named rows that are not winners; a (B, 0)
+    array keeps the winners alone."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 3 or points.shape[1] == 0 or points.shape[2] != 3:
+        raise InputError(f"points must be (batch, n >= 1, 3), got {points.shape}")
+    b, n, _ = points.shape
+    trace = ForwardTrace()
+    (first, *_), *rest = layers = _stack(cfg, "lift")
+    *lifts, (last, _, dout, _) = layers
+    trace.ins[last] = _forward(params, lifts, _forward(params, _stack(cfg, "enc"), points, trace),
+                               trace)
+    argmax, trace.global_feat = np.empty((b, dout), np.intp), np.empty((b, dout))
+    pre = np.empty((dout, n))
+    for s in range(b):
+        np.matmul(params[f"{last}.W"].T, trace.ins[last][s].T, out=pre)
+        win = pre.argmax(axis=1)
+        trace.global_feat[s] = pre[np.arange(dout), win] + params[f"{last}.b"]
+        argmax[s] = win + s * n
+    del pre   # freed before the gathers below
+    win, at = np.unique(argmax, return_inverse=True)
+    trace.argmax = at.reshape(argmax.shape)
+    if rows is None:
+        kept = trace.rows_at = slice(None)
+        trace.win_at = win
+    else:
+        flat = (_check_rows(rows, b, n) + n * np.arange(b)[:, None]).ravel()
+        kept = np.concatenate([win, np.setdiff1d(flat, win, assume_unique=True)])
+        pos = np.empty(b * n, np.intp)
+        pos[kept] = np.arange(len(kept))
+        trace.win_at, trace.rows_at = slice(len(win)), pos[flat]
+    # each gather replaces its full tensor, so that one is freed before the next
+    for name, din, _, _ in rest:
+        trace.ins[name] = trace.ins[name].reshape(-1, din)[win]
+    for name, din, _, _ in _stack(cfg, "enc"):
+        trace.ins[name] = trace.ins[name].reshape(-1, din)[kept]
+    trace.point_feat = trace.ins[first].reshape(-1, cfg.point_dim)[kept]
+    trace.ins[first] = trace.point_feat[trace.win_at]
+    return trace
+
+
 def forward_embed(params, cfg: PenConfig, points: np.ndarray, rows: Optional[np.ndarray] = None
                   ) -> tuple[np.ndarray, ForwardTrace]:
     """Embedding pass. Returns (B, N, embed_dim) unit rows plus trace.
 
-    The trunk always sees every point. Given ``rows``, a (B, R) array of
-    distinct point indices per shape, only those rows are decoded and the
-    embeddings are (B, R, embed_dim), row r of shape s being point
-    ``rows[s, r]``'s; the trace is then cut to the rows backward reads
-    before the decoder runs."""
-    trace = forward_trunk(params, cfg, points)
+    The trunk always pools over every point. Given ``rows``, a (B, R) array
+    of distinct point indices per shape, only those rows are decoded and
+    the embeddings are (B, R, embed_dim), row r of shape s being point
+    ``rows[s, r]``'s."""
+    trace = forward_trunk(params, cfg, points, rows)
     (first, _, _, relu), *rest = _stack(cfg, "dec", "embed")
     w, p = params[f"{first}.W"], cfg.point_dim
-    feat = trace.point_feat
-    if rows is not None:
-        b, n, _ = feat.shape
-        trace.rows = _check_rows(rows, b, n)
-        trace = _cut(cfg, trace, (trace.rows + n * np.arange(b)[:, None]).ravel())
-        feat = trace.point_feat[trace.rows_at].reshape(b, -1, p)
-    trace.ins[first] = feat
+    feat = trace.ins[first] = trace.point_feat[trace.rows_at].reshape(len(trace.global_feat), -1, p)
     x = feat @ w[:p]
     x += (trace.global_feat @ w[p:] + params[f"{first}.b"])[:, None, :]
     if relu:
@@ -297,30 +292,22 @@ def backward_trunk(params, cfg: PenConfig, trace: ForwardTrace,
                    g_point_feat: Optional[np.ndarray], g_global: np.ndarray,
                    grads: dict) -> None:
     """Write trunk gradients into ``grads`` from upstream gradients at the
-    two taps: the per-point features, on the trace's decoded rows (B, R, P)
-    or on every point (B, N, P) of a full trace, and the pooled global
-    feature. The pool gradient, nonzero at each channel's winning point
-    only, is sparse, so the lift stack runs on the winners when the trace
-    is cut, and the encoder on the kept rows. With no per-point gradient, a
-    full trace is first cut to its winners."""
-    if trace.rows_at is None and g_point_feat is None:
-        trace = _cut(cfg, trace, np.empty(0, np.intp))
-    *lifts, (last, din, dout, _) = _stack(cfg, "lift")
+    two taps: the per-point features on the trace's decoded rows (B, R, P),
+    or None, and the pooled global feature. The pool gradient is nonzero
+    at each channel's winning point only, so the lift stack runs on the
+    winners. Their gradient and the decoded rows' land at their kept
+    positions, and the encoder runs on the kept rows."""
+    *lifts, (last, _, dout, _) = _stack(cfg, "lift")
     x = trace.ins[last]
     g_pool = csr_matrix((g_global.ravel(), (trace.argmax.ravel(),
                                             np.tile(np.arange(dout), len(g_global)))),
-                        shape=(x.size // din, dout))
-    grads[f"{last}.W"] = x.reshape(-1, din).T @ g_pool
+                        shape=(len(x), dout))
+    grads[f"{last}.W"] = x.T @ g_pool
     grads[f"{last}.b"] = g_global.sum(axis=0)
-    g = _backward(params, lifts, trace, (g_pool @ params[f"{last}.W"].T).reshape(x.shape),
-                  grads, out=x)
-    if trace.rows_at is None:
-        g += g_point_feat
-    else:
-        # the winners lead the kept rows; the decoded rows land at their positions
-        g = np.concatenate([g, np.zeros((len(trace.point_feat) - len(g), g.shape[1]))])
-        if g_point_feat is not None:
-            g[trace.rows_at] += g_point_feat.reshape(len(trace.rows_at), -1)
+    g = np.zeros_like(trace.point_feat)
+    g[trace.win_at] = _backward(params, lifts, trace, g_pool @ params[f"{last}.W"].T, grads, out=x)
+    if g_point_feat is not None:
+        g[trace.rows_at] += g_point_feat.reshape(-1, g.shape[1])
     _backward(params, _stack(cfg, "enc"), trace, g, grads, out=trace.point_feat)
 
 
@@ -545,7 +532,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], PenConfig, dict]:
             raise ParseError(f"format {manifest['format']!r}, expected 1")
         cfg = from_json(PenConfig, manifest["config"], "checkpoint config")
         listed, meta = manifest["tensors"], manifest["meta"]
-    except (OSError, ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, TypeError, KeyError, EOFError, NotImplementedError,
+            zipfile.BadZipFile) as exc:
         raise ParseError(f"{path}: not a readable checkpoint ({exc})") from exc
     if sorted(params) != listed:
         raise ParseError(f"{path}: tensor listing disagrees with manifest")

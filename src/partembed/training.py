@@ -380,7 +380,8 @@ def pretrain_autoencoder(params: dict, cfg: PenConfig, train_shapes: Sequence[Tr
     embedding decoder is untouched and stays at its initialization."""
     def chunk_loss(chunk, subs, want_grads):
         pts = np.stack([s.cloud.points[sub] for s, sub in zip(chunk, subs)])
-        trace = forward_trunk(params, cfg, pts)
+        # no per-point gradient: the trace keeps the pool winners alone
+        trace = forward_trunk(params, cfg, pts, np.empty((len(pts), 0), np.intp))
         recon = ae_forward(params, cfg, trace)
         loss, g_recon = chamfer_batch_and_grad(recon, list(pts))
         if not want_grads:

@@ -1,7 +1,8 @@
 """Shared test utilities: unnamed and random trees, the scalar LCA walk and an
 independent BFS distance oracle, a brute-force Chamfer oracle, a per-shape
-triplet loss, finite-difference gradient checking, hand-made PLY files, and
-paired bootstrap margins of a benchmark table."""
+triplet loss, finite-difference gradient checking with kink guards from a
+plain forward, hand-made PLY files, and paired bootstrap margins of a
+benchmark table."""
 
 from collections import deque
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from partembed.geometry import PointCloud
 from partembed.hierarchy import PartHierarchy
+from partembed.network import NORM_FLOOR, all_layers
 
 
 def random_parents(rng: np.random.Generator, max_nodes: int = 500) -> list:
@@ -132,31 +134,47 @@ def check_grads(f, params: dict, grads: dict, h: float = 1e-5, tol: float = 1e-4
 KINK_MARGIN = 1e-3
 
 
-def relu_margin(params: dict, layers, trace) -> float:
-    """Smallest |preactivation| over the ReLU layers of one trace. The first
-    decoder layer records only its point input, narrower than its weight;
-    its preactivation is the point part plus the broadcast global part, as
-    the forward pass ran it."""
-    worst = np.inf
-    for name, _, _, relu in layers:
-        if not relu:
-            continue
-        x, w = trace.ins[name], params[f"{name}.W"]
-        width = x.shape[-1]
-        pre = x @ w[:width] + params[f"{name}.b"]
-        if width < len(w):
-            pre = pre + (trace.global_feat @ w[width:])[:, None, :]
-        worst = min(worst, float(np.abs(pre).min()))
-    return worst
+def plain_preactivations(params: dict, cfg, pts: np.ndarray) -> dict:
+    """Every layer's preactivation, by name, in a plain forward of the points
+    (B, N, 3) through the whole network: the trunk on every point, the pool,
+    the decoder on ``[point ‖ global]``, the floored normalization, the
+    heads on the embeddings and the reconstruction decoder on the pooled
+    feature. A trace keeps only some trunk rows, so the kink guards read
+    this instead."""
+    layers = all_layers(cfg)
+    pre = {}
+
+    def run(prefixes, x):
+        for name, _, _, relu in layers:
+            if name.startswith(prefixes):
+                x = pre[name] = x @ params[f"{name}.W"] + params[f"{name}.b"]
+                x = np.maximum(x, 0.0) if relu else x
+        return x
+
+    feat = run("enc", pts)
+    pooled = run("lift", feat).max(axis=1)
+    x = run(("dec", "embed"), np.concatenate(
+        [feat, np.broadcast_to(pooled[:, None, :], (*feat.shape[:2], pooled.shape[1]))], axis=2))
+    embed = x / np.maximum(np.linalg.norm(x, axis=2, keepdims=True), NORM_FLOOR)
+    run("tag", embed)
+    run("seg", embed)
+    run("ae", pooled)
+    return pre
 
 
-def pool_gap(params: dict, trace) -> float:
-    """Margin between the max-pool winner and runner-up, worst case. The
-    trace keeps no pre-pool tensor, so the last (linear) lift layer is run
-    again on its recorded input, as the forward pass ran it."""
-    last = [name for name in trace.ins if name.startswith("lift")][-1]
-    pre_pool = trace.ins[last] @ params[f"{last}.W"] + params[f"{last}.b"]
-    top2 = np.sort(pre_pool, axis=1)[:, -2:, :]
+def relu_margin(params: dict, cfg, layers, pts: np.ndarray) -> float:
+    """Smallest |preactivation| over the ReLU layers among ``layers`` in a
+    plain forward of the points."""
+    pre = plain_preactivations(params, cfg, pts)
+    return min((float(np.abs(pre[name]).min()) for name, _, _, relu in layers if relu),
+               default=np.inf)
+
+
+def pool_gap(params: dict, cfg, pts: np.ndarray) -> float:
+    """Margin between the max-pool winner and runner-up, worst case, in a
+    plain forward of the points."""
+    last = [name for name, *_ in all_layers(cfg) if name.startswith("lift")][-1]
+    top2 = np.sort(plain_preactivations(params, cfg, pts)[last], axis=1)[:, -2:, :]
     return float((top2[:, 1, :] - top2[:, 0, :]).min())
 
 

@@ -153,8 +153,8 @@ def _triplet_instance(seed):
                    - np.sum((embed[s][a] - embed[s][n]) ** 2, axis=1)
                    + DEFAULT_MARGIN).min()
             for s, (a, p, n) in enumerate(batches)]
-    if (relu_margin(params, _trunk_layers(TINY), trace) < KINK_MARGIN
-            or pool_gap(params, trace) < KINK_MARGIN or min(gaps) < KINK_MARGIN
+    if (relu_margin(params, TINY, _trunk_layers(TINY), pts) < KINK_MARGIN
+            or pool_gap(params, TINY, pts) < KINK_MARGIN or min(gaps) < KINK_MARGIN
             or prenorm_floor(trace) < KINK_MARGIN):
         return None
     loss, g_embed = triplet_loss_and_grad(embed, batches)
@@ -177,9 +177,9 @@ def _head_instance(seed, head, loss_and_grad, labels_of):
     head_layers = [l for l in all_layers(TINY) if l[0].startswith(head)]
     p = 1.0 / (1.0 + np.exp(-logits))
     clamp_gap = min(float(p.min() - PROB_CLAMP), float(1.0 - PROB_CLAMP - p.max()))
-    if (relu_margin(params, _trunk_layers(TINY), trace) < KINK_MARGIN
-            or relu_margin(params, head_layers, trace) < KINK_MARGIN
-            or pool_gap(params, trace) < KINK_MARGIN or clamp_gap < 1e-4
+    if (relu_margin(params, TINY, _trunk_layers(TINY), pts) < KINK_MARGIN
+            or relu_margin(params, TINY, head_layers, pts) < KINK_MARGIN
+            or pool_gap(params, TINY, pts) < KINK_MARGIN or clamp_gap < 1e-4
             or prenorm_floor(trace) < KINK_MARGIN):
         return None
     loss, g_logits = loss_and_grad(logits, labels)
@@ -211,9 +211,9 @@ def _chamfer_instance(seed):
                      float((cols[1, :] - cols[0, :]).min()))
     trunk = [l for l in all_layers(TINY) if l[0].startswith(("enc", "lift"))]
     ae_layers = [l for l in all_layers(TINY) if l[0].startswith("ae")]
-    if (relu_margin(params, trunk, trace) < KINK_MARGIN
-            or relu_margin(params, ae_layers, trace) < KINK_MARGIN
-            or pool_gap(params, trace) < KINK_MARGIN or nn_gap < KINK_MARGIN):
+    if (relu_margin(params, TINY, trunk, pts) < KINK_MARGIN
+            or relu_margin(params, TINY, ae_layers, pts) < KINK_MARGIN
+            or pool_gap(params, TINY, pts) < KINK_MARGIN or nn_gap < KINK_MARGIN):
         return None
     loss, g_recon = chamfer_batch_and_grad(recon, targets)
     grads = {}

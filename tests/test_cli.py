@@ -109,6 +109,24 @@ def _corrupt_checkpoint(tmp_path, corpus):
             "--out", str(tmp_path / "e"), "--points", "60"]
 
 
+def _checkpoint_unknown_compression(tmp_path, corpus):
+    ck = _tiny_checkpoint(tmp_path)
+    data = bytearray(ck.read_bytes())
+    # the compression method of the zip directory's first entry
+    at = data.index(b"PK\x01\x02") + 10
+    data[at:at + 2] = (99).to_bytes(2, "little")
+    ck.write_bytes(bytes(data))
+    return ["export-embeddings", "--checkpoint", str(ck), "--data", str(corpus),
+            "--out", str(tmp_path / "e"), "--points", "60"]
+
+
+def _arch_not_utf8(tmp_path, corpus):
+    arch = tmp_path / "arch.json"
+    arch.write_bytes(b'{"point_widths": [4], "\xff": 1}')
+    return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
+            "--points", "60", "--arch", str(arch)]
+
+
 def _malformed_manifest(tmp_path, corpus):
     (corpus / "manifest.json").write_text("{bad")
     return ["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck.npz"),
@@ -531,7 +549,8 @@ def _synth_integer_group_leaves(tmp_path, corpus):
 
 @pytest.mark.parametrize("make_argv", [
     _checkpoint_missing_lift_widths, _zero_width_arch, _negative_lr, _corrupt_checkpoint,
-    _malformed_manifest, _split_without_validation, _vocabulary_without_tags,
+    _checkpoint_unknown_compression, _arch_not_utf8, _malformed_manifest,
+    _split_without_validation, _vocabulary_without_tags,
     _ply_without_leaf_id, _ply_non_numeric, _synth_non_integer_count, _synth_unknown_noise_key,
     _unlabeled_segmentation, _synth_string_count_in_config, _synth_float_count_in_config,
     _benchmark_x_not_a_number, _benchmark_points_grid_not_a_number, _benchmark_negative_x,
@@ -844,6 +863,18 @@ def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
         chair.replace(">0 0 0 1 0 0 1 1 0 0 1 0<", ">0 0 0 1 0 0 1 one 0 0 1 0<"))
     (scenes / "chairs" / "negative_offset.dae").write_text(
         chair.replace('source="#g_panel_v" offset="0"', 'source="#g_panel_v" offset="-1"'))
+    (scenes / "cars" / "unknown_encoding.dae").write_text(
+        sedan.replace('encoding="utf-8"', 'encoding="utf-5-8"'))
+    shape = {"shape_id": "x", "category": "chairs", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+             "triangles": [[0, 1, 2]] * 2,
+             "nodes": [{"id": 0, "parent": None, "name": "chair", "children": [1, 2]},
+                       {"id": 1, "parent": 0, "name": "seat", "tri_range": [0, 1]},
+                       {"id": 2, "parent": 0, "name": "back", "tri_range": [1, 2]}]}
+    # a part name in Latin-1
+    (scenes / "chairs" / "not_utf8.json").write_bytes(
+        json.dumps({**shape, "shape_id": "not_utf8"}).encode().replace(b"seat", b"s\xe9at"))
+    (scenes / "chairs" / "huge_index.json").write_text(
+        json.dumps({**shape, "shape_id": "huge_index"}).replace("[0, 1, 2]]", "[0, 1, 1e400]]"))
     out = tmp_path / "mined"
     rc = main(["mine", "--in", str(scenes), "--out", str(out), "--seed", "0",
                "--points", "500"])
@@ -856,10 +887,16 @@ def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
         assert manifest["rejected"][name].startswith("parse_error:malformed number: ")
     assert manifest["rejected"]["chairs/negative_offset.dae"] == \
         "parse_error:primitive <input> offset -1 is negative"
+    for name, reason in (("cars/unknown_encoding.dae", "malformed XML: unknown encoding"),
+                         ("chairs/not_utf8.json", "not UTF-8 text: "),
+                         ("chairs/huge_index.json", "vertices/triangles are not numeric arrays")):
+        assert manifest["rejected"][name].startswith(f"parse_error:{reason}"), name
     classes = {Path(k).stem: v.split(":", 1)[0] for k, v in manifest["rejected"].items()}
     assert classes == {**golden["rejected_classes"], "short_translate": "parse_error",
-                       "word_in_floats": "parse_error", "negative_offset": "parse_error"}
-    assert manifest["reject_counts"] == {**golden["reject_counts"], "parse_error": 6}
+                       "word_in_floats": "parse_error", "negative_offset": "parse_error",
+                       "unknown_encoding": "parse_error", "not_utf8": "parse_error",
+                       "huge_index": "parse_error"}
+    assert manifest["reject_counts"] == {**golden["reject_counts"], "parse_error": 9}
     for key in ("kept", "split", "sufficiency"):
         assert manifest[key] == golden[key]
     for cat, vocab in golden["vocabularies"].items():

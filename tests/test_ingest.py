@@ -91,6 +91,19 @@ def test_schema_errors():
     with pytest.raises(ParseError, match=r"invalid JSON at line \d+"):
         parse_json_shape("{not json")
 
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        parse_json_shape(json.dumps(minimal_obj()).replace("root", "r\u00f6ot").encode("latin-1"))
+
+    obj = minimal_obj()
+    obj["triangles"][1] = [0, 1, float("inf")]   # what JSON's 1e400 reads as
+    with pytest.raises(ParseError, match="vertices/triangles are not numeric"):
+        parse_json_shape(obj)
+
+    obj = minimal_obj()
+    obj["semantic_labels"] = [0, float("inf")]
+    with pytest.raises(ParseError, match="semantic_labels must be integers"):
+        parse_json_shape(obj)
+
     obj = minimal_obj()
     obj["nodes"][1]["tri_range"] = [0, 99]
     with pytest.raises(ParseError, match=r"tri_range \[0, 99\] out of bounds"):

@@ -197,8 +197,8 @@ def test_triplet_gradient_full_network():
                  for s, (a, _, n) in enumerate(batches)]
         hinge_gap = min(float(np.abs(dp - dn + DEFAULT_MARGIN).min())
                         for dp, dn in zip(d_pos, d_neg))
-        if (_relu_margin(params, _trunk_decoder_layers(TINY), trace) > KINK_MARGIN
-                and _pool_gap(params, trace) > KINK_MARGIN and hinge_gap > KINK_MARGIN
+        if (_relu_margin(params, TINY, _trunk_decoder_layers(TINY), pts) > KINK_MARGIN
+                and _pool_gap(params, TINY, pts) > KINK_MARGIN and hinge_gap > KINK_MARGIN
                 and _prenorm_floor(trace) > KINK_MARGIN):
             break
     else:
@@ -237,9 +237,9 @@ def test_tag_gradient_full_network():
         p = 1.0 / (1.0 + np.exp(-logits))
         clamp_gap = min(float(p.min() - PROB_CLAMP), float(1.0 - PROB_CLAMP - p.max()))
         head_layers = [l for l in all_layers(TINY) if l[0].startswith("tag")]
-        if (_relu_margin(params, _trunk_decoder_layers(TINY), trace) > KINK_MARGIN
-                and _relu_margin(params, head_layers, trace) > KINK_MARGIN
-                and _pool_gap(params, trace) > KINK_MARGIN and clamp_gap > 1e-4
+        if (_relu_margin(params, TINY, _trunk_decoder_layers(TINY), pts) > KINK_MARGIN
+                and _relu_margin(params, TINY, head_layers, pts) > KINK_MARGIN
+                and _pool_gap(params, TINY, pts) > KINK_MARGIN and clamp_gap > 1e-4
                 and _prenorm_floor(trace) > KINK_MARGIN):
             break
     else:
@@ -267,9 +267,9 @@ def test_seg_gradient_full_network():
         labels = rng.integers(0, TINY.n_classes, size=(2, 9))
         labels[0, 0] = -1  # unlabeled points must not contribute
         head_layers = [l for l in all_layers(TINY) if l[0].startswith("seg")]
-        if (_relu_margin(params, _trunk_decoder_layers(TINY), trace) > KINK_MARGIN
-                and _relu_margin(params, head_layers, trace) > KINK_MARGIN
-                and _pool_gap(params, trace) > KINK_MARGIN
+        if (_relu_margin(params, TINY, _trunk_decoder_layers(TINY), pts) > KINK_MARGIN
+                and _relu_margin(params, TINY, head_layers, pts) > KINK_MARGIN
+                and _pool_gap(params, TINY, pts) > KINK_MARGIN
                 and _prenorm_floor(trace) > KINK_MARGIN):
             break
     else:
@@ -304,9 +304,9 @@ def test_chamfer_gradient_full_network():
                          float((cols[1, :] - cols[0, :]).min()))
         trunk = [l for l in all_layers(TINY) if l[0].startswith(("enc", "lift"))]
         ae_layers = [l for l in all_layers(TINY) if l[0].startswith("ae")]
-        if (_relu_margin(params, trunk, trace) > KINK_MARGIN
-                and _relu_margin(params, ae_layers, trace) > KINK_MARGIN
-                and _pool_gap(params, trace) > KINK_MARGIN and nn_gap > KINK_MARGIN):
+        if (_relu_margin(params, TINY, trunk, pts) > KINK_MARGIN
+                and _relu_margin(params, TINY, ae_layers, pts) > KINK_MARGIN
+                and _pool_gap(params, TINY, pts) > KINK_MARGIN and nn_gap > KINK_MARGIN):
             break
     else:
         pytest.fail("no kink-free instance found")
@@ -474,7 +474,7 @@ def test_decoding_rows_matches_the_full_pass():
     rows, local = _named_rows(triplets, 10)
     embed, trace = forward_embed(params, TINY, pts)
     embed_rows, trace_rows = forward_embed(params, TINY, pts, rows)
-    assert trace.rows is None and embed_rows.shape == (3, rows.shape[1], TINY.embed_dim)
+    assert embed_rows.shape == (3, rows.shape[1], TINY.embed_dim)
     np.testing.assert_allclose(embed_rows, np.take_along_axis(embed, rows[:, :, None], axis=1),
                                rtol=1e-12, atol=1e-12)
     loss, g_embed = triplet_loss_and_grad(embed, triplets)
@@ -538,7 +538,7 @@ def _all_rows(rng, params, pts):
 @pytest.mark.parametrize("pick", [_few_rows, _winner_rows, _all_rows],
                          ids=["eight_rows", "rows_all_winners", "rows_cover_all"])
 def test_cut_trace_matches_plain_reference(pick):
-    # at 200 points the cut keeps few rows; the reference decodes every row
+    # at 200 points the trace keeps few rows; the reference decodes every row
     # and takes no gradient at the undecoded ones
     rng = np.random.default_rng(34)
     params = _params_with_biases(TINY, rng)
@@ -571,17 +571,38 @@ def test_cut_trace_keeps_winners_and_decoded_rows():
     params = init_params(TINY, rng)
     pts = rng.standard_normal((3, 200, 3))
     win = _winners(params, TINY, pts)
-    # three winners and five other points per shape
-    rows = np.stack([np.concatenate([w[:3], np.setdiff1d(np.arange(200), w)[:5]]) for w in win])
     n_win = sum(len(w) for w in win)
-    n_kept = n_win + 5 * len(win)
+
+    def assert_kept(trace, n_kept):
+        for name in ("enc0", "enc1"):
+            assert trace.ins[name].shape[0] == n_kept, name
+        assert trace.point_feat.shape == (n_kept, TINY.point_dim)
+        for name in ("lift0", "lift1"):
+            assert trace.ins[name].shape[0] == n_win, name
+        # argmax names winner rows, and the winners sit at win_at among the kept rows
+        assert trace.argmax.max() == n_win - 1
+        np.testing.assert_array_equal(trace.ins["lift0"], trace.point_feat[trace.win_at])
+
+    # three winners and five other points per shape: the winners, then the rest
+    rows = np.stack([np.concatenate([w[:3], np.setdiff1d(np.arange(200), w)[:5]]) for w in win])
     _, trace = forward_embed(params, TINY, pts, rows)
-    for name in ("enc0", "enc1"):
-        assert trace.ins[name].shape[0] == n_kept, name
-    assert trace.point_feat.shape == (n_kept, TINY.point_dim)
-    for name in ("lift0", "lift1"):
-        assert trace.ins[name].shape[0] == n_win, name
-    assert n_kept < 0.25 * pts.shape[0] * pts.shape[1]
+    assert_kept(trace, n_win + 5 * len(win))
+    assert n_win + 5 * len(win) < 0.25 * pts.shape[0] * pts.shape[1]
+
+    # every row decoded: the encoder tensors are views of the batch
+    _, trace = forward_embed(params, TINY, pts)
+    assert_kept(trace, pts.shape[0] * pts.shape[1])
+    assert np.shares_memory(trace.ins["enc0"], pts)
+    assert np.shares_memory(trace.ins["dec0"], trace.point_feat)
+
+    # the reconstruction path decodes nothing: the winners alone
+    trace = forward_trunk(params, TINY, pts, np.empty((3, 0), np.intp))
+    assert_kept(trace, n_win)
+    g_global = rng.standard_normal((3, TINY.global_dim))
+    grads, ref_grads = {}, {}
+    backward_trunk(params, TINY, trace, None, g_global, grads)
+    _ref_trunk_backward(params, TINY, _ref_trunk(params, TINY, pts)[2], None, g_global, ref_grads)
+    _assert_grads_match(grads, ref_grads)
 
 
 def test_backward_embed_on_a_cut_trace_builds_no_full_array():

@@ -1,12 +1,16 @@
 """Property tests of the on-disk formats and of config validation: the native
-JSON shape format and PLY clouds read back exactly what was written, and an
-architecture or training config from any JSON value either builds or is
-refused with ConfigurationError."""
+JSON shape format and PLY clouds read back exactly what was written, a
+mutated copy of any file a command reads either parses or raises ParseError,
+and an architecture or training config from any JSON value either builds or
+is refused with ConfigurationError."""
 
+import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partembed.config import from_json
-from partembed.errors import ConfigurationError
+from partembed.errors import ConfigurationError, ParseError
 from partembed.geometry import PointCloud, TriangleMesh, read_ply, write_ply
 from partembed.hierarchy import PartHierarchy
-from partembed.ingest import ShapeRecord, dumps_shape, parse_json_shape
-from partembed.network import PenConfig
+from partembed.ingest import ShapeRecord, dumps_shape, parse_json_shape, shape_from_collada
+from partembed.network import PenConfig, init_params, load_checkpoint, save_checkpoint
 from partembed.training import TrainConfig
 
 FEW = settings(max_examples=60, deadline=None)
@@ -116,6 +120,105 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
                                                               max_size=2),
     max_leaves=8)
+
+
+# ---------------------------------------------------------------------------
+# mutated files
+# ---------------------------------------------------------------------------
+
+SCENES = Path(__file__).parent / "fixtures" / "scenes"
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+EXTREME_NUMBERS = [b"1e400", b"-1e400", b"-1", b"0", b"-0", b"1.5", b"nan",
+                   b"99999999999999999999"]
+MUTATED = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def mutated(draw, originals) -> bytes:
+    """One of ``originals`` after one to four mutations, each a flipped bit,
+    a deleted span, inserted bytes or a numeric token swapped for an
+    extreme one."""
+    data = bytearray(draw(st.sampled_from(originals)))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flip", "delete", "insert", "number"]))
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if kind == "flip" and data:
+            data[at] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "delete":
+            del data[at:at + draw(st.integers(1, 16))]
+        elif kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=8))
+        elif kind == "number":
+            tokens = list(NUMBER.finditer(data))
+            if tokens:
+                m = tokens[draw(st.integers(0, len(tokens) - 1))]
+                data[m.start():m.end()] = draw(st.sampled_from(EXTREME_NUMBERS))
+    return bytes(data)
+
+
+def _collada_files() -> list[bytes]:
+    return [path.read_bytes() for path in sorted(SCENES.rglob("*.dae"))]
+
+
+def _json_shapes() -> list[bytes]:
+    out = []
+    for name in ("cars/sedan.dae", "chairs/side_chair.dae"):
+        rec = shape_from_collada((SCENES / name).read_bytes(), Path(name).stem)
+        out.append(dumps_shape(rec).encode())
+    return out
+
+
+def _ply_files(tmp_path_factory) -> list[bytes]:
+    rng = np.random.default_rng(0)
+    path = tmp_path_factory.mktemp("ply") / "c.ply"
+    cloud = PointCloud(points=rng.standard_normal((6, 3)), leaf_id=np.arange(6) % 2,
+                       semantic_label=np.arange(6) % 3)
+    write_ply(path, cloud, embeddings=rng.standard_normal((6, 2)))
+    return [path.read_bytes()]
+
+
+def _checkpoints() -> list[bytes]:
+    cfg = PenConfig(point_widths=(4,), lift_widths=(6,), decoder_widths=(), embed_dim=3)
+    buf = io.BytesIO()
+    save_checkpoint(buf, init_params(cfg, np.random.default_rng(0)), cfg, {"seed": 0})
+    return [buf.getvalue()]
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    return {"collada": _collada_files(), "json": _json_shapes(),
+            "ply": _ply_files(tmp_path_factory), "checkpoint": _checkpoints()}
+
+
+def _read_file(reader, suffix):
+    """``reader`` applied to a file holding the given bytes, as a command
+    opens it."""
+    def read(tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / f"mutated{suffix}"
+        path.write_bytes(data)
+        return reader(path)
+    return read
+
+
+READERS = {
+    "collada": lambda _, data: shape_from_collada(data, "mutated", "chairs"),
+    "json": lambda _, data: parse_json_shape(data),
+    "ply": _read_file(read_ply, ".ply"),
+    "checkpoint": _read_file(load_checkpoint, ".npz"),
+}
+
+
+@pytest.mark.parametrize("fmt", list(READERS))
+def test_a_mutated_file_parses_or_raises_parse_error(fmt, originals, tmp_path_factory):
+    @MUTATED
+    @given(mutated(originals[fmt]))
+    def check(data):
+        try:
+            READERS[fmt](tmp_path_factory, data)
+        except ParseError:
+            pass
+
+    check()
 
 
 def _json_form(cfg):
