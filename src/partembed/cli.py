@@ -7,7 +7,8 @@ it read (None for a path flag not given) and wrote. From these ``main``
 drops a run.json manifest next to the outputs. Exit codes: 0 success,
 1 runtime failure, 2 usage or configuration error. Both JSON configs
 (``--arch``, ``--train``) fill their omitted keys with defaults and decode
-through ``config.from_json``; neither may name a key the command sets.
+through ``config.from_json``, as a corpus manifest's ``split`` and
+``vocabularies`` do; neither config may name a key the command sets.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ import numpy as np
 from . import __version__
 from .benchmark import (BenchmarkSpec, category_classes, finetune_start, run_benchmark,
                         select_labeled_shapes)
-from .config import from_json
+from .config import check_value, from_json
 from .errors import ConfigurationError, InputError, PartembedError
 from .geometry import icp_align, read_ply, sample_surface, write_ply
 from .ingest import (DatasetSplit, TagVocabulary, extract_tags, label_points_with_tags,
-                     load_corpus, mine_directory, parse_json_shape, split_dataset,
+                     load_corpus, mine_directory, read_json_shape, split_dataset,
                      write_corpus)
 from .network import PenConfig, forward_embed, init_params, load_checkpoint, save_checkpoint
 from .synth import generate_corpus
@@ -83,16 +84,7 @@ def _load_json(path) -> dict:
         obj = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigurationError(f"{path} must hold a JSON object")
-    return obj
-
-
-def _synonyms(obj, path) -> dict[str, str]:
-    """A synonym map read from ``path``: a JSON object from strings to strings."""
-    if not (isinstance(obj, dict)
-            and all(isinstance(k, str) and isinstance(v, str) for k, v in obj.items())):
-        raise ConfigurationError(f"{path}: synonyms must map names to tag strings")
+    check_value(str(path), "object", obj)
     return obj
 
 
@@ -105,7 +97,7 @@ def _read_config(cls, path, sets: dict, **flags):
         raise ConfigurationError(f"{path} names {', '.join(named)}, "
                                  f"which the command sets")
     given = {k: v for k, v in flags.items() if v is not None}
-    return from_json(cls, {**asdict(cls()), **raw, **given, **sets}, str(path))
+    return from_json(cls, {**asdict(cls()), **raw, **given, **sets}, str(path or cls.__name__))
 
 
 # the heads and the reconstruction decoder are the command's to set
@@ -141,31 +133,26 @@ def _new_dir(path) -> Path:
 
 
 def _load_dataset(data_dir):
-    """Records plus (split, vocabularies, synonyms) from the directory's
-    manifest when one exists; missing pieces are derived deterministically."""
+    """Records, split and tag vocabularies of a corpus directory: the latter
+    two from its manifest, or derived deterministically where it lacks them."""
     data_dir = Path(data_dir)
     records = load_corpus(data_dir)
     if not records:
         raise InputError(f"no shape JSON files under {data_dir}")
     mpath = data_dir / "manifest.json"
     manifest = _load_json(mpath) if mpath.exists() else {}
-    synonyms = _synonyms(manifest.get("synonyms", {}), mpath)
-    try:
-        split = DatasetSplit.from_json(manifest["split"]) if "split" in manifest else \
-            split_dataset([r.shape_id for r in records], seed=0)
-        vocabs = {}
-        for cat, v in manifest.get("vocabularies", {}).items():
-            if not (isinstance(v["tags"], list) and all(isinstance(t, str) for t in v["tags"])):
-                raise ConfigurationError(f"{mpath}: tags of {cat!r} must be a list of strings")
-            vocabs[cat] = TagVocabulary(category=cat, tags=tuple(v["tags"]),
-                                        synonyms=_synonyms(v.get("synonyms", {}), mpath),
-                                        counts=v.get("counts", {}))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ConfigurationError(f"{mpath}: missing or malformed field {exc}") from exc
+    synonyms = manifest.get("synonyms", {})
+    check_value(f"{mpath}: synonyms", "string_map", synonyms)
+    split = from_json(DatasetSplit, manifest["split"], f"{mpath}: split") \
+        if "split" in manifest else split_dataset([r.shape_id for r in records], seed=0)
     if "vocabularies" not in manifest:
-        for cat in sorted({r.category for r in records}):
-            vocabs[cat] = extract_tags(records, cat, synonyms=synonyms)
-    return records, split, vocabs
+        return records, split, {cat: extract_tags(records, cat, synonyms=synonyms)
+                                for cat in sorted({r.category for r in records})}
+    check_value(f"{mpath}: vocabularies", "objects", manifest["vocabularies"])
+    return records, split, {  # the key is the category; synonyms and counts may be left out
+        cat: from_json(TagVocabulary, {"synonyms": {}, "counts": {}, **entry, "category": cat},
+                       f"{mpath}: vocabularies[{cat!r}]")
+        for cat, entry in manifest["vocabularies"].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +175,8 @@ def cmd_synth(args) -> tuple[Path, list, list]:
 
 def cmd_mine(args) -> tuple[Path, list, list]:
     out = _new_dir(args.out)
-    synonyms = _synonyms(_load_json(args.synonyms), args.synonyms) if args.synonyms else None
+    synonyms = _load_json(args.synonyms) if args.synonyms else {}
+    check_value(f"{args.synonyms}: synonyms", "string_map", synonyms)
     records, report = mine_directory(args.in_dir, synonyms=synonyms, seed=args.seed)
     target = None
     if args.align_to:
@@ -351,7 +339,7 @@ def _pca_rgb(embed: np.ndarray) -> np.ndarray:
 def cmd_export_embeddings(args) -> tuple[Path, list, list]:
     params, cfg, _ = load_checkpoint(args.checkpoint)
     if args.shape:
-        records = [parse_json_shape(Path(p).read_bytes()) for p in args.shape]
+        records = [read_json_shape(p) for p in args.shape]
     else:
         records = load_corpus(args.data)
     if args.ids:
@@ -396,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sampling.add_argument("--points", type=_at_least(1), default=10000)
     training = argparse.ArgumentParser(add_help=False, parents=[sampling])
     training.add_argument("--data", required=True)
-    training.add_argument("--epochs", type=int, default=None)
+    training.add_argument("--epochs", type=_at_least(1), default=None)
     training.add_argument("--arch", help="architecture config JSON for training from scratch")
     training.add_argument("--train", help="training config JSON")
 

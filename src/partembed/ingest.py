@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .collada import parse_collada_tree
+from .config import check, kind
 from .errors import InputError, ParseError
 from .geometry import TriangleMesh
 from .hierarchy import PartHierarchy
@@ -241,7 +242,8 @@ def filter_shape(rec: ShapeRecord) -> tuple[bool, str]:
         return False, f"too_many_leaves:{n}"
     if rec.hierarchy.height < MIN_HEIGHT:
         return False, f"flat_hierarchy:{rec.hierarchy.height}"
-    area = float(rec.mesh.triangle_areas().sum())
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite vertex gives nan
+        area = float(rec.mesh.triangle_areas().sum())
     if not (np.isfinite(area) and area > 0):
         return False, f"degenerate_mesh:area {area:g}"
     return True, "ok"
@@ -259,13 +261,14 @@ class TagVocabulary:
     always a subset of ``tags``.
     """
 
-    category: str
-    tags: tuple[str, ...]
-    synonyms: dict[str, str] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
+    category: str = kind("string")
+    tags: tuple[str, ...] = kind("names_or_empty")
+    synonyms: dict[str, str] = kind("string_map", factory=dict)
+    counts: dict[str, int] = kind("count_map", factory=dict)
 
     def __post_init__(self):
-        bad = {v for v in self.synonyms.values()} - set(self.tags)
+        check(self)
+        bad = set(self.synonyms.values()) - set(self.tags)
         if bad:
             raise InputError(f"synonyms map onto unknown tags {sorted(bad)}")
 
@@ -306,14 +309,9 @@ def extract_tags(records: Sequence[ShapeRecord], category: str,
                  if any(_name_matches(nm, tag, synonyms) for nm in names))
         for tag in candidates
     }
-    ranked = sorted(counts, key=lambda t: (-counts[t], t))[:MAX_TAGS]
-    kept = tuple(ranked)
-    return TagVocabulary(
-        category=category,
-        tags=kept,
-        synonyms={r: c for r, c in synonyms.items() if c in kept},
-        counts={t: counts[t] for t in kept},
-    )
+    kept = tuple(sorted(counts, key=lambda t: (-counts[t], t))[:MAX_TAGS])
+    return TagVocabulary(category, kept, {r: c for r, c in synonyms.items() if c in kept},
+                         {t: counts[t] for t in kept})
 
 
 def label_points_with_tags(leaf_id: np.ndarray, tree: PartHierarchy,
@@ -355,23 +353,18 @@ def tag_sufficiency(fractions: Sequence[float]) -> tuple[bool, float]:
 
 @dataclass
 class DatasetSplit:
-    train: tuple[str, ...]
-    validation: tuple[str, ...]
-    test: tuple[str, ...]
+    train: tuple[str, ...] = kind("names_or_empty")
+    validation: tuple[str, ...] = kind("names_or_empty")
+    test: tuple[str, ...] = kind("names_or_empty")
 
     def __post_init__(self):
-        groups = [set(self.train), set(self.validation), set(self.test)]
-        total = sum(len(g) for g in groups)
-        if len(set().union(*groups)) != total:
+        check(self)
+        ids = self.train + self.validation + self.test
+        if len(set(ids)) != len(ids):
             raise InputError("split groups overlap")
 
     def to_json(self) -> dict:
-        return {"train": list(self.train), "validation": list(self.validation),
-                "test": list(self.test)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "DatasetSplit":
-        return DatasetSplit(tuple(obj["train"]), tuple(obj["validation"]), tuple(obj["test"]))
+        return {group: list(ids) for group, ids in vars(self).items()}
 
 
 def split_dataset(shape_ids: Sequence[str], seed: int = 0) -> DatasetSplit:
@@ -413,17 +406,12 @@ class MineReport:
         return dict(Counter(reason.split(":", 1)[0] for reason in self.rejected.values()))
 
     def to_json(self) -> dict:
-        return {
-            "kept": self.kept,
-            "rejected": dict(sorted(self.rejected.items())),
-            "reject_counts": dict(sorted(self.reject_counts.items())),
-            "vocabularies": {
-                cat: {"tags": list(v.tags), "counts": v.counts, "synonyms": v.synonyms}
-                for cat, v in sorted(self.vocabularies.items())
-            },
-            "sufficiency": dict(sorted(self.sufficiency.items())),
-            "split": self.split.to_json(),
-        }
+        return {"kept": self.kept, "rejected": self.rejected,
+                "reject_counts": self.reject_counts, "sufficiency": self.sufficiency,
+                "vocabularies": {cat: {"tags": list(v.tags), "counts": v.counts,
+                                       "synonyms": v.synonyms}
+                                 for cat, v in self.vocabularies.items()},
+                "split": self.split.to_json()}
 
 
 def discover_shape_files(in_dir) -> list[tuple[Path, str]]:
@@ -502,8 +490,16 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
     return records, report
 
 
+def read_json_shape(path) -> ShapeRecord:
+    """The native JSON shape in the file at ``path``; a ParseError names it."""
+    try:
+        return parse_json_shape(Path(path).read_bytes())
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def load_corpus(shape_dir) -> list[ShapeRecord]:
     """Read every native JSON shape under a mined directory, sorted by id."""
-    records = [parse_json_shape(path.read_bytes())
+    records = [read_json_shape(path)
                for path, _ in discover_shape_files(shape_dir) if path.suffix == ".json"]
     return sorted(records, key=lambda r: r.shape_id)

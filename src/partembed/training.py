@@ -154,24 +154,17 @@ def _check_same_size(shapes: Sequence[TrainShape]):
         raise InputError(f"shapes must share a point count, got {sorted(sizes)}")
 
 
-def _subsample(shape: TrainShape, n: int, rng: np.random.Generator) -> np.ndarray:
+def _subsample(shape: TrainShape, n: int, rng: np.random.Generator,
+               labeled: Optional[np.ndarray] = None) -> np.ndarray:
+    """``n`` distinct point indices, keeping every point of a ``labeled`` mask
+    when they fit, so a sparsely labeled batch always has points to supervise."""
     total = len(shape.cloud)
     if n >= total:
         return np.arange(total)
-    return rng.choice(total, size=n, replace=False)
-
-
-def _subsample_labeled(shape: TrainShape, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Subsample that always includes the labeled points when they fit, so a
-    sparsely labeled cloud never yields a batch with nothing to supervise."""
-    total = len(shape.cloud)
-    if n >= total:
-        return np.arange(total)
-    lab = np.flatnonzero(shape.cloud.semantic_label >= 0)
+    lab = np.arange(total) if labeled is None else np.flatnonzero(labeled)
     if len(lab) >= n:
         return rng.choice(lab, size=n, replace=False)
-    unlab = np.flatnonzero(shape.cloud.semantic_label < 0)
-    fill = rng.choice(unlab, size=n - len(lab), replace=False)
+    fill = rng.choice(np.flatnonzero(~labeled), size=n - len(lab), replace=False)
     return np.concatenate([lab, fill])
 
 
@@ -289,9 +282,9 @@ def _train_val_rngs(tc: TrainConfig, salt: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence((tc.seed, salt)).spawn(2)]
 
 
-def _point_draw(pick, n: int) -> Draw:
-    """A draw of ``n`` point indices per shape, chosen by ``pick``."""
-    return lambda chunk, rng: [pick(s, n, rng) for s in chunk]
+def _point_draw(n: int, labeled=lambda s: None) -> Draw:
+    """A draw of ``_subsample(shape, n, rng, labeled(shape))`` per shape."""
+    return lambda chunk, rng: [_subsample(s, n, rng, labeled(s)) for s in chunk]
 
 
 def _head_loss(params: dict, cfg: PenConfig, prefix: str, loss_and_grad,
@@ -368,7 +361,7 @@ def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShap
     chunk_loss = _head_loss(params, cfg, "tag", tag_loss_and_grad,
                             lambda s: s.cloud.tag_id)
     return fit(params, train_shapes, tc, rng_train,
-               _point_draw(_subsample, tc.subsample_points), chunk_loss, tc.max_epochs,
+               _point_draw(tc.subsample_points), chunk_loss, tc.max_epochs,
                lr_mult=_lr_mult(params, pretrained, tc.trunk_lr_scale),
                val=(val_shapes, rng_val))
 
@@ -393,7 +386,7 @@ def pretrain_autoencoder(params: dict, cfg: PenConfig, train_shapes: Sequence[Tr
 
     rng_train, rng_val = _train_val_rngs(tc, 0xAE)
     return fit(params, train_shapes, tc, rng_train,
-               _point_draw(_subsample, tc.subsample_points), chunk_loss, tc.max_epochs,
+               _point_draw(tc.subsample_points), chunk_loss, tc.max_epochs,
                val=(val_shapes, rng_val))
 
 
@@ -427,8 +420,8 @@ def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[T
     chunk_loss = _head_loss(params, cfg, "seg", _seg_loss_summed,
                             lambda s: s.cloud.semantic_label)
     stage = partial(fit, params, train_shapes, tc, rng,
-                    _point_draw(_subsample_labeled, tc.subsample_points), chunk_loss,
-                    state=AdamState(), report=TrainReport())
+                    _point_draw(tc.subsample_points, lambda s: s.cloud.semantic_label >= 0),
+                    chunk_loss, state=AdamState(), report=TrainReport())
     if not pretrained:
         return stage(tc.max_epochs)
     stage(tc.head_epochs, lr_mult=_lr_mult(params, pretrained, 0.0))

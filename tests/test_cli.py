@@ -18,7 +18,7 @@ from partembed import cli
 from partembed.cli import main
 from partembed.errors import ConfigurationError
 from partembed.geometry import PointCloud, read_ply, write_ply
-from partembed.ingest import extract_tags, load_corpus
+from partembed.ingest import extract_tags, load_corpus, mine_directory, split_dataset
 from partembed.network import PenConfig, init_params, load_checkpoint, save_checkpoint
 from partembed.synth import SYNTH_SYNONYMS
 from partembed.training import PRETRAINED
@@ -152,6 +152,25 @@ def _vocabulary_without_tags(tmp_path, corpus):
 
 def _manifest_synonyms_not_a_map(tmp_path, corpus):
     return _edit_manifest(corpus, lambda m: m.update(synonyms=["x"]))
+
+
+def _split_overlapping(tmp_path, corpus):
+    ids = json.loads((corpus / "manifest.json").read_text())["shape_ids"]
+    return _edit_manifest(corpus, lambda m: m.update(
+        split={"train": ids, "validation": ids[:1], "test": []}))
+
+
+def _vocabularies_not_an_object(tmp_path, corpus):
+    return _edit_manifest(corpus, lambda m: m.update(vocabularies=[{"tags": ["seat"]}]))
+
+
+def _vocabulary_not_an_object(tmp_path, corpus):
+    return _edit_manifest(corpus, lambda m: m.update(vocabularies={"table": ["seat"]}))
+
+
+def _vocabulary_synonym_onto_unknown_tag(tmp_path, corpus):
+    return _edit_manifest(corpus, lambda m: m.update(
+        vocabularies={"table": {"tags": ["top"], "synonyms": {"seats": "seat"}}}))
 
 
 def _vocabulary_tags(corpus, tags):
@@ -590,6 +609,34 @@ def test_bad_configs_exit_with_error_line(tmp_path, capsys, make_argv):
     assert "Traceback" not in err
 
 
+# each names the file, then the field or the part of the file at fault
+@pytest.mark.parametrize("make_argv, file, field", [
+    (_split_without_validation, "manifest.json", "split: unknown keys [], missing keys"),
+    (_split_overlapping, "manifest.json", "split: split groups overlap"),
+    (_vocabularies_not_an_object, "manifest.json", "vocabularies must be an object"),
+    (_vocabulary_not_an_object, "manifest.json", "vocabularies must be an object"),
+    (_vocabulary_without_tags, "manifest.json", "vocabularies['table']: unknown keys [], "
+                                                "missing keys ['tags']"),
+    (_vocabulary_tags_not_strings, "manifest.json", "vocabularies['table']: tags must be"),
+    (_vocabulary_tags_a_string, "manifest.json", "vocabularies['table']: tags must be"),
+    (_vocabulary_synonym_onto_unknown_tag, "manifest.json",
+     "vocabularies['table']: synonyms map onto unknown tags"),
+    (_manifest_synonyms_not_a_map, "manifest.json", "synonyms must be"),
+    (_mine_synonyms_not_strings, "synonyms.json", "synonyms must be"),
+    (_zero_width_arch, "arch.json", "point_widths must be"),
+    (_negative_lr, "train.json", "lr must be"),
+])
+def test_manifest_and_config_refusals_name_the_file_and_field(tmp_path, capsys, make_argv,
+                                                              file, field):
+    corpus = _synth(tmp_path, spec="table=3", seed="1")
+    argv = make_argv(tmp_path, corpus)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{file}: {field}" in err
+
+
 # the real entry point, once for each way out of main
 @pytest.mark.parametrize("argv, code", [
     (["synth", "--out", "s", "--counts", "table=3", "--config", "synth.json"], 2),
@@ -653,6 +700,17 @@ def test_points_below_one_is_a_usage_error(tmp_path, capsys, command):
     assert "--points: must be an integer of at least 1" in capsys.readouterr().err
 
 
+def test_epochs_below_one_is_refused_by_the_flag_not_blamed_on_the_train_file(tmp_path, capsys,
+                                                                              configs):
+    _, train = configs
+    with pytest.raises(SystemExit) as err:
+        main(["pretrain", "--data", str(tmp_path), "--out", str(tmp_path / "ck.npz"),
+              "--train", str(train), "--epochs", "0"])
+    assert err.value.code == 2
+    err = capsys.readouterr().err
+    assert "--epochs: must be an integer of at least 1" in err and str(train) not in err
+
+
 # A flag type is pinned by what it makes of a few probe strings ("error"
 # where it refuses one), so renaming a converter does not break the pin.
 TYPE_PROBES = ("-1", "0", "1", "a", "1,2", "")
@@ -683,7 +741,7 @@ OUT = (("--out",), None, True, None, None, None, "_StoreAction")
 SEED = (("--seed",), 0, False, None, None, "natural", "_StoreAction")
 POINTS = (("--points",), 10000, False, None, None, "count", "_StoreAction")
 DATA = (("--data",), None, True, None, None, None, "_StoreAction")
-EPOCHS = (("--epochs",), None, False, None, None, "int", "_StoreAction")
+EPOCHS = (("--epochs",), None, False, None, None, "count", "_StoreAction")
 JSON_FILE = (None, False, None, None, None, "_StoreAction")
 HELP = (("-h", "--help"), "==SUPPRESS==", False, None, 0, None, "_HelpAction")
 TRAINING = {"data": DATA, "epochs": EPOCHS, "arch": (("--arch",), *JSON_FILE),
@@ -908,12 +966,16 @@ def test_mine_rejects_degenerate_meshes_and_mines_the_rest(tmp_path, capsys):
     scenes = tmp_path / "scenes"
     shutil.copytree(FIXTURES / "scenes", scenes)
     # two leaves, every vertex at one point: zero total area
-    (scenes / "chairs" / "collapsed.json").write_text(json.dumps({
-        "shape_id": "collapsed", "category": "chairs",
-        "vertices": [[0.5, 0.5, 0.5]] * 3, "triangles": [[0, 1, 2]] * 2,
-        "nodes": [{"id": 0, "parent": None, "name": "chair", "children": [1, 2]},
-                  {"id": 1, "parent": 0, "name": "seat", "tri_range": [0, 1]},
-                  {"id": 2, "parent": 0, "name": "back", "tri_range": [1, 2]}]}))
+    shape = {"shape_id": "collapsed", "category": "chairs",
+             "vertices": [[0.5, 0.5, 0.5]] * 3, "triangles": [[0, 1, 2]] * 2,
+             "nodes": [{"id": 0, "parent": None, "name": "chair", "children": [1, 2]},
+                       {"id": 1, "parent": 0, "name": "seat", "tri_range": [0, 1]},
+                       {"id": 2, "parent": 0, "name": "back", "tri_range": [1, 2]}]}
+    (scenes / "chairs" / "collapsed.json").write_text(json.dumps(shape))
+    # JSON reads 1e400 as inf; its area is nan, with no NumPy warning
+    (scenes / "chairs" / "infinite_vertex.json").write_text(json.dumps(
+        {**shape, "shape_id": "infinite_vertex", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]}
+    ).replace("[1, 0, 0]", "[1e400, 0, 0]"))
     chair = (scenes / "chairs" / "side_chair.dae").read_text()
     (scenes / "chairs" / "nan_in_floats.dae").write_text(
         chair.replace(">0 0 0 1 0 0 1 1 0 0 1 0<", ">0 0 0 1 0 0 1 nan 0 0 1 0<"))
@@ -927,10 +989,47 @@ def test_mine_rejects_degenerate_meshes_and_mines_the_rest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["rejected"]["chairs/collapsed.json"] == "degenerate_mesh:area 0"
     assert manifest["rejected"]["chairs/nan_in_floats.dae"] == "degenerate_mesh:area nan"
-    assert manifest["reject_counts"] == {**golden["reject_counts"], "degenerate_mesh": 2}
+    assert manifest["rejected"]["chairs/infinite_vertex.json"] == "degenerate_mesh:area nan"
+    assert manifest["reject_counts"] == {**golden["reject_counts"], "degenerate_mesh": 3}
     for key in ("kept", "split", "sufficiency"):
         assert manifest[key] == golden[key]
     assert sorted(p.stem for p in out.glob("*/*.json")) == ["club_chair", "sedan", "side_chair"]
+
+
+def test_a_manifest_without_split_or_vocabularies_derives_them(tmp_path):
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out", str(corpus), "--counts", "chair=4", "table=3"]) == 0
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    assert "split" not in manifest and "vocabularies" not in manifest
+    records, split, vocabs = cli._load_dataset(corpus)
+    assert split == split_dataset([r.shape_id for r in records], seed=0)
+    assert vocabs == {cat: extract_tags(records, cat, synonyms=manifest["synonyms"])
+                      for cat in ("chair", "table")}
+    # the manifest's synonyms are the ones applied
+    assert manifest["synonyms"] == SYNTH_SYNONYMS
+    assert vocabs["chair"].tags != extract_tags(records, "chair").tags
+
+
+def test_a_mined_manifest_decodes_to_the_mined_split_and_vocabularies(tmp_path):
+    out = tmp_path / "mined"
+    assert main(["mine", "--in", str(FIXTURES / "scenes"), "--out", str(out), "--seed", "3",
+                 "--points", "50"]) == 0
+    _, report = mine_directory(FIXTURES / "scenes", seed=3)
+    _, split, vocabs = cli._load_dataset(out)
+    assert split == report.split and vocabs == report.vocabularies
+
+
+def test_a_corpus_read_error_names_the_file(tmp_path, capsys):
+    corpus = _synth(tmp_path, spec="table=3", seed="1")
+    bad = corpus / "table" / "table_0001.json"
+    bad.write_bytes(bad.read_bytes().replace(b'"table_0001"', b'"table_\xe91"'))
+    ck = _tiny_checkpoint(tmp_path)
+    for argv in (["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck2.npz")],
+                 ["export-embeddings", "--checkpoint", str(ck), "--out", str(tmp_path / "e"),
+                  "--shape", str(corpus / "table" / "table_0000.json"), str(bad)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text: ")
 
 
 def test_mine_align_to_writes_the_aligned_corpus_once(tmp_path):

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from partembed.errors import InputError, ParseError
+from partembed.config import from_json
+from partembed.errors import ConfigurationError, InputError, ParseError
 from partembed.geometry import sample_surface
 from partembed.synth import generate_corpus
 from partembed.ingest import (DEFAULT_STOP_PATTERNS, MAX_LEAVES, MAX_TAGS, MIN_LEAVES,
@@ -262,8 +263,10 @@ def test_split_sizes_round_the_shares_and_train_keeps_the_rest(n):
 def test_dataset_split_rejects_overlapping_groups():
     with pytest.raises(InputError, match="overlap"):
         DatasetSplit(("a", "b"), ("c",), ("b",))
-    with pytest.raises(InputError, match="overlap"):
-        DatasetSplit.from_json({"train": ["a"], "validation": ["a"], "test": ["b"]})
+    # decoded from JSON, the broken rule is a refusal of the named input
+    with pytest.raises(ConfigurationError, match="^manifest split: split groups overlap"):
+        from_json(DatasetSplit, {"train": ["a"], "validation": ["a"], "test": ["b"]},
+                  "manifest split")
 
 
 def test_mine_directory_counts_and_outputs(tmp_path):

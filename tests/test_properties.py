@@ -1,8 +1,9 @@
 """Property tests of the on-disk formats and of config validation: the native
 JSON shape format and PLY clouds read back exactly what was written, a
 mutated copy of any file a command reads either parses or raises ParseError,
-and an architecture or training config from any JSON value either builds or
-is refused with ConfigurationError."""
+and an architecture or training config, or a corpus manifest's split or tag
+vocabulary, from any JSON value either builds or is refused with
+ConfigurationError."""
 
 import io
 import json
@@ -21,7 +22,8 @@ from partembed.config import from_json
 from partembed.errors import ConfigurationError, ParseError
 from partembed.geometry import PointCloud, TriangleMesh, read_ply, write_ply
 from partembed.hierarchy import PartHierarchy
-from partembed.ingest import ShapeRecord, dumps_shape, parse_json_shape, shape_from_collada
+from partembed.ingest import (DatasetSplit, ShapeRecord, TagVocabulary, dumps_shape,
+                              parse_json_shape, shape_from_collada)
 from partembed.network import PenConfig, init_params, load_checkpoint, save_checkpoint
 from partembed.training import TrainConfig
 
@@ -225,14 +227,23 @@ def _json_form(cfg):
     return json.loads(json.dumps(asdict(cfg)))
 
 
+# a valid instance of each class the codec decodes
+BASES = {
+    PenConfig: PenConfig(), TrainConfig: TrainConfig(),
+    DatasetSplit: DatasetSplit(("a", "b"), ("c",), ()),
+    TagVocabulary: TagVocabulary("chair", ("seat", "back"), {"seats": "seat"},
+                                 {"seat": 3, "back": 1}),
+}
+
+
 @st.composite
 def config_dicts(draw, cls) -> dict:
-    """An arbitrary JSON value, or the JSON form of the default config with
-    some fields replaced and, now and then, some dropped or added."""
+    """An arbitrary JSON value, or the JSON form of the class's base instance
+    with some fields replaced and, now and then, some dropped or added."""
     if draw(st.integers(0, 3)) == 3:
         return draw(json_values)
     names = [f.name for f in fields(cls)]
-    raw = _json_form(cls())
+    raw = _json_form(BASES[cls])
     raw.update(draw(st.dictionaries(st.sampled_from(names), json_scalars | json_values,
                                     max_size=2)))
     if draw(st.integers(0, 3)) == 3:
@@ -275,7 +286,26 @@ def _train_config_is_typed(tc: TrainConfig) -> None:
     assert _is_real(tc.trunk_lr_scale, 0, strict=False)
 
 
-IS_TYPED = {PenConfig: _pen_config_is_typed, TrainConfig: _train_config_is_typed}
+def _strings(x) -> bool:
+    """A tuple of distinct strings."""
+    return type(x) is tuple and all(type(s) is str for s in x) and len(set(x)) == len(x)
+
+
+def _split_is_typed(split: DatasetSplit) -> None:
+    groups = (split.train, split.validation, split.test)
+    assert all(map(_strings, groups)) and _strings(sum(groups, ()))
+
+
+def _vocabulary_is_typed(vocab: TagVocabulary) -> None:
+    assert type(vocab.category) is str and _strings(vocab.tags)
+    assert type(vocab.synonyms) is dict and all(
+        type(raw) is str and canon in vocab.tags for raw, canon in vocab.synonyms.items())
+    assert type(vocab.counts) is dict and all(
+        type(tag) is str and _is_count(n, 0) for tag, n in vocab.counts.items())
+
+
+IS_TYPED = {PenConfig: _pen_config_is_typed, TrainConfig: _train_config_is_typed,
+            DatasetSplit: _split_is_typed, TagVocabulary: _vocabulary_is_typed}
 
 
 @pytest.mark.parametrize("cls", IS_TYPED, ids=lambda cls: cls.__name__)
@@ -290,3 +320,17 @@ def test_config_from_json_builds_or_refuses(cls, data):
     # what builds is a config every field of which has its declared type
     IS_TYPED[cls](cfg)
     assert from_json(cls, _json_form(cfg), cls.__name__) == cfg
+
+
+# one value of the wrong kind for each field of the manifest's classes
+WRONG = {"train": 1, "validation": ["a", 2], "test": "c", "category": 3,
+         "tags": ["seat", "seat"], "synonyms": {"seats": 1}, "counts": {"seat": -1}}
+
+
+@pytest.mark.parametrize("cls", [DatasetSplit, TagVocabulary], ids=lambda cls: cls.__name__)
+def test_manifest_classes_round_trip_and_name_the_file_and_a_wrong_field(cls):
+    raw = _json_form(BASES[cls])
+    assert from_json(cls, raw, "c/manifest.json") == BASES[cls]
+    for f in fields(cls):
+        with pytest.raises(ConfigurationError, match=rf"^c/manifest\.json: {f.name} must be "):
+            from_json(cls, {**raw, f.name: WRONG[f.name]}, "c/manifest.json")

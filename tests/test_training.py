@@ -14,7 +14,7 @@ from partembed.synth import SYNTH_SYNONYMS, generate_corpus, generate_shape
 from partembed.training import (
     PlateauScheduler,
     TrainConfig,
-    _subsample_labeled,
+    _subsample,
     finetune_segmentation,
     finetune_tags,
     fit,
@@ -465,13 +465,20 @@ def test_subsample_labeled_keeps_labels(chair_shapes):
     labels[labeled_idx] = 1
     shape.cloud.semantic_label = labels
     rng = np.random.default_rng(0)
-    out = _subsample_labeled(shape, 20, rng)
+    out = _subsample(shape, 20, rng, labels >= 0)
     assert len(out) == 20 and len(np.unique(out)) == 20
     assert set(labeled_idx) <= set(out.tolist())
-    few = _subsample_labeled(shape, 3, rng)
+    few = _subsample(shape, 3, rng, labels >= 0)
     assert set(few.tolist()) <= set(labeled_idx.tolist())
-    everything = _subsample_labeled(shape, 500, rng)
+    everything = _subsample(shape, 500, rng, labels >= 0)
     assert np.array_equal(everything, np.arange(len(shape.cloud)))
+    # with every point labeled the draw is the plain one, bit for bit
+    for n in (5, 20, len(shape.cloud) - 1):
+        plain = _subsample(shape, n, np.random.default_rng(n))
+        every = _subsample(shape, n, np.random.default_rng(n), np.ones(len(shape.cloud), bool))
+        assert np.array_equal(plain, every)
+        assert np.array_equal(plain, np.random.default_rng(n).choice(len(shape.cloud), n,
+                                                                     replace=False))
 
 
 # ---------------------------------------------------------------------------
