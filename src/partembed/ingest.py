@@ -119,17 +119,14 @@ def _expect(cond: bool, msg: str):
         raise ParseError(msg)
 
 
-def parse_json_shape(source) -> ShapeRecord:
-    """Parse the native JSON shape format (text, UTF-8 bytes or a decoded dict)."""
-    if isinstance(source, (str, bytes)):
-        try:
-            obj = json.loads(source.decode() if isinstance(source, bytes) else source)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    else:
-        obj = source
+def parse_json_shape(data: bytes) -> ShapeRecord:
+    """Parse the native JSON shape format from UTF-8 bytes."""
+    try:
+        obj = json.loads(data.decode())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     _expect(isinstance(obj, dict), "top level must be an object")
     for key in ("shape_id", "category", "vertices", "triangles", "nodes"):
         _expect(key in obj, f"missing required field '{key}'")
@@ -499,7 +496,14 @@ def read_json_shape(path) -> ShapeRecord:
 
 
 def load_corpus(shape_dir) -> list[ShapeRecord]:
-    """Read every native JSON shape under a mined directory, sorted by id."""
-    records = [read_json_shape(path)
-               for path, _ in discover_shape_files(shape_dir) if path.suffix == ".json"]
-    return sorted(records, key=lambda r: r.shape_id)
+    """Read every native JSON shape under a mined directory, sorted by id.
+    Two files giving one shape id raise a ParseError naming both."""
+    found: dict[str, tuple[ShapeRecord, Path]] = {}
+    for path, _ in discover_shape_files(shape_dir):
+        if path.suffix == ".json":
+            rec = read_json_shape(path)
+            if rec.shape_id in found:
+                raise ParseError(f"{found[rec.shape_id][1]} and {path}: "
+                                 f"duplicate shape_id '{rec.shape_id}'")
+            found[rec.shape_id] = rec, path
+    return [found[i][0] for i in sorted(found)]

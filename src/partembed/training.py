@@ -8,7 +8,8 @@ and a ``chunk_loss``, which returns the loss summed over the chunk's shapes.
 Adam thus always steps on the batch sum, so chunking is exact.
 ``TrainReport.train_losses`` is the per-shape mean loss of each epoch for
 every objective. Validation draws are frozen once per run, so the
-validation loss is a pure function of the parameters. Fine-tuning steps
+validation loss is a pure function of the parameters. A run is one ``fit``
+call on a schedule of per-epoch rate multipliers, by which fine-tuning steps
 pretrained tensors at ``trunk_lr_scale`` times the rate; 0 freezes them.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -212,38 +212,36 @@ ChunkLoss = Callable[[list[TrainShape], list, bool], tuple[float, Optional[dict]
 
 
 def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.random.Generator,
-        draw: Draw, chunk_loss: ChunkLoss, epochs: int,
-        lr_mult: Optional[dict[str, float]] = None,
-        val: Optional[tuple[Sequence[TrainShape], np.random.Generator]] = None,
-        state: Optional[AdamState] = None, report: Optional[TrainReport] = None) -> TrainReport:
-    """Train ``params`` in place for up to ``epochs`` epochs of ``shapes``.
+        draw: Draw, chunk_loss: ChunkLoss, lr_mults: Sequence[Optional[dict[str, float]]],
+        val: Optional[tuple[Sequence[TrainShape], np.random.Generator]] = None) -> TrainReport:
+    """Train ``params`` in place for up to ``len(lr_mults)`` epochs of ``shapes``.
 
     ``draw(chunk, rng)`` returns what one step sees of each shape of the
     chunk; ``chunk_loss(chunk, draws, want_grads)`` returns the loss summed
     over the chunk's shapes and its gradients (None unless asked). Adam
-    steps once per batch on the gradient summed over the batch's shapes.
+    steps once per batch on the gradient summed over the batch's shapes,
+    with epoch ``e``'s per-tensor rate multipliers ``lr_mults[e]`` (None:
+    full rate).
 
     ``val`` is (validation shapes, generator for their draws). With it the
     validation loss is watched: the rate decays on plateaus, training stops
     at the rate floor, and ``params`` end at the best epoch's values.
-    Without it the epoch count is fixed. Consecutive calls sharing
-    ``state`` and ``report`` continue one run.
+    Without it every epoch of the schedule runs.
     """
     val_shapes, rng_val = val if val is not None else ((), None)
     if not shapes or (val is not None and not val_shapes):
         raise InputError("need nonempty train and validation shape lists")
     _check_same_size([*shapes, *val_shapes])
     t0 = time.perf_counter()
-    state = AdamState() if state is None else state
-    report = TrainReport() if report is None else report
+    state = AdamState()
+    report = TrainReport(stop_reason="max_epochs" if val_shapes else "fixed_epochs")
     sched = PlateauScheduler(tc.lr)
     # drawn one shape at a time, once per run: the validation loss is then a
     # pure function of the parameters and independent of the chunking
     fixtures = [d for s in val_shapes for d in draw([s], rng_val)]
-    report.stop_reason = "max_epochs" if val_shapes else "fixed_epochs"
     best_params = None
     n = len(shapes)
-    for _ in range(epochs):
+    for lr_mult in lr_mults:
         order = rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, tc.batch_shapes):
@@ -271,10 +269,10 @@ def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.ran
         if sched.observe(v):
             report.stop_reason = "lr_floor"
             break
-    report.decays += sched.decays
+    report.decays = sched.decays
     if best_params is not None:
         params.update(best_params)
-    report.seconds += time.perf_counter() - t0
+    report.seconds = time.perf_counter() - t0
     return report
 
 
@@ -339,7 +337,7 @@ def pretrain_metric(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainSh
         return loss, backward_embed(params, cfg, trace, g_embed) if want_grads else None
 
     rng_train, rng_val = _train_val_rngs(tc, 0x7E1)
-    return fit(params, train_shapes, tc, rng_train, draw, chunk_loss, tc.max_epochs,
+    return fit(params, train_shapes, tc, rng_train, draw, chunk_loss, [None] * tc.max_epochs,
                val=(val_shapes, rng_val))
 
 
@@ -360,9 +358,8 @@ def finetune_tags(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainShap
     rng_train, rng_val = _train_val_rngs(tc, 0x7A6)
     chunk_loss = _head_loss(params, cfg, "tag", tag_loss_and_grad,
                             lambda s: s.cloud.tag_id)
-    return fit(params, train_shapes, tc, rng_train,
-               _point_draw(tc.subsample_points), chunk_loss, tc.max_epochs,
-               lr_mult=_lr_mult(params, pretrained, tc.trunk_lr_scale),
+    return fit(params, train_shapes, tc, rng_train, _point_draw(tc.subsample_points), chunk_loss,
+               [_lr_mult(params, pretrained, tc.trunk_lr_scale)] * tc.max_epochs,
                val=(val_shapes, rng_val))
 
 
@@ -385,9 +382,8 @@ def pretrain_autoencoder(params: dict, cfg: PenConfig, train_shapes: Sequence[Tr
         return loss, grads
 
     rng_train, rng_val = _train_val_rngs(tc, 0xAE)
-    return fit(params, train_shapes, tc, rng_train,
-               _point_draw(tc.subsample_points), chunk_loss, tc.max_epochs,
-               val=(val_shapes, rng_val))
+    return fit(params, train_shapes, tc, rng_train, _point_draw(tc.subsample_points), chunk_loss,
+               [None] * tc.max_epochs, val=(val_shapes, rng_val))
 
 
 def _seg_loss_summed(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -403,11 +399,11 @@ def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[T
     """Few-shot segmentation fine-tuning on a handful of labeled shapes.
 
     ``pretrained`` names the prefixes of the tensors a checkpoint lent.
-    The other, fresh tensors train alone for ``head_epochs`` epochs, then
-    everything trains, with pretrained tensors stepped at
-    ``trunk_lr_scale``. An empty ``pretrained`` means training from
-    scratch: one stage with every tensor at full rate. Epoch counts are
-    fixed: the labeled sets are too small to carve a validation split from.
+    The schedule's first ``head_epochs`` entries freeze them, so the fresh
+    tensors train alone; ``max_epochs`` entries with them at
+    ``trunk_lr_scale`` follow. An empty ``pretrained`` means training from
+    scratch, with no head stage and every tensor at full rate. Epoch counts
+    are fixed: the labeled sets are too small to carve a validation split from.
     """
     for s in train_shapes:
         if s.cloud.semantic_label is None:
@@ -419,13 +415,11 @@ def finetune_segmentation(params: dict, cfg: PenConfig, train_shapes: Sequence[T
     rng = np.random.default_rng(np.random.SeedSequence((tc.seed, 0x5E6)))
     chunk_loss = _head_loss(params, cfg, "seg", _seg_loss_summed,
                             lambda s: s.cloud.semantic_label)
-    stage = partial(fit, params, train_shapes, tc, rng,
-                    _point_draw(tc.subsample_points, lambda s: s.cloud.semantic_label >= 0),
-                    chunk_loss, state=AdamState(), report=TrainReport())
-    if not pretrained:
-        return stage(tc.max_epochs)
-    stage(tc.head_epochs, lr_mult=_lr_mult(params, pretrained, 0.0))
-    return stage(tc.max_epochs, lr_mult=_lr_mult(params, pretrained, tc.trunk_lr_scale))
+    head = tc.head_epochs if pretrained else 0
+    return fit(params, train_shapes, tc, rng,
+               _point_draw(tc.subsample_points, lambda s: s.cloud.semantic_label >= 0),
+               chunk_loss, [_lr_mult(params, pretrained, 0.0)] * head
+               + [_lr_mult(params, pretrained, tc.trunk_lr_scale)] * tc.max_epochs)
 
 
 def predict_segmentation(params: dict, cfg: PenConfig, points: np.ndarray,

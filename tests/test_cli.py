@@ -1032,6 +1032,24 @@ def test_a_corpus_read_error_names_the_file(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text: ")
 
 
+def test_a_shape_id_in_two_corpus_files_is_refused_naming_both(tmp_path, capsys):
+    # a shape file copied into a second category directory: reading on would
+    # train on one copy, or export one embedding over the other
+    corpus = _synth(tmp_path, spec="table=3", seed="1")
+    first = corpus / "table" / "table_0001.json"
+    copy = corpus / "chair" / "table_0001.json"
+    copy.parent.mkdir()
+    copy.write_bytes(first.read_bytes())
+    ck = _tiny_checkpoint(tmp_path)
+    for argv in (["pretrain", "--data", str(corpus), "--out", str(tmp_path / "ck2.npz")],
+                 ["export-embeddings", "--checkpoint", str(ck), "--out", str(tmp_path / "e"),
+                  "--data", str(corpus)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {copy} and {first}: duplicate shape_id 'table_0001'")
+
+
 def test_mine_align_to_writes_the_aligned_corpus_once(tmp_path):
     out = tmp_path / "mined"
     rc = main(["mine", "--in", str(FIXTURES / "scenes"), "--out", str(out), "--points", "100"])

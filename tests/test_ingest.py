@@ -36,10 +36,17 @@ def minimal_obj():
     }
 
 
+def parse(source):
+    """``parse_json_shape`` of a decoded object or of text, given as the UTF-8
+    bytes a shape file holds."""
+    text = source if isinstance(source, str) else json.dumps(source)
+    return parse_json_shape(text.encode())
+
+
 def test_json_round_trip_is_fixpoint():
     rec = sedan()
     text = dumps_shape(rec)
-    back = parse_json_shape(text)
+    back = parse(text)
     assert dumps_shape(back) == text
     assert back.shape_id == "sedan" and back.category == "cars"
     assert len(back.hierarchy) == len(rec.hierarchy)
@@ -48,7 +55,7 @@ def test_json_round_trip_is_fixpoint():
 
 def test_round_trip_preserves_triangle_ownership():
     rec = sedan()
-    back = parse_json_shape(dumps_shape(rec))
+    back = parse(dumps_shape(rec))
     for t in (rec, back):
         counts = {}
         for leaf in np.unique(t.mesh.tri_leaf):
@@ -56,10 +63,10 @@ def test_round_trip_preserves_triangle_ownership():
     assert counts["body"] == 2 and counts["wheel_front_left"] == 1
 
 
-def test_parse_json_accepts_dict_and_semantic_labels():
+def test_parse_json_reads_semantic_labels():
     obj = minimal_obj()
     obj["semantic_labels"] = [0, 1]
-    rec = parse_json_shape(obj)
+    rec = parse(obj)
     np.testing.assert_array_equal(rec.mesh.tri_semantic, [0, 1])
 
 
@@ -67,30 +74,30 @@ def test_schema_errors():
     obj = minimal_obj()
     del obj["shape_id"]
     with pytest.raises(ParseError, match="missing required field 'shape_id'"):
-        parse_json_shape(obj)
+        parse(obj)
 
     obj = minimal_obj()
     obj["nodes"][1]["tri_range"] = [0, 2]  # overlaps node 2's range
     with pytest.raises(ParseError, match="tri_range overlaps another leaf"):
-        parse_json_shape(obj)
+        parse(obj)
 
     obj = minimal_obj()
     obj["nodes"][2]["tri_range"] = [1, 1]  # triangle 1 uncovered
     with pytest.raises(ParseError, match="must cover every triangle"):
-        parse_json_shape(obj)
+        parse(obj)
 
     obj = minimal_obj()
     obj["nodes"][0]["children"] = [1]  # disagrees with node 2's parent
     with pytest.raises(ParseError, match="children list disagrees"):
-        parse_json_shape(obj)
+        parse(obj)
 
     obj = minimal_obj()
     obj["nodes"][1]["parent"] = 1  # self-loop
     with pytest.raises(ParseError, match="invalid hierarchy: node 1 unreachable"):
-        parse_json_shape(obj)
+        parse(obj)
 
     with pytest.raises(ParseError, match=r"invalid JSON at line \d+"):
-        parse_json_shape("{not json")
+        parse("{not json")
 
     with pytest.raises(ParseError, match="not UTF-8 text"):
         parse_json_shape(json.dumps(minimal_obj()).replace("root", "r\u00f6ot").encode("latin-1"))
@@ -98,34 +105,34 @@ def test_schema_errors():
     obj = minimal_obj()
     obj["triangles"][1] = [0, 1, float("inf")]   # what JSON's 1e400 reads as
     with pytest.raises(ParseError, match="vertices/triangles are not numeric"):
-        parse_json_shape(obj)
+        parse(obj)
 
     obj = minimal_obj()
     obj["semantic_labels"] = [0, float("inf")]
     with pytest.raises(ParseError, match="semantic_labels must be integers"):
-        parse_json_shape(obj)
+        parse(obj)
 
     obj = minimal_obj()
     obj["nodes"][1]["tri_range"] = [0, 99]
     with pytest.raises(ParseError, match=r"tri_range \[0, 99\] out of bounds"):
-        parse_json_shape(obj)
+        parse(obj)
 
     obj = minimal_obj()
     obj["nodes"][0]["children"] = [1]
     obj["nodes"][2]["parent"] = 1  # a tri_range node named as a parent
     with pytest.raises(ParseError, match="has children but carries a tri_range"):
-        parse_json_shape(obj)
+        parse(obj)
 
     obj = minimal_obj()
     obj["nodes"][0]["children"] = [1, 2, 3]
     obj["nodes"].append({"id": 3, "parent": 0, "name": "g", "children": []})
     with pytest.raises(ParseError, match="group has no children"):
-        parse_json_shape(obj)
+        parse(obj)
 
     obj = minimal_obj()
     obj["nodes"][0]["children"] = [1, 2, 3]
     obj["nodes"].append({"id": 3, "parent": 0, "name": "e", "tri_range": [2, 2]})
-    rec = parse_json_shape(obj)  # an empty range still makes a leaf
+    rec = parse(obj)  # an empty range still makes a leaf
     assert rec.hierarchy.leaves == (1, 2, 3)
 
 
@@ -157,7 +164,7 @@ def test_extract_tags_with_synonyms_and_stops():
 
 def named_parts(shape_id, names):
     """One triangle per leaf, each leaf a child of a root named 'root'."""
-    return parse_json_shape({
+    return parse({
         "shape_id": shape_id, "category": "c",
         "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
         "triangles": [[0, 1, 2]] * len(names),

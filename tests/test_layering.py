@@ -1,6 +1,7 @@
 """Package-wide rules: modules reach each other through public names only,
-every error type is one that some caller catches by name, the README's
-config table names every config field, and its command-line section every
+every error type is one that some caller catches by name, every public
+function and class has a caller outside the tests, the README's config
+table names every config field, and its command-line section every
 command-line flag."""
 
 import argparse
@@ -37,6 +38,22 @@ def test_every_error_class_is_caught_by_name_somewhere():
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
     assert sorted(defined - caught) == []
+
+
+def test_every_public_function_and_class_is_used_outside_the_tests():
+    # a reference inside the name's own definition (recursion) and a package
+    # re-export do not count; the demos and the benchmark harness do
+    defined, used = set(), set()
+    sources = [*PACKAGE.glob("*.py"), *(PACKAGE.parents[1] / "demos").glob("*.py"),
+               *(PACKAGE.parents[1] / "perfbench").glob("*.py")]
+    for path in sorted(set(sources) - {PACKAGE / "__init__.py"}):
+        for stmt in ast.parse(path.read_text()).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own and path.parent == PACKAGE and not own.startswith("_"):
+                defined.add(own)
+            used |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute))} - {own}
+    assert sorted(defined - used) == []
 
 
 def test_readme_kind_table_names_exactly_the_config_fields():

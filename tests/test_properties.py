@@ -64,7 +64,7 @@ def _owned_triangles(rec: ShapeRecord) -> dict:
 @given(shape_records())
 def test_json_shape_round_trip_is_a_fixpoint(rec):
     text = dumps_shape(rec)
-    back = parse_json_shape(text)
+    back = parse_json_shape(text.encode())
     assert dumps_shape(back) == text
     assert (back.shape_id, back.category) == (rec.shape_id, rec.category)
     assert (back.hierarchy.parents, back.hierarchy.names) == \

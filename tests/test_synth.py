@@ -140,7 +140,7 @@ def test_written_corpus_parses_back(tmp_path):
         assert np.array_equal(disk.mesh.tri_leaf, mem.mesh.tri_leaf)
         assert len(disk.hierarchy) == len(mem.hierarchy)
 
-    one = parse_json_shape((tmp_path / "airplane" / "airplane_0000.json").read_text())
+    one = parse_json_shape((tmp_path / "airplane" / "airplane_0000.json").read_bytes())
     assert one.shape_id == "airplane_0000"
 
 

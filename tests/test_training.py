@@ -122,7 +122,7 @@ def test_fit_stops_at_the_rate_floor(chair_shapes):
 
     params = {"w": np.ones(2)}
     report = fit(params, chair_shapes[:4], TC, np.random.default_rng(0), draw, chunk_loss,
-                 100, val=(chair_shapes[4:], np.random.default_rng(1)))
+                 [None] * 100, val=(chair_shapes[4:], np.random.default_rng(1)))
     assert report.stop_reason == "lr_floor"
     assert report.epochs == 26 and report.decays == 5
     assert report.val_losses == [1.0] * 26 and report.best_epoch == 0
@@ -177,7 +177,7 @@ def test_fit_steps_on_the_batch_sum(chair_shapes, monkeypatch, microbatch):
     monkeypatch.setattr(training, "adam_step", capture)
     report = fit({"w": np.zeros(len(chair_shapes))}, chair_shapes,
                  replace(TC, batch_shapes=4, microbatch=microbatch),
-                 np.random.default_rng(0), draw, chunk_loss, epochs=2)
+                 np.random.default_rng(0), draw, chunk_loss, [None] * 2)
     assert [len(batch) for _, batch in steps] == [4, 2, 4, 2]
     for g, batch in steps:
         assert np.array_equal(g, unit[batch].sum(axis=0))
@@ -425,6 +425,31 @@ def test_finetune_segmentation_freezes_and_scales(chair_shapes):
                           replace(tc, trunk_lr_scale=0.1))
     assert _changed(before, params, "seg")
     assert _changed(before, params, "enc")
+
+
+def test_finetune_segmentation_schedule_opens_with_the_head_stage(chair_shapes, monkeypatch):
+    # 3 shapes in batches of 4: one Adam step per epoch, two head epochs and
+    # then one with the lent tensors at trunk_lr_scale, all on one Adam state
+    cfg = _seg_cfg(chair_shapes)
+    tc = replace(TC, max_epochs=1, head_epochs=2, trunk_lr_scale=0.1)
+    steps, states = [], []
+    adam_step = training.adam_step
+
+    def recording(params, grads, state, lr, lr_mult=None):
+        adam_step(params, grads, state, lr, lr_mult=lr_mult)
+        steps.append((dict(lr_mult), state.t.get("enc0.W", 0), state.t.get("seg0.W", 0)))
+        states.append(state)
+
+    monkeypatch.setattr(training, "adam_step", recording)
+    report = finetune_segmentation(_fresh(cfg), cfg, chair_shapes[:3], tc)
+    assert report.epochs == 3 and len(steps) == 3
+    assert all(state is states[0] for state in states)
+    for mult, _, _ in steps[:2]:
+        assert mult["enc0.W"] == mult["embed.W"] == 0.0 and mult["seg0.W"] == 1.0
+    assert steps[2][0]["enc0.W"] == steps[2][0]["dec0.W"] == tc.trunk_lr_scale
+    assert steps[2][0]["seg1.b"] == 1.0
+    assert [(enc, seg) for _, enc, seg in steps] == [(0, 1), (0, 2), (1, 3)]
+    assert (states[0].t["enc0.W"], states[0].t["seg0.W"]) == (1, 3)
 
 
 def test_finetune_segmentation_unstaged_moves_everything(chair_shapes):
