@@ -31,7 +31,7 @@ from .config import check_value, from_json
 from .errors import ConfigurationError, InputError, PartembedError
 from .geometry import icp_align, read_ply, sample_surface, write_ply
 from .ingest import (DatasetSplit, TagVocabulary, extract_tags, label_points_with_tags,
-                     load_corpus, mine_directory, read_json_shape, split_dataset,
+                     load_corpus, mine_directory, read_json_shapes, split_dataset,
                      write_corpus)
 from .network import PenConfig, forward_embed, init_params, load_checkpoint, save_checkpoint
 from .synth import generate_corpus
@@ -339,7 +339,7 @@ def _pca_rgb(embed: np.ndarray) -> np.ndarray:
 def cmd_export_embeddings(args) -> tuple[Path, list, list]:
     params, cfg, _ = load_checkpoint(args.checkpoint)
     if args.shape:
-        records = [read_json_shape(p) for p in args.shape]
+        records = read_json_shapes(args.shape)
     else:
         records = load_corpus(args.data)
     if args.ids:

@@ -2,8 +2,9 @@
 
 A shape record pairs a triangle mesh with the part hierarchy that owns its
 triangles. Records come from COLLADA scene graphs or from the native JSON
-format, get filtered on hierarchy size, and are the unit everything
-downstream (sampling, triplets, training) consumes.
+format, which holds exactly the arrays a record is built from; they get
+filtered on hierarchy size, and are the unit everything downstream
+(sampling, triplets, training) consumes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .collada import parse_collada_tree
-from .config import check, kind
+from .config import check, is_int, kind
 from .errors import InputError, ParseError
 from .geometry import TriangleMesh
 from .hierarchy import PartHierarchy
@@ -54,7 +55,8 @@ class ShapeRecord:
         leaf_set = set(self.hierarchy.leaves)
         used = set(np.unique(self.mesh.tri_leaf).tolist())
         if not used <= leaf_set:
-            raise ParseError(f"shape {self.shape_id}: tri_leaf references non-leaf nodes {sorted(used - leaf_set)}")
+            raise ParseError(f"shape {self.shape_id}: tri_leaf names ids that are not leaves "
+                             f"{sorted(used - leaf_set)}")
 
 
 def shape_from_collada(data: bytes, shape_id: str, category: str = "default") -> ShapeRecord:
@@ -72,34 +74,21 @@ def shape_from_collada(data: bytes, shape_id: str, category: str = "default") ->
 # ---------------------------------------------------------------------------
 
 def dumps_shape(rec: ShapeRecord) -> str:
-    """Native JSON text of a record. Triangles are reordered so every leaf
-    owns one contiguous range; writing then re-reading is a fixpoint."""
-    order = np.argsort(rec.mesh.tri_leaf, kind="stable")
-    tris = rec.mesh.triangles[order]
-    leaf_sorted = rec.mesh.tri_leaf[order]
-    sem = None if rec.mesh.tri_semantic is None else rec.mesh.tri_semantic[order]
-
-    tree = rec.hierarchy
-    nodes = []
-    for i, (parent, name, children) in enumerate(zip(tree.parents, tree.names, tree.children)):
-        entry: dict = {"id": i, "parent": parent, "name": name}
-        if children:
-            entry["children"] = list(children)
-        else:
-            lo = int(np.searchsorted(leaf_sorted, i, side="left"))
-            hi = int(np.searchsorted(leaf_sorted, i, side="right"))
-            entry["tri_range"] = [lo, hi]
-        nodes.append(entry)
-
+    """Native JSON text of a record: exactly the arrays its constructors
+    take, the tree as ``parents`` and ``names`` and triangle ownership as
+    ``tri_leaf``. Writing then re-reading is a fixpoint."""
+    tree, mesh = rec.hierarchy, rec.mesh
     obj = {
         "shape_id": rec.shape_id,
         "category": rec.category,
-        "vertices": [[float(x) for x in row] for row in rec.mesh.vertices],
-        "triangles": [[int(x) for x in row] for row in tris],
-        "nodes": nodes,
+        "parents": tree.parents,
+        "names": tree.names,
+        "vertices": mesh.vertices.tolist(),
+        "triangles": mesh.triangles.tolist(),
+        "tri_leaf": mesh.tri_leaf.tolist(),
     }
-    if sem is not None:
-        obj["semantic_labels"] = [int(x) for x in sem]
+    if mesh.tri_semantic is not None:
+        obj["semantic_labels"] = mesh.tri_semantic.tolist()
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -120,7 +109,10 @@ def _expect(cond: bool, msg: str):
 
 
 def parse_json_shape(data: bytes) -> ShapeRecord:
-    """Parse the native JSON shape format from UTF-8 bytes."""
+    """Parse the native JSON shape format from UTF-8 bytes. The tree and the
+    mesh check themselves as they are built, and any rule they refuse is a
+    ParseError here. A file in the earlier layout (a ``nodes`` list with
+    child lists and triangle ranges) has no ``parents`` and is refused."""
     try:
         obj = json.loads(data.decode())
     except UnicodeDecodeError as exc:
@@ -128,99 +120,36 @@ def parse_json_shape(data: bytes) -> ShapeRecord:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     _expect(isinstance(obj, dict), "top level must be an object")
-    for key in ("shape_id", "category", "vertices", "triangles", "nodes"):
+    for key in ("shape_id", "category", "parents", "names", "vertices", "triangles", "tri_leaf"):
         _expect(key in obj, f"missing required field '{key}'")
     _expect(isinstance(obj["shape_id"], str) and obj["shape_id"], "shape_id must be a nonempty string")
     _expect(isinstance(obj["category"], str), "category must be a string")
+    parents, names = obj["parents"], obj["names"]
+    _expect(isinstance(parents, list) and all(p is None or is_int(p) for p in parents),
+            "parents must be a list of node ids or nulls")
+    _expect(isinstance(names, list) and all(isinstance(x, str) for x in names),
+            "names must be a list of strings")
 
+    arrays = {}
     try:
-        vertices = np.asarray(obj["vertices"], dtype=np.float64)
-        triangles = np.asarray(obj["triangles"], dtype=np.int64)
+        for key in ("vertices", "triangles", "tri_leaf", "semantic_labels"):
+            if key in obj:
+                arrays[key] = np.asarray(obj[key], dtype=np.float64 if key == "vertices" else np.int64)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise ParseError(f"vertices/triangles are not numeric arrays: {exc}") from exc
+        raise ParseError(f"{key} is not a numeric array: {exc}") from exc
+    vertices, triangles = arrays["vertices"], arrays["triangles"]
     _expect(vertices.ndim == 2 and vertices.shape[1] == 3 or vertices.size == 0,
             "vertices must be an array of [x, y, z] rows")
     _expect(triangles.ndim == 2 and triangles.shape[1] == 3 or triangles.size == 0,
             "triangles must be an array of [i, j, k] rows")
-    vertices = vertices.reshape(-1, 3)
-    triangles = triangles.reshape(-1, 3)
-    n_tri = len(triangles)
-
-    raw_nodes = obj["nodes"]
-    _expect(isinstance(raw_nodes, list) and raw_nodes, "nodes must be a nonempty list")
-    n = len(raw_nodes)
-    seen = {}
-    for entry in raw_nodes:
-        _expect(isinstance(entry, dict), "each node must be an object")
-        for key in ("id", "parent", "name"):
-            _expect(key in entry, f"node missing field '{key}'")
-        i = entry["id"]
-        _expect(isinstance(i, int) and 0 <= i < n, f"node id {i!r} not in 0..{n - 1}")
-        _expect(i not in seen, f"duplicate node id {i}")
-        seen[i] = entry
-
-    parents: list[Optional[int]] = [None] * n
-    names: list[str] = [""] * n
-    ranges: dict[int, tuple[int, int]] = {}
-    for i in range(n):
-        entry = seen[i]
-        p = entry["parent"]
-        _expect(p is None or (isinstance(p, int) and 0 <= p < n), f"node {i}: bad parent {p!r}")
-        parents[i] = p
-        _expect(isinstance(entry["name"], str), f"node {i}: name must be a string")
-        names[i] = entry["name"]
-        has_range = "tri_range" in entry
-        has_children = "children" in entry
-        _expect(has_range != has_children, f"node {i}: needs exactly one of tri_range/children")
-        if has_range:
-            r = entry["tri_range"]
-            _expect(isinstance(r, list) and len(r) == 2 and all(isinstance(x, int) for x in r),
-                    f"node {i}: tri_range must be [start, end]")
-            lo, hi = r
-            _expect(0 <= lo <= hi <= n_tri, f"node {i}: tri_range {r} out of bounds for {n_tri} triangles")
-            ranges[i] = (lo, hi)
-        else:
-            c = entry["children"]
-            _expect(isinstance(c, list) and all(isinstance(x, int) for x in c),
-                    f"node {i}: children must be a list of ids")
-
-    tri_leaf = np.full(n_tri, -1, dtype=np.int64)
-    for i, (lo, hi) in ranges.items():
-        _expect((tri_leaf[lo:hi] == -1).all(), f"node {i}: tri_range overlaps another leaf")
-        tri_leaf[lo:hi] = i
-    _expect((tri_leaf >= 0).all(), "tri_ranges must cover every triangle")
-
-    sem = None
-    if "semantic_labels" in obj:
-        try:
-            sem = np.asarray(obj["semantic_labels"], dtype=np.int64).reshape(-1)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ParseError(f"semantic_labels must be integers: {exc}") from exc
-        _expect(len(sem) == n_tri, f"semantic_labels has {len(sem)} entries for {n_tri} triangles")
 
     try:
-        tree = PartHierarchy(parents, names)
+        mesh = TriangleMesh(vertices=vertices, triangles=triangles, tri_leaf=arrays["tri_leaf"],
+                            tri_semantic=arrays.get("semantic_labels"))
+        return ShapeRecord(shape_id=obj["shape_id"], category=obj["category"],
+                           mesh=mesh, hierarchy=PartHierarchy(parents, names))
     except InputError as exc:
-        raise ParseError(f"invalid hierarchy: {exc}") from exc
-
-    # a leaf owns a tri_range; a group declares the children its parent
-    # pointers give it, and has at least one
-    for i, children in enumerate(tree.children):
-        declared = seen[i].get("children")
-        if declared is None:
-            _expect(not children, f"node {i}: has children but carries a tri_range")
-        else:
-            _expect(bool(children), f"node {i}: group has no children")
-            _expect(sorted(declared) == sorted(children),
-                    f"node {i}: children list disagrees with parent pointers")
-
-    try:
-        mesh = TriangleMesh(vertices=vertices, triangles=triangles, tri_leaf=tri_leaf,
-                            tri_semantic=sem)
-    except InputError as exc:
-        raise ParseError(f"invalid mesh: {exc}") from exc
-    return ShapeRecord(shape_id=obj["shape_id"], category=obj["category"],
-                       mesh=mesh, hierarchy=tree)
+        raise ParseError(f"invalid shape: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -487,23 +416,25 @@ def mine_directory(in_dir, synonyms: dict[str, str] | None = None,
     return records, report
 
 
-def read_json_shape(path) -> ShapeRecord:
-    """The native JSON shape in the file at ``path``; a ParseError names it."""
-    try:
-        return parse_json_shape(Path(path).read_bytes())
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+def read_json_shapes(paths) -> list[ShapeRecord]:
+    """The native JSON shapes in the files at ``paths``, in that order. A
+    ParseError names the file; two files giving one shape id raise one
+    naming both."""
+    found: dict[str, Path] = {}
+    records = []
+    for path in paths:
+        try:
+            rec = parse_json_shape(Path(path).read_bytes())
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        if rec.shape_id in found:
+            raise ParseError(f"{found[rec.shape_id]} and {path}: duplicate shape_id '{rec.shape_id}'")
+        found[rec.shape_id] = path
+        records.append(rec)
+    return records
 
 
 def load_corpus(shape_dir) -> list[ShapeRecord]:
-    """Read every native JSON shape under a mined directory, sorted by id.
-    Two files giving one shape id raise a ParseError naming both."""
-    found: dict[str, tuple[ShapeRecord, Path]] = {}
-    for path, _ in discover_shape_files(shape_dir):
-        if path.suffix == ".json":
-            rec = read_json_shape(path)
-            if rec.shape_id in found:
-                raise ParseError(f"{found[rec.shape_id][1]} and {path}: "
-                                 f"duplicate shape_id '{rec.shape_id}'")
-            found[rec.shape_id] = rec, path
-    return [found[i][0] for i in sorted(found)]
+    """Read every native JSON shape under a mined directory, sorted by id."""
+    paths = [path for path, _ in discover_shape_files(shape_dir) if path.suffix == ".json"]
+    return sorted(read_json_shapes(paths), key=lambda rec: rec.shape_id)

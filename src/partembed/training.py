@@ -15,7 +15,6 @@ pretrained tensors at ``trunk_lr_scale`` times the rate; 0 freezes them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -73,7 +72,6 @@ class PlateauScheduler:
         self.lr = lr
         self.best = np.inf
         self.bad_epochs = 0
-        self.decays = 0
         self.decays_below = 0
 
     def observe(self, loss: float) -> bool:
@@ -87,7 +85,6 @@ class PlateauScheduler:
         self.bad_epochs += 1
         if self.bad_epochs >= PLATEAU_PATIENCE:
             self.lr /= DECAY_FACTOR
-            self.decays += 1
             self.bad_epochs = 0
             if self.lr < MIN_LR:
                 self.decays_below += 1
@@ -113,13 +110,10 @@ class TrainShape:
 class TrainReport:
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
-    lr_history: list[float] = field(default_factory=list)
-    decays: int = 0
     epochs: int = 0
     best_epoch: int = -1
     best_val: float = np.inf
     stop_reason: str = ""
-    seconds: float = 0.0
 
 
 def prepare_shapes(records: Sequence[ShapeRecord], n_points: int = 10000,
@@ -232,7 +226,6 @@ def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.ran
     if not shapes or (val is not None and not val_shapes):
         raise InputError("need nonempty train and validation shape lists")
     _check_same_size([*shapes, *val_shapes])
-    t0 = time.perf_counter()
     state = AdamState()
     report = TrainReport(stop_reason="max_epochs" if val_shapes else "fixed_epochs")
     sched = PlateauScheduler(tc.lr)
@@ -254,7 +247,6 @@ def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.ran
                 _accumulate(grads, g)
             adam_step(params, grads, state, sched.lr, lr_mult=lr_mult)
         report.train_losses.append(epoch_loss / n)
-        report.lr_history.append(sched.lr)
         report.epochs += 1
         if not val_shapes:
             continue
@@ -269,10 +261,8 @@ def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.ran
         if sched.observe(v):
             report.stop_reason = "lr_floor"
             break
-    report.decays = sched.decays
     if best_params is not None:
         params.update(best_params)
-    report.seconds = time.perf_counter() - t0
     return report
 
 

@@ -448,6 +448,15 @@ def _export_without_shapes(tmp_path, corpus):
             "--out", str(tmp_path / "e"), "--points", "60"]
 
 
+def _export_shape_given_twice(tmp_path, corpus):
+    # a shape and a copy of it would export one embedding over the other
+    shape = corpus / "table" / "table_0000.json"
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(shape.read_bytes())
+    return ["export-embeddings", "--checkpoint", str(_tiny_checkpoint(tmp_path)),
+            "--out", str(tmp_path / "e"), "--points", "60", "--shape", str(shape), str(copy)]
+
+
 def _train_file(tmp_path, corpus, **fields):
     train = tmp_path / "train.json"
     train.write_text(json.dumps({**TRAIN, **fields}))
@@ -577,7 +586,8 @@ def _synth_integer_group_leaves(tmp_path, corpus):
     _finetune_zero_labeled_shapes, _fractional_max_epochs, _synth_noise_tag_prob,
     _mine_synonyms_not_strings, _manifest_synonyms_not_a_map, _ply_vertex_count_not_a_number,
     _ply_blank_header_line, _ply_property_without_name, _synth_string_tag_prob_in_config,
-    _synth_tag_prob_list_in_config, _export_without_shapes, _vocabulary_tags_not_strings,
+    _synth_tag_prob_list_in_config, _export_without_shapes, _export_shape_given_twice,
+    _vocabulary_tags_not_strings,
     _vocabulary_tags_a_string, _strategy_in_train_config, _mine_reversed_leaf_range,
     _mine_negative_min_leaves, _mine_zero_points, _mine_negative_seed,
     _synth_negative_seed, _pretrain_negative_seed, _synth_negative_seed_in_config,
@@ -925,14 +935,18 @@ def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
         sedan.replace('encoding="utf-8"', 'encoding="utf-5-8"'))
     shape = {"shape_id": "x", "category": "chairs", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
              "triangles": [[0, 1, 2]] * 2,
-             "nodes": [{"id": 0, "parent": None, "name": "chair", "children": [1, 2]},
-                       {"id": 1, "parent": 0, "name": "seat", "tri_range": [0, 1]},
-                       {"id": 2, "parent": 0, "name": "back", "tri_range": [1, 2]}]}
+             "parents": [None, 0, 0], "names": ["chair", "seat", "back"], "tri_leaf": [1, 2]}
     # a part name in Latin-1
     (scenes / "chairs" / "not_utf8.json").write_bytes(
         json.dumps({**shape, "shape_id": "not_utf8"}).encode().replace(b"seat", b"s\xe9at"))
     (scenes / "chairs" / "huge_index.json").write_text(
         json.dumps({**shape, "shape_id": "huge_index"}).replace("[0, 1, 2]]", "[0, 1, 1e400]]"))
+    # the earlier layout: a node list with child lists and triangle ranges
+    (scenes / "chairs" / "old_layout.json").write_text(json.dumps(
+        {**{k: shape[k] for k in ("category", "vertices", "triangles")}, "shape_id": "old_layout",
+         "nodes": [{"id": 0, "parent": None, "name": "chair", "children": [1, 2]},
+                   {"id": 1, "parent": 0, "name": "seat", "tri_range": [0, 1]},
+                   {"id": 2, "parent": 0, "name": "back", "tri_range": [1, 2]}]}))
     out = tmp_path / "mined"
     rc = main(["mine", "--in", str(scenes), "--out", str(out), "--seed", "0",
                "--points", "500"])
@@ -947,14 +961,15 @@ def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
         "parse_error:primitive <input> offset -1 is negative"
     for name, reason in (("cars/unknown_encoding.dae", "malformed XML: unknown encoding"),
                          ("chairs/not_utf8.json", "not UTF-8 text: "),
-                         ("chairs/huge_index.json", "vertices/triangles are not numeric arrays")):
+                         ("chairs/huge_index.json", "triangles is not a numeric array"),
+                         ("chairs/old_layout.json", "missing required field 'parents'")):
         assert manifest["rejected"][name].startswith(f"parse_error:{reason}"), name
     classes = {Path(k).stem: v.split(":", 1)[0] for k, v in manifest["rejected"].items()}
     assert classes == {**golden["rejected_classes"], "short_translate": "parse_error",
                        "word_in_floats": "parse_error", "negative_offset": "parse_error",
                        "unknown_encoding": "parse_error", "not_utf8": "parse_error",
-                       "huge_index": "parse_error"}
-    assert manifest["reject_counts"] == {**golden["reject_counts"], "parse_error": 9}
+                       "huge_index": "parse_error", "old_layout": "parse_error"}
+    assert manifest["reject_counts"] == {**golden["reject_counts"], "parse_error": 10}
     for key in ("kept", "split", "sufficiency"):
         assert manifest[key] == golden[key]
     for cat, vocab in golden["vocabularies"].items():
@@ -968,9 +983,7 @@ def test_mine_rejects_degenerate_meshes_and_mines_the_rest(tmp_path, capsys):
     # two leaves, every vertex at one point: zero total area
     shape = {"shape_id": "collapsed", "category": "chairs",
              "vertices": [[0.5, 0.5, 0.5]] * 3, "triangles": [[0, 1, 2]] * 2,
-             "nodes": [{"id": 0, "parent": None, "name": "chair", "children": [1, 2]},
-                       {"id": 1, "parent": 0, "name": "seat", "tri_range": [0, 1]},
-                       {"id": 2, "parent": 0, "name": "back", "tri_range": [1, 2]}]}
+             "parents": [None, 0, 0], "names": ["chair", "seat", "back"], "tri_leaf": [1, 2]}
     (scenes / "chairs" / "collapsed.json").write_text(json.dumps(shape))
     # JSON reads 1e400 as inf; its area is nan, with no NumPy warning
     (scenes / "chairs" / "infinite_vertex.json").write_text(json.dumps(
@@ -1048,6 +1061,13 @@ def test_a_shape_id_in_two_corpus_files_is_refused_naming_both(tmp_path, capsys)
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith(
             f"error: {copy} and {first}: duplicate shape_id 'table_0001'")
+    # --shape reads the files in the order given
+    capsys.readouterr()
+    assert main(["export-embeddings", "--checkpoint", str(ck), "--out", str(tmp_path / "e"),
+                 "--shape", str(first), str(copy)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {first} and {copy}: duplicate shape_id 'table_0001'")
+    assert not (tmp_path / "e").exists()
 
 
 def test_mine_align_to_writes_the_aligned_corpus_once(tmp_path):

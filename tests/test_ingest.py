@@ -28,11 +28,9 @@ def minimal_obj():
         "category": "cat",
         "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
         "triangles": [[0, 1, 2], [0, 1, 3]],
-        "nodes": [
-            {"id": 0, "parent": None, "name": "root", "children": [1, 2]},
-            {"id": 1, "parent": 0, "name": "a", "tri_range": [0, 1]},
-            {"id": 2, "parent": 0, "name": "b", "tri_range": [1, 2]},
-        ],
+        "parents": [None, 0, 0],
+        "names": ["root", "a", "b"],
+        "tri_leaf": [1, 2],
     }
 
 
@@ -77,23 +75,8 @@ def test_schema_errors():
         parse(obj)
 
     obj = minimal_obj()
-    obj["nodes"][1]["tri_range"] = [0, 2]  # overlaps node 2's range
-    with pytest.raises(ParseError, match="tri_range overlaps another leaf"):
-        parse(obj)
-
-    obj = minimal_obj()
-    obj["nodes"][2]["tri_range"] = [1, 1]  # triangle 1 uncovered
-    with pytest.raises(ParseError, match="must cover every triangle"):
-        parse(obj)
-
-    obj = minimal_obj()
-    obj["nodes"][0]["children"] = [1]  # disagrees with node 2's parent
-    with pytest.raises(ParseError, match="children list disagrees"):
-        parse(obj)
-
-    obj = minimal_obj()
-    obj["nodes"][1]["parent"] = 1  # self-loop
-    with pytest.raises(ParseError, match="invalid hierarchy: node 1 unreachable"):
+    obj["parents"][1] = 1  # self-loop
+    with pytest.raises(ParseError, match="invalid shape: node 1 unreachable"):
         parse(obj)
 
     with pytest.raises(ParseError, match=r"invalid JSON at line \d+"):
@@ -104,36 +87,57 @@ def test_schema_errors():
 
     obj = minimal_obj()
     obj["triangles"][1] = [0, 1, float("inf")]   # what JSON's 1e400 reads as
-    with pytest.raises(ParseError, match="vertices/triangles are not numeric"):
+    with pytest.raises(ParseError, match="triangles is not a numeric array"):
         parse(obj)
 
     obj = minimal_obj()
     obj["semantic_labels"] = [0, float("inf")]
-    with pytest.raises(ParseError, match="semantic_labels must be integers"):
+    with pytest.raises(ParseError, match="semantic_labels is not a numeric array"):
         parse(obj)
 
     obj = minimal_obj()
-    obj["nodes"][1]["tri_range"] = [0, 99]
-    with pytest.raises(ParseError, match=r"tri_range \[0, 99\] out of bounds"):
-        parse(obj)
-
-    obj = minimal_obj()
-    obj["nodes"][0]["children"] = [1]
-    obj["nodes"][2]["parent"] = 1  # a tri_range node named as a parent
-    with pytest.raises(ParseError, match="has children but carries a tri_range"):
-        parse(obj)
-
-    obj = minimal_obj()
-    obj["nodes"][0]["children"] = [1, 2, 3]
-    obj["nodes"].append({"id": 3, "parent": 0, "name": "g", "children": []})
-    with pytest.raises(ParseError, match="group has no children"):
-        parse(obj)
-
-    obj = minimal_obj()
-    obj["nodes"][0]["children"] = [1, 2, 3]
-    obj["nodes"].append({"id": 3, "parent": 0, "name": "e", "tri_range": [2, 2]})
-    rec = parse(obj)  # an empty range still makes a leaf
+    obj["parents"].append(0)
+    obj["names"].append("e")
+    rec = parse(obj)  # a node owning no triangles is still a leaf
     assert rec.hierarchy.leaves == (1, 2, 3)
+
+
+def _with(**fields):
+    return {**minimal_obj(), **fields}
+
+
+@pytest.mark.parametrize("obj, message", [
+    (_with(tri_leaf=[0, 2]), r"tri_leaf names ids that are not leaves \[0\]"),  # the root, a group
+    (_with(tri_leaf=[1, 3]), r"tri_leaf names ids that are not leaves \[3\]"),
+    (_with(tri_leaf=[1, -1]), r"tri_leaf names ids that are not leaves \[-1\]"),
+    (_with(tri_leaf=[1]), "invalid shape: tri_leaf must parallel triangles"),
+    (_with(tri_leaf=[1, 2, 2]), "invalid shape: tri_leaf must parallel triangles"),
+    (_with(tri_leaf=[1, 2**70]), "tri_leaf is not a numeric array"),
+    (_with(tri_leaf={"0": 1}), "tri_leaf is not a numeric array"),
+    (_with(parents=[None, True, 0]), "parents must be a list of node ids or nulls"),
+    (_with(parents=[None, 1.5, 0]), "parents must be a list of node ids or nulls"),
+    (_with(parents=[None, "0", 0]), "parents must be a list of node ids or nulls"),
+    (_with(parents={"0": None}), "parents must be a list of node ids or nulls"),
+    (_with(parents="[null, 0, 0]"), "parents must be a list of node ids or nulls"),
+    (_with(parents=None), "parents must be a list of node ids or nulls"),
+    (_with(parents=[None, 0, 3]), "invalid shape: parent 3 of node 2 out of range"),
+    (_with(parents=[]), "invalid shape: 3 names for 0 nodes"),
+    (_with(names=["root", "a"]), "invalid shape: 2 names for 3 nodes"),
+    (_with(names=["root", "a", "b", "c"]), "invalid shape: 4 names for 3 nodes"),
+    (_with(names=["root", "a", 2]), "names must be a list of strings"),
+    (_with(names="root a b"), "names must be a list of strings"),
+    ({key: value for key, value in minimal_obj().items() if key != "tri_leaf"},
+     "missing required field 'tri_leaf'"),
+    # the earlier layout: a node list with child lists and triangle ranges
+    ({**{key: minimal_obj()[key] for key in ("shape_id", "category", "vertices", "triangles")},
+      "nodes": [{"id": 0, "parent": None, "name": "root", "children": [1, 2]},
+                {"id": 1, "parent": 0, "name": "a", "tri_range": [0, 1]},
+                {"id": 2, "parent": 0, "name": "b", "tri_range": [1, 2]}]},
+     "^missing required field 'parents'$"),
+])
+def test_a_malformed_tree_or_ownership_is_a_parse_error(obj, message):
+    with pytest.raises(ParseError, match=message):
+        parse(obj)
 
 
 def test_filter_leaf_bounds():
@@ -168,10 +172,9 @@ def named_parts(shape_id, names):
         "shape_id": shape_id, "category": "c",
         "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
         "triangles": [[0, 1, 2]] * len(names),
-        "nodes": [{"id": 0, "parent": None, "name": "root",
-                   "children": list(range(1, len(names) + 1))}] + [
-            {"id": i, "parent": 0, "name": name, "tri_range": [i - 1, i]}
-            for i, name in enumerate(names, start=1)],
+        "parents": [None] + [0] * len(names),
+        "names": ["root", *names],
+        "tri_leaf": list(range(1, len(names) + 1)),
     })
 
 
@@ -345,11 +348,9 @@ def test_mine_coverage_is_the_tagged_share_of_area(tmp_path):
         "category": "cat",
         "vertices": [[0, 0, 0], [2, 0, 0], [0, 1, 0], [0, 2, 0]],
         "triangles": [[0, 1, 2], [0, 1, 3]],
-        "nodes": [
-            {"id": 0, "parent": None, "name": "root", "children": [1, 2]},
-            {"id": 1, "parent": 0, "name": "wheel", "tri_range": [0, 1]},
-            {"id": 2, "parent": 0, "name": "geometry", "tri_range": [1, 2]},
-        ],
+        "parents": [None, 0, 0],
+        "names": ["root", "wheel", "geometry"],
+        "tri_leaf": [1, 2],
     }
     (tmp_path / "cat").mkdir()
     (tmp_path / "cat" / "s0.json").write_text(json.dumps(obj))

@@ -1,18 +1,22 @@
 """Package-wide rules: modules reach each other through public names only,
 every error type is one that some caller catches by name, every public
 function and class has a caller outside the tests, the README's config
-table names every config field, and its command-line section every
-command-line flag."""
+table names every config field, its command-line section every
+command-line flag, and its shape-format paragraph every key of a native
+JSON shape."""
 
 import argparse
 import ast
+import json
 import re
 from dataclasses import fields
 from pathlib import Path
 
 import partembed
-from partembed import BenchmarkSpec, PenConfig, TrainConfig
+from partembed import (BenchmarkSpec, PartHierarchy, PenConfig, ShapeRecord, TrainConfig,
+                       TriangleMesh)
 from partembed.cli import build_parser
+from partembed.ingest import dumps_shape
 
 PACKAGE = Path(partembed.__file__).resolve().parent
 README = PACKAGE.parents[1] / "README.md"
@@ -75,3 +79,14 @@ def test_readme_command_line_names_exactly_the_cli_flags():
     flags = {option for parser in sub.choices.values() for action in parser._actions
              for option in action.option_strings} - {"-h", "--help"}
     assert sorted(named - flags) == [] and sorted(flags - named) == []
+
+
+def test_readme_names_exactly_the_json_shape_keys():
+    text = README.read_text()
+    paragraph = text[text.index("A native JSON shape holds"):].split("\n\n", 1)[0]
+    named = re.findall(r"`([^`]+)`", paragraph)
+    assert len(named) == len(set(named)), "a key is named twice"
+    mesh = TriangleMesh(vertices=[[0, 0, 0], [1, 0, 0], [0, 1, 0]], triangles=[[0, 1, 2]],
+                        tri_leaf=[1], tri_semantic=[0])
+    rec = ShapeRecord("s", "c", mesh, PartHierarchy([None, 0], ["root", "a"]))
+    assert set(named) == set(json.loads(dumps_shape(rec)))

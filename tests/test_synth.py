@@ -160,8 +160,8 @@ def test_manifest_records_the_recipe(tmp_path):
 # its bytes, in path order; the ordering gate and the benchmarks train on
 # these shapes, so any change to the recipe or its draws shows here
 CORPUS_DIGESTS = {
-    0: "937959584b04dfe0cfcb176233042c2df8712368d27cc0225641ee3a11b1b4a0",
-    3: "5498f40a0fc1a035ab48eb2ddbc5a7be59bf58562091da11fb310df73d290055",
+    0: "795cd1af470bb9267eac67c0f154ec9cc6150012cfb42bc2b523c13761f0fe57",
+    3: "70db690c4448ff2bb0847b283bb34f7b7d1ec2e00c6dda723ec5bfc02e11b98b",
 }
 
 

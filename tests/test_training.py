@@ -72,10 +72,9 @@ def test_scheduler_flat_run_decays_exactly_once():
     sched = PlateauScheduler(0.01)
     assert not sched.observe(1.0)  # first observation improves on +inf
     for i in range(5):
-        assert sched.decays == 0
+        assert sched.lr == 0.01
         stop = sched.observe(1.0)
     assert not stop
-    assert sched.decays == 1
     assert sched.lr == pytest.approx(0.001)
 
 
@@ -86,9 +85,9 @@ def test_scheduler_improvement_resets_patience():
     sched.observe(0.5)  # clear improvement with one bad epoch to spare
     for _ in range(4):
         sched.observe(0.5)
-    assert sched.decays == 0
+    assert sched.lr == 0.01
     sched.observe(0.5)
-    assert sched.decays == 1
+    assert sched.lr == pytest.approx(0.001)
 
 
 def test_scheduler_threshold_is_relative():
@@ -108,11 +107,10 @@ def test_scheduler_stops_after_two_decays_below_floor():
     # a decay every 5 flat epochs: 0.01 -> 1e-3 -> 1e-4 -> 1e-5 (not below)
     # -> 1e-6 (below) -> 1e-7 (stop)
     assert stops == [False] * 24 + [True]
-    assert sched.decays == 5
     assert sched.lr == pytest.approx(1e-7)
 
 
-def test_fit_stops_at_the_rate_floor(chair_shapes):
+def test_fit_stops_at_the_rate_floor(chair_shapes, monkeypatch):
     # a flat validation loss: one improving epoch, then a decay every 5
     def draw(chunk, rng):
         return [None] * len(chunk)
@@ -120,13 +118,24 @@ def test_fit_stops_at_the_rate_floor(chair_shapes):
     def chunk_loss(chunk, draws, want_grads):
         return float(len(chunk)), {"w": np.zeros(2)} if want_grads else None
 
+    rates = []
+    adam_step = training.adam_step
+
+    def recording(params, grads, state, lr, lr_mult=None):
+        adam_step(params, grads, state, lr, lr_mult=lr_mult)
+        rates.append(lr)
+
+    monkeypatch.setattr(training, "adam_step", recording)
     params = {"w": np.ones(2)}
     report = fit(params, chair_shapes[:4], TC, np.random.default_rng(0), draw, chunk_loss,
                  [None] * 100, val=(chair_shapes[4:], np.random.default_rng(1)))
     assert report.stop_reason == "lr_floor"
-    assert report.epochs == 26 and report.decays == 5
+    assert report.epochs == 26 and len(rates) == 26
     assert report.val_losses == [1.0] * 26 and report.best_epoch == 0
-    assert report.lr_history[-1] == pytest.approx(1e-6)
+    # epoch 0 improves, then each 5 flat epochs decay: four decays land
+    # within the run, and the fifth, below the floor, stops it
+    assert rates == pytest.approx([1e-2] * 6 + [1e-3] * 5 + [1e-4] * 5 + [1e-5] * 5
+                                  + [1e-6] * 5)
     assert np.array_equal(params["w"], np.ones(2))
 
 
@@ -250,7 +259,6 @@ def test_pretrain_metric_reduces_loss(chair_shapes):
     report = pretrain_metric(params, SMALL, train, val, replace(TC, max_epochs=8))
     assert min(report.val_losses[1:]) < report.val_losses[0]
     assert report.epochs == 8
-    assert len(report.lr_history) == 8
 
 
 def test_pretrain_metric_input_checks(chair_shapes):
@@ -404,7 +412,6 @@ def test_finetune_segmentation_staged_counts(chair_shapes):
     tc = replace(TC, max_epochs=2, head_epochs=3)
     report = finetune_segmentation(params, cfg, chair_shapes[:3], tc)
     assert report.epochs == 5
-    assert len(report.lr_history) == 5
     assert report.stop_reason == "fixed_epochs"
     assert min(report.train_losses[1:]) < report.train_losses[0]
 
