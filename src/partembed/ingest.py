@@ -131,12 +131,19 @@ def parse_json_shape(data: bytes) -> ShapeRecord:
             "names must be a list of strings")
 
     arrays = {}
-    try:
-        for key in ("vertices", "triangles", "tri_leaf", "semantic_labels"):
-            if key in obj:
-                arrays[key] = np.asarray(obj[key], dtype=np.float64 if key == "vertices" else np.int64)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ParseError(f"{key} is not a numeric array: {exc}") from exc
+    for key in ("vertices", "triangles", "tri_leaf", "semantic_labels"):
+        if key not in obj:
+            continue
+        try:
+            arrays[key] = np.asarray(obj[key], dtype=np.float64 if key == "vertices" else None)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ParseError(f"{key} is not a numeric array: {exc}") from exc
+        if key != "vertices":
+            # read uncast, since the cast would truncate a fraction or a
+            # boolean; an integer past int64 reads as float, uint64 or object
+            _expect(arrays[key].dtype.kind == "i" or arrays[key].size == 0,
+                    f"{key} is not a numeric array of integers")
+            arrays[key] = arrays[key].astype(np.int64, copy=False)
     vertices, triangles = arrays["vertices"], arrays["triangles"]
     _expect(vertices.ndim == 2 and vertices.shape[1] == 3 or vertices.size == 0,
             "vertices must be an array of [x, y, z] rows")

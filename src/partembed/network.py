@@ -11,23 +11,24 @@ by one dense engine, ``_forward`` and ``_backward``, on inputs of any rank
 as rows of the last axis; a stack the config lacks raises InputError. A
 batch has one ``ForwardTrace``, which every stack records into. Every
 backward writes into the caller's ``grads``; a head's and the
-reconstruction decoder's return the gradient at their input. All is
-float64. Bias adds and ReLUs run in place; a ReLU's mask is read from its
-output, the next layer's input. The last (linear) lift layer runs
-channels-major, so the pool reduces the contiguous axis, and its backward
-touches only each channel's winning point. The first decoder layer splits
-its weight, so ``[point ‖ global]`` is never built. The trunk pools over
-every point, but through the pool only each channel's winning point gets
-gradient, so the trace keeps the trunk's tensors only on the rows
-backward reads, in one layout: the lift inputs on the winners, the
-encoder's on the kept rows. The kept rows are every row when every row is
-decoded, and otherwise the winners and then the rows ``forward_embed``
-decodes, which the decoder and the normalization allow since they are
-row-wise. The backward runs on those rows alone. The triplet loss gathers
-every shape's triplets through flat indices and scatters its gradient
-through one sparse product. Gradients are checked against central
-differences and a plain reference in the tests, so keep forward and
-backward in lockstep.
+reconstruction decoder's return the gradient at their input, the
+embedding decoder's the gradients at the trunk's two taps, so a caller
+can stop above the trunk. All is float64. Bias adds and ReLUs run in
+place; a ReLU's mask is read from its output, the next layer's input.
+The last (linear) lift layer runs channels-major, so the pool reduces the
+contiguous axis, and its backward touches only each channel's winning
+point. The first decoder layer splits its weight, so ``[point ‖ global]``
+is never built. The trunk pools over every point, but through the pool
+only each channel's winning point gets gradient, so the trace keeps the
+trunk's tensors only on the rows backward reads, in one layout: the lift
+inputs on the winners, the encoder's on the kept rows. The kept rows are
+every row when every row is decoded, and otherwise the winners and then
+the rows ``forward_embed`` decodes, which the decoder and the
+normalization allow since they are row-wise. The backward runs on those
+rows alone. The triplet loss gathers every shape's triplets through flat
+indices and scatters its gradient through one sparse product. Gradients
+are checked against central differences and a plain reference in the
+tests, so keep forward and backward in lockstep.
 """
 
 from __future__ import annotations
@@ -311,13 +312,12 @@ def backward_trunk(params, cfg: PenConfig, trace: ForwardTrace,
     _backward(params, _stack(cfg, "enc"), trace, g, grads, out=trace.point_feat)
 
 
-def backward_embed(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndarray,
-                   grads: Optional[dict] = None) -> dict:
-    """Trunk and decoder gradients of a loss, given its gradient at the
-    normalized embedding, written into ``grads`` (new when None). Decoded
-    rows pass their gradient to the trunk's kept rows as it is; the points
-    that were not decoded get none."""
-    grads = {} if grads is None else grads
+def backward_decoder(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndarray,
+                     grads: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Decoder gradients of a loss into ``grads``, given its gradient at the
+    normalized embedding. Returns the gradients at the trunk's two taps,
+    the decoded rows' point features (B, R, P) and the global feature
+    (B, G), which ``backward_trunk`` takes."""
     e = trace.embed
     g = (g_embed - e * np.sum(e * g_embed, axis=2, keepdims=True)) / trace.norm
     (first, _, dout, relu), *rest = _stack(cfg, "dec", "embed")
@@ -329,7 +329,19 @@ def backward_embed(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndar
     grads[f"{first}.W"] = np.concatenate([trace.ins[first].reshape(-1, p).T @ g.reshape(-1, dout),
                                           trace.global_feat.T @ g_global])
     grads[f"{first}.b"] = g_global.sum(axis=0)
-    backward_trunk(params, cfg, trace, g @ w[:p].T, g_global @ w[p:].T, grads)
+    return g @ w[:p].T, g_global @ w[p:].T
+
+
+def backward_embed(params, cfg: PenConfig, trace: ForwardTrace, g_embed: np.ndarray,
+                   grads: Optional[dict] = None) -> dict:
+    """Trunk and decoder gradients of a loss, given its gradient at the
+    normalized embedding, written into ``grads`` (new when None): the
+    decoder's backward, then the trunk's. Decoded rows pass their gradient
+    to the trunk's kept rows as it is; the points that were not decoded
+    get none."""
+    grads = {} if grads is None else grads
+    backward_trunk(params, cfg, trace, *backward_decoder(params, cfg, trace, g_embed, grads),
+                   grads)
     return grads
 
 

@@ -4,7 +4,9 @@ tag and segmentation fine-tuning, all run by one loop, ``fit``.
 ``fit`` shuffles the shapes each epoch, runs each batch through the network
 in microbatch chunks and takes one Adam step per batch. An objective
 supplies a ``draw`` (the point subsets or triplets a step sees of a shape)
-and a ``chunk_loss``, which returns the loss summed over the chunk's shapes.
+and a ``chunk_loss``, which returns the loss summed over the chunk's shapes
+and the gradients of the tensors that step this epoch, whose names ``fit``
+passes it, so a loss may stop its backward above tensors that stay put.
 Adam thus always steps on the batch sum, so chunking is exact.
 ``TrainReport.train_losses`` is the per-shape mean loss of each epoch for
 every objective. Validation draws are frozen once per run, so the
@@ -25,8 +27,8 @@ from .errors import InputError, PartembedError, SamplingError
 from .geometry import PointCloud, normalize_cloud, sample_surface
 from .ingest import (MIN_TAG_COVERAGE, DatasetSplit, ShapeRecord, TagVocabulary,
                      label_points_with_tags, tag_sufficiency)
-from .network import (AdamState, PenConfig, adam_step, ae_backward,
-                      ae_forward, backward_embed, backward_trunk, chamfer_batch_and_grad,
+from .network import (AdamState, PenConfig, adam_step, ae_backward, ae_forward,
+                      backward_decoder, backward_embed, backward_trunk, chamfer_batch_and_grad,
                       forward_embed, forward_trunk, head_backward, head_forward,
                       seg_loss_and_grad, tag_loss_and_grad, triplet_loss_and_grad)
 from .triplets import sample_triplets
@@ -202,7 +204,7 @@ def _lr_mult(params: dict, pretrained: tuple[str, ...], trunk_scale: float) -> d
 # ---------------------------------------------------------------------------
 
 Draw = Callable[[list[TrainShape], np.random.Generator], list]
-ChunkLoss = Callable[[list[TrainShape], list, bool], tuple[float, Optional[dict]]]
+ChunkLoss = Callable[[list[TrainShape], list, Optional[set[str]]], tuple[float, Optional[dict]]]
 
 
 def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.random.Generator,
@@ -211,11 +213,13 @@ def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.ran
     """Train ``params`` in place for up to ``len(lr_mults)`` epochs of ``shapes``.
 
     ``draw(chunk, rng)`` returns what one step sees of each shape of the
-    chunk; ``chunk_loss(chunk, draws, want_grads)`` returns the loss summed
-    over the chunk's shapes and its gradients (None unless asked). Adam
-    steps once per batch on the gradient summed over the batch's shapes,
-    with epoch ``e``'s per-tensor rate multipliers ``lr_mults[e]`` (None:
-    full rate).
+    chunk; ``chunk_loss(chunk, draws, stepping)`` returns the loss summed
+    over the chunk's shapes and its gradients. ``stepping`` names the
+    tensors that step this epoch, those whose multiplier is nonzero, and
+    the gradients must hold at least those; validation passes None and
+    gets None. Adam steps once per batch on the gradient summed over the
+    batch's shapes, with epoch ``e``'s per-tensor rate multipliers
+    ``lr_mults[e]`` (None: full rate).
 
     ``val`` is (validation shapes, generator for their draws). With it the
     validation loss is watched: the rate decays on plateaus, training stops
@@ -235,6 +239,8 @@ def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.ran
     best_params = None
     n = len(shapes)
     for lr_mult in lr_mults:
+        # the names adam_step will not skip
+        stepping = {name for name in params if (lr_mult or {}).get(name, 1.0) != 0.0}
         order = rng.permutation(n)
         epoch_loss = 0.0
         for lo in range(0, n, tc.batch_shapes):
@@ -242,7 +248,7 @@ def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.ran
             grads: dict[str, np.ndarray] = {}
             for mlo in range(0, len(batch), tc.microbatch):
                 chunk = [shapes[i] for i in batch[mlo:mlo + tc.microbatch]]
-                loss, g = chunk_loss(chunk, draw(chunk, rng), True)
+                loss, g = chunk_loss(chunk, draw(chunk, rng), stepping)
                 epoch_loss += loss
                 _accumulate(grads, g)
             adam_step(params, grads, state, sched.lr, lr_mult=lr_mult)
@@ -251,7 +257,7 @@ def fit(params: dict, shapes: Sequence[TrainShape], tc: TrainConfig, rng: np.ran
         if not val_shapes:
             continue
         v = sum(chunk_loss(val_shapes[lo:lo + tc.microbatch], fixtures[lo:lo + tc.microbatch],
-                           False)[0]
+                           None)[0]
                 for lo in range(0, len(val_shapes), tc.microbatch)) / len(val_shapes)
         report.val_losses.append(v)
         if v < report.best_val:
@@ -277,18 +283,24 @@ def _point_draw(n: int, labeled=lambda s: None) -> Draw:
 
 def _head_loss(params: dict, cfg: PenConfig, prefix: str, loss_and_grad,
                labels_of) -> ChunkLoss:
-    """Chunk loss of a per-point classifier head on the embedding, trained
-    through the whole network."""
-    def chunk_loss(chunk, subs, want_grads):
+    """Chunk loss of a per-point classifier head on the embedding. Its
+    backward runs down to the lowest stack with a tensor that steps: it
+    stops after the head while the decoder and the trunk are frozen, and
+    after the decoder while the trunk alone is."""
+    def chunk_loss(chunk, subs, stepping):
         pts = np.stack([s.cloud.points[sub] for s, sub in zip(chunk, subs)])
         labels = np.stack([labels_of(s)[sub] for s, sub in zip(chunk, subs)])
         _, trace = forward_embed(params, cfg, pts)
         loss, g_logits = loss_and_grad(head_forward(params, cfg, prefix, trace), labels)
-        if not want_grads:
+        if stepping is None:
             return loss, None
         grads: dict[str, np.ndarray] = {}
         g_embed = head_backward(params, cfg, prefix, trace, g_logits, grads)
-        return loss, backward_embed(params, cfg, trace, g_embed, grads)
+        if any(name.startswith(("dec", "embed", "enc", "lift")) for name in stepping):
+            taps = backward_decoder(params, cfg, trace, g_embed, grads)
+            if any(name.startswith(("enc", "lift")) for name in stepping):
+                backward_trunk(params, cfg, trace, *taps, grads)
+        return loss, grads
     return chunk_loss
 
 
@@ -316,7 +328,7 @@ def pretrain_metric(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainSh
             draws.append((sub, named, local.reshape(t.shape)))
         return draws
 
-    def chunk_loss(chunk, draws, want_grads):
+    def chunk_loss(chunk, draws, stepping):
         pts = np.stack([s.cloud.points[sub] for s, (sub, _, _) in zip(chunk, draws)])
         # pad every shape to the chunk's widest with its own unnamed rows,
         # so each shape's rows stay distinct
@@ -324,7 +336,7 @@ def pretrain_metric(params: dict, cfg: PenConfig, train_shapes: Sequence[TrainSh
         rows = np.stack([_pad_rows(named, len(sub), width) for sub, named, _ in draws])
         embed, trace = forward_embed(params, cfg, pts, rows)
         loss, g_embed = triplet_loss_and_grad(embed, np.stack([t for _, _, t in draws]))
-        return loss, backward_embed(params, cfg, trace, g_embed) if want_grads else None
+        return loss, None if stepping is None else backward_embed(params, cfg, trace, g_embed)
 
     rng_train, rng_val = _train_val_rngs(tc, 0x7E1)
     return fit(params, train_shapes, tc, rng_train, draw, chunk_loss, [None] * tc.max_epochs,
@@ -358,13 +370,13 @@ def pretrain_autoencoder(params: dict, cfg: PenConfig, train_shapes: Sequence[Tr
     """Chamfer reconstruction pretraining of the trunk (the baseline). Only
     the trunk and the reconstruction decoder receive gradients; the
     embedding decoder is untouched and stays at its initialization."""
-    def chunk_loss(chunk, subs, want_grads):
+    def chunk_loss(chunk, subs, stepping):
         pts = np.stack([s.cloud.points[sub] for s, sub in zip(chunk, subs)])
         # no per-point gradient: the trace keeps the pool winners alone
         trace = forward_trunk(params, cfg, pts, np.empty((len(pts), 0), np.intp))
         recon = ae_forward(params, cfg, trace)
         loss, g_recon = chamfer_batch_and_grad(recon, list(pts))
-        if not want_grads:
+        if stepping is None:
             return loss, None
         grads: dict[str, np.ndarray] = {}
         g_global = ae_backward(params, cfg, trace, g_recon, grads)

@@ -941,6 +941,8 @@ def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
         json.dumps({**shape, "shape_id": "not_utf8"}).encode().replace(b"seat", b"s\xe9at"))
     (scenes / "chairs" / "huge_index.json").write_text(
         json.dumps({**shape, "shape_id": "huge_index"}).replace("[0, 1, 2]]", "[0, 1, 1e400]]"))
+    (scenes / "chairs" / "fractional_leaf.json").write_text(
+        json.dumps({**shape, "shape_id": "fractional_leaf", "tri_leaf": [1, 2.5]}))
     # the earlier layout: a node list with child lists and triangle ranges
     (scenes / "chairs" / "old_layout.json").write_text(json.dumps(
         {**{k: shape[k] for k in ("category", "vertices", "triangles")}, "shape_id": "old_layout",
@@ -962,14 +964,17 @@ def test_mine_rejects_malformed_numbers_and_mines_the_rest(tmp_path, capsys):
     for name, reason in (("cars/unknown_encoding.dae", "malformed XML: unknown encoding"),
                          ("chairs/not_utf8.json", "not UTF-8 text: "),
                          ("chairs/huge_index.json", "triangles is not a numeric array"),
+                         ("chairs/fractional_leaf.json",
+                          "tri_leaf is not a numeric array of integers"),
                          ("chairs/old_layout.json", "missing required field 'parents'")):
         assert manifest["rejected"][name].startswith(f"parse_error:{reason}"), name
     classes = {Path(k).stem: v.split(":", 1)[0] for k, v in manifest["rejected"].items()}
     assert classes == {**golden["rejected_classes"], "short_translate": "parse_error",
                        "word_in_floats": "parse_error", "negative_offset": "parse_error",
                        "unknown_encoding": "parse_error", "not_utf8": "parse_error",
-                       "huge_index": "parse_error", "old_layout": "parse_error"}
-    assert manifest["reject_counts"] == {**golden["reject_counts"], "parse_error": 10}
+                       "huge_index": "parse_error", "fractional_leaf": "parse_error",
+                       "old_layout": "parse_error"}
+    assert manifest["reject_counts"] == {**golden["reject_counts"], "parse_error": 11}
     for key in ("kept", "split", "sufficiency"):
         assert manifest[key] == golden[key]
     for cat, vocab in golden["vocabularies"].items():

@@ -134,6 +134,11 @@ def _with(**fields):
                 {"id": 1, "parent": 0, "name": "a", "tri_range": [0, 1]},
                 {"id": 2, "parent": 0, "name": "b", "tri_range": [1, 2]}]},
      "^missing required field 'parents'$"),
+    # a fraction or a boolean, which an int64 cast would truncate to a
+    # valid-looking index or label
+    (_with(triangles=[[0, 1, 2], [0, 1, 2.9]]), "triangles is not a numeric array of integers"),
+    (_with(tri_leaf=[1, 2.5]), "tri_leaf is not a numeric array of integers"),
+    (_with(semantic_labels=[True, 0.7]), "semantic_labels is not a numeric array of integers"),
 ])
 def test_a_malformed_tree_or_ownership_is_a_parse_error(obj, message):
     with pytest.raises(ParseError, match=message):

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from partembed import training
+from partembed import network, training
 from partembed.errors import ConfigurationError, InputError, PartembedError
 from partembed.ingest import extract_tags
-from partembed.network import PenConfig, init_params
+from partembed.network import (PenConfig, backward_embed, forward_embed, head_backward,
+                               head_forward, init_params, params_spec)
 from partembed.synth import SYNTH_SYNONYMS, generate_corpus, generate_shape
 from partembed.training import (
     PlateauScheduler,
@@ -115,8 +116,8 @@ def test_fit_stops_at_the_rate_floor(chair_shapes, monkeypatch):
     def draw(chunk, rng):
         return [None] * len(chunk)
 
-    def chunk_loss(chunk, draws, want_grads):
-        return float(len(chunk)), {"w": np.zeros(2)} if want_grads else None
+    def chunk_loss(chunk, draws, stepping):
+        return float(len(chunk)), None if stepping is None else {"w": np.zeros(2)}
 
     rates = []
     adam_step = training.adam_step
@@ -174,7 +175,7 @@ def test_fit_steps_on_the_batch_sum(chair_shapes, monkeypatch, microbatch):
         drawn.extend(index[id(s)] for s in chunk)
         return [None] * len(chunk)
 
-    def chunk_loss(chunk, draws, want_grads):
+    def chunk_loss(chunk, draws, stepping):
         ids = [index[id(s)] for s in chunk]
         # shape i has loss i + 1 and the i-th unit vector as its gradient
         return float(sum(i + 1 for i in ids)), {"w": unit[ids].sum(axis=0)}
@@ -468,6 +469,111 @@ def test_finetune_segmentation_unstaged_moves_everything(chair_shapes):
     assert report.epochs == 2
     for prefix in ("enc", "lift", "dec", "embed", "seg"):
         assert _changed(before, params, prefix), prefix
+
+
+def _recording_head_loss(monkeypatch, record):
+    """Wrap every head chunk loss so that ``record(params, chunk, subs,
+    stepping, result)`` sees each call as it returns."""
+    make = training._head_loss
+
+    def head_loss(params, cfg, prefix, loss_and_grad, labels_of):
+        inner = make(params, cfg, prefix, loss_and_grad, labels_of)
+
+        def chunk_loss(chunk, subs, stepping):
+            result = inner(chunk, subs, stepping)
+            record(params, chunk, subs, stepping, result)
+            return result
+        return chunk_loss
+
+    monkeypatch.setattr(training, "_head_loss", head_loss)
+
+
+@pytest.mark.parametrize("lent, fresh", [
+    (training.PRETRAINED, ("seg",)),              # a triplet checkpoint lends it all
+    (("enc", "lift"), ("seg", "dec", "embed")),   # a reconstruction one, the trunk
+])
+def test_head_stage_gradients_are_the_full_backward_on_the_fresh_tensors(
+        chair_shapes, monkeypatch, lent, fresh):
+    cfg = _seg_cfg(chair_shapes)
+    first = []
+
+    def record(params, chunk, subs, stepping, result):
+        if not first:   # copied: fit sums later chunks' gradients into these arrays
+            loss, grads = result
+            first.append(({k: v.copy() for k, v in params.items()}, chunk, subs, loss,
+                          {k: g.copy() for k, g in grads.items()}))
+
+    _recording_head_loss(monkeypatch, record)
+    finetune_segmentation(_fresh(cfg), cfg, chair_shapes[:3],
+                          replace(TC, max_epochs=1, head_epochs=1), pretrained=lent)
+    params, chunk, subs, loss, grads = first[0]
+    # the whole backward, as a network with every tensor stepping runs it
+    pts = np.stack([s.cloud.points[sub] for s, sub in zip(chunk, subs)])
+    labels = np.stack([s.cloud.semantic_label[sub] for s, sub in zip(chunk, subs)])
+    _, trace = forward_embed(params, cfg, pts)
+    full_loss, g_logits = training._seg_loss_summed(head_forward(params, cfg, "seg", trace),
+                                                    labels)
+    full: dict = {}
+    backward_embed(params, cfg, trace, head_backward(params, cfg, "seg", trace, g_logits, full),
+                   full)
+    assert loss == full_loss
+    assert set(grads) == {name for name in full if name.startswith(fresh)}
+    for name, g in grads.items():
+        assert np.array_equal(g, full[name]), name
+
+
+def _count_backwards(monkeypatch) -> dict:
+    """Count the decoder and trunk backwards, whichever module calls them."""
+    counts = {"backward_decoder": 0, "backward_trunk": 0}
+    for name in counts:
+        real = getattr(network, name)
+
+        def counting(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(network, name, counting)
+        monkeypatch.setattr(training, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("lent, max_epochs, decoder, trunk", [
+    # two head epochs reach only the head, the joint epoch everything
+    (training.PRETRAINED, 1, 1, 1),
+    # two head epochs run the fresh decoder but not the lent trunk
+    (("enc", "lift"), 1, 3, 1),
+    # from scratch there is no head stage, and every epoch steps the trunk
+    ((), 3, 3, 3),
+])
+def test_finetune_segmentation_backward_stops_at_the_frozen_boundary(
+        chair_shapes, monkeypatch, lent, max_epochs, decoder, trunk):
+    # 3 shapes in one batch and one chunk: one step per epoch
+    cfg = _seg_cfg(chair_shapes)
+    counts = _count_backwards(monkeypatch)
+    report = finetune_segmentation(
+        _fresh(cfg), cfg, chair_shapes[:3],
+        replace(TC, max_epochs=max_epochs, head_epochs=2, microbatch=4), pretrained=lent)
+    assert report.epochs == 3
+    assert counts == {"backward_decoder": decoder, "backward_trunk": trunk}
+
+
+def test_finetune_tags_frozen_lend_runs_no_embedding_backward(chair_shapes, chair_vocab,
+                                                               monkeypatch):
+    cfg = replace(SMALL, n_tags=len(chair_vocab.tags))
+    counts = _count_backwards(monkeypatch)
+    calls = []
+    _recording_head_loss(monkeypatch,
+                         lambda params, chunk, subs, stepping, result:
+                         calls.append((stepping, result[1])))
+    report = finetune_tags(_fresh(cfg), cfg, chair_shapes[:4], chair_shapes[4:],
+                           replace(TC, max_epochs=2, trunk_lr_scale=0.0))
+    assert report.epochs == 2 and len(report.val_losses) == 2
+    assert counts == {"backward_decoder": 0, "backward_trunk": 0}
+    head = {name for name in params_spec(cfg) if name.startswith("tag")}
+    train = [grads for stepping, grads in calls if stepping is not None]
+    assert train and all(set(grads) == head for grads in train)
+    # a validation chunk gets its loss and no gradients
+    assert [grads for stepping, grads in calls if stepping is None] == [None, None]
 
 
 def test_finetune_segmentation_label_checks(chair_shapes):
